@@ -15,15 +15,17 @@ from typing import Sequence
 import numpy as np
 
 from .freeconv import AtomicPhiTerm, FreeConvRep, free_convolve_many
-from .measure import PlanarMeasure, Vec2
+from .measure import PlanarMeasure, Vec2, dirac
 from .transforms import (
     DEGENERATE_TOL,
     DegenerateDenominator,
     GridDensity,
     TruncatedCone,
-    bi_free_phi_grid,
+    bi_free_phi,
+    cauchy2d,
     cone_for,
     inversion_values,
+    stieltjes2d,
 )
 
 
@@ -71,45 +73,30 @@ class BiConvRep:
         """Free-convolution representation of the marginal law."""
         return self._marginal_with_map(axis)[0]
 
-    def phi_grid(self, zs: np.ndarray, ws: np.ndarray, guesses=None) -> np.ndarray:
-        """phi on the product grid zs x ws.
+    def phi(self, z, w, guesses=None):
+        """phi at (z, w) inside the working bicone, broadcast against each other.
 
-        ``guesses`` optionally carries per-term warm starts for the two
-        marginal inversions, as produced by the density solver.
+        A grid is ``z[:, None], w[None, :]``.  ``guesses`` optionally carries
+        per-term warm starts for the two marginal inversions, shaped like z
+        and w, as produced by the marginal solves.
         """
-        zs = np.asarray(zs, dtype=complex)
-        ws = np.asarray(ws, dtype=complex)
-        total = np.zeros((len(zs), len(ws)), dtype=complex)
-        for k, t in enumerate(self.terms):
-            if isinstance(t, PlanarMeasure):
-                g1 = g2 = None
-                if guesses is not None:
-                    g1, g2 = guesses[k]
-                p, _, _ = bi_free_phi_grid(t, zs, ws, guess1=g1, guess2=g2)
-            else:
-                p = t.bi_free_phi(zs[:, None], ws[None, :])
-            total += p
-        total += (self.shift[0] / zs)[:, None] + (self.shift[1] / ws)[None, :]
-        return total
-
-    def phi(self, z, w):
-        """phi at elementwise points (z, w) inside the working bicone."""
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        if z.ndim == 0 and w.ndim == 0:
-            return complex(self.phi_grid(z[None], w[None])[0, 0])
-        z, w = np.broadcast_arrays(z, w)
-        out = np.empty(z.shape, dtype=complex)
-        for idx in np.ndindex(z.shape):
-            out[idx] = self.phi_grid(z[idx][None], w[idx][None])[0, 0]
-        return out
+        total = np.zeros(np.broadcast_shapes(z.shape, w.shape), dtype=complex)
+        for k, t in enumerate(self.terms):
+            if isinstance(t, PlanarMeasure):
+                g1, g2 = (None, None) if guesses is None else guesses[k]
+                total += bi_free_phi(t, z, w, g1, g2)
+            else:
+                total += t.bi_free_phi(z, w)
+        total += self.shift[0] / z + self.shift[1] / w
+        return complex(total) if total.ndim == 0 else total
 
     def _recover(self, z1, w2, Phi1, Phi2, guesses) -> np.ndarray:
-        phi = self.phi_grid(z1, w2, guesses=guesses)
-        D = (Phi1 / z1)[:, None] + (Phi2 / w2)[None, :] + 1.0 - phi
+        D = Phi1 / z1 + Phi2 / w2 + 1.0 - self.phi(z1, w2, guesses)
         if np.any(np.abs(D) < DEGENERATE_TOL):
             raise DegenerateDenominator("phi-relation denominator vanished during recovery")
-        return 1.0 / (z1[:, None] * w2[None, :] * D)
+        return 1.0 / (z1 * w2 * D)
 
     def _marginal_solves(self, Z, W):
         mr1, src1 = self._marginal_with_map(1)
@@ -135,8 +122,6 @@ class BiConvRep:
     def _direct_atomic(self):
         """The translated atomic law, when the rep is one up to a shift."""
         if len(self.terms) == 0:
-            from .measure import dirac
-
             return dirac(self.shift)
         if len(self.terms) == 1 and isinstance(self.terms[0], PlanarMeasure):
             if self.shift == (0.0, 0.0):
@@ -145,35 +130,20 @@ class BiConvRep:
         return None
 
     def cauchy(self, Z, W):
-        """G of the convolution at elementwise (Z, W).
+        """G of the convolution at (Z, W), broadcast against each other.
 
         Representations that are a single atomic law up to translation are
         evaluated in closed form; genuine convolutions go through the
-        marginal solves.
+        marginal solves, which run on Z and W as given.
         """
         direct = self._direct_atomic()
         if direct is not None:
-            from .transforms import cauchy2d
-
             return cauchy2d(direct, Z, W)
-        scalar = np.ndim(Z) == 0 and np.ndim(W) == 0
-        Z = np.atleast_1d(np.asarray(Z, dtype=complex))
-        W = np.atleast_1d(np.asarray(W, dtype=complex))
-        if Z.shape != W.shape:
-            Z, W = np.broadcast_arrays(Z, W)
-        flatZ, flatW = Z.ravel(), W.ravel()
-        z1, w2, guesses = self._marginal_solves(flatZ, flatW)
-        out = np.empty_like(flatZ)
-        for i in range(len(flatZ)):
-            g_i = [
-                (None if a is None else a[i : i + 1], None if b is None else b[i : i + 1])
-                for a, b in guesses
-            ]
-            out[i] = self._recover(
-                z1[i : i + 1], w2[i : i + 1], flatZ[i : i + 1] - z1[i : i + 1],
-                flatW[i : i + 1] - w2[i : i + 1], g_i,
-            )[0, 0]
-        return complex(out[0]) if scalar else out.reshape(Z.shape)
+        Z = np.asarray(Z, dtype=complex)
+        W = np.asarray(W, dtype=complex)
+        z1, w2, guesses = self._marginal_solves(Z, W)
+        G = self._recover(z1, w2, Z - z1, W - w2, guesses)
+        return complex(G) if G.ndim == 0 else G
 
     def density(self, s_axis, t_axis, eps: float) -> GridDensity:
         """eps-smoothed joint density grid of the convolution."""
@@ -181,13 +151,11 @@ class BiConvRep:
             raise ValueError("eps must be positive")
         direct = self._direct_atomic()
         if direct is not None:
-            from .transforms import cauchy2d, stieltjes2d
-
             return stieltjes2d(lambda z, w: cauchy2d(direct, z, w), s_axis, t_axis, eps)
         s_axis = np.asarray(s_axis, dtype=float)
         t_axis = np.asarray(t_axis, dtype=float)
-        Z = s_axis + 1j * eps
-        W = t_axis + 1j * eps
+        Z = (s_axis + 1j * eps)[:, None]
+        W = (t_axis + 1j * eps)[None, :]
         z1, w2, guesses = self._marginal_solves(Z, W)
         Phi1 = Z - z1
         Phi2 = W - w2

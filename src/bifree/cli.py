@@ -9,9 +9,8 @@ deterministic: fixed iteration orders, seeded jitter, no timestamps.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +36,11 @@ EXIT_PRECONDITION = 4
 @dataclass
 class RunConfig:
     epsilon: float = 0.05
-    cone_theta: float = 1.0
-    cone_m_override: float | None = None
     grid: str = "-5:5:64,-5:5:64"
     probes: str = "default"
     seed: int = 0
     out: Path = Path(".")
-    nonfull_threshold: float = 1e-8
-    full_floor: float = 1e-3
     stability_threshold: float = 1e-6
-    threads: int = 1
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -83,20 +76,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         payload = io.load_json(args.config)
         if not isinstance(payload, dict):
             raise io.SchemaError("config file must hold an object")
+        known = {f.name for f in fields(cfg)}
         for key, val in payload.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, type(getattr(cfg, key))(val) if val is not None else None)
-            else:
-                cfg.extra[key] = val
+            if key not in known:
+                raise io.SchemaError(f"unknown config key {key!r}; known keys: {sorted(known)}")
+            if val is None:
+                raise io.SchemaError(f"config key {key!r} must not be null")
+            setattr(cfg, key, type(getattr(cfg, key))(val))
     for key in ("epsilon", "seed", "probes", "grid"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     if getattr(args, "out", None):
         cfg.out = Path(args.out)
-    env_threads = os.environ.get("BIFREE_NUM_THREADS")
-    if env_threads:
-        cfg.threads = max(1, int(env_threads))
     cfg.__post_init__()
     return cfg
 
@@ -114,20 +106,6 @@ def _phi_table(rep_or_triplet, probes):
     return rows
 
 
-def _density_grid(rep, s_axis, t_axis, eps, workers: int):
-    """Chunk the grid over the first axis; node values are worker-independent."""
-    from .transforms import GridDensity
-
-    if workers <= 1 or len(s_axis) < 2 * workers:
-        return rep.density(s_axis, t_axis, eps)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(s_axis, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: rep.density(c, t_axis, eps).values, chunks))
-    return GridDensity(np.asarray(s_axis), np.asarray(t_axis), np.vstack(parts), eps)
-
-
 def cmd_convolve(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     measures = [io.measure_from_dict(io.load_json(p)) for p in args.inputs]
@@ -138,15 +116,10 @@ def cmd_convolve(args: argparse.Namespace) -> int:
             raise io.SchemaError("--shift expects 's,t'")
         shift = (float(parts[0]), float(parts[1]))
     rep = bi_free_convolve(measures, shift=shift)
-    if cfg.cone_m_override is not None:
-        from .biconv import BiConvRep
-        from .transforms import TruncatedCone
-
-        rep = BiConvRep(rep.terms, rep.shift, TruncatedCone(cfg.cone_theta, cfg.cone_m_override))
     probes = load_probes(cfg)
     io.dump_json(cfg.out / "phi_probes.json", {"probes": _phi_table(rep, probes)})
     s_axis, t_axis = parse_grid(cfg.grid)
-    grid = _density_grid(rep, s_axis, t_axis, cfg.epsilon, cfg.threads)
+    grid = rep.density(s_axis, t_axis, cfg.epsilon)
     io.write_grid_csv(cfg.out / "density.csv", grid)
     for axis in (1, 2):
         ax = s_axis if axis == 1 else t_axis
@@ -209,14 +182,13 @@ def cmd_limit(args: argparse.Namespace) -> int:
     lm.ensure_infinitesimal(arr)
     rep12 = lm.check_condition_I_II(arr)
     rep34 = lm.check_condition_III_IV(arr)
+    agree = rep12.passed == rep34.passed
     io.dump_json(cfg.out / "condition_report.json", {
         "I_II": rep12.to_jsonable(),
         "III_IV": rep34.to_jsonable(),
-        "verdicts_agree": rep12.passed == rep34.passed,
+        "verdicts_agree": agree,
     })
-    if not (rep12.passed and rep34.passed):
-        raise ConditionsNotMet("condition checks failed; see condition_report.json")
-    trip = lm.limit_triplet(arr)
+    trip = lm._triplet_from_reports(rep12, rep34)
     io.dump_json(cfg.out / "limit_triplet.json", io.triplet_to_dict(trip))
     probes = load_probes(cfg)
     bif = lm.run_bi_free_limit(arr, probes, reference=trip)
@@ -227,7 +199,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     io.dump_json(cfg.out / "limit_summary.json", {
         "bifree_final_residual": bif[-1][1],
         "classical_final_residual": cls[-1][1],
-        "verdicts_agree": True,
+        "verdicts_agree": agree,
     })
     return 0
 

@@ -16,9 +16,10 @@ import numpy as np
 
 from .measure import Measure1D
 from .transforms import (
-    NEWTON_MAXITER,
     NoConvergence,
     TruncatedCone,
+    _damped_newton,
+    cauchy1d,
     cone_for,
     newton_f_inverse,
 )
@@ -44,11 +45,7 @@ class AtomicPhiTerm:
         can damp its step instead of aborting.
         """
         g = z if guess is None else guess
-        root, ok = newton_f_inverse(self.measure.points, self.measure.weights, z, g)
-        d = root[..., None] - self.measure.points
-        gg = (self.measure.weights / d).sum(axis=-1)
-        gp = -(self.measure.weights / (d * d)).sum(axis=-1)
-        fp = -gp / (gg * gg)
+        root, fp, ok = newton_f_inverse(self.measure.points, self.measure.weights, z, g)
         phi = root - z
         dphi = 1.0 / fp - 1.0
         bad = ~ok
@@ -97,50 +94,30 @@ class FreeConvRep:
         return h, hp, new_aux
 
     def _solve_signed(self, target: np.ndarray, tol: float) -> tuple[np.ndarray, list]:
-        """Ladder solve for targets sharing an Im sign."""
+        """Ladder solve for targets sharing an Im sign.
+
+        The rungs sit at the cone height over powers of two, and a target
+        at or above the cone height is solved directly from itself, so each
+        target follows the same path whichever batch it is solved in.
+        """
         sign = np.sign(target.imag)
         y = np.abs(target.imag)
-        y_top = max(self.cone.M, float(y.max()))
+        y_top = self.cone.M
         n_rungs = max(1, int(np.ceil(np.log2(y_top / float(y.min())))) + 1)
         x = target.real + 1j * sign * np.maximum(y, y_top)
         aux = [x.copy() for _ in self.terms]
         for k in range(n_rungs + 1):
             level = y_top / 2.0**k
             tk = target.real + 1j * sign * np.maximum(y, level)
-            x, aux = self._newton(tk, x, aux, sign, tol)
+            x, _, aux, ok = _damped_newton(
+                lambda x, aux, tk=tk: self._h_eval(x, tk, aux), x, tk, aux, tol
+            )
+            if not ok.all():
+                raise NoConvergence(
+                    f"free convolution solve failed at ladder rung {k} (Im level {level:g})"
+                )
             if level <= y.min():
                 break
-        return x, aux
-
-    def _newton(self, target, x, aux, sign, tol=SOLVE_TOL):
-        goal = tol * (1.0 + np.abs(target))
-        h, hp, aux = self._h_eval(x, target, aux)
-        if not np.all(np.isfinite(h)):
-            raise NoConvergence("continuation lost the Newton basin at a ladder rung")
-        done = np.abs(h) <= goal
-        for _ in range(NEWTON_MAXITER):
-            if done.all():
-                break
-            act = ~done
-            safe = np.where(np.abs(hp) > 1e-300, hp, 1.0)
-            step = np.where(act, -h / safe, 0.0)
-            prop, ph, php, paux = None, None, None, None
-            for _ in range(60):
-                prop = x + step
-                ph, php, paux = self._h_eval(prop, target, aux)
-                bad = act & (~np.isfinite(ph) | (np.sign(prop.imag) != sign))
-                if not bad.any():
-                    break
-                step = np.where(bad, 0.5 * step, step)
-            else:
-                raise NoConvergence("step damping exhausted in the convolution solve")
-            x = np.where(act, prop, x)
-            h = np.where(act, ph, h)
-            hp = np.where(act, php, hp)
-            aux = [np.where(act, pa, a) for pa, a in zip(paux, aux)]
-            done |= np.abs(h) <= goal
-        if not done.all():
-            raise NoConvergence("free convolution solve did not converge")
         return x, aux
 
     def _single_atomic(self) -> Measure1D | None:
@@ -163,8 +140,6 @@ class FreeConvRep:
         m = self._single_atomic()
         if m is not None:
             base = zeta - self.shift
-            from .transforms import cauchy1d
-
             out = 1.0 / cauchy1d(m, base)
             return (out, [base]) if return_aux else out
         flat = zeta.ravel()

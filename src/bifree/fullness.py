@@ -72,7 +72,7 @@ def _normalize_line(vec: np.ndarray) -> tuple[tuple[float, float, float], bool]:
     return (alpha, beta, gamma), False
 
 
-def _classify(rows: list[list[complex]], method: str) -> LineReport:
+def _classify(rows: np.ndarray | list[list[complex]], method: str) -> LineReport:
     """Smallest-singular-direction fit of a homogeneous linear identity.
 
     Each complex probe equation is normalized as a whole before its real
@@ -128,14 +128,12 @@ def fullness_by_g(obj, probes: Sequence[Probe] | None = None) -> LineReport:
             rows.append([z * G - cauchy1d(m2, w), w * G - cauchy1d(m1, z), G])
     else:
         rep = _as_rep(obj)
-        mr1, mr2 = rep.marginal(1), rep.marginal(2)
-        for z, w in probes:
-            G = rep.cauchy(z, w)
-            G1 = 1.0 / mr1.f_value(np.asarray(z))
-            G2 = 1.0 / mr2.f_value(np.asarray(w))
-            rows.append([z * G - G2, w * G - G1, G])
-    report = _classify(rows, "cauchy")
-    return report
+        z, w = np.array(probes, dtype=complex).T
+        G = rep.cauchy(z, w)
+        G1 = 1.0 / rep.marginal(1).f_value(z)
+        G2 = 1.0 / rep.marginal(2).f_value(w)
+        rows = np.stack([z * G - G2, w * G - G1, G], axis=1)
+    return _classify(rows, "cauchy")
 
 
 def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
@@ -162,12 +160,11 @@ def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
             rows.append([z * z * w * phi - z * z * p2, z * w * w * phi - w * w * p1, z * w])
     else:
         rep = _as_rep(obj)
-        mr1, mr2 = rep.marginal(1), rep.marginal(2)
-        for z, w in probes:
-            phi = rep.phi(z, w)
-            p1 = mr1.phi(np.asarray(z))
-            p2 = mr2.phi(np.asarray(w))
-            rows.append([z * z * w * phi - z * z * p2, z * w * w * phi - w * w * p1, z * w])
+        z, w = np.array(probes, dtype=complex).T
+        phi = rep.phi(z, w)
+        p1 = rep.marginal(1).phi(z)
+        p2 = rep.marginal(2).phi(w)
+        rows = np.stack([z * z * w * phi - z * z * p2, z * w * w * phi - w * w * p1, z * w], axis=1)
     return _classify(rows, "phi")
 
 

@@ -457,12 +457,17 @@ def limit_vector(array: TriangularArray, precomputed=None) -> tuple[list[Vec2], 
 def limit_triplet(array: TriangularArray) -> CharTriplet:
     """Characteristic triplet of the limit law; requires passing checks."""
     data = _row_data(array)
-    rep12 = check_condition_I_II(array, precomputed=data)
-    rep34 = check_condition_III_IV(array, precomputed=data)
+    return _triplet_from_reports(
+        check_condition_I_II(array, precomputed=data),
+        check_condition_III_IV(array, precomputed=data),
+    )
+
+
+def _triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> CharTriplet:
+    """The limit triplet read off the two condition reports of one array."""
     if not (rep12.passed and rep34.passed):
         raise ConditionsNotMet("condition checks failed; see reports for diagnostics")
-    _, v = limit_vector(array, precomputed=data)
-    return CharTriplet(v, rep34.A, rep34.tau_limit)
+    return CharTriplet(rep34.v, rep34.A, rep34.tau_limit)
 
 
 def _phi_row(row, shift, z, w):

@@ -89,6 +89,47 @@ def _f_and_deriv(points: np.ndarray, weights: np.ndarray, x: np.ndarray):
     return f, fp
 
 
+def _damped_newton(h_eval: Callable, x, target, aux=(), tol: float = NEWTON_TOL,
+                   maxiter: int = NEWTON_MAXITER):
+    """Solve h(x) = 0 elementwise by damped Newton; one root per target entry.
+
+    ``h_eval(x, aux) -> (h, h', aux)`` evaluates the residual, its derivative
+    and the per-term warm starts ``aux`` (a sequence of arrays shaped like
+    ``x``).  An entry stops once |h| <= tol (1 + |target|).  Its step is
+    halved, up to 60 times, while h at the proposal is not finite or the
+    proposal leaves the half-plane of its target; an entry whose halvings run
+    out, or whose start is not finite, is given up.  Returns
+    ``(x, h'(x), aux, converged mask)``.
+    """
+    x = np.array(x, dtype=complex)
+    sign = np.sign(target.imag)
+    goal = tol * (1.0 + np.abs(target))
+    h, hp, aux = h_eval(x, aux)
+    done = np.abs(h) <= goal
+    failed = ~np.isfinite(h)
+    for _ in range(maxiter):
+        act = ~(done | failed)
+        if not act.any():
+            break
+        safe = np.where(np.abs(hp) > 1e-300, hp, 1.0)
+        step = np.where(act, -h / safe, 0.0)
+        for _ in range(60):
+            prop = x + step
+            ph, php, paux = h_eval(prop, aux)
+            bad = act & (~np.isfinite(ph) | (np.sign(prop.imag) != sign))
+            if not bad.any():
+                break
+            step = np.where(bad, 0.5 * step, step)
+        failed |= bad
+        acc = act & ~bad
+        x = np.where(acc, prop, x)
+        h = np.where(acc, ph, h)
+        hp = np.where(acc, php, hp)
+        aux = [np.where(acc, pa, a) for pa, a in zip(paux, aux)]
+        done |= acc & (np.abs(h) <= goal)
+    return x, hp, aux, done
+
+
 def newton_f_inverse(
     points: np.ndarray,
     weights: np.ndarray,
@@ -96,41 +137,23 @@ def newton_f_inverse(
     guess: np.ndarray,
     tol: float = NEWTON_TOL,
     maxiter: int = NEWTON_MAXITER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve F(x) = target elementwise; returns (roots, converged mask).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve F(x) = target elementwise for the atomic law (points, weights).
 
-    Damped Newton: steps are halved while the proposal leaves the half-plane
-    of its target or is not finite.
+    Returns (roots, F'(roots), converged mask); the derivative comes from
+    the last Newton evaluation.
     """
-    x = np.array(guess, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    sign = np.sign(target.imag)
-    goal = tol * (1.0 + np.abs(target))
-    f, fp = _f_and_deriv(points, weights, x)
-    resid = f - target
-    done = np.abs(resid) <= goal
-    for _ in range(maxiter):
-        if done.all():
-            break
-        act = ~done
-        step = np.zeros_like(x)
-        safe_fp = np.where(np.abs(fp[act]) > 1e-300, fp[act], 1.0)
-        step[act] = -resid[act] / safe_fp
-        prop = x + step
-        for _ in range(60):
-            bad = act & (~np.isfinite(prop) | (np.sign(prop.imag) != sign))
-            if not bad.any():
-                break
-            step[bad] *= 0.5
-            prop = x + step
-        x = np.where(act, prop, x)
+
+    def h_eval(x, aux):
         f, fp = _f_and_deriv(points, weights, x)
-        resid = f - target
-        done |= np.abs(resid) <= goal
-    return x, done
+        return f - target, fp, aux
+
+    roots, fp, _, ok = _damped_newton(h_eval, guess, target, tol=tol, maxiter=maxiter)
+    return roots, fp, ok
 
 
-def invert_f(nu: Measure1D, target, cone: TruncatedCone | None = None, guess=None):
+def invert_f(nu: Measure1D, target, guess=None):
     """zeta with F_nu(zeta) = target, to 1e-12 relative residual.
 
     The initial guess defaults to the target itself.  Raises
@@ -140,57 +163,49 @@ def invert_f(nu: Measure1D, target, cone: TruncatedCone | None = None, guess=Non
     target_arr = np.asarray(target, dtype=complex)
     _require_nonreal(target_arr, "target")
     g = target_arr if guess is None else np.asarray(guess, dtype=complex)
-    roots, ok = newton_f_inverse(nu.points, nu.weights, target_arr, g)
+    roots, _, ok = newton_f_inverse(nu.points, nu.weights, target_arr, g)
     if not ok.all():
         raise NoConvergence(f"invert_f failed at {target_arr[~ok].ravel()[:3]}")
     return complex(roots) if roots.ndim == 0 else roots
 
 
-def free_phi(nu: Measure1D, z, cone: TruncatedCone | None = None):
+def free_phi(nu: Measure1D, z):
     """Voiculescu transform phi_nu(z) = F_nu^{-1}(z) - z."""
-    return invert_f(nu, z, cone) - np.asarray(z, dtype=complex)
+    return invert_f(nu, z) - np.asarray(z, dtype=complex)
 
 
-def bi_free_phi(mu: PlanarMeasure, z, w, cone: TruncatedCone | None = None):
-    """Two-variable phi-transform evaluated elementwise at (z, w).
+def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] b[..., k] over the broadcast leading axes.
+
+    Both branches are BLAS products, so no broadcast (..., k) temporary is
+    formed: a product grid (a varying over rows, b over columns) is one
+    matrix product, any other broadcast a batch of dot products.
+    """
+    if a.ndim == b.ndim == 3 and a.shape[1] == b.shape[0] == 1:
+        return a[:, 0] @ b[0].T
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def bi_free_phi(mu: PlanarMeasure, z, w, guess1=None, guess2=None):
+    """Two-variable phi-transform at (z, w), broadcast against each other.
 
     phi(z,w) = phi_1(z)/z + phi_2(w)/w + 1 - 1/(z w G(F_1^{-1}(z), F_2^{-1}(w))).
+
+    The marginal inversions run on z and w as given, so a grid is just
+    ``z[:, None], w[None, :]`` at the cost of one inversion per axis point.
+    ``guess1`` and ``guess2`` optionally warm-start the two inversions.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    i1 = invert_f(mu.marginal(1), z, cone)
-    i2 = invert_f(mu.marginal(2), w, cone)
-    den = z * w * cauchy2d(mu, i1, i2)
+    i1 = np.asarray(invert_f(mu.marginal(1), z, guess=guess1))
+    i2 = np.asarray(invert_f(mu.marginal(2), w, guess=guess2))
+    a = 1.0 / (i1[..., None] - mu.points[:, 0])
+    b = mu.weights * (1.0 / (i2[..., None] - mu.points[:, 1]))
+    den = z * w * _pair_sum(a, b)
     if np.any(np.abs(den) < DEGENERATE_TOL):
         raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")
     val = (i1 - z) / z + (i2 - w) / w + 1.0 - 1.0 / den
-    return complex(val) if val.ndim == 0 else val
-
-
-def bi_free_phi_grid(
-    mu: PlanarMeasure,
-    zs: np.ndarray,
-    ws: np.ndarray,
-    guess1=None,
-    guess2=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi matrix over the grid zs x ws; also returns the marginal inverses.
-
-    The two functional inversions are one-dimensional and shared across grid
-    rows/columns, which keeps the cost linear in the axis lengths.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
-    i1 = invert_f(mu.marginal(1), zs, guess=guess1)
-    i2 = invert_f(mu.marginal(2), ws, guess=guess2)
-    A = 1.0 / (i1[:, None] - mu.points[:, 0])
-    B = 1.0 / (i2[:, None] - mu.points[:, 1])
-    G = A @ (mu.weights[None, :] * B).T
-    den = zs[:, None] * ws[None, :] * G
-    if np.any(np.abs(den) < DEGENERATE_TOL):
-        raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished on the grid")
-    phi = ((i1 - zs) / zs)[:, None] + ((i2 - ws) / ws)[None, :] + 1.0 - 1.0 / den
-    return phi, i1, i2
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 @dataclass(frozen=True)

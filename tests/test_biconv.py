@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bifree.biconv import bi_free_convolve
 from bifree.measure import Measure1D, PlanarMeasure, dirac
 from bifree.serialize import rep_from_dict, rep_to_dict
-from bifree.transforms import bi_free_phi
+from bifree.transforms import bi_free_phi, cone_for, inversion_values
 
 from oracles import richardson_limit, smoothed_atoms_2d
 
@@ -175,3 +176,68 @@ class TestRepSerialization:
         rep = bi_free_convolve([MU, cp])
         back = rep_from_dict(rep_to_dict(rep))
         assert back.phi(5j, 6j) == pytest.approx(rep.phi(5j, 6j), abs=1e-12)
+
+
+coords = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def planar_laws(draw):
+    """Two- or three-atom planar laws with weights bounded away from 0."""
+    n = draw(st.integers(2, 3))
+    points = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    return PlanarMeasure([(p, w / total) for p, w in zip(points, weights)])
+
+
+@st.composite
+def unit_bicone(draw, n=5):
+    """n points x + iy with |x| <= |y| and 1 <= |y| <= 3; scale by the cone height."""
+    def one():
+        y = draw(st.floats(1.0, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return draw(st.floats(-1.0, 1.0)) * abs(y) + 1j * y
+
+    return np.array([one() for _ in range(n)]), np.array([one() for _ in range(n)])
+
+
+class TestBroadcastProperties:
+    """Array, grid and scalar evaluation of two-term atomic reps agree.
+
+    Arrays and scalars run the same arithmetic per point.  A grid contracts
+    over the atoms with one matrix product instead of dot products, which
+    moves phi, a sum of terms of order one, by a few units of rounding.
+    """
+
+    @given(planar_laws(), planar_laws(), unit_bicone())
+    def test_cauchy_arrays_match_points(self, m1, m2, probes):
+        rep = bi_free_convolve([m1, m2])
+        z, w = (rep.cone.M * p for p in probes)
+        want = np.array([rep.cauchy(a, b) for a, b in zip(z, w)])
+        np.testing.assert_allclose(rep.cauchy(z, w), want, rtol=1e-14, atol=0)
+
+    @given(planar_laws(), planar_laws(), unit_bicone())
+    def test_phi_arrays_and_grid_match_points(self, m1, m2, probes):
+        rep = bi_free_convolve([m1, m2])
+        z, w = (rep.cone.M * p for p in probes)
+        want = np.array([rep.phi(a, b) for a, b in zip(z, w)])
+        np.testing.assert_allclose(rep.phi(z, w), want, rtol=1e-14, atol=0)
+        want_grid = np.array([[rep.phi(a, b) for b in w] for a in z])
+        np.testing.assert_allclose(rep.phi(z[:, None], w[None, :]), want_grid, rtol=1e-12, atol=1e-14)
+
+    @given(planar_laws(), unit_bicone())
+    def test_bi_free_phi_broadcast_matches_points(self, mu, probes):
+        z, w = (cone_for(mu).M * p for p in probes)
+        want = np.array([[bi_free_phi(mu, a, b) for b in w] for a in z])
+        np.testing.assert_allclose(bi_free_phi(mu, z[:, None], w[None, :]), want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(bi_free_phi(mu, z, w), np.diag(want), rtol=1e-14, atol=0)
+
+    @given(planar_laws(), planar_laws(), st.floats(0.2, 1.0))
+    def test_density_is_pointwise_inversion(self, m1, m2, eps):
+        rep = bi_free_convolve([m1, m2])
+        s_axis = np.linspace(-3.0, 3.0, 7)
+        t_axis = np.linspace(-2.5, 2.5, 6)
+        Z, W = np.meshgrid(s_axis + 1j * eps, t_axis + 1j * eps, indexing="ij")
+        want = inversion_values(rep.cauchy(Z, W), rep.cauchy(Z, np.conj(W)))
+        got = rep.density(s_axis, t_axis, eps).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -120,14 +120,6 @@ class TestCliConvolve:
         bad = write(tmp_path / "bad.json", {"atoms": [{"x": [0, 0], "w": 0.4}]})
         assert main(["--out", str(tmp_path / "o"), "convolve", bad]) == 2
 
-    def test_thread_cap_same_output(self, tmp_path, monkeypatch):
-        f1 = write(tmp_path / "m.json", TWO_ATOM_JSON)
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["--out", str(out1), "--grid=-3:3:24,-3:3:24", "convolve", f1]) == 0
-        monkeypatch.setenv("BIFREE_NUM_THREADS", "3")
-        assert main(["--out", str(out2), "--grid=-3:3:24,-3:3:24", "convolve", f1]) == 0
-        assert (out1 / "density.csv").read_bytes() == (out2 / "density.csv").read_bytes()
-
     def test_dirac_shift_translates_grid(self, tmp_path):
         f1 = write(tmp_path / "m.json", TWO_ATOM_JSON)
         fd = write(tmp_path / "d.json", {"atoms": [{"x": [1.0, 0.0], "w": 1.0}]})
@@ -152,6 +144,27 @@ class TestCliConvolve:
             "convolve", f1,
         ])
         assert code == 3
+
+
+class TestCliConfig:
+    def test_known_key_applied(self, tmp_path):
+        f1 = write(tmp_path / "m.json", TWO_ATOM_JSON)
+        cfg = write(tmp_path / "cfg.json", {"epsilon": 0.25})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--grid=-3:3:12,-3:3:12", "convolve", f1]) == 0
+        assert json.loads((out / "summary.json").read_text())["epsilon"] == 0.25
+
+    @pytest.mark.parametrize("payload,key", [
+        ({"epsilon": 0.25, "threads": 4}, "threads"),
+        ({"epsilon": None}, "epsilon"),
+    ])
+    def test_bad_key_exit_2(self, tmp_path, capsys, payload, key):
+        f1 = write(tmp_path / "m.json", TWO_ATOM_JSON)
+        cfg = write(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "convolve", f1]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliIdlaw:

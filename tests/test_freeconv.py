@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from bifree.freeconv import free_convolve, free_convolve_many, AtomicPhiTerm
 from bifree.measure import Measure1D, dirac1d
+from bifree.transforms import NoConvergence
 
 from oracles import (
     atomic_moments,
@@ -103,6 +106,36 @@ class TestEvalG:
         x = rng.uniform(-3, 3, 40)
         g = rep.cauchy(x + 1j * y)
         assert np.all(np.imag(g) < 0)
+
+
+class TestSymmetricPairOnAxis:
+    """mu = (d_1 + d_-1)/2 and nu = (d_b + d_-b)/2 with 0 < b < 1.
+
+    For eps < sqrt(1 - b^2), F_{mu boxplus nu}(i eps) = i Y, where Y > 2
+    solves sqrt(Y^2 - 4 b^2) - sqrt(Y^2 - 4) = 2 eps, that is
+    Y^2 = ((1 - b^2)/eps - eps)^2 + 4.
+    """
+
+    @pytest.mark.parametrize(
+        "b,eps,y_quoted",
+        [
+            (0.8, 0.1, 4.031129),
+            (0.85, 0.2, 2.325974),
+            pytest.param(
+                0.9, 0.2, 2.136001,
+                marks=pytest.mark.xfail(
+                    strict=True, raises=NoConvergence,
+                    reason="open defect: the ladder solve raises NoConvergence at this point",
+                ),
+            ),
+        ],
+    )
+    def test_f_value_on_imaginary_axis(self, b, eps, y_quoted):
+        y = math.sqrt(((1.0 - b * b) / eps - eps) ** 2 + 4.0)
+        assert y == pytest.approx(y_quoted, abs=1e-6)
+        assert math.sqrt(y * y - 4 * b * b) - math.sqrt(y * y - 4) == pytest.approx(2 * eps)
+        rep = free_convolve(B, Measure1D([(b, 0.5), (-b, 0.5)]))
+        assert abs(rep.f_value(1j * eps) - 1j * y) <= 1e-9
 
 
 class TestDensity:

@@ -241,9 +241,12 @@ def cmd_fullness(args: argparse.Namespace) -> int:
             obj = io.rep_from_dict(payload)
         else:
             obj = io.triplet_from_dict(payload)
-        probes = None if cfg.probes == "default" else io.probes_from_dict(io.load_json(cfg.probes))
-        if probes is None:
+        if cfg.probes != "default":
+            probes = io.probes_from_dict(io.load_json(cfg.probes))
+        elif args.method == "g":
             probes = fl.default_fullness_probes()
+        else:
+            probes = fl.default_phi_probes(obj)
         try:
             report = (fl.fullness_by_g if args.method == "g" else fl.fullness_by_phi)(obj, probes)
         except np.linalg.LinAlgError:

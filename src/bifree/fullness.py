@@ -59,6 +59,17 @@ def default_fullness_probes() -> list[Probe]:
     return list(zip(zs, ws))
 
 
+def default_phi_probes(obj) -> list[Probe]:
+    """Default probes of :func:`fullness_by_phi` for ``obj``.
+
+    They are scaled into the working bicone when the phi evaluations need
+    functional inversions (atomic terms); triplet transforms live on all of
+    (C\\R)^2 and keep the base probes.
+    """
+    scale = 1.0 if isinstance(obj, CharTriplet) else _as_rep(obj).cone.M
+    return [(scale * z, scale * w) for z, w in default_fullness_probes()]
+
+
 def _normalize_line(vec: np.ndarray) -> tuple[tuple[float, float, float], bool]:
     """Scale to alpha^2+beta^2 = 1, fix the sign; flags the gamma-only case."""
     alpha, beta, gamma = (float(x) for x in vec)
@@ -139,16 +150,10 @@ def fullness_by_g(obj, probes: Sequence[Probe] | None = None) -> LineReport:
 def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
     """Line fit of zw(alpha z + beta w) phi = beta w^2 phi1 + alpha z^2 phi2 - gamma zw.
 
-    Default probes are scaled into the working bicone when the phi
-    evaluations need functional inversions (atomic terms); triplet
-    transforms live on all of (C\\R)^2 and keep the base probes.
+    Default probes come from :func:`default_phi_probes`.
     """
     if probes is None:
-        if isinstance(obj, CharTriplet):
-            scale = 1.0
-        else:
-            scale = _as_rep(obj).cone.M
-        probes = [(scale * z, scale * w) for z, w in default_fullness_probes()]
+        probes = default_phi_probes(obj)
     if len(probes) < 6:
         raise ValueError("need at least six probes")
     rows = []

@@ -6,11 +6,16 @@ Levy measures are atomic lists plus an optional radial-stable part: rays
 r^{-1-alpha} dr carried by unit-circle directions, optionally truncated to
 [r_min, r_max].
 
-Radial integrals are computed by adaptive quadrature on substituted
+Rays on all of (0, inf) have closed forms: their integrals are Mellin
+transforms, evaluated in one broadcast over (probe..., ray) for the
+bi-free phi, the marginal phi and its derivative, and the classical
+characteristic function.  Rays with a finite end (r_min > 0 or r_max < inf)
+are integrated point by point with adaptive quadrature, on substituted
 variables that remove the endpoint singularities exactly: r = v^{1/(2-a)}
-near zero and u = r^{-a} toward infinity.  Both the classical compensator
-and the planar one divide by the same 1 + ||x||^2; only the sigma-form
-components weight the coordinates separately.
+near zero and u = r^{-a} toward infinity; ``scipy.integrate`` is imported on
+the first such call.  Both the classical compensator and the planar one
+divide by the same 1 + ||x||^2; only the sigma-form components weight the
+coordinates separately.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 QUAD_ERR_TOL = 1e-7
+AXIS_SNAP = 1e-15  # direction components this small are the axis itself
 
 
 class QuadratureError(ArithmeticError):
@@ -35,6 +40,17 @@ class QuadratureError(ArithmeticError):
 
 class InconsistentSigmaForm(ValueError):
     """The sigma-form relations are violated beyond tolerance."""
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Only rays with a finite end need quadrature, and importing
+    ``scipy.integrate`` takes most of the package's start-up time.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _quad1(f: Callable[[float], float], a: float, b: float, **kw) -> float:
@@ -100,8 +116,20 @@ class RadialPart:
             raise ValueError("need 0 <= r_min < r_max")
 
     def directions(self) -> list[tuple[float, float, float]]:
-        """(omega1, omega2, mass) per ray."""
-        return [(math.cos(a), math.sin(a), m) for a, m in self.rays]
+        """(omega1, omega2, mass) per ray.
+
+        A component within ``AXIS_SNAP`` of zero is exactly 0: cos(pi/2) is
+        6e-17, which would put a ray on the t-axis into the s-marginal.
+        """
+        out = []
+        for a, m in self.rays:
+            c, s = math.cos(a), math.sin(a)
+            out.append((c if abs(c) > AXIS_SNAP else 0.0, s if abs(s) > AXIS_SNAP else 0.0, m))
+        return out
+
+    def is_untruncated(self) -> bool:
+        """Rays span all of (0, inf), where the integrals have closed forms."""
+        return self.r_min == 0.0 and math.isinf(self.r_max)
 
     def total_theta_mass(self) -> float:
         return sum(m for _, m in self.rays)
@@ -314,14 +342,15 @@ class CharTriplet:
             ww = w[..., None]
             kern = zz * ww / ((zz - s) * (ww - t)) - 1.0 - (s / zz + t / ww) / (1.0 + s * s + t * t)
             out = out + (m * kern).sum(axis=-1)
-        if self.tau.radial is not None:
-            rp = self.tau.radial
-            flat = out.reshape(-1)
-            zf = np.broadcast_to(z, out.shape).reshape(-1)
-            wf = np.broadcast_to(w, out.shape).reshape(-1)
-            for i in range(flat.size):
-                flat[i] += _radial_poisson(zf[i], wf[i], rp)
-            out = flat.reshape(out.shape)
+        rp = self.tau.radial
+        if rp is not None and rp.is_untruncated():
+            om, m = _ray_arrays(rp)
+            c1 = om[:, 0] / z[..., None]
+            c2 = om[:, 1] / w[..., None]
+            delta = rp.alpha - 1.0
+            out = out + (_ray_i1(c1, delta) + _ray_i1(c2, delta) + _ray_cross(c1, c2, delta)) @ m
+        elif rp is not None:
+            out = out + _per_point(lambda zi, wi: _radial_poisson(zi, wi, rp), z, w)
         return out
 
     # -- classical side ----------------------------------------------------
@@ -336,8 +365,11 @@ class CharTriplet:
             m = self.tau.atoms.masses
             dot = u1 * s + u2 * t
             expo += (m * (np.exp(1j * dot) - 1.0 - 1j * dot / (1.0 + s * s + t * t))).sum()
-        if self.tau.radial is not None:
-            rp = self.tau.radial
+        rp = self.tau.radial
+        if rp is not None and rp.is_untruncated():
+            om, m = _ray_arrays(rp)
+            expo += complex(_ray_cf(om @ (u1, u2), rp.alpha - 1.0) @ m)
+        elif rp is not None:
             for w1, w2, mass in rp.directions():
                 k = u1 * w1 + u2 * w2
                 expo += mass * _ray_cf_integral(k, rp.alpha, rp.r_min, rp.r_max)
@@ -358,13 +390,12 @@ class CharTriplet:
             nrm = 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
             zz = z[..., None]
             val = val + (m * (zz * s / (zz - s) - s / nrm)).sum(axis=-1)
-        if self.tau.radial is not None:
-            rp = self.tau.radial
-            flat = np.broadcast_to(val, np.shape(val)).astype(complex).reshape(-1)
-            zf = np.broadcast_to(z, np.shape(val)).reshape(-1)
-            for i in range(flat.size):
-                flat[i] += _radial_marginal_phi(zf[i], rp, axis)
-            val = flat.reshape(np.shape(val))
+        rp = self.tau.radial
+        if rp is not None and rp.is_untruncated():
+            om, m = _ray_arrays(rp)
+            val = val + z * (_ray_i1(om[:, axis - 1] / z[..., None], rp.alpha - 1.0) @ m)
+        elif rp is not None:
+            val = val + _per_point(lambda zi: _radial_marginal_phi(zi, rp, axis), z)
         return complex(val) if np.ndim(val) == 0 else val
 
     def marginal_dphi(self, axis: int, z):
@@ -377,13 +408,12 @@ class CharTriplet:
             m = self.tau.atoms.masses
             zz = z[..., None]
             val = val - (m * s * s / (zz - s) ** 2).sum(axis=-1)
-        if self.tau.radial is not None:
-            rp = self.tau.radial
-            flat = np.broadcast_to(val, np.shape(val)).astype(complex).reshape(-1)
-            zf = np.broadcast_to(z, np.shape(val)).reshape(-1)
-            for i in range(flat.size):
-                flat[i] += _radial_marginal_dphi(zf[i], rp, axis)
-            val = flat.reshape(np.shape(val))
+        rp = self.tau.radial
+        if rp is not None and rp.is_untruncated():
+            om, m = _ray_arrays(rp)
+            val = val + _ray_di1(om[:, axis - 1] / z[..., None], rp.alpha - 1.0) @ m
+        elif rp is not None:
+            val = val + _per_point(lambda zi: _radial_marginal_dphi(zi, rp, axis), z)
         return complex(val) if np.ndim(val) == 0 else val
 
     def marginal_phi_term(self, axis: int):
@@ -441,6 +471,129 @@ class TripletMarginalPhi:
             self.triplet.marginal_dphi(self.axis, z),
             np.asarray(z, dtype=complex),
         )
+
+
+# -- full rays: closed forms -------------------------------------------------
+#
+# On (0, inf) each radial integral is a Mellin transform.  Per ray of unit
+# mass, with c = omega / z, delta = alpha - 1 and principal branches:
+#   I1(c) = integral of [cr/(1-cr) - cr/(1+r^2)] r^{-1-alpha} dr
+#         = c pi/sin(pi delta) [-2 sin^2(pi delta/4) - expm1(delta Log(-c))],
+#   which is -c Log(-c) at delta = 0.  The marginal phi is z I1(omega/z), with
+#   z-derivative -(1-alpha)(-c)^alpha pi/sin(pi alpha).
+# The bi-free kernel splits by partial fractions into I1(c1) + I1(c2) +
+#   c1 c2 (pi/sin pi alpha) D,  D = [(-c1)^delta - (-c2)^delta] / (c1 - c2).
+# The classical integral is Gamma(-alpha)(-ik)^alpha - ik (pi/2)/cos(pi alpha/2)
+#   = -ik expm1(delta t) / (delta sinc(delta/2)),  t = H(delta) + Log(-ik),
+#   H(d) = [lgamma(1-d) - log1p(d) + log sinc(d/2)] / d,
+#   which is -(pi/2)|k| - ik log|k| + ik(1 - gamma) at alpha = 1.
+# Written with sinc and expm1(x)/x, the forms below stay accurate through
+# alpha = 1, and the divided difference D stays accurate through c1 = c2.
+
+# H(d) = (gamma - 1) + sum over n >= 2 of a_n d^{n-1}, with a_n = (zeta(n) - 1)/n
+# for odd n and ((1 - 2^{1-n}) zeta(n) + 1)/n for even n; a_2 ... a_13 below.
+# Below the cut the truncated series is exact to rounding; above it, the
+# absolute rounding of lgamma(1-d) over d stays under 2e-14.
+_EULER_MINUS_ONE = -0.42278433509846714
+_H_SERIES = (
+    0.91123351671205661, 0.067352301053198095, 0.48675820737431148, 0.0073855510286739853,
+    0.33092518188290585, 0.001192753911703261, 0.24952912523158099, 0.00022315475845357938,
+    0.19990395075982716, 4.4926236738133142e-5, 0.16664647376198818, 9.4394882752683959e-6,
+)
+_H_SERIES_CUT = 0.05
+
+
+def _ray_arrays(rp: RadialPart) -> tuple[np.ndarray, np.ndarray]:
+    """Ray directions, shape (rays, 2), and masses, shape (rays,)."""
+    d = np.array(rp.directions(), dtype=float).reshape(-1, 3)
+    return d[:, :2], d[:, 2]
+
+
+def _sinc(x: float) -> float:
+    """sin(pi x) / (pi x), 1 at 0."""
+    return 1.0 if x == 0.0 else math.sin(math.pi * x) / (math.pi * x)
+
+
+def _exprel(x):
+    """expm1(x) / x elementwise, 1 at 0."""
+    x = np.asarray(x, dtype=complex)
+    zero = x == 0
+    safe = np.where(zero, 1.0, x)
+    return np.where(zero, 1.0, np.expm1(safe) / safe)
+
+
+def _log1p(u):
+    """Log(1 + u) for complex u, accurate for small |u| (NumPy's complex log1p is not)."""
+    x, y = u.real, u.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _nonzero(c):
+    """Mask of c != 0 and c with its zeros replaced by 1 (axis rays drop out)."""
+    nz = c != 0
+    return nz, np.where(nz, c, 1.0)
+
+
+def _ray_i1(c, delta: float):
+    """I1(c) = -c/sinc(d) [(pi^2 d/8) sinc(d/4)^2 + Log(-c) exprel(d Log(-c))]."""
+    nz, c = _nonzero(c)
+    log = np.log(-c)
+    val = -c / _sinc(delta) * (math.pi**2 * delta / 8.0 * _sinc(0.25 * delta) ** 2 + log * _exprel(delta * log))
+    return np.where(nz, val, 0.0)
+
+
+def _ray_di1(c, delta: float):
+    """z-derivative of z I1(omega/z): c (-c)^delta / sinc(delta)."""
+    nz, c = _nonzero(c)
+    return np.where(nz, c * np.exp(delta * np.log(-c)) / _sinc(delta), 0.0)
+
+
+def _ray_cross(c1, c2, delta: float):
+    """c1 c2 (pi/sin pi alpha) D = -c1 c2 (-c2)^d exprel(d Dl) (Dl/h) / sinc(d).
+
+    h = c1 - c2 and Dl = Log(-c1) - Log(-c2).  For |h| < |c2|/2, Dl is
+    Log1p(h/c2) plus the whole turns that the two principal logs differ by,
+    so nearly equal c1, c2 (such as cos(pi/4) against sin(pi/4)) lose
+    nothing to cancellation; Dl/h is 1/c2 at h = 0.
+    """
+    nz1, c1 = _nonzero(c1)
+    nz2, c2 = _nonzero(c2)
+    log1, log2 = np.log(-c1), np.log(-c2)
+    h = c1 - c2
+    u = h / c2
+    near = np.abs(u) < 0.5
+    lp = _log1p(np.where(near, u, 0.0))
+    turns = np.round((log1.imag - log2.imag - lp.imag) / (2.0 * math.pi))
+    dl = np.where(near, lp + 2j * math.pi * turns, log1 - log2)
+    ratio = np.where(h == 0, 1.0 / c2, dl / np.where(h == 0, 1.0, h))
+    val = -c1 * c2 * np.exp(delta * log2) * _exprel(delta * dl) * ratio / _sinc(delta)
+    return np.where(nz1 & nz2, val, 0.0)
+
+
+def _cf_log_slope(delta: float) -> float:
+    """H(delta); gamma - 1 at delta = 0."""
+    if abs(delta) < _H_SERIES_CUT:
+        acc = 0.0
+        for a in reversed(_H_SERIES):
+            acc = acc * delta + a
+        return _EULER_MINUS_ONE + delta * acc
+    return (math.lgamma(1.0 - delta) - math.log1p(delta) + math.log(_sinc(0.5 * delta))) / delta
+
+
+def _ray_cf(k, delta: float):
+    """Classical ray integral at real k: -ik t exprel(delta t) / sinc(delta/2), 0 at k = 0."""
+    nz, k = _nonzero(np.asarray(k, dtype=float))
+    t = _cf_log_slope(delta) + np.log(np.abs(k)) - 0.5j * math.pi * np.sign(k)
+    return np.where(nz, -1j * k * t * _exprel(delta * t) / _sinc(0.5 * delta), 0.0)
+
+
+# -- rays with a finite end: quadrature ----------------------------------------
+
+
+def _per_point(f, *args) -> np.ndarray:
+    """f at each point of the broadcast complex arrays."""
+    b = np.broadcast(*args)
+    return np.array([f(*pt) for pt in b], dtype=complex).reshape(b.shape)
 
 
 def _radial_poisson(z: complex, w: complex, rp: RadialPart) -> complex:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bifree
 from bifree.cli import main
 from bifree.measure import PlanarMeasure, dirac
 from bifree.serialize import (
@@ -248,6 +252,18 @@ class TestCliStable:
         assert rep["is_stable"] is True
         assert rep["c"] == pytest.approx(math.sqrt(2))
 
+    def test_eight_ray_cauchy_type(self, tmp_path):
+        # alpha = 1 on rays at 2 pi k/8: cos(pi/4) and sin(pi/4) differ by one
+        # ulp, so z = w probes sit next to the confluent case omega1 w = omega2 z
+        theta = [{"angle": 2 * math.pi * k / 8, "m": 0.125} for k in range(8)]
+        spec = write(tmp_path / "s.json", {"alpha": 1.0, "theta": theta})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "stable", spec, "--a", "1", "--b", "2"]) == 0
+        rep = json.loads((out / "stability_report.json").read_text())
+        assert rep["is_stable"] is True
+        assert rep["max_residual"] <= 1e-6
+        assert rep["c"] == pytest.approx(3.0)
+
     def test_doa(self, tmp_path):
         nu = write(tmp_path / "nu.json", TWO_ATOM_JSON)
         spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 1], [1, 1]]})
@@ -277,5 +293,27 @@ class TestCliFullness:
         rep = json.loads((out / "fullness_report.json").read_text())
         assert rep["is_full"] is False
 
+    def test_rep_phi_default_probes_in_cone(self, tmp_path):
+        # B2 ++ a three-atom diagonal law has cone height 13.6; invert_f
+        # fails (exit 3) at the unscaled default probes, |Im| ~ 2
+        b2 = [{"x": [1.0, 1.0], "w": 0.5}, {"x": [-1.0, -1.0], "w": 0.5}]
+        diag = [{"x": [-0.8, -0.8], "w": 0.3}, {"x": [0.2, 0.2], "w": 0.3}, {"x": [1.2, 1.2], "w": 0.4}]
+        f = write(tmp_path / "rep.json", {"terms": [{"measure": {"atoms": b2}}, {"measure": {"atoms": diag}}],
+                                          "shift": [0.0, 0.0]})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "fullness", f, "--method", "phi"]) == 0
+        rep = json.loads((out / "fullness_report.json").read_text())
+        assert rep["is_full"] is False
+        assert abs(rep["line"][0]) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
     def test_unknown_file_schema_exit(self, tmp_path):
         assert main(["--out", str(tmp_path), "fullness", str(tmp_path / "nope.json")]) == 2
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # a fresh interpreter: the test process has imported scipy.integrate already
+    src = str(Path(bifree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, bifree.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -1,9 +1,13 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from bifree import idlaw
 from bifree.idlaw import (
     CharTriplet,
     InconsistentSigmaForm,
@@ -17,6 +21,14 @@ from bifree.idlaw import (
     triplet_to_sigma_form,
 )
 from bifree.measure import AtomicMeasure2D, Matrix2, PlanarMeasure, dirac
+from oracles import (
+    mp_ray_cf,
+    mp_ray_marginal_dphi,
+    mp_ray_marginal_phi,
+    mp_ray_phi,
+    mp_truncated_ray_cf,
+    mp_truncated_ray_phi,
+)
 
 I2 = Matrix2(1.0, 0.0, 1.0)
 ONES = Matrix2(1.0, 1.0, 1.0)
@@ -305,3 +317,186 @@ class TestDiscretization:
         assert disc.atoms.total_mass() == pytest.approx(expect_mass, rel=1e-12)
         # 1 ^ r^2 integral agrees with the closed form
         assert disc.min_one_norm_sq() == pytest.approx(lm.min_one_norm_sq(), rel=1e-5)
+
+
+def radial_triplet(alpha, rays, r_min=0.0, r_max=math.inf):
+    rp = RadialPart(alpha, tuple(rays), r_min, r_max)
+    return CharTriplet((0.0, 0.0), Matrix2(0, 0, 0), LevyMeasure(AtomicMeasure2D(), rp))
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+# indices across (0, 2), with alpha = 1 +- 10^-k and alpha = 1 itself
+ALPHAS = st.one_of(
+    st.floats(0.05, 1.95),
+    st.builds(lambda k, sign: 1.0 + sign * 10.0**-k, st.integers(3, 12), st.sampled_from((-1.0, 1.0))),
+    st.just(1.0),
+)
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def off_axis(draw, r_lo=0.2, r_hi=20.0):
+    """A point of C\\R at least 0.05 rad off the real axis, either half-plane."""
+    r = draw(st.floats(r_lo, r_hi))
+    theta = draw(st.floats(0.05, math.pi - 0.05)) * draw(st.sampled_from((-1.0, 1.0)))
+    return cmath.rect(r, theta)
+
+
+@st.composite
+def ray_probes(draw):
+    """(alpha, angle, z, w); half the draws put w near omega1 w = omega2 z."""
+    alpha, angle, z = draw(ALPHAS), draw(ANGLES), draw(off_axis())
+    om1, om2 = RadialPart(alpha, ((angle, 1.0),)).directions()[0][:2]
+    if om1 != 0.0 and om2 != 0.0 and draw(st.booleans()):
+        ratio = om2 / om1
+        assume(0.05 < abs(ratio) < 20.0)
+        gap = draw(st.sampled_from((0.0, 1e-15, 1e-12, 1e-8, 1e-4))) * cmath.exp(1j * draw(ANGLES))
+        w = z * ratio * (1.0 + gap)
+    else:
+        w = draw(off_axis())
+    return alpha, angle, z, w
+
+
+class TestAxisDirections:
+    @pytest.mark.parametrize("k", range(4))
+    def test_axis_components_are_exact_zeros(self, k):
+        (w1, w2, _), = RadialPart(0.5, ((0.5 * math.pi * k, 1.0),)).directions()
+        assert (w1, w2) == [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][k]
+
+    @pytest.mark.parametrize("r_max", [math.inf, 10.0])
+    def test_ray_on_t_axis_leaves_s_marginal_alone(self, r_max):
+        # cos(pi/2) = 6e-17 is no exact zero: quadrature of it raises
+        # QuadratureError, and the closed form would add |omega|^alpha ~ 1e-5
+        t = radial_triplet(0.3, [(0.5 * math.pi, 1.0)], r_max=r_max)
+        assert t.marginal_phi(1, 0.5 + 0.1j) == 0.0
+        assert t.marginal_dphi(1, 0.5 + 0.1j) == 0.0
+        assert t.marginal_phi(2, 0.5 + 0.1j) != 0.0
+
+
+class TestFullRayClosedForms:
+    """Closed forms on (0, inf) against 30-digit mpmath integrals."""
+
+    @settings(max_examples=30)
+    @given(ray_probes())
+    @example((1.0 - 1e-11, 0.7, 1.0 + 2.0j, (1.0 + 2.0j) * math.tan(0.7)))
+    @example((1.0 + 1e-12, 2.5, -0.3 - 4.0j, (-0.3 - 4.0j) * math.tan(2.5) * (1.0 + 1e-15j)))
+    @example((1.0, 0.25 * math.pi, 2.0j, 2.0j))
+    @example((0.3, 4.0, 0.5 + 0.5j, (0.5 + 0.5j) * math.tan(4.0) * (1.0 + 1e-8)))
+    def test_bi_free_phi(self, probe):
+        alpha, angle, z, w = probe
+        om = RadialPart(alpha, ((angle, 1.0),)).directions()[0][:2]
+        got = radial_triplet(alpha, [(angle, 1.0)]).bi_free_phi(z, w)
+        assert rel_err(got, mp_ray_phi(alpha, om, z, w)) <= 1e-12
+
+    @settings(max_examples=20)
+    @given(ALPHAS, ANGLES, off_axis())
+    def test_marginal_phi_and_derivative(self, alpha, angle, z):
+        om = RadialPart(alpha, ((angle, 1.0),)).directions()[0][0]
+        assume(om != 0.0)
+        t = radial_triplet(alpha, [(angle, 1.0)])
+        assert rel_err(t.marginal_phi(1, z), mp_ray_marginal_phi(alpha, om, z)) <= 1e-12
+        assert rel_err(t.marginal_dphi(1, z), mp_ray_marginal_dphi(alpha, om, z)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha, k",
+        [(0.05, 0.3), (0.5, -5.0), (1.0 - 1e-3, 2.0), (1.0 - 1e-12, -0.7), (1.0, 0.02),
+         (1.0 + 1e-7, -20.0), (1.5, 1.3), (1.95, -0.4)],
+    )
+    def test_classical_ray_integral(self, alpha, k):
+        # the mpmath oscillatory tail takes about a second, so a fixed set
+        assert rel_err(complex(idlaw._ray_cf(k, alpha - 1.0)), mp_ray_cf(alpha, k)) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(ALPHAS, st.floats(0.02, 20.0), st.sampled_from((-1.0, 1.0)))
+    def test_classical_gamma_form(self, alpha, k, sign):
+        # Gamma(-alpha)(-ik)^alpha - ik (pi/2)/cos(pi alpha/2), with its limit at alpha = 1
+        k *= sign
+        with mp.workdps(50):  # at 30 digits the Gamma pole at alpha = 1 +- 1e-10 costs 20
+            a, kk = mp.mpf(alpha), mp.mpf(k)
+            if alpha == 1.0:
+                want = -mp.pi / 2 * abs(kk) - 1j * kk * mp.log(abs(kk)) + 1j * kk * (1 - mp.euler)
+            else:
+                want = mp.gamma(-a) * (-1j * kk) ** a - 1j * kk * mp.pi / 2 / mp.cos(mp.pi * a / 2)
+            want = complex(want)
+        assert rel_err(complex(idlaw._ray_cf(k, alpha - 1.0)), want) <= 1e-12
+
+    def test_classical_cf_sums_rays(self):
+        rays = [(0.3, 0.5), (0.5 * math.pi, 0.25), (4.0, 0.25)]
+        t = radial_triplet(0.7, rays)
+        u = (0.8, -1.1)
+        rp = t.tau.radial
+        expo = sum(m * complex(idlaw._ray_cf(u[0] * w1 + u[1] * w2, -0.3)) for w1, w2, m in rp.directions())
+        assert t.classical_cf(u) == pytest.approx(cmath.exp(expo), rel=1e-14)
+        assert idlaw._ray_cf(0.0, 0.3) == 0.0
+
+    def test_confluent_axis_diagonal(self):
+        # cos(pi/4) and sin(pi/4) differ by one ulp: c1 and c2 are 1 ulp apart
+        t = radial_triplet(1.0, [(2.0 * math.pi * k / 8.0, 0.125) for k in range(8)])
+        for z in (2j, -4j):
+            want = sum(0.125 * mp_ray_phi(1.0, (math.cos(a), math.sin(a)), z, z)
+                       for a in (2.0 * math.pi * k / 8.0 for k in range(8)))
+            assert rel_err(t.bi_free_phi(z, z), want) <= 1e-12
+
+    def test_broadcast_matches_points(self):
+        t = radial_triplet(0.8, [(0.3, 0.5), (2.0, 0.25), (4.0, 0.25)])
+        z = np.array([1.0 + 2j, -0.5 - 1j, 3j])[:, None]
+        w = np.array([2j, 0.4 - 3j])[None, :]
+        grid = t.bi_free_phi(z, w)
+        assert grid.shape == (3, 2)
+        pts = [[t.bi_free_phi(zi, wj) for wj in w[0]] for zi in z[:, 0]]
+        assert np.allclose(grid, pts, rtol=1e-14, atol=0)
+        assert np.allclose(t.marginal_phi(1, z[:, 0]), [t.marginal_phi(1, zi) for zi in z[:, 0]], rtol=1e-14, atol=0)
+
+
+class TestFullRaysAgainstQuadrature:
+    """The retained quadrature helpers, called on full rays, agree to 1e-9.
+
+    Relative to max(1, |value|): the quadrature's own absolute floor is
+    1e-12 per region, which a ray nearly on an axis falls under.
+    """
+
+    @staticmethod
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @settings(max_examples=10)
+    @given(st.floats(0.2, 1.8), st.lists(st.tuples(ANGLES, st.floats(0.1, 1.0)), min_size=1, max_size=2),
+           off_axis(0.5, 10.0), off_axis(0.5, 10.0))
+    def test_phi_marginals_and_cf(self, alpha, rays, z, w):
+        t = radial_triplet(alpha, rays)
+        rp = t.tau.radial
+        assert self.close(t.bi_free_phi(z, w), idlaw._radial_poisson(z, w, rp))
+        for axis, x in ((1, z), (2, w)):
+            assert self.close(t.marginal_phi(axis, x), idlaw._radial_marginal_phi(x, rp, axis))
+            assert self.close(t.marginal_dphi(axis, x), idlaw._radial_marginal_dphi(x, rp, axis))
+        u = (z.real, w.real)
+        quad_expo = sum(m * idlaw._ray_cf_integral(u[0] * w1 + u[1] * w2, alpha, 0.0, math.inf)
+                        for w1, w2, m in rp.directions())
+        # the exponent's size, not the CF's, sets the scale of the error
+        assert abs(t.classical_cf(u) / cmath.exp(quad_expo) - 1.0) <= 1e-9 * max(1.0, abs(quad_expo))
+
+
+class TestTruncatedRays:
+    """Rays with a finite end keep adaptive quadrature."""
+
+    RAYS = [(0.4, 0.25), (2.0, 0.5)]
+
+    def test_phi_against_mpmath(self):
+        t = radial_triplet(1.2, self.RAYS, r_min=0.2, r_max=5.0)
+        z = np.array([2j, 1.0 - 4j])
+        w = np.array([-0.5 + 3j, 8j])
+        got = t.bi_free_phi(z, w)
+        for zi, wi, g in zip(z, w, got):
+            assert rel_err(g, mp_truncated_ray_phi(1.2, self.RAYS, 0.2, 5.0, zi, wi)) <= 1e-9
+
+    def test_cf_against_mpmath(self):
+        t = radial_triplet(1.2, self.RAYS, r_min=0.2, r_max=5.0)
+        for u in [(0.5, -1.0), (2.0, 0.3)]:
+            assert rel_err(t.classical_cf(u), mp_truncated_ray_cf(1.2, self.RAYS, 0.2, 5.0, u)) <= 1e-9
+
+    def test_quad_is_scipy_quad(self):
+        val, err = idlaw.quad(lambda x: x * x, 0.0, 3.0)
+        assert val == pytest.approx(9.0, rel=1e-14) and err < 1e-10

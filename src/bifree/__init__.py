@@ -30,6 +30,7 @@ from .limits import (
     limit_vector,
     make_array,
     row_accumulators,
+    row_groups,
     run_bi_free_limit,
     run_classical_limit,
 )

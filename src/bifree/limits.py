@@ -37,13 +37,37 @@ class ConditionsNotMet(ValueError):
     """Condition checks did not pass; no limit triplet is available."""
 
 
+Groups = tuple[tuple[PlanarMeasure, int], ...]
+
+
+def row_groups(row: Sequence[PlanarMeasure]) -> Groups:
+    """The distinct laws of a row with their counts, in first-seen order.
+
+    Two entries are one law when their frozen ``points`` and ``weights``
+    arrays are byte-equal; the first entry of each law stands for it.
+    """
+    groups: dict[tuple[bytes, bytes], list] = {}
+    for m in row:
+        key = (m.points.tobytes(), m.weights.tobytes())
+        if key in groups:
+            groups[key][1] += 1
+        else:
+            groups[key] = [m, 1]
+    return tuple((m, count) for m, count in groups.values())
+
+
 @dataclass(frozen=True)
 class TriangularArray:
-    """Rows of planar measures with per-row point-mass shifts."""
+    """Rows of planar measures with per-row point-mass shifts.
+
+    ``rows`` is the expanded view; ``groups`` holds each row's distinct laws
+    with their counts (``row_groups``), and is what the machinery works on.
+    """
 
     rows: tuple[tuple[PlanarMeasure, ...], ...]
     shifts: tuple[Vec2, ...]
     L: float = 1.0
+    groups: tuple[Groups, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != len(self.shifts):
@@ -53,6 +77,7 @@ class TriangularArray:
             raise ValueError("row lengths must strictly increase")
         if self.L <= 0.0:
             raise ValueError("centering radius must be positive")
+        object.__setattr__(self, "groups", tuple(row_groups(r) for r in self.rows))
 
     def row_sizes(self) -> list[int]:
         return [len(r) for r in self.rows]
@@ -76,7 +101,7 @@ def iid_array(
 ) -> TriangularArray:
     """Rows of k_n copies of the dilated base law D_{b(k_n)} mu, shifts zero.
 
-    Rows share one measure object, which the runners exploit; n-dependent
+    Each row is one group of k_n equal laws (see ``row_groups``); n-dependent
     mixtures need the explicit row constructor instead.
     """
     kns = list(kns)
@@ -88,7 +113,7 @@ def iid_array(
 
 
 def infinitesimality_diagnostic(array: TriangularArray, eps: float = INFINITESIMAL_EPS) -> list[float]:
-    return [row_tail_mass(row, eps) for row in array.rows]
+    return [row_tail_mass([m for m, _ in groups], eps) for groups in array.groups]
 
 
 def ensure_infinitesimal(array: TriangularArray, eps: float = INFINITESIMAL_EPS,
@@ -104,34 +129,22 @@ def ensure_infinitesimal(array: TriangularArray, eps: float = INFINITESIMAL_EPS,
     return diag
 
 
-def center_row(row: Sequence[PlanarMeasure], L: float) -> tuple[list[PlanarMeasure], list[Vec2]]:
-    """Truncated means and the recentered row."""
-    centers: list[Vec2] = []
-    centered: list[PlanarMeasure] = []
-    cache: dict[int, tuple[PlanarMeasure, Vec2]] = {}
-    for m in row:
-        hit = cache.get(id(m))
-        if hit is None:
-            v = m.truncated_mean(L)
-            hit = (m.shifted_by(v), v)
-            cache[id(m)] = hit
-        centered.append(hit[0])
-        centers.append(hit[1])
+def center_row(groups: Groups, L: float) -> tuple[Groups, list[Vec2]]:
+    """Truncated means and the recentered laws, one per group of a row."""
+    centers = [m.truncated_mean(L) for m, _ in groups]
+    centered = tuple((m.shifted_by(v), count) for (m, count), v in zip(groups, centers))
     return centered, centers
 
 
 def row_accumulators(
-    centered: Sequence[PlanarMeasure],
+    centered: Groups,
 ) -> tuple[AtomicMeasure2D, AtomicMeasure2D, AtomicMeasure2D]:
     """tau_n = sum of centered measures; sigma_jn are its coordinate tilts."""
-    groups: dict[int, tuple[PlanarMeasure, int]] = {}
-    for m in centered:
-        k = id(m)
-        groups[k] = (m, groups.get(k, (m, 0))[1] + 1)
-    atoms = []
-    for m, count in groups.values():
-        atoms.extend(((p[0], p[1]), count * w) for p, w in zip(m.points, m.weights))
-    tau = AtomicMeasure2D(atoms)
+    tau = AtomicMeasure2D(
+        ((p[0], p[1]), count * w)
+        for m, count in centered
+        for p, w in zip(m.points, m.weights)
+    )
     sigma1 = tau.weighted(lambda s, t: s * s / (1.0 + s * s))
     sigma2 = tau.weighted(lambda s, t: t * t / (1.0 + t * t))
     return tau, sigma1, sigma2
@@ -255,8 +268,8 @@ class ConditionReport:
 
 def _row_data(array: TriangularArray):
     out = []
-    for row, shift in zip(array.rows, array.shifts):
-        centered, centers = center_row(row, array.L)
+    for groups, shift in zip(array.groups, array.shifts):
+        centered, centers = center_row(groups, array.L)
         tau, s1, s2 = row_accumulators(centered)
         out.append({"centered": centered, "centers": centers, "tau": tau,
                     "sigma1": s1, "sigma2": s2, "shift": shift})
@@ -434,19 +447,11 @@ def limit_vector(array: TriangularArray, precomputed=None) -> tuple[list[Vec2], 
     per_row: list[Vec2] = []
     for d in data:
         v1, v2 = d["shift"]
-        cache: dict[int, tuple[float, float]] = {}
-        for m, ctr in zip(d["centered"], d["centers"]):
-            k = id(m)
-            if k not in cache:
-                pts, wts = m.points, m.weights
-                nrm = 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
-                cache[k] = (
-                    float((wts * pts[:, 0] / nrm).sum()),
-                    float((wts * pts[:, 1] / nrm).sum()),
-                )
-            comp = cache[k]
-            v1 += ctr[0] + comp[0]
-            v2 += ctr[1] + comp[1]
+        for (m, count), ctr in zip(d["centered"], d["centers"]):
+            pts, wts = m.points, m.weights
+            nrm = 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
+            v1 += count * (ctr[0] + float((wts * pts[:, 0] / nrm).sum()))
+            v2 += count * (ctr[1] + float((wts * pts[:, 1] / nrm).sum()))
         per_row.append((v1, v2))
     sizes = array.row_sizes()
     vx = extrapolate_in_inverse_size([v[0] for v in per_row], sizes)
@@ -470,13 +475,9 @@ def _triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> Cha
     return CharTriplet(rep34.v, rep34.A, rep34.tau_limit)
 
 
-def _phi_row(row, shift, z, w):
-    groups: dict[int, tuple[PlanarMeasure, int]] = {}
-    for m in row:
-        k = id(m)
-        groups[k] = (m, groups.get(k, (m, 0))[1] + 1)
+def _phi_row(groups, shift, z, w):
     total = shift[0] / z + shift[1] / w
-    for m, count in groups.values():
+    for m, count in groups:
         total += count * bi_free_phi(m, z, w)
     return total
 
@@ -490,11 +491,11 @@ def run_bi_free_limit(
     trip = reference or limit_triplet(array)
     target = [trip.bi_free_phi(z, w) for z, w in probes]
     out = []
-    for row, shift in zip(array.rows, array.shifts):
+    for groups, shift, size in zip(array.groups, array.shifts, array.row_sizes()):
         resid = max(
-            abs(_phi_row(row, shift, z, w) - t) for (z, w), t in zip(probes, target)
+            abs(_phi_row(groups, shift, z, w) - t) for (z, w), t in zip(probes, target)
         )
-        out.append((len(row), float(resid)))
+        out.append((size, float(resid)))
     return out
 
 
@@ -507,16 +508,12 @@ def run_classical_limit(
     trip = reference or limit_triplet(array)
     target = [trip.classical_cf(u) for u in u_probes]
     out = []
-    for row, shift in zip(array.rows, array.shifts):
-        groups: dict[int, tuple[PlanarMeasure, int]] = {}
-        for m in row:
-            k = id(m)
-            groups[k] = (m, groups.get(k, (m, 0))[1] + 1)
+    for groups, shift, size in zip(array.groups, array.shifts, array.row_sizes()):
         resid = 0.0
         for u, t in zip(u_probes, target):
             cf = np.exp(1j * (u[0] * shift[0] + u[1] * shift[1]))
-            for m, count in groups.values():
+            for m, count in groups:
                 cf *= m.char_fun(u) ** count
             resid = max(resid, abs(cf - t))
-        out.append((len(row), float(resid)))
+        out.append((size, float(resid)))
     return out

@@ -1,9 +1,9 @@
 """Finitely-atomic measures on the line and the plane.
 
-Atoms closer than ``MERGE_TOL`` (Euclidean) are merged at construction time,
-weights adding up.  Probability measures must carry total mass 1 within
-``MASS_TOL``.  All containers are immutable after construction and safe for
-concurrent reads.
+Atoms linked by a chain of Euclidean gaps <= ``MERGE_TOL`` are merged at
+construction time, whatever the input order, weights adding up.
+Probability measures must carry total mass 1 within ``MASS_TOL``.  All
+containers are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -76,19 +76,59 @@ ZERO_MATRIX = Matrix2(0.0, 0.0, 0.0)
 IDENTITY_MATRIX = Matrix2(1.0, 0.0, 1.0)
 
 
-def _merge_sorted(points: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge consecutive rows of lexicographically sorted points within tol."""
-    if len(points) == 0:
-        return points, weights
-    keep_pts = [points[0]]
-    keep_w = [weights[0]]
-    for p, w in zip(points[1:], weights[1:]):
-        if np.linalg.norm(p - keep_pts[-1]) <= tol:
-            keep_w[-1] += w
-        else:
-            keep_pts.append(p)
-            keep_w.append(w)
-    return np.array(keep_pts), np.array(keep_w)
+def _merge(points: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (n, d) atoms lexicographically and merge every chain of gaps <= tol.
+
+    Atoms linked by a chain of Euclidean gaps <= tol become one atom (single
+    linkage, the one rule that does not depend on input order).  It sits at
+    the lexicographically first of them and carries their summed weights.
+    Ties are broken by weight, so the sums do not depend on input order either.
+    """
+    order = np.lexsort((weights, *points.T[::-1]))
+    pts, wts = points[order], weights[order]
+    if not (pts[1:, 0] - pts[:-1, 0] <= tol).any():
+        return pts, wts
+    # exact duplicates are adjacent; link the distinct sites only
+    new = np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))
+    site = np.cumsum(new) - 1
+    uniq = pts[new]
+    n = len(uniq)
+    # two sites within tol each have a neighbour within tol in every
+    # coordinate's sort order; only sites with such neighbours are compared,
+    # in a window along the coordinate that gives the fewest pairs
+    orders = [np.argsort(col, kind="stable") for col in uniq.T]
+    near = np.ones(n, dtype=bool)
+    for col, o in zip(uniq.T, orders):
+        gap = col[o[1:]] - col[o[:-1]] <= tol
+        has = np.zeros(n, dtype=bool)
+        has[o[1:][gap]] = True
+        has[o[:-1][gap]] = True
+        near &= has
+    windows = []
+    for col, o in zip(uniq.T, orders):
+        o = o[near[o]]
+        span = np.searchsorted(col[o], col[o] + tol, side="right") - np.arange(len(o)) - 1
+        windows.append((span.sum(), o, span))
+    _, o, span = min(windows, key=lambda win: win[0])
+    first = np.repeat(np.arange(len(o)), span)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(span) - span, span)
+    i, j = o[first], o[second]
+    linked = np.linalg.norm(uniq[i] - uniq[j], axis=1) <= tol
+    i, j = i[linked], j[linked]
+    # label every site with the smallest site of its chain
+    label = np.arange(n)
+    while i.size:
+        low = np.minimum(label[i], label[j])
+        nxt = label.copy()
+        np.minimum.at(nxt, i, low)
+        np.minimum.at(nxt, j, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    root = label == np.arange(n)
+    merged = (np.cumsum(root) - 1)[label][site]
+    return uniq[root], np.bincount(merged, weights=wts)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -111,8 +151,7 @@ class PlanarMeasure:
             raise ValueError("atom coordinates must be finite")
         if np.any(wts <= 0.0):
             raise ValueError("atom weights must be positive")
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        pts, wts = _merge_sorted(pts[order], wts[order], MERGE_TOL)
+        pts, wts = _merge(pts, wts, MERGE_TOL)
         if abs(wts.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {wts.sum()!r}, not 1")
         self.points = _freeze(pts)
@@ -204,8 +243,7 @@ class Measure1D:
             raise ValueError("atom coordinates must be finite")
         if np.any(wts <= 0.0):
             raise ValueError("atom weights must be positive")
-        order = np.argsort(pts, kind="stable")
-        pts2d, wts = _merge_sorted(pts[order, None], wts[order], MERGE_TOL)
+        pts2d, wts = _merge(pts[:, None], wts, MERGE_TOL)
         if abs(wts.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {wts.sum()!r}, not 1")
         self.points = _freeze(pts2d[:, 0])
@@ -266,8 +304,7 @@ class AtomicMeasure2D:
         if items:
             pts = np.array([[float(p[0]), float(p[1])] for p, _ in items], dtype=float)
             wts = np.array([float(w) for _, w in items], dtype=float)
-            order = np.lexsort((pts[:, 1], pts[:, 0]))
-            pts, wts = _merge_sorted(pts[order], wts[order], MERGE_TOL)
+            pts, wts = _merge(pts, wts, MERGE_TOL)
             keep = wts != 0.0
             pts, wts = pts[keep], wts[keep]
         else:

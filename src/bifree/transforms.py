@@ -45,9 +45,6 @@ class TruncatedCone:
         if self.theta <= 0.0 or self.M <= 0.0:
             raise ValueError("cone parameters must be positive")
 
-    def contains(self, z: complex) -> bool:
-        return abs(z.real) <= self.theta * abs(z.imag) and abs(z.imag) >= self.M
-
     def intersect(self, other: "TruncatedCone") -> "TruncatedCone":
         return TruncatedCone(min(self.theta, other.theta), max(self.M, other.M))
 

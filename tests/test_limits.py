@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import bifree.limits as lm
 from bifree.idlaw import make_compound_poisson
 from bifree.limits import (
     NotInfinitesimal,
@@ -16,10 +19,12 @@ from bifree.limits import (
     limit_vector,
     make_array,
     row_accumulators,
+    row_groups,
     run_bi_free_limit,
     run_classical_limit,
 )
 from bifree.measure import PlanarMeasure, dirac
+from bifree.serialize import array_from_dict, array_to_dict
 
 from oracles import richardson_limit
 
@@ -59,19 +64,21 @@ U_PROBES = [(0.4, 0.0), (0.0, 0.4), (0.4, 0.4), (-0.3, 0.5), (0.8, 0.8)]
 
 class TestCenterRow:
     def test_small_point(self):
-        centered, centers = center_row([dirac((0.1, 0.0))], 1.0)
+        groups, centers = center_row(row_groups([dirac((0.1, 0.0))]), 1.0)
+        centered = [c for c, _ in groups]
         assert centers == [(0.1, 0.0)]
         assert centered[0].close_to(dirac((0.0, 0.0)))
 
     def test_far_atom_ignored(self):
         m = PlanarMeasure([((0.0, 0.0), 0.99), ((2.0, 2.0), 0.01)])
-        centered, centers = center_row([m], 1.0)
+        groups, centers = center_row(row_groups([m]), 1.0)
+        centered = [c for c, _ in groups]
         assert centers == [(0.0, 0.0)]
         assert centered[0].close_to(m)
 
     def test_symmetric(self):
         m = PlanarMeasure([((0.5, 0.5), 0.5), ((-0.5, -0.5), 0.5)])
-        _, centers = center_row([m], 1.0)
+        _, centers = center_row(row_groups([m]), 1.0)
         assert centers == [(0.0, 0.0)]
 
 
@@ -79,7 +86,7 @@ class TestRowAccumulators:
     def test_poisson_row(self):
         n = 100
         m = PlanarMeasure([((0.0, 0.0), 1 - 1 / n), ((1.0, 1.0), 1 / n)])
-        centered, _ = center_row([m] * n, 1.0)
+        centered, _ = center_row(row_groups([m] * n), 1.0)
         tau, s1, s2 = row_accumulators(centered)
         assert tau.mass_at((0.0, 0.0)) == pytest.approx(n - 1.0)
         assert tau.mass_at((1.0, 1.0)) == pytest.approx(1.0)
@@ -87,7 +94,7 @@ class TestRowAccumulators:
         assert s1.mass_at((0.0, 0.0)) == 0.0
 
     def test_all_dirac_zero(self):
-        centered, _ = center_row([dirac((0.0, 0.0))] * 5, 1.0)
+        centered, _ = center_row(row_groups([dirac((0.0, 0.0))] * 5), 1.0)
         tau, s1, s2 = row_accumulators(centered)
         assert len(s1) == 0 and len(s2) == 0
 
@@ -95,7 +102,7 @@ class TestRowAccumulators:
         n = 10_000
         x = 1.0 / math.sqrt(n)
         m = PlanarMeasure([((x, x), 0.5), ((-x, -x), 0.5)])
-        centered, _ = center_row([m] * n, 1.0)
+        centered, _ = center_row(row_groups([m] * n), 1.0)
         _, s1, _ = row_accumulators(centered)
         assert s1.total_mass() == pytest.approx(1.0, abs=1e-3)
 
@@ -264,6 +271,67 @@ class TestIidArray:
         assert arr.rows[0][0] is arr.rows[0][1]
 
 
+def json_copy(arr):
+    return array_from_dict(json.loads(json.dumps(array_to_dict(arr))))
+
+
+class TestContentGrouping:
+    """JSON-loaded rows hold distinct objects; they group by content."""
+
+    def test_json_rows_give_identical_results(self):
+        arr = poisson_array()
+        back = json_copy(arr)
+        assert run_bi_free_limit(back, PROBES) == run_bi_free_limit(arr, PROBES)
+        assert run_classical_limit(back, U_PROBES) == run_classical_limit(arr, U_PROBES)
+        for check in (check_condition_I_II, check_condition_III_IV):
+            assert check(back).to_jsonable() == check(arr).to_jsonable()
+
+    def test_phi_once_per_row_and_probe(self, monkeypatch):
+        arr = json_copy(poisson_array())
+        trip = limit_triplet(arr)
+        calls = []
+        real = lm.bi_free_phi
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lm, "bi_free_phi", counting)
+        run_bi_free_limit(arr, PROBES, reference=trip)
+        assert len(calls) == len(arr.rows) * len(PROBES)
+
+
+grid_coords = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+
+
+@st.composite
+def grouped_rows(draw):
+    """Rows of a few distinct laws, each repeated as shared and as rebuilt objects."""
+    laws = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = draw(st.lists(st.tuples(grid_coords, grid_coords), min_size=1, max_size=3, unique=True))
+        wts = draw(st.lists(st.floats(0.1, 1.0), min_size=len(pts), max_size=len(pts)))
+        laws.append(PlanarMeasure([(p, w / sum(wts)) for p, w in zip(pts, wts)]))
+    rows, size = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        row = []
+        for m in laws[: draw(st.integers(1, len(laws)))]:
+            row += [m] * draw(st.integers(1, 3)) + [PlanarMeasure(m.atoms())]
+        row += [laws[0]] * max(0, size + 1 - len(row))
+        rows.append(draw(st.permutations(row)))
+        size = len(row)
+    return make_array(rows)
+
+
+@given(grouped_rows())
+def test_groups_survive_json_round_trip(arr):
+    back = json_copy(arr)
+    assert [[c for _, c in g] for g in back.groups] == [[c for _, c in g] for g in arr.groups]
+    for g_back, g in zip(back.groups, arr.groups):
+        assert all(mb.close_to(m) for (mb, _), (m, _) in zip(g_back, g))
+    assert sum(map(len, arr.groups)) < sum(map(len, arr.rows))
+
+
 class TestMarginalConsistency:
     def test_poisson_free_pair(self):
         # the w -> oo slice of the limit phi matches the free Levy-Hincin
@@ -272,11 +340,10 @@ class TestMarginalConsistency:
         rep12 = check_condition_I_II(arr)
         trip = limit_triplet(arr)
         # gamma_1 from its defining per-row sum, taken on the last row
-        row = arr.rows[-1]
-        centered, centers = center_row(row, arr.L)
+        centered, centers = center_row(arr.groups[-1], arr.L)
         g1 = sum(
-            c[0] + m.integrate(lambda s, t: s / (1.0 + s * s)).real
-            for m, c in zip(centered, centers)
+            count * (c[0] + m.integrate(lambda s, t: s / (1.0 + s * s)).real)
+            for (m, count), c in zip(centered, centers)
         )
         assert g1 == pytest.approx(0.5, abs=1e-12)
         sigma1 = rep12.sigma1

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bifree.measure import (
+    MERGE_TOL,
+    AtomicMeasure2D,
     Matrix2,
     Measure1D,
     PlanarMeasure,
@@ -165,6 +170,71 @@ class TestInvariants:
         base = np.array(m.truncated_mean(L))
         moved = np.array(m.shifted_by(v).truncated_mean(L))
         assert np.allclose(moved, base - np.array(v), atol=1e-15)
+
+
+# sites on a coarse grid plus offsets within and just beyond MERGE_TOL, so that
+# draws hold exact duplicates, merge chains and near misses
+merge_coords = st.builds(
+    lambda base, off: base + off,
+    st.sampled_from([-1.0, 0.0, 2.5]),
+    st.sampled_from([0.0, 0.4 * MERGE_TOL, 0.8 * MERGE_TOL, 1.5 * MERGE_TOL]),
+)
+merge_weights = st.floats(0.01, 1.0)
+
+
+def single_linkage(atoms, tol):
+    """Reference merge: join every pair within tol, pairwise; sum in sorted order."""
+    atoms = sorted(atoms)
+    root = list(range(len(atoms)))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for a, ((xa, ya), _) in enumerate(atoms):
+        for b in range(a + 1, len(atoms)):
+            (xb, yb), _ = atoms[b]
+            if math.hypot(xa - xb, ya - yb) <= tol:
+                ra, rb = find(a), find(b)
+                root[max(ra, rb)] = min(ra, rb)
+    sums: dict[int, float] = {}
+    for k, (_, w) in enumerate(atoms):
+        sums[find(k)] = sums.get(find(k), 0.0) + w
+    return [(atoms[r][0], w) for r, w in sorted(sums.items())]
+
+
+class TestMerge:
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_chain_through_a_neighbour(self, order):
+        # (0,1) sits between (0,0) and (5e-13,0) in lexicographic order
+        atoms = [((0.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((5e-13, 0.0), 1.0)]
+        m = AtomicMeasure2D([atoms[k] for k in order])
+        assert m.atoms() == [((0.0, 0.0), 2.0), ((0.0, 1.0), 1.0)]
+
+    def test_single_linkage_chain(self):
+        m = Measure1D([(k * 0.6 * MERGE_TOL, 0.25) for k in range(4)])
+        assert m.points.tolist() == [0.0]
+        assert m.weights.tolist() == [1.0]
+
+    @given(st.lists(st.tuples(st.tuples(merge_coords, merge_coords), merge_weights),
+                    min_size=1, max_size=12), st.randoms(use_true_random=False))
+    def test_planar_shuffle_invariant(self, atoms, rnd):
+        total = sum(w for _, w in atoms)
+        atoms = [(p, w / total) for p, w in atoms]
+        want = single_linkage(atoms, MERGE_TOL)
+        for order in (atoms, rnd.sample(atoms, len(atoms))):
+            assert PlanarMeasure(order).atoms() == want
+            assert AtomicMeasure2D(order).atoms() == want
+
+    @given(st.lists(st.tuples(merge_coords, merge_weights), min_size=1, max_size=12),
+           st.randoms(use_true_random=False))
+    def test_line_shuffle_invariant(self, atoms, rnd):
+        total = sum(w for _, w in atoms)
+        atoms = [(p, w / total) for p, w in atoms]
+        a, b = Measure1D(atoms), Measure1D(rnd.sample(atoms, len(atoms)))
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
 
 
 class TestMatrix2:

@@ -4,7 +4,6 @@ import pytest
 from bifree.measure import Measure1D, PlanarMeasure, dirac, dirac1d
 from bifree.transforms import (
     NoConvergence,
-    TruncatedCone,
     bi_free_phi,
     cauchy1d,
     cauchy2d,
@@ -224,12 +223,6 @@ class TestConeFor:
     def test_dilation_covariance(self):
         m = PlanarMeasure([((0.6, 0.8), 0.5), ((-0.3, 0.1), 0.5)])
         assert cone_for(m.dilated(10.0)).M == pytest.approx(10.0 * cone_for(m).M)
-
-    def test_membership(self):
-        cone = TruncatedCone(1.0, 2.0)
-        assert cone.contains(1 + 3j)
-        assert not cone.contains(3 + 1j)
-        assert not cone.contains(0.5 + 1j)
 
 
 class TestTightnessProbe:

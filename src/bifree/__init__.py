@@ -21,6 +21,8 @@ from .limits import (
     ConditionReport,
     ConditionsNotMet,
     NotInfinitesimal,
+    RowAccumulators,
+    RowStack,
     TriangularArray,
     center_row,
     check_condition_I_II,
@@ -31,6 +33,7 @@ from .limits import (
     make_array,
     row_accumulators,
     row_groups,
+    row_stack,
     run_bi_free_limit,
     run_classical_limit,
 )

@@ -1,24 +1,29 @@
 """Triangular-array limit machinery and the classical/bi-free transfer runner.
 
-Rows are centered by truncated means, accumulated into the row measures
-tau_n, sigma_1n, sigma_2n, and screened through two equivalent condition
+Every row is held as a stack: the padded points, weights and counts of its
+distinct laws (``RowStack``), built once with the array.  Rows are centered
+by truncated means and accumulated into the row measures tau_n, sigma_1n,
+sigma_2n as flat arrays of merged atoms sorted by norm, with cumulative
+moment sums, so every small-ball quadratic sum and every annulus mass is a
+``searchsorted``.  These are screened through two equivalent condition
 systems: weak convergence of the sigmas plus a mixed-moment limit, or vague
 convergence of tau_n away from the origin plus small-ball quadratic limits.
-Finite-n verdicts use ratio tests on consecutive rows; these surrogates are
-heuristics and can be fooled by adversarial slowly-diverging arrays, so the
-per-row diagnostics are always reported alongside the verdict.
+The runners evaluate phi and the characteristic function of all laws of a
+row at once.  Finite-n verdicts use ratio tests on consecutive rows; these
+surrogates are heuristics and can be fooled by adversarial slowly-diverging
+arrays, so the per-row diagnostics are always reported alongside the verdict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .idlaw import CharTriplet, LevyMeasure
-from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, row_tail_mass
+from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical
 from .transforms import bi_free_phi
 
 RATIO_PASS = 0.5
@@ -56,28 +61,61 @@ def row_groups(row: Sequence[PlanarMeasure]) -> Groups:
     return tuple((m, count) for m, count in groups.values())
 
 
+class RowStack(NamedTuple):
+    """The distinct laws of a row as padded arrays.
+
+    ``points`` (G, m, 2) and ``weights`` (G, m) hold law g in entry g, and
+    ``counts`` (G,) its multiplicity.  A law with fewer than m atoms is
+    padded with zero weights at a copy of its own first atom, so a padded
+    entry adds exactly 0 to every sum and puts no pole off the law's support.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+
+
+def row_stack(groups: Groups) -> RowStack:
+    """The padded stack of a row's groups (see ``row_groups``)."""
+    sizes = np.array([len(m) for m, _ in groups], dtype=int)
+    real = np.arange(sizes.max()) < sizes[:, None]
+    idx = (np.cumsum(sizes) - sizes)[:, None] + np.where(real, np.arange(sizes.max()), 0)
+    points = np.concatenate([m.points for m, _ in groups])[idx]
+    weights = np.where(real, np.concatenate([m.weights for m, _ in groups])[idx], 0.0)
+    counts = np.array([c for _, c in groups], dtype=int)
+    for arr in (points, weights, counts):
+        arr.flags.writeable = False
+    return RowStack(points, weights, counts)
+
+
 @dataclass(frozen=True)
 class TriangularArray:
     """Rows of planar measures with per-row point-mass shifts.
 
     ``rows`` is the expanded view; ``groups`` holds each row's distinct laws
-    with their counts (``row_groups``), and is what the machinery works on.
+    with their counts (``row_groups``), and ``stacks`` the same laws as
+    padded arrays (``row_stack``), which is what the machinery works on.
     """
 
     rows: tuple[tuple[PlanarMeasure, ...], ...]
     shifts: tuple[Vec2, ...]
     L: float = 1.0
     groups: tuple[Groups, ...] = field(init=False, repr=False, compare=False)
+    stacks: tuple[RowStack, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != len(self.shifts):
             raise ValueError("rows and shifts must align")
         sizes = [len(r) for r in self.rows]
+        if 0 in sizes:
+            raise ValueError("rows must not be empty")
         if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
             raise ValueError("row lengths must strictly increase")
         if self.L <= 0.0:
             raise ValueError("centering radius must be positive")
-        object.__setattr__(self, "groups", tuple(row_groups(r) for r in self.rows))
+        groups = tuple(row_groups(r) for r in self.rows)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "stacks", tuple(row_stack(g) for g in groups))
 
     def row_sizes(self) -> list[int]:
         return [len(r) for r in self.rows]
@@ -113,7 +151,14 @@ def iid_array(
 
 
 def infinitesimality_diagnostic(array: TriangularArray, eps: float = INFINITESIMAL_EPS) -> list[float]:
-    return [row_tail_mass([m for m, _ in groups], eps) for groups in array.groups]
+    """max_k mu_nk({||x|| >= eps}) per row; small values certify an infinitesimal row."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    out = []
+    for stack in array.stacks:
+        far = np.hypot(stack.points[..., 0], stack.points[..., 1]) >= eps
+        out.append(float(np.where(far, stack.weights, 0.0).sum(axis=-1).max()))
+    return out
 
 
 def ensure_infinitesimal(array: TriangularArray, eps: float = INFINITESIMAL_EPS,
@@ -129,25 +174,75 @@ def ensure_infinitesimal(array: TriangularArray, eps: float = INFINITESIMAL_EPS,
     return diag
 
 
-def center_row(groups: Groups, L: float) -> tuple[Groups, list[Vec2]]:
-    """Truncated means and the recentered laws, one per group of a row."""
-    centers = [m.truncated_mean(L) for m, _ in groups]
-    centered = tuple((m.shifted_by(v), count) for (m, count), v in zip(groups, centers))
-    return centered, centers
+def center_row(stack: RowStack, L: float) -> tuple[RowStack, np.ndarray]:
+    """The recentered stack and the truncated means (G, 2) of its laws.
+
+    A law's truncated mean is its mean over the open ball ||x|| < L, and
+    its atoms move from x to x minus that mean.
+    """
+    pts = stack.points
+    inside = np.hypot(pts[..., 0], pts[..., 1]) < L
+    centers = (np.where(inside, stack.weights, 0.0)[..., None] * pts).sum(axis=1)
+    return stack._replace(points=pts - centers[:, None, :]), centers
 
 
-def row_accumulators(
-    centered: Groups,
-) -> tuple[AtomicMeasure2D, AtomicMeasure2D, AtomicMeasure2D]:
-    """tau_n = sum of centered measures; sigma_jn are its coordinate tilts."""
-    tau = AtomicMeasure2D(
-        ((p[0], p[1]), count * w)
-        for m, count in centered
-        for p, w in zip(m.points, m.weights)
-    )
-    sigma1 = tau.weighted(lambda s, t: s * s / (1.0 + s * s))
-    sigma2 = tau.weighted(lambda s, t: t * t / (1.0 + t * t))
-    return tau, sigma1, sigma2
+@dataclass(frozen=True)
+class RowAccumulators:
+    """tau_n of one row and its coordinate tilts sigma_jn, as flat arrays.
+
+    ``points`` are the merged atoms of tau_n = sum_k count_k * mu_nk
+    (centered), sorted by ascending ``norms``; ``tau``, ``sigma1`` and
+    ``sigma2`` are their masses under the three measures.  ``ball[k]`` sums
+    tau*s^2, tau*t^2 and tau*s*t over the k atoms of smallest norm, and
+    ``beyond[k]`` sums tau, tau*gamma-integrand, sigma1 and sigma2 over the
+    rest, so a ball is read from the origin outward and an annulus from
+    infinity inward, each without cancelling the larger part of the row.
+    """
+
+    points: np.ndarray
+    norms: np.ndarray
+    tau: np.ndarray
+    sigma1: np.ndarray
+    sigma2: np.ndarray
+    ball: np.ndarray
+    beyond: np.ndarray
+
+    # columns of ``beyond``
+    TAU, GAMMA, SIGMA1, SIGMA2 = range(4)
+
+    def ball_quadratic(self, u: Vec2, eps: float) -> float:
+        """Q_n(u, eps): the integral of (u . x)^2 over ||x|| < eps under tau_n."""
+        ss, tt, st = self.ball[np.searchsorted(self.norms, eps, side="left")]
+        return float(u[0] * u[0] * ss + 2.0 * u[0] * u[1] * st + u[1] * u[1] * tt)
+
+    def between(self, lo: float, hi: float) -> float:
+        """tau_n mass of the annulus lo <= ||x|| <= hi."""
+        i = np.searchsorted(self.norms, lo, side="left")
+        j = np.searchsorted(self.norms, hi, side="right")
+        return float(self.beyond[i, self.TAU] - self.beyond[j, self.TAU])
+
+    def above(self, r: float, col: int) -> float:
+        """The ``beyond`` column ``col`` summed over ||x|| > r."""
+        return float(self.beyond[np.searchsorted(self.norms, r, side="right"), col])
+
+
+def row_accumulators(centered: RowStack) -> RowAccumulators:
+    """tau_n = sum of the centered laws with their counts; sigma_jn are its tilts."""
+    keep = centered.weights > 0.0
+    masses = (centered.counts[:, None] * centered.weights)[keep]
+    pts, tau = _canonical(centered.points[keep], masses)
+    norms = np.hypot(pts[:, 0], pts[:, 1])
+    order = np.argsort(norms, kind="stable")
+    pts, norms, tau = pts[order], norms[order], tau[order]
+    s, t = pts[:, 0], pts[:, 1]
+    sigma1 = tau * (s * s / (1.0 + s * s))
+    sigma2 = tau * (t * t / (1.0 + t * t))
+    gamma = tau * (s * t / ((1.0 + s * s) * (1.0 + t * t)))
+    ball = np.zeros((len(tau) + 1, 3))
+    ball[1:] = np.cumsum(np.column_stack((tau * s * s, tau * t * t, tau * s * t)), axis=0)
+    beyond = np.zeros((len(tau) + 1, 4))
+    beyond[:-1] = np.cumsum(np.column_stack((tau, gamma, sigma1, sigma2))[::-1], axis=0)[::-1]
+    return RowAccumulators(pts, norms, tau, sigma1, sigma2, ball, beyond)
 
 
 def _bl_test_functions() -> list[Callable[[np.ndarray], np.ndarray]]:
@@ -168,13 +263,17 @@ def _bl_test_functions() -> list[Callable[[np.ndarray], np.ndarray]]:
 _BL_FUNCS = _bl_test_functions()
 
 
-def _bl_distance(m1: AtomicMeasure2D, m2: AtomicMeasure2D) -> float:
-    best = 0.0
-    for f in _BL_FUNCS:
-        v1 = float((m1.masses * f(m1.points)).sum()) if len(m1) else 0.0
-        v2 = float((m2.masses * f(m2.points)).sum()) if len(m2) else 0.0
-        best = max(best, abs(v1 - v2))
-    return best
+def _bl_values(acc: RowAccumulators) -> np.ndarray:
+    """The bounded-Lipschitz family integrated against sigma_1n and sigma_2n, shape (2, 29).
+
+    One test function at a time, so no (29, atoms) table is held.
+    """
+    return np.array([[f @ acc.sigma1, f @ acc.sigma2] for f in (g(acc.points) for g in _BL_FUNCS)]).T
+
+
+def _bl_steps(values: Sequence[np.ndarray]) -> list[float]:
+    """Weak-distance surrogate between consecutive rows: the largest gap over the family."""
+    return [float(np.abs(b - a).max()) for a, b in zip(values[:-1], values[1:])]
 
 
 def _cauchy_pass(dists: Sequence[float]) -> bool:
@@ -266,13 +365,12 @@ class ConditionReport:
         }
 
 
-def _row_data(array: TriangularArray):
+def _row_data(array: TriangularArray) -> list[tuple[RowStack, np.ndarray, RowAccumulators]]:
+    """Centered stack, truncated means and accumulators of every row."""
     out = []
-    for groups, shift in zip(array.groups, array.shifts):
-        centered, centers = center_row(groups, array.L)
-        tau, s1, s2 = row_accumulators(centered)
-        out.append({"centered": centered, "centers": centers, "tau": tau,
-                    "sigma1": s1, "sigma2": s2, "shift": shift})
+    for stack in array.stacks:
+        centered, centers = center_row(stack, array.L)
+        out.append((centered, centers, row_accumulators(centered)))
     return out
 
 
@@ -282,26 +380,23 @@ def check_condition_I_II(array: TriangularArray, precomputed=None) -> ConditionR
         raise ValueError("need at least three rows")
     ensure_infinitesimal(array)
     data = precomputed or _row_data(array)
-    d1 = [_bl_distance(a["sigma1"], b["sigma1"]) for a, b in zip(data[:-1], data[1:])]
-    d2 = [_bl_distance(a["sigma2"], b["sigma2"]) for a, b in zip(data[:-1], data[1:])]
-    esc1 = [d["sigma1"].mass_where(lambda p: np.hypot(p[:, 0], p[:, 1]) > TIGHT_RADIUS) for d in data]
-    esc2 = [d["sigma2"].mass_where(lambda p: np.hypot(p[:, 0], p[:, 1]) > TIGHT_RADIUS) for d in data]
+    accs = [acc for _, _, acc in data]
+    bl = [_bl_values(acc) for acc in accs]
+    d1, d2 = _bl_steps([b[0] for b in bl]), _bl_steps([b[1] for b in bl])
+    esc1 = [acc.above(TIGHT_RADIUS, acc.SIGMA1) for acc in accs]
+    esc2 = [acc.above(TIGHT_RADIUS, acc.SIGMA2) for acc in accs]
     tight = esc1[-1] <= max(RATIO_PASS * esc1[-2], ABS_PASS) and esc2[-1] <= max(
         RATIO_PASS * esc2[-2], ABS_PASS
     )
-    gammas = [
-        d["tau"].integrate(
-            lambda s, t: s * t / ((1.0 + s * s) * (1.0 + t * t))
-        ).real
-        for d in data
-    ]
+    gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
     dg = [abs(b - a) for a, b in zip(gammas[:-1], gammas[1:])]
     ok = _cauchy_pass(d1) and _cauchy_pass(d2) and _cauchy_pass(dg) and tight
     sizes = array.row_sizes()
+    last = accs[-1]
     report = ConditionReport(
         passed=bool(ok),
-        sigma1=data[-1]["sigma1"],
-        sigma2=data[-1]["sigma2"],
+        sigma1=AtomicMeasure2D.from_arrays(last.points, last.sigma1),
+        sigma2=AtomicMeasure2D.from_arrays(last.points, last.sigma2),
         gamma=extrapolate_in_inverse_size(gammas, sizes),
         per_n={
             "sigma1_bl_steps": d1,
@@ -321,18 +416,34 @@ def _perturb_radius(eps: float, norms: np.ndarray) -> float:
     return r
 
 
+def _atom_sites(candidates: np.ndarray) -> list[np.ndarray]:
+    """Greedy sites: in order, each candidate farther than 0.05 (1 + |p|) from all earlier sites.
+
+    Taking the first candidate left uncovered as the next site gives the
+    same sites as the one-by-one scan, with one pass per site.
+    """
+    radius = 0.05 * (1.0 + np.hypot(candidates[:, 0], candidates[:, 1]))
+    uncovered = np.ones(len(candidates), dtype=bool)
+    sites = []
+    while uncovered.any():
+        q = candidates[np.argmax(uncovered)]
+        sites.append(q)
+        uncovered &= np.linalg.norm(candidates - q, axis=1) > radius
+    return sites
+
+
 def check_condition_III_IV(array: TriangularArray, precomputed=None) -> ConditionReport:
     """Vague convergence away from 0 and the small-ball quadratic limits."""
     if len(array.rows) < 3:
         raise ValueError("need at least three rows")
     ensure_infinitesimal(array)
     data = precomputed or _row_data(array)
-    taus = [d["tau"] for d in data]
-    all_norms = np.concatenate(
-        [np.hypot(t.points[:, 0], t.points[:, 1]) for t in taus if len(t)] or [np.zeros(1)]
-    )
+    accs = [acc for _, _, acc in data]
+    all_norms = np.concatenate([acc.norms for acc in accs])
     ladder = [_perturb_radius(e, all_norms) for e in EPS_LADDER]
     eps_min = ladder[-1]
+    # atoms of each row at ||x|| >= eps_min: the mass vague convergence sees
+    away = [np.searchsorted(acc.norms, eps_min, side="left") for acc in accs]
 
     per_n: dict = {"eps_ladder": ladder}
     ok = True
@@ -341,18 +452,15 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
     annuli = [(e, math.inf) for e in ladder] + [(ladder[0], _perturb_radius(TIGHT_RADIUS, all_norms))]
     ann_masses = []
     for lo, hi in annuli:
-        masses = [
-            t.mass_where(lambda p: (np.hypot(p[:, 0], p[:, 1]) >= lo)
-                         & (np.hypot(p[:, 0], p[:, 1]) <= hi))
-            for t in taus
-        ]
+        masses = [acc.between(lo, hi) for acc in accs]
         ann_masses.append(masses)
         steps = [abs(b - a) for a, b in zip(masses[:-1], masses[1:])]
         ok = ok and _cauchy_pass(steps)
     per_n["annulus_masses"] = ann_masses
 
     # -- candidate limit: atoms of the last row away from the origin --------
-    tau_hat = taus[-1].restricted(lambda p: np.hypot(p[:, 0], p[:, 1]) >= eps_min)
+    last, k_last = accs[-1], away[-1]
+    tau_hat = AtomicMeasure2D.from_arrays(last.points[k_last:], last.tau[k_last:])
     for (lo, hi), masses in zip(annuli, ann_masses):
         cand = tau_hat.mass_where(
             lambda p: (np.hypot(p[:, 0], p[:, 1]) >= lo) & (np.hypot(p[:, 0], p[:, 1]) <= hi)
@@ -361,21 +469,20 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
             ok = False
 
     # -- atom tracking: masses near any historical atom site must stabilize -
-    sites: list[np.ndarray] = []
-    for t in taus[-3:]:
-        for p in t.points:
-            r = math.hypot(p[0], p[1])
-            if r < eps_min:
-                continue
-            if all(np.linalg.norm(p - q) > 0.05 * (1.0 + r) for q in sites):
-                sites.append(p.copy())
-    site_table = []
-    # only mass away from the origin counts: vague convergence ignores the
+    # candidates in each row's canonical (lexicographic) atom order; only
+    # mass away from the origin counts: vague convergence ignores the
     # shrinking eps-ball entirely
-    away = [t.restricted(lambda p: np.hypot(p[:, 0], p[:, 1]) >= eps_min) for t in taus]
-    for q in sites:
+    candidates = []
+    for acc, k in zip(accs[-3:], away[-3:]):
+        pts = acc.points[k:]
+        candidates.append(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+    site_table = []
+    for q in _atom_sites(np.concatenate(candidates)):
         rad = 0.05 * (1.0 + math.hypot(q[0], q[1]))
-        masses = [t.mass_where(lambda p: np.linalg.norm(p - q, axis=1) <= rad) for t in away]
+        masses = [
+            float(acc.tau[k:][np.linalg.norm(acc.points[k:] - q, axis=1) <= rad].sum())
+            for acc, k in zip(accs, away)
+        ]
         steps = [abs(b - a) for a, b in zip(masses[:-1], masses[1:])]
         ok = ok and _cauchy_pass(steps)
         site_table.append({"site": [float(q[0]), float(q[1])], "masses": masses})
@@ -388,12 +495,7 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
     for u in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         by_eps = []
         for e in ladder:
-            vals = [
-                t.restricted(lambda p: np.hypot(p[:, 0], p[:, 1]) < e).integrate(
-                    lambda s, tt: (u[0] * s + u[1] * tt) ** 2
-                ).real
-                for t in taus
-            ]
+            vals = [acc.ball_quadratic(u, e) for acc in accs]
             # limsup/liminf surrogate: the row sequence must stabilize
             steps_n = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
             if not _cauchy_pass(steps_n):
@@ -417,14 +519,9 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
             ok = False
     A = Matrix2(max(a, 0.0), c, max(b, 0.0))
 
-    gammas = [
-        t.integrate(lambda s, tt: s * tt / ((1.0 + s * s) * (1.0 + tt * tt))).real
-        for t in taus
-    ]
+    gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
     gamma_hat = extrapolate_in_inverse_size(gammas, sizes)
-    c_quantity = gamma_hat - tau_hat.integrate(
-        lambda s, tt: s * tt / ((1.0 + s * s) * (1.0 + tt * tt))
-    ).real
+    c_quantity = gamma_hat - float(last.beyond[k_last, last.GAMMA])
 
     tau_limit = LevyMeasure(tau_hat) if ok else None
     v_rows, v = limit_vector(array, precomputed=data)
@@ -445,14 +542,12 @@ def limit_vector(array: TriangularArray, precomputed=None) -> tuple[list[Vec2], 
     """Per-row recentring sums and their extrapolated limit."""
     data = precomputed or _row_data(array)
     per_row: list[Vec2] = []
-    for d in data:
-        v1, v2 = d["shift"]
-        for (m, count), ctr in zip(d["centered"], d["centers"]):
-            pts, wts = m.points, m.weights
-            nrm = 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
-            v1 += count * (ctr[0] + float((wts * pts[:, 0] / nrm).sum()))
-            v2 += count * (ctr[1] + float((wts * pts[:, 1] / nrm).sum()))
-        per_row.append((v1, v2))
+    for (centered, centers, _), shift in zip(data, array.shifts):
+        pts = centered.points
+        nrm = 1.0 + pts[..., 0] ** 2 + pts[..., 1] ** 2
+        terms = centers + (centered.weights[..., None] * pts / nrm[..., None]).sum(axis=1)
+        v1, v2 = np.asarray(shift, dtype=float) + centered.counts @ terms
+        per_row.append((float(v1), float(v2)))
     sizes = array.row_sizes()
     vx = extrapolate_in_inverse_size([v[0] for v in per_row], sizes)
     vy = extrapolate_in_inverse_size([v[1] for v in per_row], sizes)
@@ -475,11 +570,17 @@ def _triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> Cha
     return CharTriplet(rep34.v, rep34.A, rep34.tau_limit)
 
 
-def _phi_row(groups, shift, z, w):
-    total = shift[0] / z + shift[1] / w
-    for m, count in groups:
-        total += count * bi_free_phi(m, z, w)
-    return total
+def _phi_row(stack: RowStack, shift: Vec2, z, w) -> complex:
+    """The row's phi sum at one probe: one phi call over all its laws."""
+    return shift[0] / z + shift[1] / w + complex(stack.counts @ bi_free_phi(stack, z, w))
+
+
+def _cf_row(stack: RowStack, shift: Vec2, us: np.ndarray) -> np.ndarray:
+    """The row's CF product at the u-probes (U, 2): one exp over laws, atoms and probes."""
+    law_cf = (stack.weights[..., None] * np.exp(1j * (stack.points @ us.T))).sum(axis=1)
+    return np.exp(1j * (us @ np.asarray(shift, dtype=float))) * np.prod(
+        law_cf ** stack.counts[:, None], axis=0
+    )
 
 
 def run_bi_free_limit(
@@ -491,9 +592,9 @@ def run_bi_free_limit(
     trip = reference or limit_triplet(array)
     target = [trip.bi_free_phi(z, w) for z, w in probes]
     out = []
-    for groups, shift, size in zip(array.groups, array.shifts, array.row_sizes()):
+    for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
         resid = max(
-            abs(_phi_row(groups, shift, z, w) - t) for (z, w), t in zip(probes, target)
+            abs(_phi_row(stack, shift, z, w) - t) for (z, w), t in zip(probes, target)
         )
         out.append((size, float(resid)))
     return out
@@ -506,14 +607,10 @@ def run_classical_limit(
 ) -> list[tuple[int, float]]:
     """Sup-probe residual of the row CF products against the limit triplet."""
     trip = reference or limit_triplet(array)
-    target = [trip.classical_cf(u) for u in u_probes]
+    target = np.array([trip.classical_cf(u) for u in u_probes], dtype=complex)
+    us = np.array(u_probes, dtype=float).reshape(-1, 2)
     out = []
-    for groups, shift, size in zip(array.groups, array.shifts, array.row_sizes()):
-        resid = 0.0
-        for u, t in zip(u_probes, target):
-            cf = np.exp(1j * (u[0] * shift[0] + u[1] * shift[1]))
-            for m, count in groups:
-                cf *= m.char_fun(u) ** count
-            resid = max(resid, abs(cf - t))
+    for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
+        resid = np.abs(_cf_row(stack, shift, us) - target).max(initial=0.0)
         out.append((size, float(resid)))
     return out

@@ -136,6 +136,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _canonical(points: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merged, sorted and frozen (n, 2) atoms with their masses; zero masses dropped."""
+    pts, wts = _merge(points, masses, MERGE_TOL)
+    keep = wts != 0.0
+    return _freeze(pts[keep]), _freeze(wts[keep])
+
+
 class PlanarMeasure:
     """Borel probability measure on R^2 with finitely many atoms."""
 
@@ -301,17 +308,27 @@ class AtomicMeasure2D:
 
     def __init__(self, atoms: Iterable[tuple[Sequence[float], float]] = ()):
         items = list(atoms)
-        if items:
-            pts = np.array([[float(p[0]), float(p[1])] for p, _ in items], dtype=float)
-            wts = np.array([float(w) for _, w in items], dtype=float)
-            pts, wts = _merge(pts, wts, MERGE_TOL)
-            keep = wts != 0.0
-            pts, wts = pts[keep], wts[keep]
-        else:
-            pts = np.zeros((0, 2))
-            wts = np.zeros(0)
-        self.points = _freeze(pts)
-        self.masses = _freeze(wts)
+        pts = np.array([[float(p[0]), float(p[1])] for p, _ in items], dtype=float).reshape(-1, 2)
+        wts = np.array([float(w) for _, w in items], dtype=float)
+        self.points, self.masses = _canonical(pts, wts)
+
+    @classmethod
+    def from_arrays(cls, points, masses) -> "AtomicMeasure2D":
+        """Atoms at the rows of ``points`` (n, 2) with ``masses`` (n,), merged as by the constructor."""
+        out = object.__new__(cls)
+        out.points, out.masses = _canonical(
+            np.array(points, dtype=float).reshape(-1, 2), np.array(masses, dtype=float).reshape(-1)
+        )
+        return out
+
+    @classmethod
+    def _from_merged(cls, points: np.ndarray, masses: np.ndarray) -> "AtomicMeasure2D":
+        """Atoms already merged and in canonical order; only zero masses are dropped."""
+        keep = masses != 0.0
+        out = object.__new__(cls)
+        out.points = _freeze(points[keep])
+        out.masses = _freeze(masses[keep])
+        return out
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -338,12 +355,11 @@ class AtomicMeasure2D:
         return float(self.masses[pred(self.points)].sum())
 
     def restricted(self, pred: Callable[[np.ndarray], np.ndarray]) -> "AtomicMeasure2D":
+        """The atoms in the set {pred}; pred maps an (n,2) array to a bool mask."""
         if len(self) == 0:
             return self
         mask = pred(self.points)
-        return AtomicMeasure2D(
-            [((p[0], p[1]), w) for p, w in zip(self.points[mask], self.masses[mask])]
-        )
+        return AtomicMeasure2D._from_merged(self.points[mask], self.masses[mask])
 
     def integrate(self, f: Callable[[float, float], complex]) -> complex:
         total = 0.0
@@ -351,23 +367,23 @@ class AtomicMeasure2D:
             total = total + w * f(s, t)
         return total
 
-    def weighted(self, f: Callable[[float, float], float]) -> "AtomicMeasure2D":
-        """New measure with masses multiplied by f(s, t) pointwise."""
-        return AtomicMeasure2D(
-            [((s, t), w * f(s, t)) for (s, t), w in zip(self.points, self.masses)]
+    def weighted(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "AtomicMeasure2D":
+        """New measure with masses multiplied by f(s, t) pointwise.
+
+        ``f`` is called once on the arrays of atom coordinates and must
+        broadcast over them.  Atoms whose mass becomes zero are dropped.
+        """
+        return AtomicMeasure2D._from_merged(
+            self.points, self.masses * f(self.points[:, 0], self.points[:, 1])
         )
 
     def scaled(self, c: float) -> "AtomicMeasure2D":
-        return AtomicMeasure2D([((s, t), c * w) for (s, t), w in self.atoms()])
+        return AtomicMeasure2D.from_arrays(self.points, c * self.masses)
 
     def __add__(self, other: "AtomicMeasure2D") -> "AtomicMeasure2D":
-        return AtomicMeasure2D(self.atoms() + other.atoms())
-
-    def marginal_points(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """Projected atom positions and masses (not merged)."""
-        if axis not in (1, 2):
-            raise ValueError("axis must be 1 or 2")
-        return self.points[:, axis - 1], self.masses
+        return AtomicMeasure2D.from_arrays(
+            np.concatenate((self.points, other.points)), np.concatenate((self.masses, other.masses))
+        )
 
     def close_to(self, other: "AtomicMeasure2D", tol: float = 1e-9) -> bool:
         """Atomwise comparison after the canonical ordering."""

@@ -144,18 +144,6 @@ def stable_spec_from_dict(obj: dict) -> StableSpec:
         raise SchemaError(str(e)) from e
 
 
-def stable_spec_to_dict(spec: StableSpec) -> dict:
-    out: dict[str, Any] = {
-        "alpha": spec.alpha,
-        "theta": [{"angle": a, "m": m} for a, m in spec.theta],
-        "v": list(spec.v),
-    }
-    if spec.gaussian_a is not None:
-        A = spec.gaussian_a
-        out["gaussian_A"] = [[A.a, A.c], [A.c, A.b]]
-    return out
-
-
 # -- arrays ------------------------------------------------------------------
 
 

@@ -150,6 +150,23 @@ def newton_f_inverse(
     return roots, fp, ok
 
 
+def _inverse_f(points: np.ndarray, weights: np.ndarray, target, guess=None) -> np.ndarray:
+    """zeta with F(zeta) = target for the atomic law(s) (points, weights).
+
+    The leading axes of ``points`` and ``weights`` (a stack of laws, padded
+    with zero weights) broadcast against ``target``.  Raises
+    :class:`NoConvergence` unless every entry settles.
+    """
+    target = np.asarray(target, dtype=complex)
+    _require_nonreal(target, "target")
+    target = np.broadcast_to(target, np.broadcast_shapes(target.shape, np.shape(weights)[:-1]))
+    g = target if guess is None else np.broadcast_to(np.asarray(guess, dtype=complex), target.shape)
+    roots, _, ok = newton_f_inverse(points, weights, target, g)
+    if not ok.all():
+        raise NoConvergence(f"F inversion failed at {target[~ok].ravel()[:3]}")
+    return roots
+
+
 def invert_f(nu: Measure1D, target, guess=None):
     """zeta with F_nu(zeta) = target, to 1e-12 relative residual.
 
@@ -157,12 +174,7 @@ def invert_f(nu: Measure1D, target, guess=None):
     :class:`NoConvergence` when the iteration does not settle, which signals
     a target outside the reliable inversion domain.
     """
-    target_arr = np.asarray(target, dtype=complex)
-    _require_nonreal(target_arr, "target")
-    g = target_arr if guess is None else np.asarray(guess, dtype=complex)
-    roots, _, ok = newton_f_inverse(nu.points, nu.weights, target_arr, g)
-    if not ok.all():
-        raise NoConvergence(f"invert_f failed at {target_arr[~ok].ravel()[:3]}")
+    roots = _inverse_f(nu.points, nu.weights, target, guess)
     return complex(roots) if roots.ndim == 0 else roots
 
 
@@ -183,21 +195,26 @@ def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def bi_free_phi(mu: PlanarMeasure, z, w, guess1=None, guess2=None):
+def bi_free_phi(mu, z, w, guess1=None, guess2=None):
     """Two-variable phi-transform at (z, w), broadcast against each other.
 
     phi(z,w) = phi_1(z)/z + phi_2(w)/w + 1 - 1/(z w G(F_1^{-1}(z), F_2^{-1}(w))).
 
-    The marginal inversions run on z and w as given, so a grid is just
-    ``z[:, None], w[None, :]`` at the cost of one inversion per axis point.
-    ``guess1`` and ``guess2`` optionally warm-start the two inversions.
+    ``mu`` is a :class:`PlanarMeasure` or a stack of laws with ``points``
+    (..., m, 2) and ``weights`` (..., m), each law padded with zero weights
+    (``limits.RowStack``); the leading law axes broadcast against z and w.
+    The marginal inversions run on the coordinate columns of ``points`` and
+    on z and w as given, so a grid is just ``z[:, None], w[None, :]`` at the
+    cost of one inversion per axis point.  ``guess1`` and ``guess2``
+    optionally warm-start the two inversions.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    i1 = np.asarray(invert_f(mu.marginal(1), z, guess=guess1))
-    i2 = np.asarray(invert_f(mu.marginal(2), w, guess=guess2))
-    a = 1.0 / (i1[..., None] - mu.points[:, 0])
-    b = mu.weights * (1.0 / (i2[..., None] - mu.points[:, 1]))
+    s_pts, t_pts = mu.points[..., 0], mu.points[..., 1]
+    i1 = _inverse_f(s_pts, mu.weights, z, guess1)
+    i2 = _inverse_f(t_pts, mu.weights, w, guess2)
+    a = 1.0 / (i1[..., None] - s_pts)
+    b = mu.weights * (1.0 / (i2[..., None] - t_pts))
     den = z * w * _pair_sum(a, b)
     if np.any(np.abs(den) < DEGENERATE_TOL):
         raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")

@@ -226,6 +226,7 @@ class TestMerge:
         for order in (atoms, rnd.sample(atoms, len(atoms))):
             assert PlanarMeasure(order).atoms() == want
             assert AtomicMeasure2D(order).atoms() == want
+            assert AtomicMeasure2D.from_arrays([p for p, _ in order], [w for _, w in order]).atoms() == want
 
     @given(st.lists(st.tuples(merge_coords, merge_weights), min_size=1, max_size=12),
            st.randoms(use_true_random=False))
@@ -235,6 +236,24 @@ class TestMerge:
         a, b = Measure1D(atoms), Measure1D(rnd.sample(atoms, len(atoms)))
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
+
+
+atomic_lists = st.lists(st.tuples(st.tuples(merge_coords, merge_coords), merge_weights), max_size=12)
+
+
+@given(atomic_lists, atomic_lists)
+def test_array_methods_match_tuple_rebuilds(atoms, other):
+    """restricted, weighted, scaled and + equal a rebuild from ((s, t), mass) tuples."""
+    m, o = AtomicMeasure2D(atoms), AtomicMeasure2D(other)
+    keep = (lambda p: p[:, 0] > 0.0)(m.points)
+    assert m.restricted(lambda p: p[:, 0] > 0.0).atoms() == AtomicMeasure2D(
+        [a for a, k in zip(m.atoms(), keep) if k]).atoms()
+    # zero on the axes, so atoms there drop out
+    assert m.weighted(lambda s, t: s * t).atoms() == AtomicMeasure2D(
+        [((s, t), w * (s * t)) for (s, t), w in m.atoms()]).atoms()
+    assert m.scaled(-2.0).atoms() == AtomicMeasure2D([(p, -2.0 * w) for p, w in m.atoms()]).atoms()
+    assert m.scaled(0.0).atoms() == []
+    assert (m + o).atoms() == AtomicMeasure2D(m.atoms() + o.atoms()).atoms()
 
 
 class TestMatrix2:

@@ -2,9 +2,12 @@
 
 Terms of a :class:`BiConvRep` are atomic planar measures or characteristic
 triplets; the representation is never materialized as atoms.  Recovery of
-the planar Cauchy transform solves the two marginal inversions separately
-(they are independent 1-d problems) and divides through the defining
-relation of the two-variable phi-transform.
+the planar Cauchy transform finds F_1(z) and F_2(w) of the two marginal
+free convolutions by subordination (independent 1-d problems), evaluates
+phi there, and divides through the defining relation of the two-variable
+phi-transform.  The marginal solves also return each term's subordination
+function, which is the exact inverse that phi needs, so the inversions
+inside phi start at their roots.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .transforms import (
     GridDensity,
     TruncatedCone,
     bi_free_phi,
+    cauchy1d,
     cauchy2d,
     cone_for,
     inversion_values,
@@ -107,7 +111,8 @@ class BiConvRep:
         return z1, w2, guesses
 
     def _guesses(self, aux1, src1, aux2, src2):
-        """Warm starts per planar term; folded marginals need none (their
+        """Warm starts per planar term: its subordination functions, the roots
+        of its marginal inversions.  Folded marginals need none (their
         inversions are linear and converge in one step)."""
         g1 = dict(zip(src1, aux1))
         g2 = dict(zip(src2, aux2))
@@ -139,14 +144,30 @@ class BiConvRep:
         direct = self._direct_atomic()
         if direct is not None:
             return cauchy2d(direct, Z, W)
+        G = self.cauchy_with_marginals(Z, W)[0]
+        return complex(G) if G.ndim == 0 else G
+
+    def cauchy_with_marginals(self, Z, W):
+        """(G(Z, W), G_1(Z), G_2(W)): the planar and marginal Cauchy transforms.
+
+        A genuine convolution gets all three from one pair of marginal solves.
+        """
+        direct = self._direct_atomic()
+        if direct is not None:
+            return (cauchy2d(direct, Z, W), cauchy1d(direct.marginal(1), Z),
+                    cauchy1d(direct.marginal(2), W))
         Z = np.asarray(Z, dtype=complex)
         W = np.asarray(W, dtype=complex)
         z1, w2, guesses = self._marginal_solves(Z, W)
-        G = self._recover(z1, w2, Z - z1, W - w2, guesses)
-        return complex(G) if G.ndim == 0 else G
+        return self._recover(z1, w2, Z - z1, W - w2, guesses), 1.0 / z1, 1.0 / w2
 
     def density(self, s_axis, t_axis, eps: float) -> GridDensity:
-        """eps-smoothed joint density grid of the convolution."""
+        """eps-smoothed joint density grid of the convolution.
+
+        One subordination solve per axis gives F_1 on s + i eps and F_2 on
+        t + i eps, with the terms' subordination functions as the warm
+        starts of phi's inversions; G at t - i eps follows by conjugation.
+        """
         if eps <= 0.0:
             raise ValueError("eps must be positive")
         direct = self._direct_atomic()

@@ -116,7 +116,8 @@ def cmd_convolve(args: argparse.Namespace) -> int:
             raise io.SchemaError("--shift expects 's,t'")
         shift = (float(parts[0]), float(parts[1]))
     rep = bi_free_convolve(measures, shift=shift)
-    probes = load_probes(cfg)
+    # default probes are scaled into the rep's working bicone
+    probes = fl.default_phi_probes(rep) if cfg.probes == "default" else load_probes(cfg)
     io.dump_json(cfg.out / "phi_probes.json", {"probes": _phi_table(rep, probes)})
     s_axis, t_axis = parse_grid(cfg.grid)
     grid = rep.density(s_axis, t_axis, cfg.epsilon)

@@ -1,10 +1,32 @@
-"""Free additive convolution of laws on the line, by phi-addition.
+"""Free additive convolution of laws on the line, by subordination.
 
-A :class:`FreeConvRep` stores phi-evaluator terms whose transforms add; the
-Cauchy transform of the convolution is recovered by solving the forward
-relation phi(z) + z = zeta with Newton's method.  Near the real axis the
-solve is warm-started through a factor-2 continuation ladder in Im(zeta),
-descending from the cone height where the identity guess is safe.
+A :class:`FreeConvRep` stores the terms of a free convolution: atomic laws
+(:class:`AtomicPhiTerm`), phi-evaluators of infinitely divisible laws (the
+triplet marginals) and a shift.  Its Voiculescu transform phi is the sum of
+the terms' phis plus the shift; :meth:`FreeConvRep.phi` evaluates it inside
+the working cone by inverting each atomic F there.
+
+F of the convolution needs no inversion at all (Belinschi-Bercovici, J.
+Anal. Math. 101, 2007).  With z = zeta - shift, h_j = F_j - id for the
+atomic laws mu_j, and phi_ID the summed phi of the infinitely divisible terms
+(analytic on C+ with Im phi_ID <= 0; Bercovici-Voiculescu, Indiana Univ.
+Math. J. 42, 1993), F(zeta) = F_1(omega_1), where omega_1 is the fixed point
+of a map T sending C+ into {Im w >= Im z}:
+
+- no atomic term: T(w) = z - phi_ID(w), and F is the fixed point itself;
+- one: T(w) = z - phi_ID(F_1(w));
+- two: T(w) = z + s_2(z + s_1(w)), with s_j(v) = h_j(v) - phi_ID(F_j(v));
+- more: the two-term map for mu_1 against the convolution of the rest, whose
+  h comes from the same solve, nested.
+
+Such a T has at most one fixed point in C+ (Schwarz-Pick), so an iterate
+that settles in the upper half-plane is on the right branch: there is no
+cone, ladder or branch choice.  Newton steps on w - T(w), with T' in closed
+form, accelerate the plain iteration w <- T(w), which converges from every
+start and takes over wherever a Newton step would not bring w and T(w)
+closer in the hyperbolic metric (``transforms._damped_newton``).  Each
+point stops once |w - T(w)| <= 1e-13 (1 + |w|).  Lower half-plane points are
+solved at their conjugates, since F commutes with conjugation.
 """
 
 from __future__ import annotations
@@ -19,16 +41,17 @@ from .transforms import (
     NoConvergence,
     TruncatedCone,
     _damped_newton,
-    cauchy1d,
+    _require_nonreal,
     cone_for,
     newton_f_inverse,
 )
 
-SOLVE_TOL = 1e-10
+FIXED_POINT_TOL = 1e-13
+FIXED_POINT_MAXITER = 200
 
 
 class AtomicPhiTerm:
-    """phi evaluator backed by an atomic law, warm-startable."""
+    """phi evaluator backed by an atomic law."""
 
     __slots__ = ("measure",)
 
@@ -38,29 +61,110 @@ class AtomicPhiTerm:
     def cone(self) -> TruncatedCone:
         return cone_for(self.measure)
 
-    def phi_dphi(self, z: np.ndarray, guess=None):
-        """(phi(z), phi'(z), aux); aux is the inverse F^{-1}(z) for restarts.
+    def phi_dphi(self, z: np.ndarray):
+        """(phi(z), phi'(z)), with nan entries where the inversion fails."""
+        root, fp, ok = newton_f_inverse(self.measure.points, self.measure.weights, z, z)
+        phi = np.where(ok, root - z, np.nan)
+        dphi = np.where(ok, 1.0 / fp - 1.0, np.nan)
+        return phi, dphi
 
-        Returns nan entries where the inner inversion fails so the caller
-        can damp its step instead of aborting.
-        """
-        g = z if guess is None else guess
-        root, fp, ok = newton_f_inverse(self.measure.points, self.measure.weights, z, g)
-        phi = root - z
-        dphi = 1.0 / fp - 1.0
-        bad = ~ok
-        if bad.any():
-            phi = np.where(bad, np.nan + 0j, phi)
-            dphi = np.where(bad, np.nan + 0j, dphi)
-        return phi, dphi, root
+
+def _h_and_deriv(points: np.ndarray, weights: np.ndarray, wp: np.ndarray, x: np.ndarray):
+    """(h, h') of an atomic law, h = F - id = -sum(w p / (x - p)) / sum(w / (x - p)).
+
+    ``wp`` is weights * points.  The quotient form has no cancellation
+    between F and x at large |x|.
+    """
+    inv = 1.0 / (x[..., None] - points)
+    g = inv @ weights
+    return -(inv @ wp) / g, ((inv * inv) @ weights) / (g * g) - 1.0
+
+
+def _phi_prime(hp):
+    """phi'(F_j(v)) = 1 / F_j'(v) - 1 of a law with h_j'(v) = hp."""
+    return -hp / (1.0 + hp)
+
+
+def _subordinate(z: np.ndarray, laws: Sequence[Measure1D], id_phi):
+    """h = F - z and h' = F' - 1 of the convolution at z in C+, with the omegas.
+
+    ``laws`` are the atomic operands and ``id_phi(x) -> (phi, phi')`` the
+    summed phi of the infinitely divisible ones, or None.  Returns
+    ``(h, h', omegas, converged)``; ``omegas[j]`` is omega_j with
+    F_j(omega_j) = F(z), and entries that did not settle are nan.
+    """
+    n = len(laws)
+    zero = np.zeros_like(z)
+    if n == 0 and id_phi is None:
+        return zero, zero, [], np.ones(z.shape, bool)
+    cols = [(m.points, m.weights, m.weights * m.points) for m in laws]
+
+    def step(j, v):
+        """s_j(v) = h_j(v) - phi_ID(F_j(v)), s_j', h_j, h_j' and phi_ID'(F_j(v))."""
+        h, hp = _h_and_deriv(*cols[j], v)
+        if id_phi is None:
+            return h, hp, h, hp, zero
+        p, dp = id_phi(v + h)
+        return h - p, hp - dp * (1.0 + hp), h, hp, dp
+
+    # each t_eval returns T(w), T'(w) and [h_1(w), phi_ID'(F_1(w)), h_1'(w),
+    # h_rest'(omega_rest), omega_rest...]; F = w + h_1(w) at the fixed point
+    # (h_1 = 0 without atomic terms), and phi'(F) sums over the terms there
+    if n == 0:
+
+        def t_eval(w):
+            p, dp = id_phi(w)
+            return z - p, -dp, [zero, dp]
+
+    elif n == 1:
+
+        def t_eval(w):
+            s, _, h, hp, dp = step(0, w)  # s - h = -phi_ID(F_1(w))
+            return z + (s - h), -dp * (1.0 + hp), [h, dp, hp]
+
+    elif n == 2:
+
+        def t_eval(w):
+            s1, ds1, h1, hp1, _ = step(0, w)
+            om2 = z + s1
+            s2, ds2, _, hp2, dp = step(1, om2)
+            return z + s2, ds2 * ds1, [h1, dp, hp1, hp2, om2]
+
+    else:
+
+        def t_eval(w):
+            h1, hp1 = _h_and_deriv(*cols[0], w)
+            v = z + h1
+            # the rest is only defined on C+; a proposal that leaves it gets nan
+            up = v.imag > 0
+            hr, hpr, inner, _ = _subordinate(np.where(up, v, z), laws[1:], id_phi)
+            return np.where(up, z + hr, np.nan), hpr * hp1, [h1, zero, hp1, hpr, *inner]
+
+    def residual(w, aux):
+        t, dt, by = t_eval(w)
+        return w - t, 1.0 - dt, by
+
+    w, _, (h1, dp, *rest), ok = _damped_newton(
+        residual, z + 2j, z, tol=FIXED_POINT_TOL, maxiter=FIXED_POINT_MAXITER, fixed_point=True
+    )
+    hps, rest = rest[: min(n, 2)], rest[min(n, 2):]
+    dphi = dp + sum(_phi_prime(hp) for hp in hps)
+    h = (w - z) + h1
+    hp = _phi_prime(dphi)  # F' = 1 / (1 + phi'(F))
+    omegas = [w, *rest] if n else []
+    if not ok.all():
+        h, hp = np.where(ok, h, np.nan), np.where(ok, hp, np.nan)
+        omegas = [np.where(ok, o, np.nan) for o in omegas]
+    return h, hp, omegas, ok
 
 
 @dataclass(frozen=True)
 class FreeConvRep:
-    """Lazy representation of a free convolution: phi = sum of term phis + shift/id.
+    """Lazy representation of a free convolution: phi = sum of term phis + shift.
 
-    ``terms`` are objects exposing ``phi_dphi(z, guess) -> (phi, dphi, aux)``
-    and ``cone()``; ``shift`` adds the constant phi of a point mass.
+    ``terms`` are :class:`AtomicPhiTerm` objects and phi-evaluators of
+    infinitely divisible laws, exposing ``phi_dphi(z) -> (phi, phi')`` and
+    ``cone()``; ``shift`` adds the constant phi of a point mass.
     """
 
     terms: tuple
@@ -72,99 +176,70 @@ class FreeConvRep:
         z = np.asarray(z, dtype=complex)
         total = np.full(z.shape, complex(self.shift))
         for t in self.terms:
-            p, _, _ = t.phi_dphi(z)
+            p, _ = t.phi_dphi(z)
             if not np.all(np.isfinite(p)):
                 raise NoConvergence("phi evaluation failed; move deeper into the cone")
             total = total + p
         return complex(total) if total.ndim == 0 else total
 
-    def f_inverse(self, z):
-        return self.phi(z) + np.asarray(z, dtype=complex)
+    def _id_phi(self):
+        """Summed (phi, phi') of the infinitely divisible terms, or None."""
+        ids = [t for t in self.terms if not isinstance(t, AtomicPhiTerm)]
+        if not ids:
+            return None
 
-    def _h_eval(self, x: np.ndarray, target: np.ndarray, aux: list):
-        """h = phi(x) + x - target with derivative; aux warm-starts per term."""
-        h = x - target + self.shift
-        hp = np.ones_like(x)
-        new_aux = []
-        for t, a in zip(self.terms, aux):
-            p, dp, na = t.phi_dphi(x, guess=a)
-            h = h + p
-            hp = hp + dp
-            new_aux.append(na)
-        return h, hp, new_aux
+        def id_phi(x):
+            p, dp = ids[0].phi_dphi(x)
+            for t in ids[1:]:
+                q, dq = t.phi_dphi(x)
+                p, dp = p + q, dp + dq
+            return p, dp
 
-    def _solve_signed(self, target: np.ndarray, tol: float) -> tuple[np.ndarray, list]:
-        """Ladder solve for targets sharing an Im sign.
+        return id_phi
 
-        The rungs sit at the cone height over powers of two, and a target
-        at or above the cone height is solved directly from itself, so each
-        target follows the same path whichever batch it is solved in.
+    def f_value(self, zeta, return_aux: bool = False):
+        """F(zeta), by subordination; zeta is non-real, of any shape.
+
+        With ``return_aux`` also returns one array per term: omega_j =
+        F_j^{-1}(F(zeta)) on the branch that F_j maps onto F, which is the
+        subordination function itself for an atomic term and F + phi_j(F)
+        for an infinitely divisible one.  Raises :class:`NoConvergence` when
+        an entry does not settle.
         """
-        sign = np.sign(target.imag)
-        y = np.abs(target.imag)
-        y_top = self.cone.M
-        n_rungs = max(1, int(np.ceil(np.log2(y_top / float(y.min())))) + 1)
-        x = target.real + 1j * sign * np.maximum(y, y_top)
-        aux = [x.copy() for _ in self.terms]
-        for k in range(n_rungs + 1):
-            level = y_top / 2.0**k
-            tk = target.real + 1j * sign * np.maximum(y, level)
-            x, _, aux, ok = _damped_newton(
-                lambda x, aux, tk=tk: self._h_eval(x, tk, aux), x, tk, aux, tol
-            )
-            if not ok.all():
-                raise NoConvergence(
-                    f"free convolution solve failed at ladder rung {k} (Im level {level:g})"
-                )
-            if level <= y.min():
-                break
-        return x, aux
-
-    def _single_atomic(self) -> Measure1D | None:
-        """The lone atomic term, when the rep is one atomic law up to a shift."""
-        if len(self.terms) == 1 and isinstance(self.terms[0], AtomicPhiTerm):
-            return self.terms[0].measure
-        return None
-
-    def f_value(self, zeta, return_aux: bool = False, tol: float = SOLVE_TOL):
-        """F(zeta): the root z of phi(z) + z = zeta, residual <= tol relative."""
         zeta = np.asarray(zeta, dtype=complex)
-        if np.any(zeta.imag == 0.0):
-            raise ValueError("zeta must be non-real")
-        # a translated atomic law needs no solve: F(zeta) = F_m(zeta - shift),
-        # and the term's functional inverse there is zeta - shift exactly
-        # (this also selects the right branch where F is not injective)
-        if len(self.terms) == 0:
-            out = zeta - self.shift
-            return (out, []) if return_aux else out
-        m = self._single_atomic()
-        if m is not None:
-            base = zeta - self.shift
-            out = 1.0 / cauchy1d(m, base)
-            return (out, [base]) if return_aux else out
-        flat = zeta.ravel()
-        out = np.empty_like(flat)
-        aux_out = [np.empty_like(flat) for _ in self.terms]
-        for sgn in (1.0, -1.0):
-            idx = np.nonzero(np.sign(flat.imag) == sgn)[0]
-            if idx.size == 0:
-                continue
-            roots, aux = self._solve_signed(flat[idx], tol)
-            out[idx] = roots
-            for slot, a in zip(aux_out, aux):
-                slot[idx] = a
-        out = out.reshape(zeta.shape)
-        if return_aux:
-            return out, [a.reshape(zeta.shape) for a in aux_out]
-        return out
+        _require_nonreal(zeta, "zeta")
+        lower = zeta.imag < 0
 
-    def cauchy(self, zeta, tol: float = SOLVE_TOL):
+        def reflect(a):
+            """Conjugate the entries where zeta lies in the lower half-plane."""
+            return np.where(lower, np.conj(a), a) if lower.any() else a
+
+        z = reflect(zeta) - self.shift
+        atomic = [t.measure for t in self.terms if isinstance(t, AtomicPhiTerm)]
+        h, _, omegas, ok = _subordinate(z.ravel(), atomic, self._id_phi())
+        if not ok.all():
+            raise NoConvergence(
+                f"subordination did not settle at {(~ok).sum()} of {ok.size} points"
+            )
+        out = reflect(z + h.reshape(z.shape))
+        if not return_aux:
+            return out
+        atomic_omegas = iter(omegas)
+        aux = []
+        for t in self.terms:
+            if isinstance(t, AtomicPhiTerm):
+                aux.append(reflect(next(atomic_omegas).reshape(z.shape)))
+            else:
+                aux.append(out + t.phi_dphi(out)[0])
+        return out, aux
+
+    def cauchy(self, zeta):
         """G of the convolution: 1 / F(zeta)."""
-        val = 1.0 / self.f_value(zeta, tol=tol)
+        val = 1.0 / self.f_value(zeta)
         return complex(val) if np.ndim(val) == 0 else val
 
     def density(self, axis, eps: float) -> np.ndarray:
-        """eps-smoothed density on the axis, via the continuation ladder."""
+        """eps-smoothed density on the axis: -Im G(s + i eps) / pi by subordination."""
         if eps <= 0.0:
             raise ValueError("eps must be positive")
         axis = np.asarray(axis, dtype=float)
@@ -173,7 +248,7 @@ class FreeConvRep:
 
 
 def free_convolve(nu1: Measure1D, nu2: Measure1D) -> FreeConvRep:
-    """Representation of nu1 boxplus nu2 (phi adds on the common cone)."""
+    """Representation of nu1 boxplus nu2."""
     return free_convolve_many([AtomicPhiTerm(nu1), AtomicPhiTerm(nu2)])
 
 

@@ -138,11 +138,8 @@ def fullness_by_g(obj, probes: Sequence[Probe] | None = None) -> LineReport:
             G = cauchy2d(obj, z, w)
             rows.append([z * G - cauchy1d(m2, w), w * G - cauchy1d(m1, z), G])
     else:
-        rep = _as_rep(obj)
         z, w = np.array(probes, dtype=complex).T
-        G = rep.cauchy(z, w)
-        G1 = 1.0 / rep.marginal(1).f_value(z)
-        G2 = 1.0 / rep.marginal(2).f_value(w)
+        G, G1, G2 = _as_rep(obj).cauchy_with_marginals(z, w)
         rows = np.stack([z * G - G2, w * G - G1, G], axis=1)
     return _classify(rows, "cauchy")
 

@@ -465,12 +465,8 @@ class TripletMarginalPhi:
 
         return TruncatedCone(1.0, 1.0)
 
-    def phi_dphi(self, z, guess=None):
-        return (
-            self.triplet.marginal_phi(self.axis, z),
-            self.triplet.marginal_dphi(self.axis, z),
-            np.asarray(z, dtype=complex),
-        )
+    def phi_dphi(self, z):
+        return self.triplet.marginal_phi(self.axis, z), self.triplet.marginal_dphi(self.axis, z)
 
 
 # -- full rays: closed forms -------------------------------------------------

@@ -86,44 +86,64 @@ def _f_and_deriv(points: np.ndarray, weights: np.ndarray, x: np.ndarray):
     return f, fp
 
 
+def _hyperbolic(x, h):
+    """Pseudo-hyperbolic distance |h| / |x - conj(x - h)| between x and x - h."""
+    return np.abs(h) / np.abs(2j * x.imag + np.conj(h))
+
+
 def _damped_newton(h_eval: Callable, x, target, aux=(), tol: float = NEWTON_TOL,
-                   maxiter: int = NEWTON_MAXITER):
+                   maxiter: int = NEWTON_MAXITER, fixed_point: bool = False):
     """Solve h(x) = 0 elementwise by damped Newton; one root per target entry.
 
     ``h_eval(x, aux) -> (h, h', aux)`` evaluates the residual, its derivative
-    and the per-term warm starts ``aux`` (a sequence of arrays shaped like
-    ``x``).  An entry stops once |h| <= tol (1 + |target|).  Its step is
-    halved, up to 60 times, while h at the proposal is not finite or the
-    proposal leaves the half-plane of its target; an entry whose halvings run
-    out, or whose start is not finite, is given up.  Returns
+    and per-entry by-products ``aux`` (a sequence of arrays shaped like
+    ``x``), which are returned as evaluated at the final ``x``.  An entry
+    stops once |h| <= tol (1 + |target|).  Its step is halved, up to 60
+    times, while h at the proposal is not finite or the proposal leaves the
+    half-plane of its target; an entry whose halvings run out, or whose start
+    is not finite, is given up.  Every entry takes its proposal: an entry
+    outside the active set took a zero step, so its proposal is its own
+    point, and one given up keeps its last rejected proposal, so callers
+    read only the entries of the converged mask.
+
+    With ``fixed_point`` the residual is h = x - T(x) for a map T of the
+    target's half-plane into itself, and an entry stops once
+    |h| <= tol (1 + |x|).  A Newton proposal must then also bring x and T(x)
+    closer in the pseudo-hyperbolic distance |h| / |x - conj(T(x))|, which
+    the plain step x <- T(x) = x - h never increases (Schwarz-Pick); one that
+    does not is replaced, before any halving, by the plain step.  Returns
     ``(x, h'(x), aux, converged mask)``.
     """
     x = np.array(x, dtype=complex)
     sign = np.sign(target.imag)
-    goal = tol * (1.0 + np.abs(target))
+
+    def settled(x, h):
+        return np.abs(h) <= tol * (1.0 + np.abs(x if fixed_point else target))
+
     h, hp, aux = h_eval(x, aux)
-    done = np.abs(h) <= goal
+    done = settled(x, h)
     failed = ~np.isfinite(h)
+    merit = _hyperbolic(x, h) if fixed_point else np.zeros(x.shape)
     for _ in range(maxiter):
         act = ~(done | failed)
         if not act.any():
             break
         safe = np.where(np.abs(hp) > 1e-300, hp, 1.0)
         step = np.where(act, -h / safe, 0.0)
+        newton = act & fixed_point
         for _ in range(60):
             prop = x + step
             ph, php, paux = h_eval(prop, aux)
             bad = act & (~np.isfinite(ph) | (np.sign(prop.imag) != sign))
-            if not bad.any():
+            pmerit = _hyperbolic(prop, ph) if fixed_point else merit
+            fall_back = newton & (bad | (pmerit >= merit))
+            if not (bad | fall_back).any():
                 break
-            step = np.where(bad, 0.5 * step, step)
+            step = np.where(fall_back, -h, np.where(bad, 0.5 * step, step))
+            newton &= ~fall_back
         failed |= bad
-        acc = act & ~bad
-        x = np.where(acc, prop, x)
-        h = np.where(acc, ph, h)
-        hp = np.where(acc, php, hp)
-        aux = [np.where(acc, pa, a) for pa, a in zip(paux, aux)]
-        done |= acc & (np.abs(h) <= goal)
+        x, h, hp, merit, aux = prop, ph, php, pmerit, paux
+        done |= act & ~bad & settled(x, h)
     return x, hp, aux, done
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import bifree
 from bifree.cli import main
+from bifree.fullness import default_fullness_probes
 from bifree.measure import PlanarMeasure, dirac
 from bifree.serialize import (
     SchemaError,
@@ -23,6 +24,7 @@ from bifree.serialize import (
 )
 from bifree.idlaw import make_compound_poisson
 from bifree.limits import make_array
+from bifree.transforms import cone_for
 
 
 def write(path: Path, payload) -> str:
@@ -119,6 +121,16 @@ class TestCliConvolve:
             ]) == 0
             outs.append((out / "density.csv").read_bytes() + (out / "phi_probes.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_default_probes_above_the_cone_height(self, tmp_path):
+        f1 = write(tmp_path / "m.json", TWO_ATOM_JSON)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--grid=-3:3:12,-3:3:12", "convolve", f1, f1]) == 0
+        rows = json.loads((out / "phi_probes.json").read_text())["probes"]
+        height = cone_for(PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])).M
+        assert len(rows) == len(default_fullness_probes())
+        for row in rows:
+            assert min(abs(row["z"][1]), abs(row["w"][1])) >= height
 
     def test_schema_error_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", {"atoms": [{"x": [0, 0], "w": 0.4}]})

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bifree.freeconv as fc
+import bifree.transforms as tf
+from bifree.biconv import bi_free_convolve
 from bifree.freeconv import free_convolve, free_convolve_many, AtomicPhiTerm
-from bifree.measure import Measure1D, dirac1d
-from bifree.transforms import NoConvergence
+from bifree.idlaw import make_compound_poisson, make_gaussian
+from bifree.measure import Matrix2, Measure1D, PlanarMeasure, dirac1d
+from bifree.transforms import f_transform
 
 from oracles import (
     atomic_moments,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
+    mp_free_convolution_f,
 )
 
 B = Measure1D([(1.0, 0.5), (-1.0, 0.5)])
@@ -31,7 +37,7 @@ def extract_moments(rep, order=6, orders_fit=12, ys=None):
     if ys is None:
         ys = np.geomspace(12.0, 96.0, 9)
     zeta = 1j * ys
-    g = np.array([rep.cauchy(z, tol=1e-13) for z in zeta])
+    g = np.array([rep.cauchy(z) for z in zeta])
     lhs = zeta * (zeta * g - 1.0)
     x = 1.0 / zeta
     cols = [x**k for k in range(orders_fit)]
@@ -121,13 +127,7 @@ class TestSymmetricPairOnAxis:
         [
             (0.8, 0.1, 4.031129),
             (0.85, 0.2, 2.325974),
-            pytest.param(
-                0.9, 0.2, 2.136001,
-                marks=pytest.mark.xfail(
-                    strict=True, raises=NoConvergence,
-                    reason="open defect: the ladder solve raises NoConvergence at this point",
-                ),
-            ),
+            (0.9, 0.2, 2.136001),
         ],
     )
     def test_f_value_on_imaginary_axis(self, b, eps, y_quoted):
@@ -185,3 +185,160 @@ class TestMomentOracle:
         got = extract_moments(free_convolve(nu1, nu2), order=order)
         for m_got, m_exp in zip(got, expect):
             assert m_got == pytest.approx(m_exp, rel=1e-3, abs=1e-3)
+
+
+@st.composite
+def line_laws(draw):
+    """Two- to five-atom laws on [-3, 3] with weights bounded away from 0."""
+    n = draw(st.integers(2, 5))
+    points = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    return Measure1D([(p, w / total) for p, w in zip(points, weights)])
+
+
+@st.composite
+def off_axis(draw, n=6):
+    """n points with real part in [-6, 6] and |Im| in [1e-3, 10], both half-planes."""
+    def one():
+        y = 10.0 ** draw(st.floats(-3.0, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return draw(st.floats(-6.0, 6.0)) + 1j * y
+
+    return np.array([one() for _ in range(n)])
+
+
+@st.composite
+def id_terms(draw):
+    """Marginal phi-evaluator of a Gaussian or a compound-Poisson triplet."""
+    v = draw(st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        a = draw(st.floats(0.05, 2.0))
+        trip = make_gaussian((v, 0.0), Matrix2(a, 0.0, 1.0))
+    else:
+        jump = st.floats(0.2, 2.0) | st.floats(-2.0, -0.2)
+        xs = draw(st.lists(jump, min_size=1, max_size=3, unique=True))
+        jumps = PlanarMeasure([((x, 1.0), 1.0 / len(xs)) for x in xs])
+        trip = make_compound_poisson(draw(st.floats(0.1, 2.0)), jumps)
+    return trip.marginal_phi_term(1)
+
+
+def assert_subordination(rep, zeta):
+    """F_j(omega_j) = F for atomic terms, sum omega_j = z + (n - 1) F and the signs."""
+    F, omegas = rep.f_value(zeta, return_aux=True)
+    sign = np.sign(zeta.imag)
+    assert np.all(np.sign(F.imag) == sign)
+    for t, om in zip(rep.terms, omegas):
+        assert np.all(np.sign(om.imag) == sign)
+        if isinstance(t, AtomicPhiTerm):
+            assert np.all(np.abs(f_transform(t.measure, om) - F) <= 1e-10 * np.abs(F))
+    z = zeta - rep.shift
+    total = sum(omegas)
+    scale = np.abs(z) + sum(np.abs(om) for om in omegas)
+    assert np.all(np.abs(total - (z + (len(rep.terms) - 1) * F)) <= 1e-10 * scale)
+
+
+class TestSubordination:
+    """F by subordination: the identities that define omega_j, and an oracle."""
+
+    @settings(max_examples=100)
+    @given(st.lists(line_laws(), min_size=2, max_size=3), off_axis())
+    def test_atomic_pairs_and_triples(self, laws, zeta):
+        assert_subordination(free_convolve_many([AtomicPhiTerm(m) for m in laws]), zeta)
+
+    @settings(max_examples=100)
+    @given(st.lists(line_laws(), min_size=1, max_size=3), id_terms(), st.floats(-1.0, 1.0), off_axis())
+    def test_atomic_laws_with_id_term(self, laws, term, shift, zeta):
+        terms = [AtomicPhiTerm(m) for m in laws] + [term]
+        assert_subordination(free_convolve_many(terms, shift=shift), zeta)
+
+    @pytest.mark.parametrize(
+        "laws,zeta",
+        [
+            ([([1.0, -1.0], [0.5, 0.5]), ([0.9, -0.9], [0.5, 0.5])], 0.2j),
+            ([([0.5, -0.9, 1.0], [0.3216, 0.3505, 0.3279]), ([-0.3, 0.8, -1.1], [0.2801, 0.3417, 0.3782])],
+             0.7087 + 0.1j),
+            ([([-1.2, 0.1, 0.9], [0.2, 0.5, 0.3]),
+              ([-2.0, -0.4, 0.3, 1.1, 2.5], [0.1, 0.3, 0.2, 0.25, 0.15])], -1.3 - 0.05j),
+            ([([-1.0, 1.0], [0.3, 0.7]), ([0.0, 2.0], [0.6, 0.4]), ([-0.5, 0.5, 1.5], [0.2, 0.5, 0.3])],
+             0.4 + 0.3j),
+            ([([-1.0, 0.2, 1.3], [0.4, 0.35, 0.25]), ([-0.6, 0.6], [0.45, 0.55])], 2.1 - 0.02j),
+        ],
+    )
+    def test_against_mpmath_sweeps(self, laws, zeta):
+        laws = [(p, [w / sum(ws) for w in ws]) for p, ws in laws]
+        rep = free_convolve_many([AtomicPhiTerm(Measure1D(list(zip(p, w)))) for p, w in laws])
+        want = mp_free_convolution_f(laws, zeta)
+        assert abs(rep.f_value(zeta) - want) <= 1e-10 * abs(want)
+
+
+# Two generic three-atom planar laws; the marginal-1 free convolution of
+# their marginals used to raise NoConvergence at s = 0.7087, eps = 0.1.
+GENERIC_PAIR = (
+    [((0.5, -0.3), 0.3216), ((-0.9, 0.7), 0.3505), ((1.0, 1.1), 0.3279)],
+    [((-0.3, 0.6), 0.2801), ((0.8, -0.8), 0.3417), ((-1.1, -1.0), 0.3782)],
+)
+
+
+def planar(atoms):
+    total = sum(w for _, w in atoms)
+    return PlanarMeasure([(p, w / total) for p, w in atoms])
+
+
+class TestGenericPair:
+    def test_marginal_density(self):
+        rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])
+        axis = np.linspace(-6.0, 6.0, 128)
+        assert np.any(np.abs(axis - 0.7087) < 1e-4)
+        eps = 0.1
+        vals = rep.marginal(1).density(axis, eps)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        # Cauchy tails beyond the grid (the support lies in [-2.1, 2.1]) and
+        # the Riemann error of a Cauchy kernel sampled at this step
+        step = axis[1] - axis[0]
+        tail = 2.0 * eps / (math.pi * (6.0 - 2.1))
+        q = math.exp(-2.0 * math.pi * eps / step)
+        riemann = 2.0 * q / (1.0 - q)
+        mass = vals.sum() * step
+        assert 1.0 - tail - riemann <= mass <= 1.0 + riemann
+
+    def test_planar_density(self):
+        rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])
+        axis = np.linspace(-6.0, 6.0, 64)
+        assert np.all(np.isfinite(rep.density(axis, axis, 0.2).values))
+
+
+class TestWorkCounts:
+    """The solve inverts nothing, and its omegas are exact warm starts."""
+
+    def test_f_value_makes_no_inversions(self, monkeypatch):
+        calls = []
+        for module in (tf, fc):
+            monkeypatch.setattr(module, "newton_f_inverse", lambda *a, **k: calls.append(1))
+        rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])
+        axis = np.linspace(-6.0, 6.0, 64)
+        for axis_no in (1, 2):
+            rep.marginal(axis_no).f_value(axis + 0.1j)
+        assert calls == []
+
+    def test_density_inversions_settle_at_their_start(self, monkeypatch):
+        evals = []
+        per_call = []
+        f_and_deriv, newton = tf._f_and_deriv, tf.newton_f_inverse
+
+        def counting_f(*args):
+            evals.append(1)
+            return f_and_deriv(*args)
+
+        def counting_newton(*args, **kwargs):
+            evals.clear()
+            out = newton(*args, **kwargs)
+            per_call.append(len(evals))
+            return out
+
+        monkeypatch.setattr(tf, "_f_and_deriv", counting_f)
+        monkeypatch.setattr(tf, "newton_f_inverse", counting_newton)
+        rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])
+        axis = np.linspace(-6.0, 6.0, 64)
+        rep.density(axis, axis, 0.1)
+        # two atomic terms, two marginals, upper and lower w
+        assert per_call == [1] * 8

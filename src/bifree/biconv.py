@@ -12,7 +12,7 @@ inside phi start at their roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +50,18 @@ class BiConvRep:
     terms: tuple
     shift: Vec2
     cone: TruncatedCone
+    marginals: tuple[tuple[FreeConvRep, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False)
 
-    def _marginal_with_map(self, axis: int) -> tuple[FreeConvRep, list[int]]:
+    def __post_init__(self):
+        object.__setattr__(self, "marginals", (self._marginal_with_map(1), self._marginal_with_map(2)))
+
+    def _marginal_with_map(self, axis: int) -> tuple[FreeConvRep, tuple[int, ...]]:
         """Marginal rep plus the rep-term -> planar-term index map.
 
         Terms whose marginal collapses to a point are folded into the shift
         here so the map stays aligned with the solver's warm-start slots.
+        Built once per rep, in ``marginals``.
         """
         parts: list = []
         src: list[int] = []
@@ -71,11 +77,13 @@ class BiConvRep:
             else:
                 parts.append(t.marginal_phi_term(axis))
                 src.append(idx)
-        return free_convolve_many(parts, shift=shift), src
+        return free_convolve_many(parts, shift=shift), tuple(src)
 
     def marginal(self, axis: int) -> FreeConvRep:
         """Free-convolution representation of the marginal law."""
-        return self._marginal_with_map(axis)[0]
+        if axis not in (1, 2):
+            raise ValueError("axis must be 1 or 2")
+        return self.marginals[axis - 1][0]
 
     def phi(self, z, w, guesses=None):
         """phi at (z, w) inside the working bicone, broadcast against each other.
@@ -103,8 +111,7 @@ class BiConvRep:
         return 1.0 / (z1 * w2 * D)
 
     def _marginal_solves(self, Z, W):
-        mr1, src1 = self._marginal_with_map(1)
-        mr2, src2 = self._marginal_with_map(2)
+        (mr1, src1), (mr2, src2) = self.marginals
         z1, aux1 = mr1.f_value(Z, return_aux=True)
         w2, aux2 = mr2.f_value(W, return_aux=True)
         guesses = self._guesses(aux1, src1, aux2, src2)

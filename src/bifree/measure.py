@@ -136,6 +136,50 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _probability(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merged, sorted and frozen (n, d) atoms of a probability measure, checked."""
+    if not np.isfinite(points).all():
+        raise ValueError("atom coordinates must be finite")
+    if not (weights > 0.0).all():
+        raise ValueError("atom weights must be positive")
+    pts, wts = _merge(points, weights, MERGE_TOL)
+    total = float(wts.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+    return _freeze(pts), _freeze(wts)
+
+
+def _needs_merge(points: np.ndarray, law: np.ndarray, count: int, tol: float) -> np.ndarray:
+    """Laws of a (law, x, y)-sorted batch that may hold two atoms within tol.
+
+    Atoms within Euclidean distance tol differ by at most tol in each
+    coordinate, so they lie in one run of x-gaps <= tol, and within that
+    run every pair between them that is adjacent in y order is within tol
+    in y.  A law with no such pair is returned by ``_merge`` as sorted.
+    """
+    flagged = np.zeros(count, dtype=bool)
+    x, y = points[:, 0], points[:, 1]
+    linked = (law[1:] == law[:-1]) & (x[1:] - x[:-1] <= tol)
+    if not linked.any():
+        return flagged
+    run = np.cumsum(np.concatenate(([True], ~linked)))
+    inside = np.concatenate((linked, [False])) | np.concatenate(([False], linked))
+    run, y, law = run[inside], y[inside], law[inside]
+    order = np.lexsort((y, run))
+    run, y, law = run[order], y[order], law[order]
+    close = (run[1:] == run[:-1]) & (y[1:] - y[:-1] <= tol)
+    flagged[law[1:][close]] = True
+    return flagged
+
+
+class LawError(ValueError):
+    """A law of a batch is not a probability measure; ``law`` is its index."""
+
+    def __init__(self, law: int, message: str):
+        super().__init__(message)
+        self.law = law
+
+
 def _canonical(points: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merged, sorted and frozen (n, 2) atoms with their masses; zero masses dropped."""
     pts, wts = _merge(points, masses, MERGE_TOL)
@@ -154,15 +198,52 @@ class PlanarMeasure:
             raise ValueError("measure needs at least one atom")
         pts = np.array([[float(p[0]), float(p[1])] for p, _ in items], dtype=float)
         wts = np.array([float(w) for _, w in items], dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("atom coordinates must be finite")
-        if np.any(wts <= 0.0):
-            raise ValueError("atom weights must be positive")
-        pts, wts = _merge(pts, wts, MERGE_TOL)
-        if abs(wts.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"weights sum to {wts.sum()!r}, not 1")
-        self.points = _freeze(pts)
-        self.weights = _freeze(wts)
+        self.points, self.weights = _probability(pts, wts)
+
+    @classmethod
+    def from_flat(cls, points, weights, sizes) -> list["PlanarMeasure"]:
+        """The laws whose atoms are consecutive runs of ``sizes`` rows of (points, weights).
+
+        Each law equals ``PlanarMeasure`` of its atoms, byte for byte, and
+        the first invalid law raises ``LawError`` with the constructor's
+        message.  The checks and the sort run on the whole batch; only laws
+        that may need a merge, or whose mass lies near ``MASS_TOL`` in some
+        summation order, go through the constructor's path one by one.
+        Unmerged laws hold read-only views of one sorted copy of the batch.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        wts = np.asarray(weights, dtype=float).reshape(-1)
+        sizes = np.asarray(sizes, dtype=int).reshape(-1)
+        if len(pts) != len(wts) or sizes.sum() != len(wts) or (sizes < 0).any():
+            raise ValueError("sizes must split the atoms into consecutive laws")
+        if not len(sizes):
+            return []
+        law = np.repeat(np.arange(len(sizes)), sizes)
+        invalid = ~(np.isfinite(pts).all(axis=1) & (wts > 0.0))
+        # the constructor sums in sorted order; two orders of n positive weights
+        # near 1 differ by less than n eps, so a mass within slack passes both
+        slack = MASS_TOL - 2.0 * sizes * np.finfo(float).eps
+        mass = np.bincount(law, weights=wts, minlength=len(sizes))
+        slow = (sizes == 0) | (np.bincount(law[invalid], minlength=len(sizes)) > 0)
+        slow |= ~(np.abs(mass - 1.0) <= slack)
+        order = np.lexsort((wts, pts[:, 1], pts[:, 0], law))
+        pts, wts, law = _freeze(pts[order]), _freeze(wts[order]), law[order]
+        slow |= _needs_merge(pts, law, len(sizes), MERGE_TOL)
+        ends = np.cumsum(sizes).tolist()
+        out = []
+        for k, (a, b, one_by_one) in enumerate(zip([0] + ends[:-1], ends, slow.tolist())):
+            m = object.__new__(cls)
+            if one_by_one:
+                if a == b:
+                    raise LawError(k, "measure needs at least one atom")
+                try:
+                    m.points, m.weights = _probability(pts[a:b], wts[a:b])
+                except ValueError as e:
+                    raise LawError(k, str(e)) from None
+            else:
+                m.points, m.weights = pts[a:b], wts[a:b]
+            out.append(m)
+        return out
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -246,15 +327,8 @@ class Measure1D:
             raise ValueError("measure needs at least one atom")
         pts = np.array([float(p) for p, _ in items], dtype=float)
         wts = np.array([float(w) for _, w in items], dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("atom coordinates must be finite")
-        if np.any(wts <= 0.0):
-            raise ValueError("atom weights must be positive")
-        pts2d, wts = _merge(pts[:, None], wts, MERGE_TOL)
-        if abs(wts.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"weights sum to {wts.sum()!r}, not 1")
-        self.points = _freeze(pts2d[:, 0])
-        self.weights = _freeze(wts)
+        pts2d, self.weights = _probability(pts[:, None], wts)
+        self.points = pts2d[:, 0]
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -17,7 +17,7 @@ import numpy as np
 from .biconv import BiConvRep, bi_free_convolve
 from .idlaw import CharTriplet, LevyMeasure, RadialPart
 from .limits import TriangularArray, make_array
-from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure
+from .measure import AtomicMeasure2D, LawError, Matrix2, PlanarMeasure
 from .stable import StableSpec
 from .transforms import GridDensity
 
@@ -40,32 +40,47 @@ def _need(obj: dict, key: str, kind=None):
 def _vec2(x) -> tuple[float, float]:
     if not (isinstance(x, (list, tuple)) and len(x) == 2):
         raise SchemaError(f"expected a 2-vector, got {x!r}")
-    return float(x[0]), float(x[1])
+    try:
+        return float(x[0]), float(x[1])
+    except (TypeError, ValueError):
+        raise SchemaError(f"expected a 2-vector of numbers, got {x!r}") from None
 
 
 # -- measures ----------------------------------------------------------------
 
 
 def measure_to_dict(m: PlanarMeasure) -> dict:
-    return {"atoms": [{"x": [float(p[0]), float(p[1])], "w": float(w)} for p, w in m.atoms()]}
+    return {"atoms": [{"x": p, "w": w} for p, w in zip(m.points.tolist(), m.weights.tolist())]}
 
 
-def measure_from_dict(obj: dict) -> PlanarMeasure:
+def _parse_atoms(obj: dict, coords: list, weights: list) -> int:
+    """Append a measure's atom coordinates and weights to flat lists; returns its atom count."""
     atoms = _need(obj, "atoms", list)
     if not atoms:
         raise SchemaError("measure needs at least one atom")
-    parsed = []
-    for a in atoms:
-        if not isinstance(a, dict):
-            raise SchemaError("atom entries must be objects")
-        x = _vec2(_need(a, "x"))
-        w = _need(a, "w", (int, float))
-        if w <= 0:
-            raise SchemaError(f"atom weight {w} must be positive")
-        parsed.append((x, float(w)))
+    j = 0
     try:
-        return PlanarMeasure(parsed)
-    except ValueError as e:
+        for j, a in enumerate(atoms):
+            if not isinstance(a, dict):
+                raise SchemaError("atom entries must be objects")
+            x = _vec2(_need(a, "x"))
+            w = _need(a, "w", (int, float))
+            if w <= 0:
+                raise SchemaError(f"atom weight {w} must be positive")
+            coords += x
+            weights.append(float(w))
+    except SchemaError as e:
+        raise SchemaError(f"atoms[{j}]: {e}") from None
+    return len(atoms)
+
+
+def measure_from_dict(obj: dict) -> PlanarMeasure:
+    coords: list = []
+    weights: list = []
+    size = _parse_atoms(obj, coords, weights)
+    try:
+        return PlanarMeasure.from_flat(coords, weights, [size])[0]
+    except LawError as e:
         raise SchemaError(str(e)) from e
 
 
@@ -157,14 +172,52 @@ def array_to_dict(arr: TriangularArray) -> dict:
     }
 
 
+def _row_from_list(measures: list, where: str) -> list[PlanarMeasure]:
+    """The laws of row ``where``, parsed in one loop and built in one batch.
+
+    A law that fails its checks is reported before any later entry, as
+    when the laws were built one at a time.
+    """
+    coords: list = []
+    weights: list = []
+    sizes: list = []
+    try:
+        for m in measures:
+            sizes.append(_parse_atoms(m, coords, weights))
+        return PlanarMeasure.from_flat(coords, weights, sizes)
+    except SchemaError as e:
+        done = sum(sizes)
+        try:
+            PlanarMeasure.from_flat(coords[: 2 * done], weights[:done], sizes)
+        except LawError as first:
+            raise SchemaError(f"{where}.measures[{first.law}]: {first}") from first
+        raise SchemaError(f"{where}.measures[{len(sizes)}]: {e}") from None
+    except LawError as e:
+        raise SchemaError(f"{where}.measures[{e.law}]: {e}") from e
+
+
 def array_from_dict(obj: dict) -> TriangularArray:
+    """A triangular array from its JSON form, one batch per row.
+
+    Errors are prefixed with their location, as in
+    ``rows[3].measures[17]: weights sum to 0.9, not 1``.
+    """
     rows_obj = _need(obj, "rows", list)
     rows = []
     shifts = []
-    for r in rows_obj:
-        ms = [measure_from_dict(m) for m in _need(r, "measures", list)]
-        rows.append(ms)
-        shifts.append(_vec2(r.get("shift", [0.0, 0.0])))
+    for i, r in enumerate(rows_obj):
+        try:
+            measures = _need(r, "measures", list)
+        except SchemaError as e:
+            raise SchemaError(f"rows[{i}]: {e}") from None
+        rows.append(_row_from_list(measures, f"rows[{i}]"))
+        try:
+            shifts.append(_vec2(r.get("shift", [0.0, 0.0])))
+        except SchemaError as e:
+            raise SchemaError(f"rows[{i}].shift: {e}") from None
+    for i, row in enumerate(rows):
+        if not row:
+            raise SchemaError(f"rows[{i}].measures: rows must not be empty")
     try:
         return make_array(rows, shifts, L=float(obj.get("L", 1.0)))
     except ValueError as e:

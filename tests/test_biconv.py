@@ -109,6 +109,17 @@ class TestMarginalRep:
             b = rep.marginal(2).cauchy(z)
             assert a == pytest.approx(b, abs=1e-11)
 
+    def test_built_once_per_rep(self, monkeypatch):
+        other = PlanarMeasure([((0.5, -0.3), 0.3), ((-0.9, 0.7), 0.3), ((1.0, 1.1), 0.4)])
+        rep = bi_free_convolve([MU, other])
+        calls = []
+        monkeypatch.setattr(PlanarMeasure, "marginal", lambda *args: calls.append(args))
+        rep.cauchy(5j, 6j)
+        rep.cauchy_with_marginals(5j, 6j)
+        rep.density(np.linspace(-2.0, 2.0, 5), np.linspace(-2.0, 2.0, 4), 0.5)
+        assert rep.marginal(1) is rep.marginal(1)
+        assert calls == []
+
 
 class TestDensity2D:
     def test_dirac_bump(self):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import bifree
+import bifree.measure as ms
 from bifree.cli import main
 from bifree.fullness import default_fullness_probes
 from bifree.measure import PlanarMeasure, dirac
@@ -24,7 +26,10 @@ from bifree.serialize import (
 )
 from bifree.idlaw import make_compound_poisson
 from bifree.limits import make_array
+from bifree.measure import MERGE_TOL
 from bifree.transforms import cone_for
+from test_limits import noniid_rows
+from test_measure import assert_same_laws, merge_coords, merge_weights
 
 
 def write(path: Path, payload) -> str:
@@ -89,6 +94,100 @@ class TestSchemas:
         assert spec.gaussian_a.a == 1.0
         with pytest.raises(SchemaError):
             stable_spec_from_dict({"alpha": 3.0})
+
+
+def measure_payload(atoms) -> dict:
+    return {"atoms": [{"x": list(p), "w": w} for p, w in atoms]}
+
+
+GOOD = measure_payload([((0.0, 0.0), 1.0)])
+
+
+def with_bad_law(bad) -> dict:
+    """Two rows of good laws, with ``bad`` in place of rows[1].measures[2]."""
+    return {"rows": [{"measures": [GOOD] * 2}, {"measures": [GOOD, GOOD, bad, GOOD]}]}
+
+
+BAD_MEASURES = [
+    ({"atoms": [{"x": [0, 0], "w": 0.5}, [1, 1]]}, "atoms[1]: atom entries must be objects"),
+    ({"atoms": [{"w": 1.0}]}, "atoms[0]: missing key 'x'"),
+    ({"atoms": [{"x": [0, 0, 0], "w": 1.0}]}, "atoms[0]: expected a 2-vector, got [0, 0, 0]"),
+    ({"atoms": [{"x": [None, 0], "w": 1.0}]}, "atoms[0]: expected a 2-vector of numbers, got [None, 0]"),
+    ({"atoms": [{"x": [0, 0], "w": "1"}]}, "atoms[0]: key 'w' has wrong type str"),
+    ({"atoms": [{"x": [0, 0], "w": 0}]}, "atoms[0]: atom weight 0 must be positive"),
+    ({"atoms": [{"x": [math.nan, 0], "w": 1.0}]}, "atom coordinates must be finite"),
+    ({"atoms": [{"x": [0, 0], "w": math.nan}]}, "atom weights must be positive"),
+    ({"atoms": [{"x": [0, 0], "w": 0.4}, {"x": [1, 1], "w": 0.5}]}, "weights sum to 0.9, not 1"),
+    ({"atoms": []}, "measure needs at least one atom"),
+]
+
+
+def normalised(atoms):
+    total = sum(w for _, w in atoms)
+    return [(p, w / total) for p, w in atoms]
+
+
+# exact duplicates, chains of gaps at or below MERGE_TOL, near misses,
+# atoms sharing an axis coordinate and signed zeros
+row_coords = st.one_of(merge_coords, st.just(-0.0))
+row_laws = st.lists(st.lists(st.tuples(st.tuples(row_coords, row_coords), merge_weights),
+                             min_size=1, max_size=5).map(normalised), min_size=1, max_size=8)
+
+
+class TestArrayLoading:
+    @given(row_laws, st.randoms(use_true_random=False))
+    def test_rows_load_as_one_law_at_a_time(self, laws, rnd):
+        laws = [rnd.sample(atoms, len(atoms)) for atoms in laws]
+        arr = array_from_dict({"rows": [{"measures": [measure_payload(a) for a in laws]}]})
+        assert_same_laws(arr.rows[0], [PlanarMeasure(a) for a in laws])
+
+    def test_large_law_among_small_ones(self):
+        rng = np.random.default_rng(7)
+        big = rng.uniform(-1.0, 1.0, (2000, 2))
+        big[1000:1010] = big[:10] + 0.5 * MERGE_TOL  # ten pairs to merge
+        big_w = rng.uniform(0.5, 1.0, 2000)
+        laws = [list(zip(big.tolist(), (big_w / big_w.sum()).tolist()))]
+        laws += [[((1.0 + k / 1000, 0.0), 0.5), ((0.0, -1.0 - k / 1000), 0.5)] for k in range(1000)]
+        arr = array_from_dict({"rows": [{"measures": [measure_payload(a) for a in laws]}]})
+        assert len(arr.rows[0][0]) == 1990
+        assert_same_laws(arr.rows[0], [PlanarMeasure(a) for a in laws])
+
+    def test_non_identical_array_builds_no_law_alone(self, monkeypatch):
+        payload = array_to_dict(make_array(noniid_rows()))
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PlanarMeasure, "__init__", counting(PlanarMeasure.__init__))
+        monkeypatch.setattr(ms, "_merge", counting(ms._merge))
+        arr = array_from_dict(payload)
+        assert sum(arr.row_sizes()) == 5440
+        assert calls == []
+
+    @pytest.mark.parametrize("bad,message", BAD_MEASURES)
+    def test_errors_keep_their_text_and_gain_a_position(self, bad, message):
+        with pytest.raises(SchemaError) as err:
+            measure_from_dict(bad)
+        assert str(err.value) == message
+        with pytest.raises(SchemaError) as err:
+            array_from_dict(with_bad_law(bad))
+        assert str(err.value) == f"rows[1].measures[2]: {message}"
+
+    def test_empty_row(self):
+        payload = with_bad_law(GOOD)
+        payload["rows"][1]["measures"] = []
+        with pytest.raises(SchemaError, match=r"^rows\[1\]\.measures: rows must not be empty$"):
+            array_from_dict(payload)
+
+    def test_earlier_invalid_law_reported_first(self):
+        payload = with_bad_law({"atoms": [{"w": 1.0}]})
+        payload["rows"][1]["measures"][1] = BAD_MEASURES[-2][0]
+        with pytest.raises(SchemaError, match=r"^rows\[1\]\.measures\[1\]: weights sum to 0\.9, not 1$"):
+            array_from_dict(payload)
 
 
 class TestCliConvolve:
@@ -247,6 +346,11 @@ class TestCliLimit:
         report = json.loads((out / "condition_report.json").read_text())
         assert report["verdicts_agree"] is True
         assert (out / "bifree_residuals.csv").exists()
+
+    def test_bad_law_exit_2_names_its_position(self, tmp_path, capsys):
+        arr = write(tmp_path / "arr.json", with_bad_law(BAD_MEASURES[-2][0]))
+        assert main(["--out", str(tmp_path / "o"), "limit", arr]) == 2
+        assert "rows[1].measures[2]: weights sum to 0.9, not 1" in capsys.readouterr().err
 
     def test_non_infinitesimal_exit_4(self, tmp_path):
         m = {"atoms": [{"x": [1.0, 1.0], "w": 0.5}, {"x": [0.0, 0.0], "w": 0.5}]}

@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bifree.measure as ms
+from bifree.limits import row_groups, row_stack
 from bifree.measure import (
     MERGE_TOL,
     AtomicMeasure2D,
+    LawError,
     Matrix2,
     Measure1D,
     PlanarMeasure,
@@ -254,6 +258,86 @@ def test_array_methods_match_tuple_rebuilds(atoms, other):
     assert m.scaled(-2.0).atoms() == AtomicMeasure2D([(p, -2.0 * w) for p, w in m.atoms()]).atoms()
     assert m.scaled(0.0).atoms() == []
     assert (m + o).atoms() == AtomicMeasure2D(m.atoms() + o.atoms()).atoms()
+
+
+def flat(laws):
+    """(points, weights, sizes) of a row of atom lists, as ``from_flat`` takes them."""
+    pts = [p for atoms in laws for p, _ in atoms]
+    return np.array(pts, dtype=float).reshape(-1, 2), [w for atoms in laws for _, w in atoms], [len(a) for a in laws]
+
+
+def assert_same_laws(got, want):
+    """Byte-equal, read-only laws, and byte-equal row stacks."""
+    assert len(got) == len(want)
+    for g, m in zip(got, want):
+        assert g.points.tobytes() == m.points.tobytes() and g.points.shape == m.points.shape
+        assert g.weights.tobytes() == m.weights.tobytes()
+        assert not (g.points.flags.writeable or g.weights.flags.writeable)
+    for a, b in zip(row_stack(row_groups(got)), row_stack(row_groups(want))):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFromFlat:
+    def test_only_laws_with_close_atoms_are_merged(self, monkeypatch):
+        # axis-aligned atoms share x coordinates but lie far apart
+        merge, calls = ms._merge, []
+
+        def counting(*args):
+            calls.append(args)
+            return merge(*args)
+
+        monkeypatch.setattr(ms, "_merge", counting)
+        laws = [[((0.0, 0.0), 0.5), ((a, 0.0), 0.25), ((0.0, a), 0.25)] for a in (1.0, 1.5, 2.0)]
+        laws.append([((0.0, 0.0), 0.5), ((0.0, 0.5 * MERGE_TOL), 0.5)])
+        got = PlanarMeasure.from_flat(*flat(laws))
+        assert len(calls) == 1 and [len(m) for m in got] == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("atoms,message", [
+        ([((0.0, math.nan), 0.5), ((1.0, 1.0), 0.5)], "atom coordinates must be finite"),
+        ([((0.0, 0.0), 0.0), ((1.0, 1.0), 1.0)], "atom weights must be positive"),
+        ([((0.0, 0.0), math.nan), ((1.0, 1.0), 1.0)], "atom weights must be positive"),
+        ([((0.0, 0.0), 0.4), ((1.0, 1.0), 0.5)], "weights sum to 0.9, not 1"),
+    ])
+    def test_first_invalid_law_named(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            PlanarMeasure(atoms)
+        laws = [[((0.0, 0.0), 1.0)], atoms, [((1.0, 1.0), 0.7)]]
+        with pytest.raises(LawError) as err:
+            PlanarMeasure.from_flat(*flat(laws))
+        assert err.value.law == 1 and str(err.value).startswith(message)
+
+    # masses within an ulp of 1 + MASS_TOL: the sum in input order and the
+    # constructor's sum in sorted order fall on opposite sides of the bound
+    @pytest.mark.parametrize("xs,ws", [
+        ([0.024298239241800745, -0.610781304535531, 0.5598895419771632, 0.7368623088344592,
+          -0.36799002847951834, 0.016128393512579997, 0.18874920502551773, 0.4447563478622474,
+          -0.7050550910692872],
+         [0.07578639310016555, 0.1442314400193185, 0.10370947806479398, 0.19337820775159634,
+          0.15446799247684204, 0.16397482735870209, 0.06453877674268471, 0.04586387797124018,
+          0.054049006515656556]),
+        ([-0.41760720470825397, 0.05577008932768046, 0.7066197106707892, -0.6410889455590854,
+          -0.049550751415952776, 0.1650045034703822, 0.5396406230016382, 0.8819539250027493,
+          0.10121576247015351],
+         [0.15528446063093926, 0.11211168497424068, 0.10213295315856012, 0.10227376316613655,
+          0.16286626500800258, 0.07782049743698367, 0.15520170048077891, 0.10031652319826587,
+          0.03199215194709225]),
+    ])
+    def test_mass_at_the_bound_follows_the_constructor(self, xs, ws):
+        atoms = [((x, 0.0), w) for x, w in zip(xs, ws)]
+        try:
+            want = PlanarMeasure(atoms)
+        except ValueError as e:
+            with pytest.raises(LawError, match=re.escape(str(e))):
+                PlanarMeasure.from_flat(*flat([atoms]))
+        else:
+            assert_same_laws(PlanarMeasure.from_flat(*flat([atoms])), [want])
+
+    def test_sizes_must_cover_the_atoms(self):
+        with pytest.raises(ValueError):
+            PlanarMeasure.from_flat([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5], [1])
+        with pytest.raises(LawError, match="at least one atom"):
+            PlanarMeasure.from_flat([[0.0, 0.0]], [1.0], [1, 0])
+        assert PlanarMeasure.from_flat(np.empty((0, 2)), [], []) == []
 
 
 class TestMatrix2:

@@ -22,7 +22,6 @@ from .limits import (
     ConditionsNotMet,
     NotInfinitesimal,
     RowAccumulators,
-    RowStack,
     TriangularArray,
     center_row,
     check_condition_I_II,
@@ -32,8 +31,6 @@ from .limits import (
     limit_vector,
     make_array,
     row_accumulators,
-    row_groups,
-    row_stack,
     run_bi_free_limit,
     run_classical_limit,
 )
@@ -42,8 +39,11 @@ from .measure import (
     Matrix2,
     Measure1D,
     PlanarMeasure,
+    RowStack,
     dirac,
     dirac1d,
+    row_groups,
+    row_stack,
     row_tail_mass,
 )
 from .stable import (

@@ -1,7 +1,10 @@
 """Bi-free additive convolution of planar laws, by phi-addition.
 
 Terms of a :class:`BiConvRep` are atomic planar measures or characteristic
-triplets; the representation is never materialized as atoms.  Recovery of
+triplets; the representation is never materialized as atoms.  The atomic
+terms are grouped by content into one padded stack with counts
+(``measure.row_stack``, the row type of the limit machinery), so phi of
+all of them is one ``bi_free_phi`` call and one Newton solve.  Recovery of
 the planar Cauchy transform finds F_1(z) and F_2(w) of the two marginal
 free convolutions by subordination (independent 1-d problems), evaluates
 phi there, and divides through the defining relation of the two-variable
@@ -18,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .freeconv import AtomicPhiTerm, FreeConvRep, free_convolve_many
-from .measure import PlanarMeasure, Vec2, dirac
+from .measure import PlanarMeasure, RowStack, Vec2, dirac, row_groups, row_stack
 from .transforms import (
     DEGENERATE_TOL,
     DegenerateDenominator,
@@ -50,34 +53,39 @@ class BiConvRep:
     terms: tuple
     shift: Vec2
     cone: TruncatedCone
-    marginals: tuple[tuple[FreeConvRep, tuple[int, ...]], ...] = field(
+    stack: RowStack | None = field(init=False, repr=False, compare=False)
+    triplets: tuple = field(init=False, repr=False, compare=False)
+    marginals: tuple[tuple[FreeConvRep, tuple], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "marginals", (self._marginal_with_map(1), self._marginal_with_map(2)))
+        groups = row_groups([t for t in self.terms if isinstance(t, PlanarMeasure)])
+        object.__setattr__(self, "stack", row_stack(groups) if groups else None)
+        object.__setattr__(self, "triplets", tuple(t for t in self.terms if not isinstance(t, PlanarMeasure)))
+        object.__setattr__(self, "marginals", tuple(self._marginal_with_starts(groups, ax) for ax in (1, 2)))
 
-    def _marginal_with_map(self, axis: int) -> tuple[FreeConvRep, tuple[int, ...]]:
-        """Marginal rep plus the rep-term -> planar-term index map.
+    def _marginal_with_starts(self, groups, axis: int) -> tuple[FreeConvRep, tuple]:
+        """Marginal rep, plus where each law of ``stack`` finds its warm start.
 
-        Terms whose marginal collapses to a point are folded into the shift
-        here so the map stays aligned with the solver's warm-start slots.
+        A law's entry is (k, 0.0), with k the marginal term whose
+        subordination function is the root of the law's inversion, or
+        (None, p) when the law's marginal is the point p, which is folded
+        into the shift and whose inversion at F has the root F + p.
         Built once per rep, in ``marginals``.
         """
         parts: list = []
-        src: list[int] = []
+        starts: list = []
         shift = float(self.shift[axis - 1])
-        for idx, t in enumerate(self.terms):
-            if isinstance(t, PlanarMeasure):
-                m = t.marginal(axis)
-                if len(m) == 1:
-                    shift += float(m.points[0])
-                else:
-                    parts.append(AtomicPhiTerm(m))
-                    src.append(idx)
+        for m, count in groups:
+            line = m.marginal(axis)
+            if len(line) == 1:
+                shift += count * float(line.points[0])
+                starts.append((None, float(line.points[0])))
             else:
-                parts.append(t.marginal_phi_term(axis))
-                src.append(idx)
-        return free_convolve_many(parts, shift=shift), tuple(src)
+                starts.append((len(parts), 0.0))
+                parts.extend([AtomicPhiTerm(line)] * count)
+        parts.extend(t.marginal_phi_term(axis) for t in self.triplets)
+        return free_convolve_many(parts, shift=shift), tuple(starts)
 
     def marginal(self, axis: int) -> FreeConvRep:
         """Free-convolution representation of the marginal law."""
@@ -85,51 +93,46 @@ class BiConvRep:
             raise ValueError("axis must be 1 or 2")
         return self.marginals[axis - 1][0]
 
-    def phi(self, z, w, guesses=None):
+    def phi(self, z, w):
         """phi at (z, w) inside the working bicone, broadcast against each other.
 
-        A grid is ``z[:, None], w[None, :]``.  ``guesses`` optionally carries
-        per-term warm starts for the two marginal inversions, shaped like z
-        and w, as produced by the marginal solves.
+        A grid is ``z[:, None], w[None, :]``.  The atomic terms take one
+        ``bi_free_phi`` call over ``stack``.
         """
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        total = np.zeros(np.broadcast_shapes(z.shape, w.shape), dtype=complex)
-        for k, t in enumerate(self.terms):
-            if isinstance(t, PlanarMeasure):
-                g1, g2 = (None, None) if guesses is None else guesses[k]
-                total += bi_free_phi(t, z, w, g1, g2)
-            else:
-                total += t.bi_free_phi(z, w)
-        total += self.shift[0] / z + self.shift[1] / w
+        total = self._terms_phi(z, w) + self.shift[0] / z + self.shift[1] / w
         return complex(total) if total.ndim == 0 else total
 
-    def _recover(self, z1, w2, Phi1, Phi2, guesses) -> np.ndarray:
-        D = Phi1 / z1 + Phi2 / w2 + 1.0 - self.phi(z1, w2, guesses)
-        if np.any(np.abs(D) < DEGENERATE_TOL):
+    def _terms_phi(self, z, w, starts=(None, None)) -> np.ndarray:
+        """Summed phi of the terms at (z, w), without the shift, as a new array."""
+        if self.stack is None:
+            total = np.zeros(np.broadcast_shapes(z.shape, w.shape), dtype=complex)
+        else:
+            total = np.asarray(bi_free_phi(self.stack, z, w, *starts))
+        for t in self.triplets:
+            total += t.bi_free_phi(z, w)
+        return total
+
+    def _recover(self, z1, w2, Phi1, Phi2, starts) -> np.ndarray:
+        """G = 1 / (z1 w2 D), D = Phi1/z1 + Phi2/w2 + 1 - phi(z1, w2)."""
+        neg_d = self._terms_phi(z1, w2, starts)
+        neg_d -= (Phi1 - self.shift[0]) / z1 + 1.0
+        neg_d -= (Phi2 - self.shift[1]) / w2
+        if (np.abs(neg_d) < DEGENERATE_TOL).any():
             raise DegenerateDenominator("phi-relation denominator vanished during recovery")
-        return 1.0 / (z1 * w2 * D)
+        neg_d *= -z1
+        neg_d *= w2
+        return np.divide(1.0, neg_d, out=neg_d)
 
     def _marginal_solves(self, Z, W):
-        (mr1, src1), (mr2, src2) = self.marginals
-        z1, aux1 = mr1.f_value(Z, return_aux=True)
-        w2, aux2 = mr2.f_value(W, return_aux=True)
-        guesses = self._guesses(aux1, src1, aux2, src2)
-        return z1, w2, guesses
-
-    def _guesses(self, aux1, src1, aux2, src2):
-        """Warm starts per planar term: its subordination functions, the roots
-        of its marginal inversions.  Folded marginals need none (their
-        inversions are linear and converge in one step)."""
-        g1 = dict(zip(src1, aux1))
-        g2 = dict(zip(src2, aux2))
+        """F_1(Z), F_2(W) and the stack's warm starts for phi at them."""
         out = []
-        for idx, t in enumerate(self.terms):
-            if isinstance(t, PlanarMeasure):
-                out.append((g1.get(idx), g2.get(idx)))
-            else:
-                out.append((None, None))
-        return out
+        for (rep, starts), zeta in zip(self.marginals, (Z, W)):
+            f, aux = rep.f_value(zeta, return_aux=True)
+            out.append((f, np.array([f + p if k is None else aux[k] for k, p in starts])))
+        (z1, start1), (w2, start2) = out
+        return z1, w2, (start1, start2)
 
     def _direct_atomic(self):
         """The translated atomic law, when the rep is one up to a shift."""
@@ -165,8 +168,8 @@ class BiConvRep:
                     cauchy1d(direct.marginal(2), W))
         Z = np.asarray(Z, dtype=complex)
         W = np.asarray(W, dtype=complex)
-        z1, w2, guesses = self._marginal_solves(Z, W)
-        return self._recover(z1, w2, Z - z1, W - w2, guesses), 1.0 / z1, 1.0 / w2
+        z1, w2, starts = self._marginal_solves(Z, W)
+        return self._recover(z1, w2, Z - z1, W - w2, starts), 1.0 / z1, 1.0 / w2
 
     def density(self, s_axis, t_axis, eps: float) -> GridDensity:
         """eps-smoothed joint density grid of the convolution.
@@ -184,13 +187,12 @@ class BiConvRep:
         t_axis = np.asarray(t_axis, dtype=float)
         Z = (s_axis + 1j * eps)[:, None]
         W = (t_axis + 1j * eps)[None, :]
-        z1, w2, guesses = self._marginal_solves(Z, W)
+        z1, w2, starts = self._marginal_solves(Z, W)
         Phi1 = Z - z1
         Phi2 = W - w2
-        g_plus = self._recover(z1, w2, Phi1, Phi2, guesses)
+        g_plus = self._recover(z1, w2, Phi1, Phi2, starts)
         # lower w-half-plane values by reflection: F and phi commute with conj
-        conj_guesses = [(a, None if b is None else np.conj(b)) for a, b in guesses]
-        g_minus = self._recover(z1, np.conj(w2), Phi1, np.conj(Phi2), conj_guesses)
+        g_minus = self._recover(z1, np.conj(w2), Phi1, np.conj(Phi2), (starts[0], np.conj(starts[1])))
         return GridDensity(s_axis, t_axis, inversion_values(g_plus, g_minus), eps)
 
 

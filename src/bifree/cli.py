@@ -94,16 +94,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _phi_table(rep_or_triplet, probes):
-    rows = []
-    for z, w in probes:
-        if hasattr(rep_or_triplet, "bi_free_phi"):
-            val = rep_or_triplet.bi_free_phi(z, w)
-        else:
-            val = rep_or_triplet.phi(z, w)
-        rows.append(
-            {"z": [z.real, z.imag], "w": [w.real, w.imag], "phi": [val.real, val.imag]}
-        )
-    return rows
+    """One phi evaluation over all the probes, as JSON rows."""
+    phi = getattr(rep_or_triplet, "bi_free_phi", None) or rep_or_triplet.phi
+    vals = np.asarray(phi(*np.array(probes, dtype=complex).reshape(-1, 2).T)).tolist()
+    return [
+        {"z": [z.real, z.imag], "w": [w.real, w.imag], "phi": [val.real, val.imag]}
+        for (z, w), val in zip(probes, vals)
+    ]
 
 
 def cmd_convolve(args: argparse.Namespace) -> int:
@@ -116,7 +113,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
             raise io.SchemaError("--shift expects 's,t'")
         shift = (float(parts[0]), float(parts[1]))
     rep = bi_free_convolve(measures, shift=shift)
-    # default probes are scaled into the rep's working bicone
+    # default probes are scaled by the rep's cone height
     probes = fl.default_phi_probes(rep) if cfg.probes == "default" else load_probes(cfg)
     io.dump_json(cfg.out / "phi_probes.json", {"probes": _phi_table(rep, probes)})
     s_axis, t_axis = parse_grid(cfg.grid)

@@ -62,8 +62,10 @@ def default_fullness_probes() -> list[Probe]:
 def default_phi_probes(obj) -> list[Probe]:
     """Default probes of :func:`fullness_by_phi` for ``obj``.
 
-    They are scaled into the working bicone when the phi evaluations need
-    functional inversions (atomic terms); triplet transforms live on all of
+    When the phi evaluations need functional inversions (atomic terms) they
+    are the base probes scaled by the working cone's height, so each lies at
+    or above it; not all lie inside the cone (w = 3.1 + 2.5i has
+    |Re w| > |Im w| at every scale).  Triplet transforms live on all of
     (C\\R)^2 and keep the base probes.
     """
     scale = 1.0 if isinstance(obj, CharTriplet) else _as_rep(obj).cone.M

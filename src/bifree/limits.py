@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .idlaw import CharTriplet, LevyMeasure
 from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical
+from .measure import Groups, RowStack, row_groups, row_stack  # the row type, shared with biconv
 from .transforms import bi_free_phi
 
 RATIO_PASS = 0.5
@@ -40,52 +41,6 @@ class NotInfinitesimal(ValueError):
 
 class ConditionsNotMet(ValueError):
     """Condition checks did not pass; no limit triplet is available."""
-
-
-Groups = tuple[tuple[PlanarMeasure, int], ...]
-
-
-def row_groups(row: Sequence[PlanarMeasure]) -> Groups:
-    """The distinct laws of a row with their counts, in first-seen order.
-
-    Two entries are one law when their frozen ``points`` and ``weights``
-    arrays are byte-equal; the first entry of each law stands for it.
-    """
-    groups: dict[tuple[bytes, bytes], list] = {}
-    for m in row:
-        key = (m.points.tobytes(), m.weights.tobytes())
-        if key in groups:
-            groups[key][1] += 1
-        else:
-            groups[key] = [m, 1]
-    return tuple((m, count) for m, count in groups.values())
-
-
-class RowStack(NamedTuple):
-    """The distinct laws of a row as padded arrays.
-
-    ``points`` (G, m, 2) and ``weights`` (G, m) hold law g in entry g, and
-    ``counts`` (G,) its multiplicity.  A law with fewer than m atoms is
-    padded with zero weights at a copy of its own first atom, so a padded
-    entry adds exactly 0 to every sum and puts no pole off the law's support.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    counts: np.ndarray
-
-
-def row_stack(groups: Groups) -> RowStack:
-    """The padded stack of a row's groups (see ``row_groups``)."""
-    sizes = np.array([len(m) for m, _ in groups], dtype=int)
-    real = np.arange(sizes.max()) < sizes[:, None]
-    idx = (np.cumsum(sizes) - sizes)[:, None] + np.where(real, np.arange(sizes.max()), 0)
-    points = np.concatenate([m.points for m, _ in groups])[idx]
-    weights = np.where(real, np.concatenate([m.weights for m, _ in groups])[idx], 0.0)
-    counts = np.array([c for _, c in groups], dtype=int)
-    for arr in (points, weights, counts):
-        arr.flags.writeable = False
-    return RowStack(points, weights, counts)
 
 
 @dataclass(frozen=True)
@@ -572,7 +527,7 @@ def _triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> Cha
 
 def _phi_row(stack: RowStack, shift: Vec2, z, w) -> complex:
     """The row's phi sum at one probe: one phi call over all its laws."""
-    return shift[0] / z + shift[1] / w + complex(stack.counts @ bi_free_phi(stack, z, w))
+    return shift[0] / z + shift[1] / w + bi_free_phi(stack, z, w)
 
 
 def _cf_row(stack: RowStack, shift: Vec2, us: np.ndarray) -> np.ndarray:

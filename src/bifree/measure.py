@@ -4,13 +4,16 @@ Atoms linked by a chain of Euclidean gaps <= ``MERGE_TOL`` are merged at
 construction time, whatever the input order, weights adding up.
 Probability measures must carry total mass 1 within ``MASS_TOL``.  All
 containers are immutable after construction and safe for concurrent reads.
+Laws that occur together (a row of a triangular array, the atomic terms of a
+bi-free convolution) are grouped by content and held as one padded stack
+with counts, ``RowStack``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,6 +317,54 @@ class PlanarMeasure:
             np.allclose(self.points, other.points, atol=tol)
             and np.allclose(self.weights, other.weights, atol=tol)
         )
+
+
+Groups = tuple[tuple[PlanarMeasure, int], ...]
+
+
+def row_groups(row: Sequence[PlanarMeasure]) -> Groups:
+    """The distinct laws of a row with their counts, in first-seen order.
+
+    Two entries are one law when their frozen ``points`` and ``weights``
+    arrays are byte-equal; the first entry of each law stands for it.
+    """
+    groups: dict[tuple[bytes, bytes], list] = {}
+    for m in row:
+        key = (m.points.tobytes(), m.weights.tobytes())
+        if key in groups:
+            groups[key][1] += 1
+        else:
+            groups[key] = [m, 1]
+    return tuple((m, count) for m, count in groups.values())
+
+
+class RowStack(NamedTuple):
+    """Distinct planar laws with multiplicities, as padded arrays.
+
+    A row of a triangular array, or the atomic terms of a bi-free
+    convolution.  ``points`` (G, m, 2) and ``weights`` (G, m) hold law g in
+    entry g, and ``counts`` (G,) its multiplicity.  A law with fewer than m
+    atoms is padded with zero weights at a copy of its own first atom, so a
+    padded entry adds exactly 0 to every sum and puts no pole off the law's
+    support.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+
+
+def row_stack(groups: Groups) -> RowStack:
+    """The padded stack of a row's groups (see ``row_groups``)."""
+    sizes = np.array([len(m) for m, _ in groups], dtype=int)
+    real = np.arange(sizes.max()) < sizes[:, None]
+    idx = (np.cumsum(sizes) - sizes)[:, None] + np.where(real, np.arange(sizes.max()), 0)
+    points = np.concatenate([m.points for m, _ in groups])[idx]
+    weights = np.where(real, np.concatenate([m.weights for m, _ in groups])[idx], 0.0)
+    counts = np.array([c for _, c in groups], dtype=int)
+    for arr in (points, weights, counts):
+        arr.flags.writeable = False
+    return RowStack(points, weights, counts)
 
 
 class Measure1D:

@@ -123,14 +123,10 @@ def check_stability(
         probes = default_probes()
     c = (a**spec.alpha + b**spec.alpha) ** (1.0 / spec.alpha)
     trip = stable_triplet(spec)
-    resid = []
-    for z, w in probes:
-        val = (
-            trip.bi_free_phi(z / a, w / a)
-            + trip.bi_free_phi(z / b, w / b)
-            - trip.bi_free_phi(z / c, w / c)
-        )
-        resid.append(val)
+    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    resid = (
+        trip.bi_free_phi(zs / a, ws / a) + trip.bi_free_phi(zs / b, ws / b) - trip.bi_free_phi(zs / c, ws / c)
+    ).tolist()
     u, leftover = fit_point_mass_shift(probes, resid)
     table = [
         {"z": [z.real, z.imag], "w": [w.real, w.imag],
@@ -152,19 +148,16 @@ def scan_best_index_scale(
     if probes is None:
         probes = default_probes()
     trip = stable_triplet(spec)
-    base = [
-        trip.bi_free_phi(z / a, w / a) + trip.bi_free_phi(z / b, w / b)
-        for z, w in probes
-    ]
+    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    base = trip.bi_free_phi(zs / a, ws / a) + trip.bi_free_phi(zs / b, ws / b)
     c_star = (a**spec.alpha + b**spec.alpha) ** (1.0 / spec.alpha)
     if c_grid is None:
         c_grid = np.linspace(0.7 * c_star, 1.3 * c_star, 61)
+    cs = np.asarray(c_grid, dtype=float)[:, None]
+    resids = base - trip.bi_free_phi(zs / cs, ws / cs)
     best_c, best_r = None, math.inf
-    for c in c_grid:
-        resid = [
-            v - trip.bi_free_phi(z / c, w / c) for v, (z, w) in zip(base, probes)
-        ]
-        _, leftover = fit_point_mass_shift(probes, resid)
+    for c, resid in zip(c_grid, resids):
+        _, leftover = fit_point_mass_shift(probes, resid.tolist())
         if leftover < best_r:
             best_c, best_r = float(c), leftover
     return best_c
@@ -246,15 +239,15 @@ def domain_of_attraction_run(
     if u_probes is None:
         u_probes = default_u_probes()
     trip = stable_triplet(spec)
-    target_phi = [trip.bi_free_phi(z, w) for z, w in probes]
+    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    target_phi = trip.bi_free_phi(zs, ws)
     target_cf = [trip.classical_cf(u) for u in u_probes]
     bif, cls = [], []
     for n in ns:
         bn = float(n) ** (1.0 / spec.alpha)
         dil = nu.dilated(1.0 / bn)
-        phi_n = [n * bi_free_phi(dil, z, w) for z, w in probes]
-        resid = [p - t for p, t in zip(phi_n, target_phi)]
-        _, leftover = fit_point_mass_shift(probes, resid)
+        resid = n * bi_free_phi(dil, zs, ws) - target_phi
+        _, leftover = fit_point_mass_shift(probes, resid.tolist())
         bif.append(float(leftover))
         cf_n = [dil.char_fun(u) ** n for u in u_probes]
         ratios = [t / c if c != 0 else 1.0 for t, c in zip(target_cf, cf_n)]

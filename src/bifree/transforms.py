@@ -19,11 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import Measure1D, PlanarMeasure
+from .measure import Measure1D, PlanarMeasure, RowStack
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 100
 DEGENERATE_TOL = 1e-14
+_ONE = np.ones(1, dtype=int)
 
 
 class NoConvergence(ArithmeticError):
@@ -50,7 +51,7 @@ class TruncatedCone:
 
 
 def _require_nonreal(z: np.ndarray | complex, name: str = "z") -> None:
-    if np.any(np.imag(z) == 0.0):
+    if (np.asarray(z).imag == 0.0).any():
         raise ValueError(f"{name} must be non-real")
 
 
@@ -170,23 +171,6 @@ def newton_f_inverse(
     return roots, fp, ok
 
 
-def _inverse_f(points: np.ndarray, weights: np.ndarray, target, guess=None) -> np.ndarray:
-    """zeta with F(zeta) = target for the atomic law(s) (points, weights).
-
-    The leading axes of ``points`` and ``weights`` (a stack of laws, padded
-    with zero weights) broadcast against ``target``.  Raises
-    :class:`NoConvergence` unless every entry settles.
-    """
-    target = np.asarray(target, dtype=complex)
-    _require_nonreal(target, "target")
-    target = np.broadcast_to(target, np.broadcast_shapes(target.shape, np.shape(weights)[:-1]))
-    g = target if guess is None else np.broadcast_to(np.asarray(guess, dtype=complex), target.shape)
-    roots, _, ok = newton_f_inverse(points, weights, target, g)
-    if not ok.all():
-        raise NoConvergence(f"F inversion failed at {target[~ok].ravel()[:3]}")
-    return roots
-
-
 def invert_f(nu: Measure1D, target, guess=None):
     """zeta with F_nu(zeta) = target, to 1e-12 relative residual.
 
@@ -194,7 +178,12 @@ def invert_f(nu: Measure1D, target, guess=None):
     :class:`NoConvergence` when the iteration does not settle, which signals
     a target outside the reliable inversion domain.
     """
-    roots = _inverse_f(nu.points, nu.weights, target, guess)
+    target = np.asarray(target, dtype=complex)
+    _require_nonreal(target, "target")
+    start = target if guess is None else np.broadcast_to(np.asarray(guess, dtype=complex), target.shape)
+    roots, _, ok = newton_f_inverse(nu.points, nu.weights, target, start)
+    if not ok.all():
+        raise NoConvergence(f"F inversion failed at {target[~ok].ravel()[:3]}")
     return complex(roots) if roots.ndim == 0 else roots
 
 
@@ -207,12 +196,21 @@ def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k a[..., k] b[..., k] over the broadcast leading axes.
 
     Both branches are BLAS products, so no broadcast (..., k) temporary is
-    formed: a product grid (a varying over rows, b over columns) is one
-    matrix product, any other broadcast a batch of dot products.
+    formed: a product grid (a (G, S, 1, m) against b (G, 1, T, m)) is one
+    matrix product per law, any other broadcast a batch of dot products.
     """
-    if a.ndim == b.ndim == 3 and a.shape[1] == b.shape[0] == 1:
-        return a[:, 0] @ b[0].T
+    if a.ndim == b.ndim == 4 and a.shape[2] == b.shape[1] == 1:
+        return a[:, :, 0] @ b[:, 0].transpose(0, 2, 1)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _law_sum(counts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_g counts[g] x[g] over the law axis in front, scaling x in place
+    (real and imaginary parts as one real array: a complex product's bits)."""
+    if (counts != 1).any():
+        parts = x.view(np.float64).reshape(*x.shape, 2)
+        np.multiply(parts, counts.reshape(-1, *(1,) * x.ndim), out=parts)
+    return x[0] if len(counts) == 1 else x.sum(axis=0)
 
 
 def bi_free_phi(mu, z, w, guess1=None, guess2=None):
@@ -220,26 +218,54 @@ def bi_free_phi(mu, z, w, guess1=None, guess2=None):
 
     phi(z,w) = phi_1(z)/z + phi_2(w)/w + 1 - 1/(z w G(F_1^{-1}(z), F_2^{-1}(w))).
 
-    ``mu`` is a :class:`PlanarMeasure` or a stack of laws with ``points``
-    (..., m, 2) and ``weights`` (..., m), each law padded with zero weights
-    (``limits.RowStack``); the leading law axes broadcast against z and w.
-    The marginal inversions run on the coordinate columns of ``points`` and
-    on z and w as given, so a grid is just ``z[:, None], w[None, :]`` at the
-    cost of one inversion per axis point.  ``guess1`` and ``guess2``
-    optionally warm-start the two inversions.
+    ``mu`` is a :class:`PlanarMeasure` or a :class:`RowStack`, whose phi is
+    the count-weighted sum of its laws' phis, the phi of their bi-free
+    convolution.  Every marginal inversion, the s-columns of the laws against
+    z and the t-columns against w, runs in one Newton solve on z and w as
+    given, so a grid ``z[:, None], w[None, :]`` costs one inversion per law
+    and axis point.  The parts that depend on z only or w only are computed
+    on the axes, law by law; no broadcast (..., m) temporary is formed.
+    ``guess1`` and ``guess2`` optionally warm-start the inversions, shaped
+    like z and w with the stack's law axis in front.
     """
+    if not isinstance(mu, RowStack):
+        mu = RowStack(mu.points[None], mu.weights[None], _ONE)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
+    _require_nonreal(z, "z")
+    _require_nonreal(w, "w")
+    n = len(mu.counts)
     s_pts, t_pts = mu.points[..., 0], mu.points[..., 1]
-    i1 = _inverse_f(s_pts, mu.weights, z, guess1)
-    i2 = _inverse_f(t_pts, mu.weights, w, guess2)
-    a = 1.0 / (i1[..., None] - s_pts)
-    b = mu.weights * (1.0 / (i2[..., None] - t_pts))
+    # law-major entries: the s-columns against z, then the t-columns against w
+    per_law = [x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)]
+    target = np.concatenate(per_law)
+    start = np.concatenate([p if g is None else np.broadcast_to(g, (n, *x.shape)).ravel()
+                            for p, g, x in zip(per_law, (guess1, guess2), (z, w))])
+    roots, _, ok = newton_f_inverse(
+        np.concatenate([s_pts.repeat(z.size, 0), t_pts.repeat(w.size, 0)]),
+        np.concatenate([mu.weights.repeat(z.size, 0), mu.weights.repeat(w.size, 0)]), target, start)
+    if not ok.all():
+        raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
+    # a common number of axes, so the law axis in front lines up
+    nd = max(z.ndim, w.ndim)
+    z = z.reshape((1,) * (nd - z.ndim) + z.shape)
+    w = w.reshape((1,) * (nd - w.ndim) + w.shape)
+    i1 = roots[: z.size * n].reshape(n, *z.shape)
+    i2 = roots[z.size * n:].reshape(n, *w.shape)
+    lead = (n, *(1,) * nd, -1)
+    a = 1.0 / (i1[..., None] - s_pts.reshape(lead))
+    b = mu.weights.reshape(lead) * (1.0 / (i2[..., None] - t_pts.reshape(lead)))
     den = z * w * _pair_sum(a, b)
-    if np.any(np.abs(den) < DEGENERATE_TOL):
+    if (np.abs(den) < DEGENERATE_TOL).any():
         raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")
-    val = (i1 - z) / z + (i2 - w) / w + 1.0 - 1.0 / den
-    return complex(val) if np.ndim(val) == 0 else val
+    # each law's phi is put together before the laws are summed: a sum over
+    # the laws of the z-parts and w-parts alone would round at their size,
+    # which can be far above phi's where they cancel (point masses)
+    val = (i1 - z) / z + (i2 - w) / w
+    val += 1.0
+    val -= np.divide(1.0, den, out=den)
+    val = _law_sum(mu.counts, val)
+    return complex(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -281,7 +307,10 @@ def stieltjes1d(geval: Callable, axis, eps: float) -> np.ndarray:
 
 def inversion_values(g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
     """-Re[G(s+ie, t+ie) - G(s+ie, t-ie)] / (2 pi^2), the planar inversion."""
-    return -0.5 * np.real(g_plus - g_minus) / np.pi**2
+    vals = np.real(g_plus) - np.real(g_minus)
+    vals *= -0.5
+    vals /= np.pi**2
+    return vals
 
 
 def stieltjes2d(geval: Callable, s_axis, t_axis, eps: float) -> GridDensity:

@@ -1,10 +1,17 @@
+import contextlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
-from bifree.measure import Measure1D, PlanarMeasure, dirac
-from bifree.serialize import rep_from_dict, rep_to_dict
+from bifree.freeconv import AtomicPhiTerm, free_convolve_many
+from bifree.idlaw import make_compound_poisson, make_gaussian
+from bifree.measure import Matrix2, Measure1D, PlanarMeasure, dirac
+from bifree.serialize import measure_from_dict, measure_to_dict, rep_from_dict, rep_to_dict
 from bifree.transforms import bi_free_phi, cone_for, inversion_values
 
 from oracles import richardson_limit, smoothed_atoms_2d
@@ -252,3 +259,116 @@ class TestBroadcastProperties:
         want = inversion_values(rep.cauchy(Z, W), rep.cauchy(Z, np.conj(W)))
         got = rep.density(s_axis, t_axis, eps).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+GAUSS = make_gaussian((0.2, -0.1), Matrix2(0.3, 0.05, 0.2))
+POISSON = make_compound_poisson(0.5, PlanarMeasure([((0.5, -0.4), 0.5), ((-0.3, 0.6), 0.5)]))
+nonzero = st.builds(lambda x, sign: sign * x, st.floats(0.05, 1.0), st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def stacked_reps(draw):
+    """Terms and shift of a rep with 1-4 atomic terms.
+
+    One law comes back as the same object, as an equal-content copy loaded
+    from JSON, or both; other laws and a triplet may join, in any order, and
+    the shift is nonzero in both coordinates.
+    """
+    law = draw(planar_laws())
+    copy = measure_from_dict(json.loads(json.dumps(measure_to_dict(law))))
+    repeats = draw(st.sampled_from([[], [law], [copy], [law, copy]]))
+    others = draw(st.lists(planar_laws(), max_size=3 - len(repeats)))
+    triplet = draw(st.sampled_from([[], [GAUSS], [POISSON]]))
+    terms = draw(st.permutations([law, *repeats, *others, *triplet]))
+    return terms, (draw(nonzero), draw(nonzero))
+
+
+def term_phis(terms, shift, z, w):
+    """shift/z, shift/w and every term's phi, term by term."""
+    return [shift[0] / z, shift[1] / w] + [
+        bi_free_phi(t, z, w) if isinstance(t, PlanarMeasure) else t.bi_free_phi(z, w) for t in terms
+    ]
+
+
+def reference_density(terms, shift, s_axis, t_axis, eps):
+    """The planar inversion by the phi relation, term by term.
+
+    Each marginal is solved on its own rep built here, in term order, and
+    each law's phi is one ``bi_free_phi`` call started at its subordination
+    functions (at F + p where its marginal is the point p).  The lower
+    w-side is solved at conj(W) itself.
+    """
+    laws = [t for t in terms if isinstance(t, PlanarMeasure)]
+    triplets = [t for t in terms if not isinstance(t, PlanarMeasure)]
+    Z = (s_axis + 1j * eps)[:, None]
+
+    def solve(axis, zeta):
+        lines = [m.marginal(axis) for m in laws]
+        rep = free_convolve_many([AtomicPhiTerm(x) for x in lines]
+                                 + [t.marginal_phi_term(axis) for t in triplets], shift[axis - 1])
+        f, aux = rep.f_value(zeta, return_aux=True)
+        omegas = iter(aux)
+        return f, [f + x.points[0] if len(x) == 1 else next(omegas) for x in lines]
+
+    def cauchy(W):
+        (z1, starts1), (w2, starts2) = solve(1, Z), solve(2, W)
+        phi = shift[0] / z1 + shift[1] / w2 + sum(t.bi_free_phi(z1, w2) for t in triplets)
+        phi = phi + sum(bi_free_phi(m, z1, w2, a, b) for m, a, b in zip(laws, starts1, starts2))
+        return 1.0 / (z1 * w2 * ((Z - z1) / z1 + (W - w2) / w2 + 1.0 - phi))
+
+    W = (t_axis + 1j * eps)[None, :]
+    return inversion_values(cauchy(W), cauchy(np.conj(W)))
+
+
+@contextlib.contextmanager
+def counting_inversions():
+    """Yields a list that gets, per newton_f_inverse call, its F evaluations."""
+    evals, per_call = [], []
+    f_and_deriv, newton = tf._f_and_deriv, tf.newton_f_inverse
+
+    def counting_f(*args):
+        evals.append(1)
+        return f_and_deriv(*args)
+
+    def counting_newton(*args, **kwargs):
+        evals.clear()
+        out = newton(*args, **kwargs)
+        per_call.append(len(evals))
+        return out
+
+    with mock.patch.object(tf, "_f_and_deriv", counting_f), \
+            mock.patch.object(tf, "newton_f_inverse", counting_newton):
+        yield per_call
+
+
+class TestStackedRep:
+    """A rep groups its atomic terms into one stack with counts; its phi and
+    density match term-by-term evaluation, and its warm starts stay aligned
+    with the stack."""
+
+    @given(stacked_reps(), unit_bicone())
+    def test_phi_matches_term_sum(self, drawn, probes):
+        terms, shift = drawn
+        rep = bi_free_convolve(terms, shift=shift)
+        # laws that merged to one atom are folded into the shift
+        laws = [t for t in terms if isinstance(t, PlanarMeasure) and len(t) > 1]
+        assert (0 if rep.stack is None else sum(rep.stack.counts)) == len(laws)
+        z, w = (rep.cone.M * p for p in probes)
+        for zz, ww in [(z[0], w[0]), (z[1], w[1]), (z, w), (z[:, None], w[None, :])]:
+            parts = term_phis(terms, shift, zz, ww)
+            scale = sum(np.abs(p) for p in parts)
+            assert np.all(np.abs(rep.phi(zz, ww) - sum(parts)) <= 1e-13 * scale)
+
+    @settings(max_examples=50)
+    @given(stacked_reps(), st.floats(0.2, 1.0))
+    def test_density_matches_term_by_term_recovery(self, drawn, eps):
+        terms, shift = drawn
+        rep = bi_free_convolve(terms, shift=shift)
+        s_axis = np.linspace(-3.0, 3.0, 7)
+        t_axis = np.linspace(-2.5, 2.5, 6)
+        with counting_inversions() as per_call:
+            got = rep.density(s_axis, t_axis, eps).values
+        # one solve per recovery side, each settled at its warm start
+        assert per_call in ([], [1, 1])
+        want = reference_density(terms, shift, s_axis, t_axis, eps)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

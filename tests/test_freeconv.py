@@ -12,6 +12,7 @@ from bifree.idlaw import make_compound_poisson, make_gaussian
 from bifree.measure import Matrix2, Measure1D, PlanarMeasure, dirac1d
 from bifree.transforms import f_transform
 
+from test_biconv import counting_inversions
 from oracles import (
     atomic_moments,
     free_cumulants_from_moments,
@@ -320,25 +321,27 @@ class TestWorkCounts:
             rep.marginal(axis_no).f_value(axis + 0.1j)
         assert calls == []
 
-    def test_density_inversions_settle_at_their_start(self, monkeypatch):
-        evals = []
-        per_call = []
-        f_and_deriv, newton = tf._f_and_deriv, tf.newton_f_inverse
-
-        def counting_f(*args):
-            evals.append(1)
-            return f_and_deriv(*args)
-
-        def counting_newton(*args, **kwargs):
-            evals.clear()
-            out = newton(*args, **kwargs)
-            per_call.append(len(evals))
-            return out
-
-        monkeypatch.setattr(tf, "_f_and_deriv", counting_f)
-        monkeypatch.setattr(tf, "newton_f_inverse", counting_newton)
+    def test_density_inversions_settle_at_their_start(self):
         rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])
         axis = np.linspace(-6.0, 6.0, 64)
-        rep.density(axis, axis, 0.1)
-        # two atomic terms, two marginals, upper and lower w
-        assert per_call == [1] * 8
+        with counting_inversions() as per_call:
+            rep.density(axis, axis, 0.1)
+        # one solve for both marginals of both terms, for upper and lower w
+        assert per_call == [1] * 2
+
+    def test_collapsed_marginal_starts_at_its_root(self):
+        # the second law's s-marginal is the point 0.4, folded into the shift;
+        # its inversion starts at F + 0.4, the others at their omegas
+        rep = bi_free_convolve([planar(GENERIC_PAIR[0]), planar(GENERIC_PAIR[0]),
+                                planar([((0.4, 1.0), 0.5), ((0.4, -1.0), 0.5)])])
+        axis = np.linspace(-6.0, 6.0, 16)
+        with counting_inversions() as per_call:
+            rep.density(axis, axis, 0.1)
+        assert per_call == [1] * 2
+
+    def test_scalar_phi_makes_one_inversion(self):
+        gauss = make_gaussian((0.1, 0.0), Matrix2(0.5, 0.1, 0.4))
+        rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR] + [gauss])
+        with counting_inversions() as per_call:
+            rep.phi(3.0 + 12j, -1.0 - 14j)
+        assert len(per_call) == 1

@@ -470,7 +470,7 @@ class TestNonIdenticalClt:
         monkeypatch.setattr(PlanarMeasure, "__init__", counting("planar", PlanarMeasure.__init__))
         monkeypatch.setattr(Measure1D, "__init__", counting("line", Measure1D.__init__))
         run_bi_free_limit(arr, PROBES, reference=NONIID_LIMIT)
-        assert calls["newton"] <= 2 * len(arr.rows) * len(PROBES)
+        assert calls["newton"] <= len(arr.rows) * len(PROBES)
         run_classical_limit(arr, U_PROBES, reference=NONIID_LIMIT)
         ensure_infinitesimal(arr)
         check_condition_I_II(arr)

@@ -40,19 +40,18 @@ def _is_triplet(obj) -> bool:
     return hasattr(obj, "tau") and hasattr(obj, "bi_free_phi")
 
 
-def _term_cone(term) -> TruncatedCone:
-    if isinstance(term, PlanarMeasure):
-        return cone_for(term)
-    return TruncatedCone(1.0, 1.0)  # triplet transforms live on all of (C\R)^2
-
-
 @dataclass(frozen=True)
 class BiConvRep:
-    """Lazy bi-free convolution: phi = sum of term phis + point-mass shift."""
+    """Lazy bi-free convolution: phi = sum of term phis + point-mass shift.
+
+    ``cone`` is the working cone of phi's inversions: theta = 1 and M the
+    largest ``cone_for(m).M`` over the atomic laws, or 1, since triplet
+    transforms live on all of (C\\R)^2.
+    """
 
     terms: tuple
     shift: Vec2
-    cone: TruncatedCone
+    cone: TruncatedCone = field(init=False, compare=False)
     stack: RowStack | None = field(init=False, repr=False, compare=False)
     triplets: tuple = field(init=False, repr=False, compare=False)
     marginals: tuple[tuple[FreeConvRep, tuple], ...] = field(
@@ -60,6 +59,8 @@ class BiConvRep:
 
     def __post_init__(self):
         groups = row_groups([t for t in self.terms if isinstance(t, PlanarMeasure)])
+        height = max((cone_for(m).M for m, _ in groups), default=1.0)
+        object.__setattr__(self, "cone", TruncatedCone(1.0, height))
         object.__setattr__(self, "stack", row_stack(groups) if groups else None)
         object.__setattr__(self, "triplets", tuple(t for t in self.terms if not isinstance(t, PlanarMeasure)))
         object.__setattr__(self, "marginals", tuple(self._marginal_with_starts(groups, ax) for ax in (1, 2)))
@@ -199,8 +200,7 @@ class BiConvRep:
 def bi_free_convolve(items: Sequence, shift: Vec2 = (0.0, 0.0)) -> BiConvRep:
     """Representation of the bi-free convolution of the items, plus a shift.
 
-    Items are :class:`PlanarMeasure` or characteristic triplets; the working
-    cone is the intersection (max height) of the per-item cones.  Point
+    Items are :class:`PlanarMeasure` or characteristic triplets.  Point
     masses are the units of the operation up to translation and are folded
     into the shift, which keeps single-measure representations on the exact
     closed-form recovery path.
@@ -221,7 +221,4 @@ def bi_free_convolve(items: Sequence, shift: Vec2 = (0.0, 0.0)) -> BiConvRep:
             terms.append(it)
         else:
             raise TypeError(f"cannot convolve object of type {type(it).__name__}")
-    cone = TruncatedCone(1.0, 1.0)
-    for it in terms:
-        cone = cone.intersect(_term_cone(it))
-    return BiConvRep(tuple(terms), (s1, s2), cone)
+    return BiConvRep(tuple(terms), (s1, s2))

@@ -3,7 +3,7 @@
 Subcommands load measures/triplets/arrays from JSON, run the numeric
 pipelines, and write JSON/CSV reports.  Exit codes: 0 success, 2 schema
 error, 3 numeric failure, 4 precondition violation.  Reports are
-deterministic: fixed iteration orders, seeded jitter, no timestamps.
+deterministic: fixed iteration orders, no timestamps.
 """
 
 from __future__ import annotations
@@ -38,15 +38,12 @@ class RunConfig:
     epsilon: float = 0.05
     grid: str = "-5:5:64,-5:5:64"
     probes: str = "default"
-    seed: int = 0
     out: Path = Path(".")
     stability_threshold: float = 1e-6
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise io.SchemaError("epsilon must be positive")
-        if self.seed < 0:
-            raise io.SchemaError("seed must be nonnegative")
 
 
 def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +80,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if val is None:
                 raise io.SchemaError(f"config key {key!r} must not be null")
             setattr(cfg, key, type(getattr(cfg, key))(val))
-    for key in ("epsilon", "seed", "probes", "grid"):
+    for key in ("epsilon", "probes", "grid"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -143,10 +140,10 @@ def cmd_idlaw(args: argparse.Namespace) -> int:
     if args.mode == "phi":
         out["probes"] = _phi_table(trip, load_probes(cfg))
     elif args.mode == "cf":
-        us = [(x, y) for x in (-1.0, -0.5, 0.0, 0.5, 1.0) for y in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        us = [[x, y] for x in (-1.0, -0.5, 0.0, 0.5, 1.0) for y in (-1.0, -0.5, 0.0, 0.5, 1.0)]
         out["cf"] = [
-            {"u": list(u), "value": [trip.classical_cf(u).real, trip.classical_cf(u).imag]}
-            for u in us
+            {"u": u, "value": [val.real, val.imag]}
+            for u, val in zip(us, trip.classical_cf(us).tolist())
         ]
     elif args.mode == "sigma-form":
         sf = triplet_to_sigma_form(trip)
@@ -239,21 +236,8 @@ def cmd_fullness(args: argparse.Namespace) -> int:
             obj = io.rep_from_dict(payload)
         else:
             obj = io.triplet_from_dict(payload)
-        if cfg.probes != "default":
-            probes = io.probes_from_dict(io.load_json(cfg.probes))
-        elif args.method == "g":
-            probes = fl.default_fullness_probes()
-        else:
-            probes = fl.default_phi_probes(obj)
-        try:
-            report = (fl.fullness_by_g if args.method == "g" else fl.fullness_by_phi)(obj, probes)
-        except np.linalg.LinAlgError:
-            rng = np.random.default_rng(cfg.seed)
-            jittered = [
-                (z + complex(*rng.normal(0, 0.1, 2)), w + complex(*rng.normal(0, 0.1, 2)))
-                for z, w in probes
-            ]
-            report = (fl.fullness_by_g if args.method == "g" else fl.fullness_by_phi)(obj, jittered)
+        probes = None if cfg.probes == "default" else io.probes_from_dict(io.load_json(cfg.probes))
+        report = (fl.fullness_by_g if args.method == "g" else fl.fullness_by_phi)(obj, probes)
     io.dump_json(cfg.out / "fullness_report.json", report.to_jsonable())
     return 0
 
@@ -265,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None, help="smoothing parameter")
     p.add_argument("--grid", default=None, help='grid spec "smin:smax:n,tmin:tmax:n"')
     p.add_argument("--probes", default=None, help='"default" or a probes JSON file')
-    p.add_argument("--seed", type=int, default=None, help="seed for probe jitter")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("convolve", help="bi-free convolution of measure files")

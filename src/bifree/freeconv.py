@@ -39,10 +39,8 @@ import numpy as np
 from .measure import Measure1D
 from .transforms import (
     NoConvergence,
-    TruncatedCone,
     _damped_newton,
     _require_nonreal,
-    cone_for,
     newton_f_inverse,
 )
 
@@ -57,9 +55,6 @@ class AtomicPhiTerm:
 
     def __init__(self, measure: Measure1D):
         self.measure = measure
-
-    def cone(self) -> TruncatedCone:
-        return cone_for(self.measure)
 
     def phi_dphi(self, z: np.ndarray):
         """(phi(z), phi'(z)), with nan entries where the inversion fails."""
@@ -163,13 +158,12 @@ class FreeConvRep:
     """Lazy representation of a free convolution: phi = sum of term phis + shift.
 
     ``terms`` are :class:`AtomicPhiTerm` objects and phi-evaluators of
-    infinitely divisible laws, exposing ``phi_dphi(z) -> (phi, phi')`` and
-    ``cone()``; ``shift`` adds the constant phi of a point mass.
+    infinitely divisible laws, exposing ``phi_dphi(z) -> (phi, phi')``;
+    ``shift`` adds the constant phi of a point mass.
     """
 
     terms: tuple
     shift: float
-    cone: TruncatedCone
 
     def phi(self, z):
         """phi of the representation at z (z within the working cone)."""
@@ -265,7 +259,4 @@ def free_convolve_many(terms: Sequence, shift: float = 0.0) -> FreeConvRep:
             shift += float(t.measure.points[0])
         else:
             kept.append(t)
-    cone = TruncatedCone(1.0, 1.0)
-    for t in kept:
-        cone = cone.intersect(t.cone())
-    return FreeConvRep(tuple(kept), shift, cone)
+    return FreeConvRep(tuple(kept), shift)

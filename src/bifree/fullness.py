@@ -21,8 +21,6 @@ import numpy as np
 
 from .biconv import BiConvRep, bi_free_convolve
 from .idlaw import CharTriplet
-from .measure import PlanarMeasure
-from .transforms import cauchy1d, cauchy2d
 
 NONFULL_THRESHOLD = 1e-8
 FULL_FLOOR = 1e-3
@@ -62,13 +60,12 @@ def default_fullness_probes() -> list[Probe]:
 def default_phi_probes(obj) -> list[Probe]:
     """Default probes of :func:`fullness_by_phi` for ``obj``.
 
-    When the phi evaluations need functional inversions (atomic terms) they
-    are the base probes scaled by the working cone's height, so each lies at
-    or above it; not all lie inside the cone (w = 3.1 + 2.5i has
-    |Re w| > |Im w| at every scale).  Triplet transforms live on all of
-    (C\\R)^2 and keep the base probes.
+    The base probes scaled by the working cone's height, so each lies at or
+    above it; not all lie inside the cone (w = 3.1 + 2.5i has
+    |Re w| > |Im w| at every scale).  Without atomic terms the height is 1
+    and the base probes are kept.
     """
-    scale = 1.0 if isinstance(obj, CharTriplet) else _as_rep(obj).cone.M
+    scale = _as_rep(obj).cone.M
     return [(scale * z, scale * w) for z, w in default_fullness_probes()]
 
 
@@ -85,7 +82,7 @@ def _normalize_line(vec: np.ndarray) -> tuple[tuple[float, float, float], bool]:
     return (alpha, beta, gamma), False
 
 
-def _classify(rows: np.ndarray | list[list[complex]], method: str) -> LineReport:
+def _classify(rows: np.ndarray, method: str) -> LineReport:
     """Smallest-singular-direction fit of a homogeneous linear identity.
 
     Each complex probe equation is normalized as a whole before its real
@@ -126,24 +123,16 @@ def _as_rep(obj) -> BiConvRep:
 def fullness_by_g(obj, probes: Sequence[Probe] | None = None) -> LineReport:
     """Line fit of (alpha z + beta w + gamma) G = beta G1 + alpha G2.
 
-    ``obj`` is an atomic planar measure or a convolution representation /
-    triplet (recovered transforms).
+    ``obj`` is an atomic planar measure, a convolution representation or a
+    triplet; a single measure is evaluated in closed form.
     """
     if probes is None:
         probes = default_fullness_probes()
     if len(probes) < 6:
         raise ValueError("need at least six probes")
-    rows = []
-    if isinstance(obj, PlanarMeasure):
-        m1, m2 = obj.marginal(1), obj.marginal(2)
-        for z, w in probes:
-            G = cauchy2d(obj, z, w)
-            rows.append([z * G - cauchy1d(m2, w), w * G - cauchy1d(m1, z), G])
-    else:
-        z, w = np.array(probes, dtype=complex).T
-        G, G1, G2 = _as_rep(obj).cauchy_with_marginals(z, w)
-        rows = np.stack([z * G - G2, w * G - G1, G], axis=1)
-    return _classify(rows, "cauchy")
+    z, w = np.array(probes, dtype=complex).T
+    G, G1, G2 = _as_rep(obj).cauchy_with_marginals(z, w)
+    return _classify(np.stack([z * G - G2, w * G - G1, G], axis=1), "cauchy")
 
 
 def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
@@ -151,24 +140,16 @@ def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
 
     Default probes come from :func:`default_phi_probes`.
     """
+    rep = _as_rep(obj)
     if probes is None:
-        probes = default_phi_probes(obj)
+        probes = default_phi_probes(rep)
     if len(probes) < 6:
         raise ValueError("need at least six probes")
-    rows = []
-    if isinstance(obj, CharTriplet):
-        for z, w in probes:
-            phi = obj.bi_free_phi(z, w)
-            p1 = obj.marginal_phi(1, z)
-            p2 = obj.marginal_phi(2, w)
-            rows.append([z * z * w * phi - z * z * p2, z * w * w * phi - w * w * p1, z * w])
-    else:
-        rep = _as_rep(obj)
-        z, w = np.array(probes, dtype=complex).T
-        phi = rep.phi(z, w)
-        p1 = rep.marginal(1).phi(z)
-        p2 = rep.marginal(2).phi(w)
-        rows = np.stack([z * z * w * phi - z * z * p2, z * w * w * phi - w * w * p1, z * w], axis=1)
+    z, w = np.array(probes, dtype=complex).T
+    phi = rep.phi(z, w)
+    p1 = rep.marginal(1).phi(z)
+    p2 = rep.marginal(2).phi(w)
+    rows = np.stack([z * z * w * phi - z * z * p2, z * w * w * phi - w * w * p1, z * w], axis=1)
     return _classify(rows, "phi")
 
 

@@ -179,7 +179,8 @@ class LevyMeasure:
         return self.radial is None
 
     def min_one_norm_sq(self) -> float:
-        total = self.atoms.integrate(lambda s, t: min(1.0, s * s + t * t)).real
+        pts = self.atoms.points
+        total = float(np.minimum(1.0, pts[:, 0] ** 2 + pts[:, 1] ** 2) @ self.atoms.masses)
         if self.radial is not None:
             total += self.radial.min_one_norm_sq()
         return total
@@ -355,25 +356,28 @@ class CharTriplet:
 
     # -- classical side ----------------------------------------------------
 
-    def classical_cf(self, u: Sequence[float]) -> complex:
-        """Characteristic function exp[i<u,v> - <Au,u>/2 + integral part]."""
-        u1, u2 = float(u[0]), float(u[1])
+    def classical_cf(self, u):
+        """Characteristic function exp[i<u,v> - <Au,u>/2 + integral part].
+
+        ``u`` has shape (..., 2); one u gives a complex.
+        """
+        u = np.asarray(u, dtype=float)
+        u1, u2 = u[..., 0], u[..., 1]
         expo = 1j * (u1 * self.v[0] + u2 * self.v[1]) - 0.5 * self.A.quad_form((u1, u2))
         if len(self.tau.atoms):
             s = self.tau.atoms.points[:, 0]
             t = self.tau.atoms.points[:, 1]
             m = self.tau.atoms.masses
-            dot = u1 * s + u2 * t
-            expo += (m * (np.exp(1j * dot) - 1.0 - 1j * dot / (1.0 + s * s + t * t))).sum()
+            dot = u1[..., None] * s + u2[..., None] * t
+            expo = expo + (m * (np.exp(1j * dot) - 1.0 - 1j * dot / (1.0 + s * s + t * t))).sum(axis=-1)
         rp = self.tau.radial
         if rp is not None and rp.is_untruncated():
             om, m = _ray_arrays(rp)
-            expo += complex(_ray_cf(om @ (u1, u2), rp.alpha - 1.0) @ m)
+            expo = expo + _ray_cf(u @ om.T, rp.alpha - 1.0) @ m
         elif rp is not None:
-            for w1, w2, mass in rp.directions():
-                k = u1 * w1 + u2 * w2
-                expo += mass * _ray_cf_integral(k, rp.alpha, rp.r_min, rp.r_max)
-        return cmath.exp(expo)
+            expo = expo + _per_point(lambda x, y: _radial_cf(x, y, rp), u1, u2)
+        val = np.exp(expo)
+        return complex(val) if val.ndim == 0 else val
 
     # -- marginals ---------------------------------------------------------
 
@@ -459,11 +463,6 @@ class TripletMarginalPhi:
     def __init__(self, triplet: CharTriplet, axis: int):
         self.triplet = triplet
         self.axis = axis
-
-    def cone(self):
-        from .transforms import TruncatedCone
-
-        return TruncatedCone(1.0, 1.0)
 
     def phi_dphi(self, z):
         return self.triplet.marginal_phi(self.axis, z), self.triplet.marginal_dphi(self.axis, z)
@@ -587,7 +586,7 @@ def _ray_cf(k, delta: float):
 
 
 def _per_point(f, *args) -> np.ndarray:
-    """f at each point of the broadcast complex arrays."""
+    """f at each point of the broadcast arrays, as a complex array."""
     b = np.broadcast(*args)
     return np.array([f(*pt) for pt in b], dtype=complex).reshape(b.shape)
 
@@ -614,6 +613,11 @@ def _radial_poisson(z: complex, w: complex, rp: RadialPart) -> complex:
 
         total += mass * _radial_integral(g, h, rp.alpha, rp.r_min, rp.r_max, scale)
     return total
+
+
+def _radial_cf(u1: float, u2: float, rp: RadialPart) -> complex:
+    return sum(mass * _ray_cf_integral(u1 * w1 + u2 * w2, rp.alpha, rp.r_min, rp.r_max)
+               for w1, w2, mass in rp.directions())
 
 
 def _radial_marginal_phi(z: complex, rp: RadialPart, axis: int) -> complex:

@@ -525,8 +525,8 @@ def _triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> Cha
     return CharTriplet(rep34.v, rep34.A, rep34.tau_limit)
 
 
-def _phi_row(stack: RowStack, shift: Vec2, z, w) -> complex:
-    """The row's phi sum at one probe: one phi call over all its laws."""
+def _phi_row(stack: RowStack, shift: Vec2, z, w):
+    """The row's phi sum at the probes (z, w), broadcast: one phi call over all its laws."""
     return shift[0] / z + shift[1] / w + bi_free_phi(stack, z, w)
 
 
@@ -545,12 +545,11 @@ def run_bi_free_limit(
 ) -> list[tuple[int, float]]:
     """Sup-probe residual of the n-fold phi sum against the limit triplet."""
     trip = reference or limit_triplet(array)
-    target = [trip.bi_free_phi(z, w) for z, w in probes]
+    z, w = np.array(probes, dtype=complex).reshape(-1, 2).T
+    target = trip.bi_free_phi(z, w)
     out = []
     for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
-        resid = max(
-            abs(_phi_row(stack, shift, z, w) - t) for (z, w), t in zip(probes, target)
-        )
+        resid = np.abs(_phi_row(stack, shift, z, w) - target).max()
         out.append((size, float(resid)))
     return out
 
@@ -562,8 +561,8 @@ def run_classical_limit(
 ) -> list[tuple[int, float]]:
     """Sup-probe residual of the row CF products against the limit triplet."""
     trip = reference or limit_triplet(array)
-    target = np.array([trip.classical_cf(u) for u in u_probes], dtype=complex)
     us = np.array(u_probes, dtype=float).reshape(-1, 2)
+    target = trip.classical_cf(us)
     out = []
     for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
         resid = np.abs(_cf_row(stack, shift, us) - target).max(initial=0.0)

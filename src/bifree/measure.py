@@ -305,10 +305,11 @@ class PlanarMeasure:
     def support_radius(self) -> float:
         return float(np.hypot(self.points[:, 0], self.points[:, 1]).max())
 
-    def char_fun(self, u: Sequence[float]) -> complex:
-        """Classical characteristic function at u."""
-        phase = self.points @ np.asarray(u, dtype=float)
-        return complex(np.sum(self.weights * np.exp(1j * phase)))
+    def char_fun(self, u):
+        """Classical characteristic function at u of shape (..., 2); one u gives a complex."""
+        phase = np.asarray(u, dtype=float) @ self.points.T
+        val = (self.weights * np.exp(1j * phase)).sum(axis=-1)
+        return complex(val) if val.ndim == 0 else val
 
     def close_to(self, other: "PlanarMeasure", tol: float = 1e-12) -> bool:
         if len(self) != len(other):

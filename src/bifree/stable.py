@@ -65,19 +65,15 @@ def fit_point_mass_shift(
     probes: Sequence[Probe], residuals: Sequence[complex]
 ) -> tuple[Vec2, float]:
     """Least-squares u with residual ~ u1/z + u2/w; returns (u, max leftover)."""
-    rows = []
-    rhs = []
-    for (z, w), r in zip(probes, residuals):
-        rows.append([(1.0 / z).real, (1.0 / w).real])
-        rows.append([(1.0 / z).imag, (1.0 / w).imag])
-        rhs.append(r.real)
-        rhs.append(r.imag)
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    r = np.asarray(residuals, dtype=complex)
+    basis = np.stack([1.0 / zs, 1.0 / ws], axis=-1)
+    # the real and imaginary part of each probe's equation, in turn
+    rows = np.stack([basis.real, basis.imag], axis=1).reshape(-1, 2)
+    rhs = np.stack([r.real, r.imag], axis=1).reshape(-1)
+    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     u = (float(sol[0]), float(sol[1]))
-    leftover = max(
-        abs(r - u[0] / z - u[1] / w) for (z, w), r in zip(probes, residuals)
-    )
-    return u, float(leftover)
+    return u, float(np.abs(r - u[0] / zs - u[1] / ws).max())
 
 
 @dataclass
@@ -126,12 +122,11 @@ def check_stability(
     zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
     resid = (
         trip.bi_free_phi(zs / a, ws / a) + trip.bi_free_phi(zs / b, ws / b) - trip.bi_free_phi(zs / c, ws / c)
-    ).tolist()
+    )
     u, leftover = fit_point_mass_shift(probes, resid)
     table = [
-        {"z": [z.real, z.imag], "w": [w.real, w.imag],
-         "residual": abs(r - u[0] / z - u[1] / w)}
-        for (z, w), r in zip(probes, resid)
+        {"z": [z.real, z.imag], "w": [w.real, w.imag], "residual": r}
+        for (z, w), r in zip(probes, np.abs(resid - u[0] / zs - u[1] / ws).tolist())
     ]
     return StabilityReport(
         alpha=spec.alpha, a=a, b=b, c=c, shift=u,
@@ -157,7 +152,7 @@ def scan_best_index_scale(
     resids = base - trip.bi_free_phi(zs / cs, ws / cs)
     best_c, best_r = None, math.inf
     for c, resid in zip(c_grid, resids):
-        _, leftover = fit_point_mass_shift(probes, resid.tolist())
+        _, leftover = fit_point_mass_shift(probes, resid)
         if leftover < best_r:
             best_c, best_r = float(c), leftover
     return best_c
@@ -212,9 +207,8 @@ def default_u_probes() -> list[Vec2]:
 
 def fit_cf_shift(u_probes: Sequence[Vec2], ratios: Sequence[complex]) -> Vec2:
     """Least-squares c with log-ratio ~ i<u, c> (principal branch)."""
-    rows = [[u1, u2] for u1, u2 in u_probes]
-    rhs = [np.angle(r) for r in ratios]
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    us = np.asarray(u_probes, dtype=float).reshape(-1, 2)
+    sol, *_ = np.linalg.lstsq(us, np.angle(ratios), rcond=None)
     return (float(sol[0]), float(sol[1]))
 
 
@@ -240,23 +234,19 @@ def domain_of_attraction_run(
         u_probes = default_u_probes()
     trip = stable_triplet(spec)
     zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    us = np.array(u_probes, dtype=float).reshape(-1, 2)
     target_phi = trip.bi_free_phi(zs, ws)
-    target_cf = [trip.classical_cf(u) for u in u_probes]
+    target_cf = trip.classical_cf(us)
     bif, cls = [], []
     for n in ns:
         bn = float(n) ** (1.0 / spec.alpha)
         dil = nu.dilated(1.0 / bn)
         resid = n * bi_free_phi(dil, zs, ws) - target_phi
-        _, leftover = fit_point_mass_shift(probes, resid.tolist())
-        bif.append(float(leftover))
-        cf_n = [dil.char_fun(u) ** n for u in u_probes]
-        ratios = [t / c if c != 0 else 1.0 for t, c in zip(target_cf, cf_n)]
-        shift = fit_cf_shift(u_probes, ratios)
-        leftover_cf = max(
-            abs(c * np.exp(1j * (u[0] * shift[0] + u[1] * shift[1])) - t)
-            for c, t, u in zip(cf_n, target_cf, u_probes)
-        )
-        cls.append(float(leftover_cf))
+        bif.append(fit_point_mass_shift(probes, resid)[1])
+        cf_n = dil.char_fun(us) ** n
+        ratios = np.divide(target_cf, cf_n, out=np.ones_like(cf_n), where=cf_n != 0)
+        shift = fit_cf_shift(us, ratios)
+        cls.append(float(np.abs(cf_n * np.exp(1j * (us @ shift)) - target_cf).max()))
     return ConvergenceReport(
         ns=ns,
         bifree_residuals=bif,

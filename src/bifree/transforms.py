@@ -46,9 +46,6 @@ class TruncatedCone:
         if self.theta <= 0.0 or self.M <= 0.0:
             raise ValueError("cone parameters must be positive")
 
-    def intersect(self, other: "TruncatedCone") -> "TruncatedCone":
-        return TruncatedCone(min(self.theta, other.theta), max(self.M, other.M))
-
 
 def _require_nonreal(z: np.ndarray | complex, name: str = "z") -> None:
     if (np.asarray(z).imag == 0.0).any():
@@ -341,11 +338,8 @@ def cone_for(m: PlanarMeasure | Measure1D) -> TruncatedCone:
 
 def tightness_probe(mu: PlanarMeasure, radii) -> list[float]:
     """|(ir)(ir) G(ir, ir) - 1| per radius; decay toward 0 certifies tightness."""
-    radii = list(radii)
-    if any(r <= 0 for r in radii):
+    radii = np.asarray(radii, dtype=float)
+    if (radii <= 0).any():
         raise ValueError("radii must be positive")
-    out = []
-    for r in radii:
-        val = (1j * r) * (1j * r) * cauchy2d(mu, 1j * r, 1j * r) - 1.0
-        out.append(float(abs(val)))
-    return out
+    z = 1j * radii
+    return np.abs(z * z * cauchy2d(mu, z, z) - 1.0).tolist()

@@ -272,6 +272,7 @@ class TestCliConfig:
     @pytest.mark.parametrize("payload,key", [
         ({"epsilon": 0.25, "threads": 4}, "threads"),
         ({"epsilon": None}, "epsilon"),
+        ({"seed": 0}, "seed"),
     ])
     def test_bad_key_exit_2(self, tmp_path, capsys, payload, key):
         f1 = write(tmp_path / "m.json", TWO_ATOM_JSON)

@@ -500,3 +500,24 @@ class TestTruncatedRays:
     def test_quad_is_scipy_quad(self):
         val, err = idlaw.quad(lambda x: x * x, 0.0, 3.0)
         assert val == pytest.approx(9.0, rel=1e-14) and err < 1e-10
+
+
+class TestCFOnArrays:
+    """classical_cf takes u of shape (..., 2) and matches its one-u values."""
+
+    US = np.array([[0.5, -1.0], [2.0, 0.3], [0.0, 0.0], [-1.5, 0.7], [0.0, 1.2], [0.9, 0.9]])
+
+    @pytest.mark.parametrize("trip", [
+        CharTriplet((0.1, 0.2), ONES, LevyMeasure(AtomicMeasure2D([((1.0, -0.5), 0.7), ((-0.3, 2.0), 0.4)]))),
+        radial_triplet(0.7, [(0.3, 0.5), (0.5 * math.pi, 0.25), (4.0, 0.25)]),
+        radial_triplet(1.2, TestTruncatedRays.RAYS, r_min=0.2, r_max=5.0),
+    ], ids=["atoms-and-gaussian", "full-rays", "truncated-rays"])
+    def test_matches_one_u_at_a_time(self, trip):
+        one_by_one = np.array([trip.classical_cf(tuple(u)) for u in self.US])
+        assert all(isinstance(trip.classical_cf(tuple(u)), complex) for u in self.US[:2])
+        flat = trip.classical_cf(self.US)
+        assert flat.shape == (6,)
+        np.testing.assert_allclose(flat, one_by_one, rtol=1e-14, atol=0)
+        grid = trip.classical_cf(self.US.reshape(2, 3, 2))
+        assert grid.shape == (2, 3)
+        np.testing.assert_allclose(grid, one_by_one.reshape(2, 3), rtol=1e-14, atol=0)

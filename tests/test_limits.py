@@ -302,7 +302,7 @@ class TestContentGrouping:
         for check in (check_condition_I_II, check_condition_III_IV):
             assert check(back).to_jsonable() == check(arr).to_jsonable()
 
-    def test_phi_once_per_row_and_probe(self, monkeypatch):
+    def test_phi_once_per_row(self, monkeypatch):
         arr = json_copy(poisson_array())
         trip = limit_triplet(arr)
         calls = []
@@ -314,7 +314,8 @@ class TestContentGrouping:
 
         monkeypatch.setattr(lm, "bi_free_phi", counting)
         run_bi_free_limit(arr, PROBES, reference=trip)
-        assert len(calls) == len(arr.rows) * len(PROBES)
+        assert len(calls) == len(arr.rows)
+        assert all(np.shape(args[1]) == (len(PROBES),) for args in calls)
 
 
 grid_coords = st.sampled_from([-1.0, 0.0, 0.5, 2.0])

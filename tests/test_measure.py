@@ -131,6 +131,20 @@ class TestIntegrate:
             dirac((1.0, 0.0)).integrate(lambda s, t: float("inf"))
 
 
+class TestCharFun:
+    US = np.array([[0.5, -1.0], [2.0, 0.3], [0.0, 0.0], [-1.5, 0.7], [0.0, 1.2], [0.9, 0.9]])
+
+    def test_u_arrays_match_one_u_at_a_time(self):
+        m = PlanarMeasure([((1.0, -0.5), 0.2), ((-0.3, 2.0), 0.5), ((0.7, 0.7), 0.3)])
+        one_by_one = [m.char_fun(tuple(u)) for u in self.US]
+        assert isinstance(one_by_one[0], complex)
+        want = [sum(w * np.exp(1j * (u @ p)) for p, w in zip(m.points, m.weights)) for u in self.US]
+        np.testing.assert_allclose(one_by_one, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(m.char_fun(self.US), one_by_one, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(m.char_fun(self.US.reshape(2, 3, 2)),
+                                   np.reshape(one_by_one, (2, 3)), rtol=1e-14, atol=0)
+
+
 class TestInfinitesimalRow:
     def test_point_at_origin(self):
         assert row_tail_mass([dirac((0.0, 0.0))], 0.1) == 0.0

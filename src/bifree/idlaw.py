@@ -10,92 +10,46 @@ Rays on all of (0, inf) have closed forms: their integrals are Mellin
 transforms, evaluated in one broadcast over (probe..., ray) for the
 bi-free phi, the marginal phi and its derivative, and the classical
 characteristic function.  Rays with a finite end (r_min > 0 or r_max < inf)
-are integrated point by point with adaptive quadrature, on substituted
-variables that remove the endpoint singularities exactly: r = v^{1/(2-a)}
-near zero and u = r^{-a} toward infinity; ``scipy.integrate`` is imported on
-the first such call.  Both the classical compensator and the planar one
-divide by the same 1 + ||x||^2; only the sigma-form components weight the
-coordinates separately.
+go through one fixed-node Gauss-Legendre kernel, :func:`quad`, in one
+broadcast over (probe, ray, panel, node) per block of probes: v = r^{2-a}
+near zero, u = r^{-a} toward infinity, geometric panels between, poles
+near a panel subtracted in closed form, and the CF's oscillatory tail and
+the drift integral in closed form (see the section on finite ends).  No
+module of the package imports scipy.  Both the classical compensator and
+the planar one divide by the same 1 + ||x||^2; only the sigma-form
+components weight the coordinates separately.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2
 
-QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 QUAD_ERR_TOL = 1e-7
 AXIS_SNAP = 1e-15  # direction components this small are the axis itself
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature of a radial Levy integral failed."""
+    """A truncated-ray integral's error estimate exceeds QUAD_ERR_TOL (1 + |value|).
+
+    ``integral`` is "phi", "marginal_phi", "marginal_dphi", "cf" or "drift",
+    and ``worst_estimate`` the largest failing estimate, at ``worst_point``.
+    """
+
+    def __init__(self, integral: str, worst_estimate: float, worst_point):
+        super().__init__(f"quadrature error estimate too large: integral={integral} "
+                         f"worst_estimate={worst_estimate:.3e} worst_point={worst_point}")
+        self.integral, self.worst_estimate, self.worst_point = integral, worst_estimate, worst_point
 
 
 class InconsistentSigmaForm(ValueError):
     """The sigma-form relations are violated beyond tolerance."""
-
-
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call.
-
-    Only rays with a finite end need quadrature, and importing
-    ``scipy.integrate`` takes most of the package's start-up time.
-    """
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
-
-
-def _quad1(f: Callable[[float], float], a: float, b: float, **kw) -> float:
-    val, err = quad(f, a, b, **{**QUAD_OPTS, **kw})
-    if err > QUAD_ERR_TOL * (1.0 + abs(val)):
-        raise QuadratureError(f"integral error estimate {err:.2e} too large on [{a}, {b}]")
-    return val
-
-
-def _quad_c(f: Callable[[float], complex], a: float, b: float, **kw) -> complex:
-    re = _quad1(lambda r: f(r).real, a, b, **kw)
-    im = _quad1(lambda r: f(r).imag, a, b, **kw)
-    return re + 1j * im
-
-
-def _radial_integral(g, h, alpha: float, r_min: float, r_max: float, scale: float) -> complex:
-    """integral of g(r) r^{-1-alpha} dr over [r_min, r_max].
-
-    ``h(r) = g(r) / r^2`` must be supplied in a cancellation-free form
-    (g vanishes to second order at 0); g must stay bounded as r -> inf.
-    """
-    lo, hi = r_min, r_max
-    if hi <= lo:
-        return 0.0
-    r0 = min(1.0, scale, hi)
-    big = max(10.0 * scale, 10.0)
-    total = 0.0 + 0.0j
-    if lo < r0:
-        if lo == 0.0:
-            # r = v^{1/(2-alpha)} turns r^{1-alpha} h(r) dr into a constant-weight integrand
-            p = 2.0 - alpha
-            total += _quad_c(lambda v: h(v ** (1.0 / p)) / p, 0.0, r0**p)
-        else:
-            total += _quad_c(lambda r: g(r) * r ** (-1.0 - alpha), lo, r0)
-        lo = r0
-    mid_hi = min(big, hi)
-    if mid_hi > lo:
-        total += _quad_c(lambda r: g(r) * r ** (-1.0 - alpha), lo, mid_hi)
-    if hi > mid_hi:
-        if math.isinf(hi):
-            # u = r^{-alpha}; g bounded makes this a proper integral
-            total += _quad_c(lambda u: g(u ** (-1.0 / alpha)) / alpha, 0.0, big**-alpha)
-        else:
-            total += _quad_c(lambda r: g(r) * r ** (-1.0 - alpha), mid_hi, hi)
-    return total
 
 
 @dataclass(frozen=True)
@@ -238,77 +192,6 @@ class LevyMeasure:
         return LevyMeasure(AtomicMeasure2D(new_atoms))
 
 
-def _e1(x: complex) -> complex:
-    """exp(x) - 1 - x, stable for small |x|."""
-    if abs(x) < 1e-4:
-        return x * x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
-    return cmath.exp(x) - 1.0 - x
-
-
-def _ray_cf_integral(k: float, alpha: float, r_min: float, r_max: float) -> complex:
-    """integral of (e^{ikr} - 1 - ikr/(1+r^2)) r^{-1-alpha} dr over the ray."""
-    if k == 0.0:
-        return 0.0
-
-    def g(r: float) -> complex:
-        return _e1(1j * k * r) + 1j * k * r**3 / (1.0 + r * r)
-
-    def h(r: float) -> complex:
-        return _e1(1j * k * r) / (r * r) + 1j * k * r / (1.0 + r * r)
-
-    lo, hi = r_min, r_max
-    scale = 1.0 / abs(k)
-    r0 = min(1.0, scale, hi)
-    big = max(10.0, 20.0 * scale)
-    total = 0.0 + 0.0j
-    if lo < r0:
-        if lo == 0.0:
-            p = 2.0 - alpha
-            total += _quad_c(lambda v: h(v ** (1.0 / p)) / p, 0.0, r0**p)
-        else:
-            total += _quad_c(lambda r: g(r) * r ** (-1.0 - alpha), lo, r0)
-        lo = r0
-    mid_hi = min(big, hi)
-    if mid_hi > lo:
-        total += _quad_c(lambda r: g(r) * r ** (-1.0 - alpha), lo, mid_hi)
-    if hi > mid_hi:
-        if math.isinf(hi):
-            # oscillatory tail via Fourier-weighted quadrature
-            dens = lambda r: r ** (-1.0 - alpha)
-            re = quad(dens, big, np.inf, weight="cos", wvar=k, limit=200)[0]
-            im = quad(dens, big, np.inf, weight="sin", wvar=k, limit=200)[0]
-            total += re + 1j * im
-            total += -(big**-alpha) / alpha  # -1 term, exactly
-            # -ik r^{-alpha}/(1+r^2): substitute u = 1/r
-            total += -1j * k * _quad1(lambda u: u**alpha / (1.0 + u * u), 0.0, 1.0 / big)
-        else:
-            total += _quad_c(lambda r: g(r) * r ** (-1.0 - alpha), mid_hi, hi)
-    return total
-
-
-def _ray_drift_integral(alpha: float, r_min: float, r_max: float) -> float | None:
-    """integral of r^{-alpha} / (1 + r^2) dr over the ray, None if divergent."""
-    if r_min == 0.0 and alpha >= 1.0:
-        return None
-    if r_min == 0.0 and math.isinf(r_max):
-        return 0.5 * math.pi / math.cos(0.5 * math.pi * alpha)
-    lo, hi = r_min, r_max
-    total = 0.0
-    if lo == 0.0:
-        p = 1.0 - alpha  # r^{-alpha} = d/dr [r^p / p]; substitute v = r^p
-        total += _quad1(lambda v: 1.0 / (p * (1.0 + v ** (2.0 / p))), 0.0, min(1.0, hi) ** p)
-        lo = min(1.0, hi)
-    if hi > lo:
-        # u = 1/r maps the rest onto the bounded integrand u^alpha/(1+u^2)
-        a_u = 0.0 if math.isinf(hi) else 1.0 / hi
-        b_u = 1.0 / lo
-        cut = min(max(a_u, 1.0), b_u)
-        total += _quad1(lambda u: u**alpha / (1.0 + u * u), a_u, cut)
-        if b_u > cut:
-            total += _quad1(lambda u: u**alpha / (1.0 + u * u), cut, b_u)
-    return total
-
-
 @dataclass(frozen=True)
 class CharTriplet:
     """Characteristic triplet (v, A, tau); A = [[a, c], [c, b]] must be psd."""
@@ -351,7 +234,7 @@ class CharTriplet:
             delta = rp.alpha - 1.0
             out = out + (_ray_i1(c1, delta) + _ray_i1(c2, delta) + _ray_cross(c1, c2, delta)) @ m
         elif rp is not None:
-            out = out + _per_point(lambda zi, wi: _radial_poisson(zi, wi, rp), z, w)
+            out = out + _truncated_phi(rp, z, w)
         return out
 
     # -- classical side ----------------------------------------------------
@@ -375,7 +258,7 @@ class CharTriplet:
             om, m = _ray_arrays(rp)
             expo = expo + _ray_cf(u @ om.T, rp.alpha - 1.0) @ m
         elif rp is not None:
-            expo = expo + _per_point(lambda x, y: _radial_cf(x, y, rp), u1, u2)
+            expo = expo + _truncated_cf(rp, u)
         val = np.exp(expo)
         return complex(val) if val.ndim == 0 else val
 
@@ -399,7 +282,7 @@ class CharTriplet:
             om, m = _ray_arrays(rp)
             val = val + z * (_ray_i1(om[:, axis - 1] / z[..., None], rp.alpha - 1.0) @ m)
         elif rp is not None:
-            val = val + _per_point(lambda zi: _radial_marginal_phi(zi, rp, axis), z)
+            val = val + _truncated_marginal(rp, axis, z, derivative=False)
         return complex(val) if np.ndim(val) == 0 else val
 
     def marginal_dphi(self, axis: int, z):
@@ -417,7 +300,7 @@ class CharTriplet:
             om, m = _ray_arrays(rp)
             val = val + _ray_di1(om[:, axis - 1] / z[..., None], rp.alpha - 1.0) @ m
         elif rp is not None:
-            val = val + _per_point(lambda zi: _radial_marginal_dphi(zi, rp, axis), z)
+            val = val + _truncated_marginal(rp, axis, z, derivative=True)
         return complex(val) if np.ndim(val) == 0 else val
 
     def marginal_phi_term(self, axis: int):
@@ -440,7 +323,7 @@ class CharTriplet:
             u2 -= float((m * pts[:, 1] / nrm).sum())
         if self.tau.radial is not None:
             rp = self.tau.radial
-            base = _ray_drift_integral(rp.alpha, rp.r_min, rp.r_max)
+            base = _ray_drift(rp)
             if base is None:
                 return None
             for w1, w2, mass in rp.directions():
@@ -529,6 +412,23 @@ def _nonzero(c):
     return nz, np.where(nz, c, 1.0)
 
 
+def _log_diff(x1, x2):
+    """Log x1 - Log x2 and its ratio to x1 - x2 (1/x2 at x1 = x2).
+
+    For |x1 - x2| < |x2|/2 the difference is Log1p((x1 - x2)/x2) plus the
+    whole turns that the two principal logs differ by, so nearby x1, x2 lose
+    nothing to cancellation.
+    """
+    log1, log2 = np.log(x1), np.log(x2)
+    h = x1 - x2
+    u = h / x2
+    near = np.abs(u) < 0.5
+    lp = _log1p(np.where(near, u, 0.0))
+    turns = np.round((log1.imag - log2.imag - lp.imag) / (2.0 * math.pi))
+    dl = np.where(near, lp + 2j * math.pi * turns, log1 - log2)
+    return dl, np.where(h == 0, 1.0 / x2, dl / np.where(h == 0, 1.0, h))
+
+
 def _ray_i1(c, delta: float):
     """I1(c) = -c/sinc(d) [(pi^2 d/8) sinc(d/4)^2 + Log(-c) exprel(d Log(-c))]."""
     nz, c = _nonzero(c)
@@ -546,22 +446,14 @@ def _ray_di1(c, delta: float):
 def _ray_cross(c1, c2, delta: float):
     """c1 c2 (pi/sin pi alpha) D = -c1 c2 (-c2)^d exprel(d Dl) (Dl/h) / sinc(d).
 
-    h = c1 - c2 and Dl = Log(-c1) - Log(-c2).  For |h| < |c2|/2, Dl is
-    Log1p(h/c2) plus the whole turns that the two principal logs differ by,
-    so nearly equal c1, c2 (such as cos(pi/4) against sin(pi/4)) lose
-    nothing to cancellation; Dl/h is 1/c2 at h = 0.
+    h = c1 - c2 and Dl = Log(-c1) - Log(-c2), from :func:`_log_diff`, so
+    nearly equal c1, c2 (such as cos(pi/4) against sin(pi/4)) lose nothing
+    to cancellation; Dl/h is 1/c2 at h = 0.
     """
     nz1, c1 = _nonzero(c1)
     nz2, c2 = _nonzero(c2)
-    log1, log2 = np.log(-c1), np.log(-c2)
-    h = c1 - c2
-    u = h / c2
-    near = np.abs(u) < 0.5
-    lp = _log1p(np.where(near, u, 0.0))
-    turns = np.round((log1.imag - log2.imag - lp.imag) / (2.0 * math.pi))
-    dl = np.where(near, lp + 2j * math.pi * turns, log1 - log2)
-    ratio = np.where(h == 0, 1.0 / c2, dl / np.where(h == 0, 1.0, h))
-    val = -c1 * c2 * np.exp(delta * log2) * _exprel(delta * dl) * ratio / _sinc(delta)
+    dl, ratio = _log_diff(-c1, -c2)  # ratio = Dl / (c2 - c1)
+    val = c1 * c2 * np.exp(delta * np.log(-c2)) * _exprel(delta * dl) * ratio / _sinc(delta)
     return np.where(nz1 & nz2, val, 0.0)
 
 
@@ -582,80 +474,265 @@ def _ray_cf(k, delta: float):
     return np.where(nz, -1j * k * t * _exprel(delta * t) / _sinc(0.5 * delta), 0.0)
 
 
-# -- rays with a finite end: quadrature ----------------------------------------
+# -- rays with a finite end: fixed-node Gauss-Legendre -------------------------
+#
+# Per unit-mass ray each integral is integral of h(r) r^{1-alpha} dr over
+# [r_min, r_max], h = kernel / r^2.  Per (probe, ray), _Panels puts a panel in
+# v = r^p on [r_min, e0], geometric r-panels on [e0, e1] and, for the phi
+# kinds, a panel in u = r^{-alpha} beyond e1; the CF has closed forms there.
+# e0 and e1 lie a factor _END_FRAC inside the radius where h is analytic at
+# 0 and at infinity, so the fractional powers left at v = 0 and u = 0 weigh
+# nothing.  Poles near an r-panel are subtracted and integrated exactly.
+# Each rule has n and 2n nodes; their difference is the error estimate.
+
+_GL_N = 24
+_PANEL_RATIO = 8.0
+_END_FRAC = 1e-3
+_NEAR_SUM = 1.25  # |p - a| + |p - b| < 1.25 (b - a): inside the ellipse rho = 2
+_CF_TAIL_KR = 20.0
+_BLOCK_PAIRS = 256  # (probe, ray) pairs per broadcast, so grids go in blocks
 
 
-def _per_point(f, *args) -> np.ndarray:
-    """f at each point of the broadcast arrays, as a complex array."""
-    b = np.broadcast(*args)
-    return np.array([f(*pt) for pt in b], dtype=complex).reshape(b.shape)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the n- and 2n-point rules on [-1, 1] side by side, and each rule's weights on them."""
+    (x1, w1), (x2, w2) = (np.polynomial.legendre.leggauss(n) for n in (_GL_N, 2 * _GL_N))
+    return np.concatenate([x1, x2]), np.concatenate([0.0 * w1, w2]), np.concatenate([w1, 0.0 * w2])
 
 
-def _radial_poisson(z: complex, w: complex, rp: RadialPart) -> complex:
-    total = 0.0 + 0.0j
-    scale = max(1.0, abs(z), abs(w))
-    for w1, w2, mass in rp.directions():
+def quad(f, a, b):
+    """Gauss-Legendre integrals of f over the panels [a, b], summed over panels.
 
-        def g(r: float) -> complex:
-            s, t = r * w1, r * w2
-            one = 1.0 + r * r
-            term1 = (s * s + s * z * r * r) / (z * one * (z - s)) if w1 != 0.0 else 0.0
-            term2 = (t * t + t * w * r * r) / (w * one * (w - t)) if w2 != 0.0 else 0.0
-            term3 = s * t / ((z - s) * (w - t))
-            return term1 + term2 + term3
-
-        def h(r: float) -> complex:
-            one = 1.0 + r * r
-            term1 = (w1 * w1 + r * w1 * z) / (z * one * (z - r * w1))
-            term2 = (w2 * w2 + r * w2 * w) / (w * one * (w - r * w2))
-            term3 = w1 * w2 / ((z - r * w1) * (w - r * w2))
-            return term1 + term2 + term3
-
-        total += mass * _radial_integral(g, h, rp.alpha, rp.r_min, rp.r_max, scale)
-    return total
+    ``a`` and ``b`` have shape (..., panels); f maps nodes of shape
+    (..., panels, 3n) to values of that shape.  Returns the 2n-point sums and
+    their error estimates, the sums over panels of |2n-point - n-point|.
+    """
+    t, w_hi, w_lo = _gauss_legendre()
+    half = 0.5 * (b - a)
+    fx = f((0.5 * (a + b))[..., None] + half[..., None] * t)
+    hi = (fx @ w_hi) * half
+    return hi.sum(axis=-1), np.abs(hi - (fx @ w_lo) * half).sum(axis=-1)
 
 
-def _radial_cf(u1: float, u2: float, rp: RadialPart) -> complex:
-    return sum(mass * _ray_cf_integral(u1 * w1 + u2 * w2, rp.alpha, rp.r_min, rp.r_max)
-               for w1, w2, mass in rp.directions())
+class _Panels:
+    """Panel ends per (probe, ray, panel), each panel in its own variable."""
+
+    def __init__(self, alpha: float, p: float, r_min, r_max, e0, e1, u_tail: bool = True, cuts=()):
+        self.alpha, self.p = alpha, p
+        lo = np.clip(e0, r_min, r_max)
+        self.hi = hi = np.clip(e1, lo, r_max)
+        n = max(1, math.ceil(float(np.max(np.log(hi / lo))) / math.log(_PANEL_RATIO)))
+        edges = lo[..., None] * (hi / lo)[..., None] ** (np.arange(n + 1) / n)
+        edges[..., -1] = hi
+        extra = [np.clip(c, lo, hi)[..., None] for c in cuts if np.any((c > lo) & (c < hi))]
+        if extra:
+            edges = np.sort(np.concatenate([edges] + extra, axis=-1), axis=-1)
+        a, b = [edges[..., :-1]], [edges[..., 1:]]
+        self.v = bool(np.any(r_min < e0))
+        if self.v:
+            a.insert(0, np.broadcast_to(r_min, lo.shape)[..., None] ** p)
+            b.insert(0, lo[..., None] ** p)
+        self.u = u_tail and bool(np.any(r_max > e1))
+        if self.u:
+            a.append(np.broadcast_to(r_max, hi.shape)[..., None] ** -alpha)
+            b.append(hi[..., None] ** -alpha)
+        self.a, self.b = np.concatenate(a, axis=-1), np.concatenate(b, axis=-1)
+        self.rs = slice(int(self.v), self.a.shape[-1] - int(self.u))
+
+    def nodes(self, x):
+        """r at the nodes x, and the factor that turns h(r) into each panel's integrand."""
+        r, jac = x.copy(), x ** (1.0 - self.alpha)
+        if self.v:
+            r[..., 0, :] = np.maximum(x[..., 0, :] ** (1.0 / self.p), 1e-300)  # r = 0 only by underflow
+            jac[..., 0, :] = r[..., 0, :] ** (2.0 - self.alpha - self.p) / self.p
+        if self.u:  # beyond r = 1e100, h r^2 is its limit
+            r[..., -1, :] = np.minimum(x[..., -1, :] ** (-1.0 / self.alpha), 1e100)
+            jac[..., -1, :] = r[..., -1, :] ** 2 / self.alpha
+        return r, jac
 
 
-def _radial_marginal_phi(z: complex, rp: RadialPart, axis: int) -> complex:
-    total = 0.0 + 0.0j
-    scale = max(1.0, abs(z))
-    for w1, w2, mass in rp.directions():
-        om = w1 if axis == 1 else w2
-        if om == 0.0:
-            continue
+def _pole_rays(rp: RadialPart, c1, c2, a1, a2, pair, h):
+    """Per (probe, ray): integral of h(r) r^{1-alpha} dr over the ray, and its error estimate.
 
-        def g(r: float) -> complex:
-            s = r * om
-            return s * (z * r * r + s) / ((z - s) * (1.0 + r * r))
+    h(r, c1, c2, y1, y2) has poles at p_j = 1/c_j (none where c_j = 0), with
+    principal parts k1/(r - p1) and k2/(r - p2), k_j = a_j F(p_j), F = r^{1-alpha},
+    and ``pair`` times [F(p1) + F[p1, p2](r - p1)]/((r - p1)(r - p2)), which
+    stays finite as p1 -> p2.  On an r-panel [a, b] that a pole is near, its
+    parts are subtracted and integrate to k ell(p), ell(p) = Log(b - p) - Log(a - p),
+    or through the divided difference of ell.  h gets y_j = 1/(1 - c_j r) as
+    p_j/(p_j - r), so near a pole h and its parts share one rounded r - p_j.
+    """
+    s = 1.0 - rp.alpha
+    p1, p2 = (np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), -1.0) for c in (c1, c2))  # -1: near no panel
+    m1, m2 = (np.where(c != 0, np.abs(p), 1.0) for c, p in ((c1, p1), (c2, p2)))
+    # an edge at Re p keeps the nodes off a pole close to the positive axis
+    cuts = [np.where(np.abs(p.imag) < p.real, p.real, 0.0) for p in (p1, p2)]
+    pan = _Panels(rp.alpha, 2.0 - rp.alpha, rp.r_min, rp.r_max, _END_FRAC * np.minimum(1.0, np.minimum(m1, m2)),
+                  np.maximum(1.0, np.maximum(m1, m2)) / _END_FRAC, cuts=cuts)
+    rs = pan.rs
+    a, b = pan.a[..., rs], pan.b[..., rs]
+    pe1, pe2 = p1[..., None], p2[..., None]
+    n1 = np.abs(pe1 - a) + np.abs(pe1 - b) < _NEAR_SUM * (b - a)
+    n2 = np.abs(pe2 - a) + np.abs(pe2 - b) < _NEAR_SUM * (b - a)
+    near = bool(n1.any() or n2.any())
+    if near:
+        f1, f2 = np.exp(s * np.log(pe1)), np.exp(s * np.log(pe2))
+        dl, ratio = _log_diff(pe1, pe2)
+        kp = np.asarray(pair)[..., None] * (n1 | n2)
+        k1 = np.asarray(a1)[..., None] * f1 * n1
+        k2 = np.asarray(a2)[..., None] * f2 * n2 + kp * s * f2 * _exprel(s * dl) * ratio
+        kp = kp * f1
+        ell12 = _log_diff(a - pe1, a - pe2)[1] - _log_diff(b - pe1, b - pe2)[1]
+        exact = (k1 * (np.log(b - pe1) - np.log(a - pe1)) + k2 * (np.log(b - pe2) - np.log(a - pe2))
+                 + kp * ell12).sum(axis=-1)
+    ce1, ce2, pe1, pe2 = (x[..., None, None] for x in (c1, c2, p1, p2))
 
-        def h(r: float) -> complex:
-            return om * (z * r + om) / ((z - r * om) * (1.0 + r * r))
+    def f(x):
+        r, jac = pan.nodes(x)
+        val = h(r, ce1, ce2, pe1 / (pe1 - r), pe2 / (pe2 - r)) * jac
+        if near:
+            d1, d2 = r[..., rs, :] - pe1, r[..., rs, :] - pe2
+            val[..., rs, :] -= k1[..., None] / d1 + k2[..., None] / d2 + kp[..., None] / (d1 * d2)
+        return val
 
-        total += mass * _radial_integral(g, h, rp.alpha, rp.r_min, rp.r_max, scale)
-    return total
+    val, err = quad(f, pan.a, pan.b)
+    return (val + exact if near else val), err
 
 
-def _radial_marginal_dphi(z: complex, rp: RadialPart, axis: int) -> complex:
-    total = 0.0 + 0.0j
-    scale = max(1.0, abs(z))
-    for w1, w2, mass in rp.directions():
-        om = w1 if axis == 1 else w2
-        if om == 0.0:
-            continue
+def _by_blocks(integral: str, block, m, *args):
+    """Sum over rays, with masses m, of block's per-ray integrals at the broadcast probes.
 
-        def g(r: float) -> complex:
-            s = r * om
-            return -s * s / (z - s) ** 2
+    Probes go in fixed blocks of _BLOCK_PAIRS (probe, ray) pairs, so a grid
+    never holds all of its nodes at once.  Raises QuadratureError where an
+    estimate exceeds QUAD_ERR_TOL (1 + |value|).
+    """
+    args = np.broadcast_arrays(*args)
+    flat = [a.reshape(-1) for a in args]
+    step = max(1, _BLOCK_PAIRS // len(m))
+    out = np.empty(flat[0].size, dtype=complex)
+    for lo in range(0, out.size, step):
+        chunk = [a[lo:lo + step] for a in flat]
+        val, err = block(*chunk)
+        bad = err > QUAD_ERR_TOL * (1.0 + np.abs(val))
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(np.where(bad, err, -1.0)), err.shape)
+            pt = tuple(c[i].item() for c in chunk)
+            raise QuadratureError(integral, float(err[i, j]), pt[0] if len(pt) == 1 else pt)
+        out[lo:lo + step] = val @ m
+    return out.reshape(args[0].shape)
 
-        def h(r: float) -> complex:
-            return -om * om / (z - r * om) ** 2
 
-        total += mass * _radial_integral(g, h, rp.alpha, rp.r_min, rp.r_max, scale)
-    return total
+def _truncated_phi(rp: RadialPart, z, w):
+    om, m = _ray_arrays(rp)
+
+    def h(r, c1, c2, y1, y2):
+        return (c1 * (r + c1) * y1 + c2 * (r + c2) * y2) / (1.0 + r * r) + c1 * c2 * y1 * y2
+
+    def block(zb, wb):
+        c1, c2 = om[:, 0] / zb[:, None], om[:, 1] / wb[:, None]
+        return _pole_rays(rp, c1, c2, -c1, -c2, (c1 != 0) & (c2 != 0), h)
+
+    return _by_blocks("phi", block, m, z, w)
+
+
+def _truncated_marginal(rp: RadialPart, axis: int, z, derivative: bool):
+    om, m = _ray_arrays(rp)
+    o = om[:, axis - 1]
+
+    def block(zb):
+        c = o / zb[:, None]
+        if derivative:  # -c^2 y^2: a double pole, the pair term at p1 = p2
+            return _pole_rays(rp, c, c, 0.0, 0.0, -1.0 * (c != 0), lambda r, c, _, y, __: -(c * y) ** 2)
+        oe = o[:, None, None]
+        return _pole_rays(rp, c, c, -o, 0.0, 0.0, lambda r, c, _, y, __: oe * (r + c) * y / (1.0 + r * r))
+
+    return _by_blocks("marginal_dphi" if derivative else "marginal_phi", block, m, z)
+
+
+def _e1_ratio(t):
+    """(e^{it} - 1 - it) / (it)^2 at real t; its odd part (t - sin t)/t^2 by series below |t| = 1."""
+    acc = np.zeros_like(t)
+    for j in range(8, -1, -1):
+        acc = acc * t * t + (-1) ** j / math.factorial(2 * j + 3)
+    small = np.abs(t) < 1.0
+    safe = np.where(small, 1.0, t)
+    odd = np.where(small, t * acc, (safe - np.sin(safe)) / (safe * safe))
+    return 0.5 * np.sinc(t / (2.0 * math.pi)) ** 2 + 1j * odd
+
+
+def _gamma_tail(alpha: float, k, x):
+    """integral of e^{ikr} r^{-1-alpha} dr over [x, inf) = (-ik)^alpha Gamma(-alpha, -ikx), for |kx| >= 20.
+
+    Legendre's continued fraction for Gamma(a, z) (DLMF 8.9.2) in its even
+    form, run backward from depth 24; depth 20 already reaches rounding.
+    """
+    z = -1j * k * x
+    acc = np.zeros_like(z)
+    for n in range(24, 0, -1):
+        acc = -n * (n + alpha) / (z + (2 * n + 1 + alpha) + acc)
+    return np.exp(1j * k * x) * x**-alpha / (z + 1.0 + alpha + acc)
+
+
+def _drift_integral(alpha: float, a, b):
+    """integral of r^{-alpha}/(1+r^2) dr over [a, b] elementwise, and its estimate; a = 0 needs alpha < 1.
+
+    Near 0 the panel is in v = r^{1-alpha}, which exists only for alpha < 1.
+    """
+    a = np.asarray(a, dtype=float)
+    e0 = np.full(a.shape, _END_FRAC) if alpha < 1.0 else a
+    pan = _Panels(alpha, 1.0 - alpha, a, b, e0, np.full(a.shape, 1.0 / _END_FRAC))
+
+    def f(x):
+        r, jac = pan.nodes(x)
+        return jac / (r * (1.0 + r * r))
+
+    return quad(f, pan.a, pan.b)
+
+
+def _cf_rays(rp: RadialPart, k):
+    """Per (u, ray): integral of e^{ikr} - 1 - ikr/(1+r^2) against r^{-1-alpha} dr, and its estimate.
+
+    Panels reach b = max(20/|k|, r_min); beyond b, e^{ikr} is :func:`_gamma_tail`,
+    the -1 exact and the compensator :func:`_drift_integral`.
+    """
+    nz, k = _nonzero(k)
+    a, r_max = rp.alpha, rp.r_max
+    pan = _Panels(a, 2.0 - a, rp.r_min, r_max, _END_FRAC * np.minimum(1.0, 1.0 / np.abs(k)),
+                  np.maximum(_CF_TAIL_KR / np.abs(k), rp.r_min), u_tail=False)
+    ke = k[..., None, None]
+
+    def f(x):
+        r, jac = pan.nodes(x)
+        return (1j * ke * r / (1.0 + r * r) - ke * ke * _e1_ratio(ke * r)) * jac
+
+    val, err = quad(f, pan.a, pan.b)
+    b = pan.hi
+    if np.any(b < r_max):
+        drift, drift_err = _drift_integral(a, b, r_max)
+        osc = _gamma_tail(a, k, b) - (0.0 if math.isinf(r_max) else _gamma_tail(a, k, r_max))
+        val = val + np.where(b < r_max, osc - (b**-a - r_max**-a) / a - 1j * k * drift, 0.0)
+        err = err + np.abs(k) * drift_err
+    return np.where(nz, val, 0.0), np.where(nz, err, 0.0)
+
+
+def _truncated_cf(rp: RadialPart, u):
+    om, m = _ray_arrays(rp)
+    u = np.asarray(u, dtype=float)
+    return _by_blocks("cf", lambda u1, u2: _cf_rays(rp, u1[:, None] * om[:, 0] + u2[:, None] * om[:, 1]),
+                      m, u[..., 0], u[..., 1])
+
+
+def _ray_drift(rp: RadialPart) -> float | None:
+    """integral of r^{-alpha}/(1+r^2) dr over the ray, None if divergent."""
+    if rp.r_min == 0.0 and rp.alpha >= 1.0:
+        return None
+    if rp.is_untruncated():
+        return 0.5 * math.pi / math.cos(0.5 * math.pi * rp.alpha)
+
+    def block(a, b):
+        return _drift_integral(rp.alpha, a[:, None], b[:, None])
+
+    return _by_blocks("drift", block, np.ones(1), rp.r_min, rp.r_max).real.item()
 
 
 # -- named constructors ------------------------------------------------------

@@ -127,33 +127,50 @@ def richardson_limit(values, steps) -> complex:
     return p[0]
 
 
-# -- radial Levy integrals on a full ray, 30 digits ----------------------------
+# -- radial Levy integrals on a ray, 30 digits ---------------------------------
 
 
-def _mp_full_ray(g, h, alpha, knots):
-    """integral of g(r) r^{-1-alpha} dr over (0, inf) at the working precision.
+def _mp_ray(g, h, alpha, knots, r_min=0, r_max=mp.inf):
+    """integral of g(r) r^{-1-alpha} dr over [r_min, r_max] at the working precision.
 
     r = v^{1/(2-alpha)} below the first knot and u = r^{-alpha} beyond the
     last one leave bounded integrands, so tanh-sinh keeps its accuracy at
     both ends; plain ``mp.quad`` on [0, inf) loses up to four digits here.
     ``h`` is g(r)/r^2 in a cancellation-free form; ``knots`` are pole
-    moduli and split the middle range.
+    moduli (and, for poles near the positive axis, points around them)
+    and split the middle range.
     """
     a = mp.mpf(alpha)
     lo, hi = min(knots) / 4, max(knots) * 4
     p = 2 - a
-    total = mp.quad(lambda v: h(v ** (1 / p)) / p, [0, lo**p])
-    total += mp.quad(lambda r: g(r) * r ** (-1 - a), [lo] + sorted(knots) + [hi])
-    total += mp.quad(lambda u: g(u ** (-1 / a)) / a, [0, hi ** (-a)])
+    total = mp.mpf(0)
+    if r_min < lo:
+        total += mp.quad(lambda v: h(v ** (1 / p)) / p, [mp.mpf(r_min) ** p, min(lo, r_max) ** p])
+    start, stop = max(lo, r_min), min(hi, r_max)
+    if start < stop:
+        pts = [start] + sorted(x for x in knots if start < x < stop) + [stop]
+        total += mp.quad(lambda r: g(r) * r ** (-1 - a), pts)
+    if r_max > hi:
+        total += mp.quad(lambda u: g(u ** (-1 / a)) / a, [mp.mpf(r_max) ** (-a), max(hi, r_min) ** (-a)])
     return total
 
 
 def _knots(*cs):
-    return [1 / abs(c) for c in cs if c != 0] + [mp.mpf(1)]
+    """Pole moduli 1/|c|, 1, and around a pole within 1% of the positive axis, points
+    at 1, 10 and 100 times its height either side, where tanh-sinh resolves it."""
+    out = [mp.mpf(1)]
+    for c in cs:
+        if c == 0:
+            continue
+        p = 1 / c
+        out.append(abs(p))
+        if p.real > 0 and abs(p.imag) < p.real / 100:
+            out += [p.real + s * j * abs(p.imag) for s in (-1, 1) for j in (1, 10, 100) if p.real + s * j * abs(p.imag) > 0]
+    return out
 
 
-def mp_ray_phi(alpha: float, omega, z: complex, w: complex) -> complex:
-    """Bi-free Levy integral of one unit-mass ray along ``omega``.
+def mp_ray_phi(alpha: float, omega, z: complex, w: complex, r_min=0, r_max=mp.inf) -> complex:
+    """Bi-free Levy integral of one unit-mass ray along ``omega`` on [r_min, r_max].
 
     The kernel zw/((z-s)(w-t)) - 1 - (s/z + t/w)/(1+r^2) at (s, t) = r omega,
     written with c1 = omega1/z, c2 = omega2/w.
@@ -166,10 +183,10 @@ def mp_ray_phi(alpha: float, omega, z: complex, w: complex) -> complex:
             return (c1 * (r + c1) / ((1 - c1 * r) * one) + c2 * (r + c2) / ((1 - c2 * r) * one)
                     + c1 * c2 / ((1 - c1 * r) * (1 - c2 * r)))
 
-        return complex(_mp_full_ray(lambda r: h(r) * r * r, h, alpha, _knots(c1, c2)))
+        return complex(_mp_ray(lambda r: h(r) * r * r, h, alpha, _knots(c1, c2), r_min, r_max))
 
 
-def mp_ray_marginal_phi(alpha: float, om: float, z: complex) -> complex:
+def mp_ray_marginal_phi(alpha: float, om: float, z: complex, r_min=0, r_max=mp.inf) -> complex:
     """Free Levy integral of zs/(z-s) - s/(1+r^2) along one ray, s = r om."""
     with mp.workdps(30):
         zz = mp.mpc(z)
@@ -178,10 +195,10 @@ def mp_ray_marginal_phi(alpha: float, om: float, z: complex) -> complex:
         def h(r):
             return zz * c * (r + c) / ((1 - c * r) * (1 + r * r))
 
-        return complex(_mp_full_ray(lambda r: h(r) * r * r, h, alpha, _knots(c)))
+        return complex(_mp_ray(lambda r: h(r) * r * r, h, alpha, _knots(c), r_min, r_max))
 
 
-def mp_ray_marginal_dphi(alpha: float, om: float, z: complex) -> complex:
+def mp_ray_marginal_dphi(alpha: float, om: float, z: complex, r_min=0, r_max=mp.inf) -> complex:
     """z-derivative of :func:`mp_ray_marginal_phi`: integral of -s^2/(z-s)^2."""
     with mp.workdps(30):
         c = mp.mpf(om) / mp.mpc(z)
@@ -189,13 +206,13 @@ def mp_ray_marginal_dphi(alpha: float, om: float, z: complex) -> complex:
         def h(r):
             return -c * c / (1 - c * r) ** 2
 
-        return complex(_mp_full_ray(lambda r: h(r) * r * r, h, alpha, _knots(c)))
+        return complex(_mp_ray(lambda r: h(r) * r * r, h, alpha, _knots(c), r_min, r_max))
 
 
 def mp_ray_cf(alpha: float, k: float) -> complex:
     """integral of e^{ikr} - 1 - ikr/(1+r^2) against r^{-1-alpha} dr on (0, inf).
 
-    As :func:`_mp_full_ray`, except that the oscillatory tail e^{ikr} goes
+    As :func:`_mp_ray` on a full ray, except that the oscillatory tail e^{ikr} goes
     to ``mp.quadosc`` and only its non-oscillatory rest takes u = r^{-alpha}.
     """
     with mp.workdps(30):
@@ -248,6 +265,62 @@ def mp_truncated_ray_cf(alpha, rays, r_min, r_max, u) -> complex:
 
             expo += m * mp.quad(f, mp.linspace(r_min, r_max, 9))
         return complex(mp.exp(expo))
+
+
+def mp_ray_cf_on(alpha: float, k: float, r_min, r_max=mp.inf) -> complex:
+    """integral of e^{ikr} - 1 - ikr/(1+r^2) against r^{-1-alpha} dr over [r_min, r_max].
+
+    Up to b = 1/|k| (clipped into the ray) by ``mp.quad`` in v = r^{2-alpha};
+    beyond b term by term: e^{ikr} through ``mp.gammainc``, as
+    (-ik)^alpha [Gamma(-alpha, -ikb) - Gamma(-alpha, -ik r_max)], the -1 exactly,
+    and the compensator by ``mp.quad`` in u = 1/r.
+    """
+    with mp.workdps(30):
+        a, k = mp.mpf(alpha), mp.mpf(k)
+        r_min, r_max = mp.mpf(r_min), mp.mpf(r_max)
+
+        def h(r):
+            x = 1j * k * r
+            if abs(x) < mp.mpf("1e-4"):
+                e1 = sum(x**n / mp.factorial(n) for n in range(2, 12))
+            else:
+                e1 = mp.exp(x) - 1 - x
+            return e1 / (r * r) + 1j * k * r / (1 + r * r)
+
+        b = min(max(1 / abs(k), r_min), r_max)
+        p = 2 - a
+        total = mp.mpc(0)
+        if b > r_min:
+            total += mp.quad(lambda v: h(v ** (1 / p)) / p, [r_min**p] + ([1] if r_min < 1 < b else []) + [b**p])
+        if b < r_max:
+            upper = mp.gammainc(-a, -1j * k * b) if mp.isinf(r_max) else mp.gammainc(-a, -1j * k * b, -1j * k * r_max)
+            total += (-1j * k) ** a * upper
+            total -= (b**-a - (0 if mp.isinf(r_max) else r_max**-a)) / a
+            lo_u = 0 if mp.isinf(r_max) else 1 / r_max
+            total -= 1j * k * mp.quad(lambda u: u**a / (1 + u * u), [lo_u] + ([1] if lo_u < 1 < 1 / b else []) + [1 / b])
+        return complex(total)
+
+
+def mp_ray_drift(alpha: float, r_min, r_max=mp.inf) -> float:
+    """integral of r^{-alpha}/(1+r^2) dr over [r_min, r_max].
+
+    Below 1, v = r^{1-alpha} (alpha < 1) or x = log r (r_min > 0) leaves a
+    bounded integrand; plain ``mp.quad`` misses most of r^{-alpha} near 0
+    as alpha -> 1.
+    """
+    with mp.workdps(30):
+        a, r_min, r_max = mp.mpf(alpha), mp.mpf(r_min), mp.mpf(r_max)
+        total = mp.mpf(0)
+        cut = min(r_max, 1)
+        if r_min < cut:
+            if r_min == 0:
+                p = 1 - a
+                total += mp.quad(lambda v: 1 / (p * (1 + v ** (2 / p))), [0, cut**p])
+            else:
+                total += mp.quad(lambda x: mp.exp((1 - a) * x) / (1 + mp.exp(2 * x)), [mp.log(r_min), mp.log(cut)])
+        if r_max > 1:
+            total += mp.quad(lambda r: r**-a / (1 + r * r), [max(r_min, 1), r_max])
+        return float(total)
 
 
 # -- free convolution of atomic laws, 30 digits --------------------------------

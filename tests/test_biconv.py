@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
 from bifree.freeconv import AtomicPhiTerm, free_convolve_many
-from bifree.idlaw import make_compound_poisson, make_gaussian
-from bifree.measure import Matrix2, Measure1D, PlanarMeasure, dirac
+from bifree.idlaw import CharTriplet, LevyMeasure, RadialPart, make_compound_poisson, make_gaussian
+from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D, PlanarMeasure, dirac
 from bifree.serialize import measure_from_dict, measure_to_dict, rep_from_dict, rep_to_dict
 from bifree.transforms import bi_free_phi, cone_for, inversion_values
 
@@ -182,6 +183,19 @@ class TestMixedTerms:
         axis = np.linspace(-6, 6, 61)
         grid = rep.density(axis, axis, 0.1)
         assert grid.riemann_mass() >= 0.9
+
+
+    def test_b2_plus_truncated_rays_density(self):
+        # rays in opposite pairs on [0.2, 5]: both terms are symmetric under x -> -x
+        rays = tuple((0.3 + 0.5 * math.pi * k, 0.25) for k in range(4))
+        trip = CharTriplet((0.0, 0.0), Matrix2(0.0, 0.0, 0.0),
+                           LevyMeasure(AtomicMeasure2D(), RadialPart(1.2, rays, 0.2, 5.0)))
+        rep = bi_free_convolve([PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)]), trip])
+        axis = np.linspace(-3.0, 3.0, 16)
+        vals = rep.density(axis, axis, 0.1).values
+        assert np.all(np.isfinite(vals))
+        assert vals.min() >= -1e-9 * vals.max()
+        np.testing.assert_allclose(vals, vals[::-1, ::-1], rtol=0, atol=1e-8 * vals.max())
 
 
 class TestRepSerialization:

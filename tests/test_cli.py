@@ -38,6 +38,11 @@ def write(path: Path, payload) -> str:
 
 
 DIRAC_JSON = {"atoms": [{"x": [1.0, 1.0], "w": 1.0}]}
+TRUNCATED_JSON = {
+    "v": [0.0, 0.0], "A": [[0.0, 0.0], [0.0, 0.0]],
+    "tau": {"atoms": [], "radial": {"alpha": 1.2, "r_min": 0.2, "r_max": 5.0,
+                                    "theta": [{"angle": 0.4, "m": 0.25}, {"angle": 2.0, "m": 0.5}]}},
+}
 TWO_ATOM_JSON = {
     "atoms": [{"x": [1.0, 1.0], "w": 0.5}, {"x": [-1.0, -1.0], "w": 0.5}]
 }
@@ -319,6 +324,13 @@ class TestCliIdlaw:
         payload = json.loads((out / "idlaw.json").read_text())
         assert payload["drift"] is not None
 
+    def test_quadrature_failure_exit_3_names_integral(self, tmp_path, capsys, monkeypatch):
+        trip = write(tmp_path / "t.json", TRUNCATED_JSON)
+        monkeypatch.setattr(bifree.idlaw, "QUAD_ERR_TOL", -1.0)  # every estimate fails
+        assert main(["--out", str(tmp_path / "out"), "idlaw", trip, "--mode", "cf"]) == 3
+        err = capsys.readouterr().err
+        assert "integral=cf worst_estimate=" in err and "worst_point=(" in err
+
     def test_drift_none_for_heavy_radial(self, tmp_path):
         trip = write(
             tmp_path / "t.json",
@@ -432,5 +444,17 @@ def test_cli_import_leaves_scipy_integrate_out():
     src = str(Path(bifree.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, bifree.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
+
+
+def test_truncated_rays_leave_scipy_out():
+    # a fresh interpreter: truncated-ray phi, CF and drift import no scipy module
+    src = str(Path(bifree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, json, bifree.serialize as io; "
+            f"t = io.triplet_from_dict(json.loads({json.dumps(json.dumps(TRUNCATED_JSON))})); "
+            "t.bi_free_phi(2j, 3j); t.classical_cf((0.5, -1.0)); t.drift(); "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"

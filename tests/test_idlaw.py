@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +25,8 @@ from bifree.idlaw import (
 from bifree.measure import AtomicMeasure2D, Matrix2, PlanarMeasure, dirac
 from oracles import (
     mp_ray_cf,
+    mp_ray_cf_on,
+    mp_ray_drift,
     mp_ray_marginal_dphi,
     mp_ray_marginal_phi,
     mp_ray_phi,
@@ -368,8 +372,8 @@ class TestAxisDirections:
 
     @pytest.mark.parametrize("r_max", [math.inf, 10.0])
     def test_ray_on_t_axis_leaves_s_marginal_alone(self, r_max):
-        # cos(pi/2) = 6e-17 is no exact zero: quadrature of it raises
-        # QuadratureError, and the closed form would add |omega|^alpha ~ 1e-5
+        # cos(pi/2) = 6e-17 is no exact zero: the closed form would add
+        # |omega|^alpha ~ 1e-5, and the truncated ray a term of its own
         t = radial_triplet(0.3, [(0.5 * math.pi, 1.0)], r_max=r_max)
         assert t.marginal_phi(1, 0.5 + 0.1j) == 0.0
         assert t.marginal_dphi(1, 0.5 + 0.1j) == 0.0
@@ -452,10 +456,10 @@ class TestFullRayClosedForms:
 
 
 class TestFullRaysAgainstQuadrature:
-    """The retained quadrature helpers, called on full rays, agree to 1e-9.
+    """The truncated-ray Gauss-Legendre kernel, run on full rays, agrees to 1e-9.
 
-    Relative to max(1, |value|): the quadrature's own absolute floor is
-    1e-12 per region, which a ray nearly on an axis falls under.
+    Relative to max(1, |value|): the kernel's error check is absolute below
+    1, which a ray nearly on an axis falls under.
     """
 
     @staticmethod
@@ -468,19 +472,18 @@ class TestFullRaysAgainstQuadrature:
     def test_phi_marginals_and_cf(self, alpha, rays, z, w):
         t = radial_triplet(alpha, rays)
         rp = t.tau.radial
-        assert self.close(t.bi_free_phi(z, w), idlaw._radial_poisson(z, w, rp))
+        assert self.close(t.bi_free_phi(z, w), complex(idlaw._truncated_phi(rp, z, w)))
         for axis, x in ((1, z), (2, w)):
-            assert self.close(t.marginal_phi(axis, x), idlaw._radial_marginal_phi(x, rp, axis))
-            assert self.close(t.marginal_dphi(axis, x), idlaw._radial_marginal_dphi(x, rp, axis))
+            for derivative, closed in ((False, t.marginal_phi), (True, t.marginal_dphi)):
+                assert self.close(closed(axis, x), complex(idlaw._truncated_marginal(rp, axis, x, derivative)))
         u = (z.real, w.real)
-        quad_expo = sum(m * idlaw._ray_cf_integral(u[0] * w1 + u[1] * w2, alpha, 0.0, math.inf)
-                        for w1, w2, m in rp.directions())
+        quad_expo = complex(idlaw._truncated_cf(rp, u))
         # the exponent's size, not the CF's, sets the scale of the error
         assert abs(t.classical_cf(u) / cmath.exp(quad_expo) - 1.0) <= 1e-9 * max(1.0, abs(quad_expo))
 
 
 class TestTruncatedRays:
-    """Rays with a finite end keep adaptive quadrature."""
+    """Rays with a finite end go through one fixed-node Gauss-Legendre kernel."""
 
     RAYS = [(0.4, 0.25), (2.0, 0.5)]
 
@@ -497,9 +500,97 @@ class TestTruncatedRays:
         for u in [(0.5, -1.0), (2.0, 0.3)]:
             assert rel_err(t.classical_cf(u), mp_truncated_ray_cf(1.2, self.RAYS, 0.2, 5.0, u)) <= 1e-9
 
-    def test_quad_is_scipy_quad(self):
-        val, err = idlaw.quad(lambda x: x * x, 0.0, 3.0)
-        assert val == pytest.approx(9.0, rel=1e-14) and err < 1e-10
+    @pytest.mark.parametrize("degree", [0, 1, 7, 2 * idlaw._GL_N - 1])
+    def test_quad_exact_on_polynomials(self, degree):
+        # both rules, n and 2n nodes, are exact up to degree 2n - 1: the estimate is rounding
+        a, b = np.array([[0.0, 0.5], [-1.0, 2.0]]), np.array([[0.5, 1.0], [2.0, 3.0]])
+        val, err = idlaw.quad(lambda x: (degree + 1) * x**degree, a, b)
+        np.testing.assert_allclose(val, [1.0, 3.0 ** (degree + 1) - (-1.0) ** (degree + 1)], rtol=1e-13)
+        assert np.all(err <= 1e-13 * np.abs(val))
+
+    def test_library_imports_no_scipy(self):
+        src = Path(idlaw.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path.name
+
+    def test_error_names_integral_estimate_and_point(self, monkeypatch):
+        t = radial_triplet(1.2, self.RAYS, r_min=0.2, r_max=5.0)
+        z, w = np.array([2j, 1.0 - 4j]), np.array([-0.5 + 3j, 8j])
+        monkeypatch.setattr(idlaw, "QUAD_ERR_TOL", -1.0)  # every estimate fails
+        with pytest.raises(idlaw.QuadratureError) as info:
+            t.bi_free_phi(z, w)
+        e = info.value
+        assert e.integral == "phi" and e.worst_estimate >= 0.0
+        assert e.worst_point in list(zip(z.tolist(), w.tolist()))
+        with pytest.raises(idlaw.QuadratureError) as info:
+            t.drift()
+        assert info.value.integral == "drift" and info.value.worst_point == (0.2, 5.0)
+
+    def test_grid_matches_points(self):
+        # 20 x 20 probes on 2 rays is more than one block of the kernel
+        t = radial_triplet(0.7, self.RAYS, r_min=0.0, r_max=5.0)
+        z = (np.linspace(-3.0, 3.0, 20) + 0.5j)[:, None]
+        w = (np.linspace(-2.0, 4.0, 20) - 1.5j)[None, :]
+        grid = t.bi_free_phi(z, w)
+        pts = [[t.bi_free_phi(zi, wj) for wj in w[0]] for zi in z[:, 0]]
+        np.testing.assert_allclose(grid, pts, rtol=1e-14, atol=0)
+
+
+@st.composite
+def truncated_ray(draw):
+    """(alpha, angle, r_min, r_max) with r_min = 0 or > 0, r_max finite or inf, not both full."""
+    alpha, angle = draw(ALPHAS), draw(ANGLES)
+    r_min = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    r_max = draw(st.one_of(st.just(math.inf), st.floats(2.0, 50.0))) if r_min > 0.0 else draw(st.floats(2.0, 50.0))
+    return alpha, angle, r_min, r_max
+
+
+@st.composite
+def support_probe(draw, om, r_min, r_max):
+    """Half the draws: Re z/omega inside the support and Im z = +-1e-3; else off the axis."""
+    if om != 0.0 and draw(st.booleans()):
+        r0 = draw(st.floats(max(r_min, 0.05), min(r_max, 60.0)))
+        return r0 * om + 1e-3j * draw(st.sampled_from((-1.0, 1.0)))
+    return draw(off_axis())
+
+
+class TestTruncatedRayOracles:
+    """Each truncated-ray integral against 30-digit mpmath, one kind per draw."""
+
+    @settings(max_examples=14)
+    @given(truncated_ray(), st.sampled_from(["phi", "marginal", "cf", "drift"]), st.data())
+    def test_against_mpmath(self, ray, kind, data):
+        alpha, angle, r_min, r_max = ray
+        t = radial_triplet(alpha, [(angle, 1.0)], r_min, r_max)
+        om = t.tau.radial.directions()[0][:2]
+        if kind == "phi":
+            z, w = data.draw(support_probe(om[0], r_min, r_max)), data.draw(support_probe(om[1], r_min, r_max))
+            got = t.bi_free_phi(z, w)
+            assert rel_err(got, mp_ray_phi(alpha, om, z, w, r_min, r_max)) <= 1e-10
+            assert abs(t.bi_free_phi(z.conjugate(), w.conjugate()) - got.conjugate()) <= 1e-14 * abs(got)
+        elif kind == "marginal":
+            assume(om[0] != 0.0)
+            z = data.draw(support_probe(om[0], r_min, r_max))
+            assert rel_err(t.marginal_phi(1, z), mp_ray_marginal_phi(alpha, om[0], z, r_min, r_max)) <= 1e-10
+            assert rel_err(t.marginal_dphi(1, z), mp_ray_marginal_dphi(alpha, om[0], z, r_min, r_max)) <= 1e-10
+        elif kind == "cf":
+            k = data.draw(st.floats(0.02, 50.0)) * data.draw(st.sampled_from((-1.0, 1.0)))
+            u = (k * om[0], k * om[1])
+            got = complex(idlaw._truncated_cf(t.tau.radial, u))
+            assert rel_err(got, mp_ray_cf_on(alpha, om[0] * u[0] + om[1] * u[1], r_min, r_max)) <= 1e-10
+        else:
+            d = t.drift()
+            if r_min == 0.0 and alpha >= 1.0:
+                assert d is None
+            else:
+                assert rel_err(-(om[0] * d[0] + om[1] * d[1]), mp_ray_drift(alpha, r_min, r_max)) <= 1e-10
 
 
 class TestCFOnArrays:

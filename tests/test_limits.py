@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import bifree.limits as lm
 import bifree.transforms as tf
@@ -375,23 +375,32 @@ def stacked_arrays(draw):
 
 
 def phi_reference(m, z, w):
-    """phi of one law through its merged Measure1D marginals and cauchy2d."""
+    """phi of one law through its merged Measure1D marginals and cauchy2d.
+
+    Also returns the sum of the moduli of the four parts it adds, the scale
+    of the rounding left where they cancel.
+    """
     i1, i2 = invert_f(m.marginal(1), z), invert_f(m.marginal(2), w)
-    return (i1 - z) / z + (i2 - w) / w + 1.0 - 1.0 / (z * w * cauchy2d(m, i1, i2))
+    parts = [(i1 - z) / z, (i2 - w) / w, 1.0, -1.0 / (z * w * cauchy2d(m, i1, i2))]
+    return sum(parts), sum(map(abs, parts))
 
 
 STACK_PROBES = [(12j, 10j), (-9j, 14j), (3.0 + 12j, -2.0 - 11j)]
 
 
+# each row's phi cancels to 0 at (12i, 10i): p1/z = -p2/w for the atom (-0.3, 0.25)
+@example(make_array([[dirac((-0.3, 0.25))] * n for n in (3, 4, 5)], [(0.0, 0.0)] * 3, L=1.0))
 @given(stacked_arrays())
 def test_stacked_phi_and_cf_match_expanded_rows(arr):
     us = np.array(U_PROBES)
     for row, stack, shift in zip(arr.rows, arr.stacks, arr.shifts):
         assert stack.weights.shape[1] == max(len(m) for m in row)
         for z, w in STACK_PROBES:
-            terms = [shift[0] / z, shift[1] / w] + [phi_reference(m, z, w) for m in row]
+            refs = [phi_reference(m, z, w) for m in row]
+            want = shift[0] / z + shift[1] / w + sum(v for v, _ in refs)
+            scale = abs(shift[0] / z) + abs(shift[1] / w) + sum(s for _, s in refs)
             got = lm._phi_row(stack, shift, z, w)
-            assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
+            assert abs(got - want) <= 1e-13 * scale
         want = np.exp(1j * (us @ np.array(shift))) * np.prod([[m.char_fun(u) for u in us] for m in row], axis=0)
         np.testing.assert_allclose(lm._cf_row(stack, shift, us), want, rtol=1e-13, atol=0)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .freeconv import AtomicPhiTerm, FreeConvRep, free_convolve_many
+from .freeconv import FreeConvRep, _grouped
 from .measure import PlanarMeasure, RowStack, Vec2, dirac, row_groups, row_stack
 from .transforms import (
     DEGENERATE_TOL,
@@ -68,25 +68,18 @@ class BiConvRep:
     def _marginal_with_starts(self, groups, axis: int) -> tuple[FreeConvRep, tuple]:
         """Marginal rep, plus where each law of ``stack`` finds its warm start.
 
-        A law's entry is (k, 0.0), with k the marginal term whose
-        subordination function is the root of the law's inversion, or
-        (None, p) when the law's marginal is the point p, which is folded
-        into the shift and whose inversion at F has the root F + p.
-        Built once per rep, in ``marginals``.
+        Each group's marginal enters once with its count (byte-equal
+        marginals are one law).  A law's entry is (k, 0.0), with k the index
+        of its marginal among the rep's laws, whose subordination function
+        is the root of the law's inversion, or (None, p) when its marginal is
+        the point p, folded into the shift, whose inversion at F has the root
+        F + p.  Built once per rep, in ``marginals``.
         """
-        parts: list = []
-        starts: list = []
-        shift = float(self.shift[axis - 1])
-        for m, count in groups:
-            line = m.marginal(axis)
-            if len(line) == 1:
-                shift += count * float(line.points[0])
-                starts.append((None, float(line.points[0])))
-            else:
-                starts.append((len(parts), 0.0))
-                parts.extend([AtomicPhiTerm(line)] * count)
-        parts.extend(t.marginal_phi_term(axis) for t in self.triplets)
-        return free_convolve_many(parts, shift=shift), tuple(starts)
+        lines = [(m.marginal(axis), count) for m, count in groups]
+        rep, slots = _grouped(lines, [t.marginal_phi_term(axis) for t in self.triplets],
+                              self.shift[axis - 1])
+        return rep, tuple((k, 0.0) if k is not None else (None, float(line.points[0]))
+                          for k, (line, _) in zip(slots, lines))
 
     def marginal(self, axis: int) -> FreeConvRep:
         """Free-convolution representation of the marginal law."""

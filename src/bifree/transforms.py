@@ -89,20 +89,20 @@ def _hyperbolic(x, h):
     return np.abs(h) / np.abs(2j * x.imag + np.conj(h))
 
 
-def _damped_newton(h_eval: Callable, x, target, aux=(), tol: float = NEWTON_TOL,
+def _damped_newton(h_eval: Callable, x, target, tol: float = NEWTON_TOL,
                    maxiter: int = NEWTON_MAXITER, fixed_point: bool = False):
     """Solve h(x) = 0 elementwise by damped Newton; one root per target entry.
 
-    ``h_eval(x, aux) -> (h, h', aux)`` evaluates the residual, its derivative
-    and per-entry by-products ``aux`` (a sequence of arrays shaped like
-    ``x``), which are returned as evaluated at the final ``x``.  An entry
-    stops once |h| <= tol (1 + |target|).  Its step is halved, up to 60
-    times, while h at the proposal is not finite or the proposal leaves the
-    half-plane of its target; an entry whose halvings run out, or whose start
-    is not finite, is given up.  Every entry takes its proposal: an entry
-    outside the active set took a zero step, so its proposal is its own
-    point, and one given up keeps its last rejected proposal, so callers
-    read only the entries of the converged mask.
+    ``h_eval(x) -> (h, h', aux)`` evaluates the residual, its derivative and
+    per-entry by-products ``aux`` (a sequence of arrays shaped like ``x``),
+    which are returned as evaluated at the final ``x``.  An entry stops once
+    |h| <= tol (1 + |target|).  Its step is halved, up to 60 times, while h
+    at the proposal is not finite or the proposal leaves the half-plane of
+    its target; an entry whose halvings run out, or whose start is not
+    finite, is given up.  Every entry takes its proposal: an entry outside
+    the active set took a zero step, so its proposal is its own point, and
+    one given up keeps its last rejected proposal, so callers read only the
+    entries of the converged mask.
 
     With ``fixed_point`` the residual is h = x - T(x) for a map T of the
     target's half-plane into itself, and an entry stops once
@@ -110,7 +110,7 @@ def _damped_newton(h_eval: Callable, x, target, aux=(), tol: float = NEWTON_TOL,
     closer in the pseudo-hyperbolic distance |h| / |x - conj(T(x))|, which
     the plain step x <- T(x) = x - h never increases (Schwarz-Pick); one that
     does not is replaced, before any halving, by the plain step.  Returns
-    ``(x, h'(x), aux, converged mask)``.
+    ``(x, aux, converged mask)``.
     """
     x = np.array(x, dtype=complex)
     sign = np.sign(target.imag)
@@ -118,7 +118,7 @@ def _damped_newton(h_eval: Callable, x, target, aux=(), tol: float = NEWTON_TOL,
     def settled(x, h):
         return np.abs(h) <= tol * (1.0 + np.abs(x if fixed_point else target))
 
-    h, hp, aux = h_eval(x, aux)
+    h, hp, aux = h_eval(x)
     done = settled(x, h)
     failed = ~np.isfinite(h)
     merit = _hyperbolic(x, h) if fixed_point else np.zeros(x.shape)
@@ -131,7 +131,7 @@ def _damped_newton(h_eval: Callable, x, target, aux=(), tol: float = NEWTON_TOL,
         newton = act & fixed_point
         for _ in range(60):
             prop = x + step
-            ph, php, paux = h_eval(prop, aux)
+            ph, php, paux = h_eval(prop)
             bad = act & (~np.isfinite(ph) | (np.sign(prop.imag) != sign))
             pmerit = _hyperbolic(prop, ph) if fixed_point else merit
             fall_back = newton & (bad | (pmerit >= merit))
@@ -142,30 +142,21 @@ def _damped_newton(h_eval: Callable, x, target, aux=(), tol: float = NEWTON_TOL,
         failed |= bad
         x, h, hp, merit, aux = prop, ph, php, pmerit, paux
         done |= act & ~bad & settled(x, h)
-    return x, hp, aux, done
+    return x, aux, done
 
 
-def newton_f_inverse(
-    points: np.ndarray,
-    weights: np.ndarray,
-    target: np.ndarray,
-    guess: np.ndarray,
-    tol: float = NEWTON_TOL,
-    maxiter: int = NEWTON_MAXITER,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve F(x) = target elementwise for the atomic law (points, weights).
-
-    Returns (roots, F'(roots), converged mask); the derivative comes from
-    the last Newton evaluation.
-    """
+def newton_f_inverse(points: np.ndarray, weights: np.ndarray, target: np.ndarray,
+                     guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve F(x) = target elementwise for the atomic law (points, weights):
+    (roots, converged mask)."""
     target = np.asarray(target, dtype=complex)
 
-    def h_eval(x, aux):
+    def h_eval(x):
         f, fp = _f_and_deriv(points, weights, x)
-        return f - target, fp, aux
+        return f - target, fp, ()
 
-    roots, fp, _, ok = _damped_newton(h_eval, guess, target, tol=tol, maxiter=maxiter)
-    return roots, fp, ok
+    roots, _, ok = _damped_newton(h_eval, guess, target)
+    return roots, ok
 
 
 def invert_f(nu: Measure1D, target, guess=None):
@@ -178,7 +169,7 @@ def invert_f(nu: Measure1D, target, guess=None):
     target = np.asarray(target, dtype=complex)
     _require_nonreal(target, "target")
     start = target if guess is None else np.broadcast_to(np.asarray(guess, dtype=complex), target.shape)
-    roots, _, ok = newton_f_inverse(nu.points, nu.weights, target, start)
+    roots, ok = newton_f_inverse(nu.points, nu.weights, target, start)
     if not ok.all():
         raise NoConvergence(f"F inversion failed at {target[~ok].ravel()[:3]}")
     return complex(roots) if roots.ndim == 0 else roots
@@ -238,7 +229,7 @@ def bi_free_phi(mu, z, w, guess1=None, guess2=None):
     target = np.concatenate(per_law)
     start = np.concatenate([p if g is None else np.broadcast_to(g, (n, *x.shape)).ravel()
                             for p, g, x in zip(per_law, (guess1, guess2), (z, w))])
-    roots, _, ok = newton_f_inverse(
+    roots, ok = newton_f_inverse(
         np.concatenate([s_pts.repeat(z.size, 0), t_pts.repeat(w.size, 0)]),
         np.concatenate([mu.weights.repeat(z.size, 0), mu.weights.repeat(w.size, 0)]), target, start)
     if not ok.all():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
-from bifree.freeconv import AtomicPhiTerm, free_convolve_many
+from bifree.freeconv import free_convolve_many
 from bifree.idlaw import CharTriplet, LevyMeasure, RadialPart, make_compound_poisson, make_gaussian
 from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D, PlanarMeasure, dirac
 from bifree.serialize import measure_from_dict, measure_to_dict, rep_from_dict, rep_to_dict
@@ -308,13 +308,19 @@ def term_phis(terms, shift, z, w):
     ]
 
 
+def law_key(m):
+    """Content key of a law: its frozen points and weights, as the reps group them."""
+    return m.points.tobytes(), m.weights.tobytes()
+
+
 def reference_density(terms, shift, s_axis, t_axis, eps):
     """The planar inversion by the phi relation, term by term.
 
-    Each marginal is solved on its own rep built here, in term order, and
-    each law's phi is one ``bi_free_phi`` call started at its subordination
-    functions (at F + p where its marginal is the point p).  The lower
-    w-side is solved at conj(W) itself.
+    Each marginal is solved on its own rep built here from the terms'
+    marginals in term order, which stores equal marginals once with their
+    count.  Each law's phi is one ``bi_free_phi`` call started at the
+    subordination function of its marginal (at F + p where its marginal is
+    the point p).  The lower w-side is solved at conj(W) itself.
     """
     laws = [t for t in terms if isinstance(t, PlanarMeasure)]
     triplets = [t for t in terms if not isinstance(t, PlanarMeasure)]
@@ -322,11 +328,10 @@ def reference_density(terms, shift, s_axis, t_axis, eps):
 
     def solve(axis, zeta):
         lines = [m.marginal(axis) for m in laws]
-        rep = free_convolve_many([AtomicPhiTerm(x) for x in lines]
-                                 + [t.marginal_phi_term(axis) for t in triplets], shift[axis - 1])
+        rep = free_convolve_many(lines, [t.marginal_phi_term(axis) for t in triplets], shift[axis - 1])
         f, aux = rep.f_value(zeta, return_aux=True)
-        omegas = iter(aux)
-        return f, [f + x.points[0] if len(x) == 1 else next(omegas) for x in lines]
+        omegas = {law_key(x): om for x, om in zip(rep.laws, aux)}
+        return f, [f + x.points[0] if len(x) == 1 else omegas[law_key(x)] for x in lines]
 
     def cauchy(W):
         (z1, starts1), (w2, starts2) = solve(1, Z), solve(2, W)

@@ -28,6 +28,7 @@ from bifree.idlaw import make_compound_poisson
 from bifree.limits import make_array
 from bifree.measure import MERGE_TOL
 from bifree.transforms import cone_for
+from test_freeconv import kesten_mckay_g
 from test_limits import noniid_rows
 from test_measure import assert_same_laws, merge_coords, merge_weights
 
@@ -235,6 +236,18 @@ class TestCliConvolve:
         assert len(rows) == len(default_fullness_probes())
         for row in rows:
             assert min(abs(row["z"][1]), abs(row["w"][1])) >= height
+
+    def test_convolution_power(self, tmp_path):
+        # B2 given 8 times is one law with count 8, and its s-marginal is the
+        # Kesten-McKay law of degree 8, smoothed at the default epsilon 0.05
+        f1 = write(tmp_path / "m.json", TWO_ATOM_JSON)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "convolve", *[f1] * 8]) == 0
+        assert json.loads((out / "summary.json").read_text())["terms"] == 8
+        rows = np.loadtxt(out / "marginal1.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 64
+        want = -kesten_mckay_g(8, rows[:, 0] + 0.05j).imag / math.pi
+        assert np.max(np.abs(rows[:, 1] - want)) <= 1e-9
 
     def test_schema_error_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", {"atoms": [{"x": [0, 0], "w": 0.4}]})

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 import bifree.freeconv as fc
 import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
-from bifree.freeconv import free_convolve, free_convolve_many, AtomicPhiTerm
+from bifree.freeconv import free_convolve, free_convolve_many
 from bifree.idlaw import make_compound_poisson, make_gaussian
 from bifree.measure import Matrix2, Measure1D, PlanarMeasure, dirac1d
 from bifree.transforms import f_transform
 
-from test_biconv import counting_inversions
+from test_biconv import counting_inversions, law_key
 from oracles import (
     atomic_moments,
     free_cumulants_from_moments,
@@ -85,9 +85,8 @@ class TestFreeConvolve:
         ab = free_convolve(nu1, nu2).phi(z) + free_convolve(nu3, nu3).phi(z) * 0
         ba = free_convolve(nu2, nu1).phi(z)
         assert np.max(np.abs(ab - ba)) < 1e-12 * np.max(1 + np.abs(z))
-        t = [AtomicPhiTerm(n) for n in (nu1, nu2, nu3)]
-        left = free_convolve_many([t[0], t[1], t[2]]).phi(z)
-        right = free_convolve_many([t[2], t[0], t[1]]).phi(z)
+        left = free_convolve_many([nu1, nu2, nu3]).phi(z)
+        right = free_convolve_many([nu3, nu1, nu2]).phi(z)
         assert np.max(np.abs(left - right)) < 1e-12 * np.max(1 + np.abs(z))
 
 
@@ -224,18 +223,22 @@ def id_terms(draw):
 
 
 def assert_subordination(rep, zeta):
-    """F_j(omega_j) = F for atomic terms, sum omega_j = z + (n - 1) F and the signs."""
+    """F_j(omega_j) = F for the distinct laws, sum c_j omega_j + sum omega_ID =
+    z + (N - 1) F with N the number of terms counted with multiplicity, and
+    the signs."""
     F, omegas = rep.f_value(zeta, return_aux=True)
+    assert len(omegas) == len(rep.laws) + len(rep.ids)
     sign = np.sign(zeta.imag)
     assert np.all(np.sign(F.imag) == sign)
-    for t, om in zip(rep.terms, omegas):
+    for om in omegas:
         assert np.all(np.sign(om.imag) == sign)
-        if isinstance(t, AtomicPhiTerm):
-            assert np.all(np.abs(f_transform(t.measure, om) - F) <= 1e-10 * np.abs(F))
+    for m, om in zip(rep.laws, omegas):
+        assert np.all(np.abs(f_transform(m, om) - F) <= 1e-10 * np.abs(F))
+    counts = [*rep.counts, *[1] * len(rep.ids)]
     z = zeta - rep.shift
-    total = sum(omegas)
-    scale = np.abs(z) + sum(np.abs(om) for om in omegas)
-    assert np.all(np.abs(total - (z + (len(rep.terms) - 1) * F)) <= 1e-10 * scale)
+    total = sum(c * om for c, om in zip(counts, omegas))
+    scale = np.abs(z) + sum(c * np.abs(om) for c, om in zip(counts, omegas))
+    assert np.all(np.abs(total - (z + (sum(counts) - 1) * F)) <= 1e-10 * scale)
 
 
 class TestSubordination:
@@ -244,13 +247,25 @@ class TestSubordination:
     @settings(max_examples=100)
     @given(st.lists(line_laws(), min_size=2, max_size=3), off_axis())
     def test_atomic_pairs_and_triples(self, laws, zeta):
-        assert_subordination(free_convolve_many([AtomicPhiTerm(m) for m in laws]), zeta)
+        assert_subordination(free_convolve_many(laws), zeta)
 
     @settings(max_examples=100)
     @given(st.lists(line_laws(), min_size=1, max_size=3), id_terms(), st.floats(-1.0, 1.0), off_axis())
     def test_atomic_laws_with_id_term(self, laws, term, shift, zeta):
-        terms = [AtomicPhiTerm(m) for m in laws] + [term]
-        assert_subordination(free_convolve_many(terms, shift=shift), zeta)
+        assert_subordination(free_convolve_many(laws, [term], shift), zeta)
+
+    @settings(max_examples=100)
+    @given(st.data(), st.lists(line_laws(), min_size=1, max_size=4, unique_by=law_key),
+           st.lists(id_terms(), max_size=1), st.floats(-1.0, 1.0) | st.just(0.0), off_axis())
+    def test_repeated_laws(self, data, laws, ids, shift, zeta):
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=len(laws), max_size=len(laws)))
+        terms = data.draw(st.permutations([m for m, c in zip(laws, counts) for _ in range(c)]))
+        rep = free_convolve_many(terms, ids, shift)
+        # point masses are folded into the shift
+        kept = [(m, c) for m, c in zip(laws, counts) if len(m) > 1]
+        assert sorted(rep.counts) == sorted(c for _, c in kept)
+        assert {law_key(m) for m in rep.laws} == {law_key(m) for m, _ in kept}
+        assert_subordination(rep, zeta)
 
     @pytest.mark.parametrize(
         "laws,zeta",
@@ -263,13 +278,43 @@ class TestSubordination:
             ([([-1.0, 1.0], [0.3, 0.7]), ([0.0, 2.0], [0.6, 0.4]), ([-0.5, 0.5, 1.5], [0.2, 0.5, 0.3])],
              0.4 + 0.3j),
             ([([-1.0, 0.2, 1.3], [0.4, 0.35, 0.25]), ([-0.6, 0.6], [0.45, 0.55])], 2.1 - 0.02j),
+            ([([-0.6, 0.6], [0.45, 0.55])] + [([-1.0, 0.2, 1.3], [0.4, 0.35, 0.25])] * 3, 0.9 + 0.05j),
         ],
     )
     def test_against_mpmath_sweeps(self, laws, zeta):
         laws = [(p, [w / sum(ws) for w in ws]) for p, ws in laws]
-        rep = free_convolve_many([AtomicPhiTerm(Measure1D(list(zip(p, w)))) for p, w in laws])
+        rep = free_convolve_many([Measure1D(list(zip(p, w))) for p, w in laws])
         want = mp_free_convolution_f(laws, zeta)
         assert abs(rep.f_value(zeta) - want) <= 1e-10 * abs(want)
+
+
+def kesten_mckay_g(n, z):
+    """G of B^{boxplus n}, the Kesten-McKay law of degree n.
+
+    G = [(n - 2) z - n r] / (2 (n^2 - z^2)) with r = sqrt(z^2 - 4 (n - 1))
+    on the branch where G ~ 1/z, written as 2 (n - 1) / ((n - 2) z + n r),
+    which does not cancel near z = +-n.
+    """
+    z = np.asarray(z, dtype=complex)
+    r = z * np.sqrt(1.0 - 4.0 * (n - 1) / (z * z))
+    return 2.0 * (n - 1) / ((n - 2) * z + n * r)
+
+
+class TestConvolutionPower:
+    """B^{boxplus n} is one law with count n, against its closed form."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+    def test_kesten_mckay(self, n):
+        rep = free_convolve_many([B] * n)
+        assert rep.counts == (n,)
+        edge = 2.0 * math.sqrt(n - 1)
+        x = np.linspace(-1.3 * edge, 1.3 * edge, 53)
+        angles = np.array([0.05, 0.5, 1.5, 2.6, 3.1])
+        far = np.concatenate([r * np.exp(1j * angles) for r in (50.0, 1e4)])
+        z = np.concatenate([x + 0.01j, x + 1j, far])
+        z = np.concatenate([z, np.conj(z)])
+        want = kesten_mckay_g(n, z)
+        assert np.max(np.abs(rep.cauchy(z) - want) / np.abs(want)) <= 1e-10
 
 
 # Two generic three-atom planar laws; the marginal-1 free convolution of
@@ -320,6 +365,23 @@ class TestWorkCounts:
         for axis_no in (1, 2):
             rep.marginal(axis_no).f_value(axis + 0.1j)
         assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    @pytest.mark.parametrize("other", [False, True])
+    def test_repeated_law_is_one_solve(self, monkeypatch, n, other):
+        # mu^{boxplus n}, or n - 1 copies of mu and one other law
+        calls = []
+        solve = fc._subordinate
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(fc, "_subordinate", counting)
+        nu = Measure1D([(-0.5, 0.3), (0.4, 0.7)])
+        rep = free_convolve_many([B] * (n - other) + [nu] * other)
+        rep.f_value(np.linspace(-6.0, 6.0, 64) + 0.1j)
+        assert calls == [1]
 
     def test_density_inversions_settle_at_their_start(self):
         rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])

@@ -175,8 +175,9 @@ def cmd_limit(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     arr = io.array_from_dict(io.load_json(args.array))
     lm.ensure_infinitesimal(arr)
-    rep12 = lm.check_condition_I_II(arr)
-    rep34 = lm.check_condition_III_IV(arr)
+    data = lm._row_data(arr)  # built once, read by both checks
+    rep12 = lm.check_condition_I_II(arr, precomputed=data)
+    rep34 = lm.check_condition_III_IV(arr, precomputed=data)
     agree = rep12.passed == rep34.passed
     io.dump_json(cfg.out / "condition_report.json", {
         "I_II": rep12.to_jsonable(),

@@ -24,6 +24,9 @@ is the fixed point of a map T sending C+ into {Im w >= Im z}:
 - otherwise: T(w) = a + h_rest(z + c_1 h_1(w)), where h_rest of the
   convolution of the rest, with its counts, comes from the same solve.
 
+The laws are numbered by descending count, ties in the given order, so two
+laws of which one is counted once take the two-law map in either order.
+
 Every added term has Im >= 0 on C+, so each T keeps that range, and the
 nesting deepens once per distinct law, not once per copy.  Such a T has at
 most one fixed point in C+ (Schwarz-Pick), so an iterate that settles in the
@@ -78,9 +81,13 @@ def _subordinate(z: np.ndarray, laws: Sequence[Measure1D], counts: Sequence[int]
     multiplicities, and ``id_phi(x) -> (phi, phi')`` the summed phi of the
     infinitely divisible ones, or None.  Returns ``(h, h', omegas,
     converged)``; ``omegas[j]`` is omega_j with F_j(omega_j) = F(z), shared
-    by the copies of law j, and entries that did not settle are nan.
+    by the copies of law j, and entries that did not settle are nan.  The
+    solve takes the laws by descending count (a stable sort); the omegas
+    come back in the given order.
     """
     n = len(laws)
+    order = sorted(range(n), key=lambda j: -counts[j])
+    laws, counts = [laws[j] for j in order], [counts[j] for j in order]
     zero = np.zeros_like(z)
     if n == 0 and id_phi is None:
         return zero, zero, [], np.ones(z.shape, bool)
@@ -148,7 +155,8 @@ def _subordinate(z: np.ndarray, laws: Sequence[Measure1D], counts: Sequence[int]
     dphi = dp + sum(k * _phi_prime(hp) for k, hp in zip((c1, 1), hps))
     h = (w - z) + h1
     hp = _phi_prime(dphi)  # F' = 1 / (1 + phi'(F))
-    omegas = [w, *rest] if n else []
+    solved = [w, *rest] if n else []
+    omegas = [solved[k] for k in sorted(range(n), key=order.__getitem__)]  # in the given order
     if not ok.all():
         h, hp = np.where(ok, h, np.nan), np.where(ok, hp, np.nan)
         omegas = [np.where(ok, o, np.nan) for o in omegas]

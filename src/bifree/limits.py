@@ -4,8 +4,11 @@ Every row is held as a stack: the padded points, weights and counts of its
 distinct laws (``RowStack``), built once with the array.  Rows are centered
 by truncated means and accumulated into the row measures tau_n, sigma_1n,
 sigma_2n as flat arrays of merged atoms sorted by norm, with cumulative
-moment sums, so every small-ball quadratic sum and every annulus mass is a
-``searchsorted``.  These are screened through two equivalent condition
+moment sums, so the small-ball quadratic sums of a row over the whole eps
+ladder are one ``searchsorted``, and so are its annulus masses.  The
+bounded-Lipschitz family is separable: its Gaussian bumps are products of
+one exp table per coordinate, so a row's integrals against a sigma are one
+matrix product.  These are screened through two equivalent condition
 systems: weak convergence of the sigmas plus a mixed-moment limit, or vague
 convergence of tau_n away from the origin plus small-ball quadratic limits.
 The runners evaluate phi and the characteristic function of all laws of a
@@ -165,27 +168,45 @@ class RowAccumulators:
     # columns of ``beyond``
     TAU, GAMMA, SIGMA1, SIGMA2 = range(4)
 
-    def ball_quadratic(self, u: Vec2, eps: float) -> float:
-        """Q_n(u, eps): the integral of (u . x)^2 over ||x|| < eps under tau_n."""
-        ss, tt, st = self.ball[np.searchsorted(self.norms, eps, side="left")]
-        return float(u[0] * u[0] * ss + 2.0 * u[0] * u[1] * st + u[1] * u[1] * tt)
+    def ball_quadratic(self, u, eps):
+        """Q_n(u, eps): the integral of (u . x)^2 over ||x|| < eps under tau_n.
 
-    def between(self, lo: float, hi: float) -> float:
-        """tau_n mass of the annulus lo <= ||x|| <= hi."""
+        ``u`` is one direction or an array (U, 2) of them and ``eps`` one
+        radius or an array (R,) of them; the result has shape (U, R), with
+        the axis of a single direction or radius dropped, and is a float
+        for one of each.  One ``searchsorted`` serves every radius.
+        """
+        sums = self.ball[np.searchsorted(self.norms, eps, side="left")]
+        ss, tt, st = sums[..., 0], sums[..., 1], sums[..., 2]
+        u = np.asarray(u, dtype=float)
+        u0, u1 = (u[..., k].reshape(u.shape[:-1] + (1,) * np.ndim(eps)) for k in (0, 1))
+        return _scalar(u0 * u0 * ss + 2.0 * u0 * u1 * st + u1 * u1 * tt)
+
+    def between(self, lo, hi):
+        """tau_n mass of the annulus lo <= ||x|| <= hi; lo and hi may be arrays of radii."""
         i = np.searchsorted(self.norms, lo, side="left")
         j = np.searchsorted(self.norms, hi, side="right")
-        return float(self.beyond[i, self.TAU] - self.beyond[j, self.TAU])
+        return _scalar(self.beyond[i, self.TAU] - self.beyond[j, self.TAU])
 
-    def above(self, r: float, col: int) -> float:
-        """The ``beyond`` column ``col`` summed over ||x|| > r."""
-        return float(self.beyond[np.searchsorted(self.norms, r, side="right"), col])
+    def above(self, r, col: int):
+        """The ``beyond`` column ``col`` summed over ||x|| > r; r may be an array of radii."""
+        return _scalar(self.beyond[np.searchsorted(self.norms, r, side="right"), col])
+
+
+def _scalar(x):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def row_accumulators(centered: RowStack) -> RowAccumulators:
     """tau_n = sum of the centered laws with their counts; sigma_jn are its tilts."""
+    masses = centered.counts[:, None] * centered.weights
     keep = centered.weights > 0.0
-    masses = (centered.counts[:, None] * centered.weights)[keep]
-    pts, tau = _canonical(centered.points[keep], masses)
+    if keep.all():  # no padding: skip the masked copy of the points
+        pts, masses = centered.points.reshape(-1, 2), masses.ravel()
+    else:
+        pts, masses = centered.points[keep], masses[keep]
+    pts, tau = _canonical(pts, masses)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     order = np.argsort(norms, kind="stable")
     pts, norms, tau = pts[order], norms[order], tau[order]
@@ -200,30 +221,39 @@ def row_accumulators(centered: RowStack) -> RowAccumulators:
     return RowAccumulators(pts, norms, tau, sigma1, sigma2, ball, beyond)
 
 
-def _bl_test_functions() -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Fixed bounded-Lipschitz family used as a weak-distance surrogate."""
-    funcs: list[Callable[[np.ndarray], np.ndarray]] = []
-    for cs in (-3.0, -1.5, 0.0, 1.5, 3.0):
-        for ct in (-3.0, -1.5, 0.0, 1.5, 3.0):
-            funcs.append(
-                lambda p, cs=cs, ct=ct: np.exp(-((p[:, 0] - cs) ** 2 + (p[:, 1] - ct) ** 2))
-            )
-    funcs.append(lambda p: 1.0 / (1.0 + p[:, 0] ** 2 + p[:, 1] ** 2))
-    funcs.append(lambda p: p[:, 0] / (1.0 + p[:, 0] ** 2))
-    funcs.append(lambda p: p[:, 1] / (1.0 + p[:, 1] ** 2))
-    funcs.append(lambda p: p[:, 0] * p[:, 1] / ((1.0 + p[:, 0] ** 2) * (1.0 + p[:, 1] ** 2)))
-    return funcs
-
-
-_BL_FUNCS = _bl_test_functions()
+# centres of the Gaussian bumps of the bounded-Lipschitz family, per coordinate
+_BL_CENTRES = np.array([-3.0, -1.5, 0.0, 1.5, 3.0])
 
 
 def _bl_values(acc: RowAccumulators) -> np.ndarray:
-    """The bounded-Lipschitz family integrated against sigma_1n and sigma_2n, shape (2, 29).
+    """A fixed bounded-Lipschitz family integrated against sigma_1n and sigma_2n, shape (2, 29).
 
-    One test function at a time, so no (29, atoms) table is held.
+    The weak-distance surrogate of conditions (I)-(II).  The family is the
+    25 bumps exp(-(s - a)^2 - (t - b)^2) over the centres (a, b) in
+    ``_BL_CENTRES`` squared, a outer, then 1 / (1 + s^2 + t^2), s / (1 + s^2),
+    t / (1 + t^2) and st / ((1 + s^2)(1 + t^2)).  A bump is the product
+    exp(-(s - a)^2) exp(-(t - b)^2), so the 25 integrals against a sigma are
+    the (5, 5) matrix of one exp table per coordinate weighted by sigma.
     """
-    return np.array([[f @ acc.sigma1, f @ acc.sigma2] for f in (g(acc.points) for g in _BL_FUNCS)]).T
+    s, t = acc.points[:, 0], acc.points[:, 1]
+    ss, tt = s * s, t * t
+    out = np.empty((2, 29))
+    rational = (1.0 / (1.0 + ss + tt), s / (1.0 + ss), t / (1.0 + tt), s * t / ((1.0 + ss) * (1.0 + tt)))
+    out[:, 25:] = [[f @ acc.sigma1 for f in rational], [f @ acc.sigma2 for f in rational]]
+    del rational, ss, tt  # freed before the bump tables, which set the peak memory
+    bump_s, bump_t = _bumps(s), _bumps(t)
+    weighted = np.empty_like(bump_s)
+    for row, sigma in zip(out, (acc.sigma1, acc.sigma2)):
+        row[:25] = (np.multiply(bump_s, sigma, out=weighted) @ bump_t.T).ravel()
+    return out
+
+
+def _bumps(x: np.ndarray) -> np.ndarray:
+    """exp(-(x - c)^2) at each centre c of ``_BL_CENTRES``, shape (5, len(x)), built in place."""
+    d = x - _BL_CENTRES[:, None]
+    np.square(d, out=d)
+    np.negative(d, out=d)
+    return np.exp(d, out=d)
 
 
 def _bl_steps(values: Sequence[np.ndarray]) -> list[float]:
@@ -405,10 +435,9 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
 
     # -- vague stabilization on annuli (bounded and unbounded) --------------
     annuli = [(e, math.inf) for e in ladder] + [(ladder[0], _perturb_radius(TIGHT_RADIUS, all_norms))]
-    ann_masses = []
-    for lo, hi in annuli:
-        masses = [acc.between(lo, hi) for acc in accs]
-        ann_masses.append(masses)
+    lo_r, hi_r = np.array(annuli).T
+    ann_masses = np.array([acc.between(lo_r, hi_r) for acc in accs]).T.tolist()
+    for masses in ann_masses:
         steps = [abs(b - a) for a, b in zip(masses[:-1], masses[1:])]
         ok = ok and _cauchy_pass(steps)
     per_n["annulus_masses"] = ann_masses
@@ -447,10 +476,12 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
     sizes = array.row_sizes()
     Q: dict[tuple[float, float], float] = {}
     q_table = {}
-    for u in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+    directions = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+    # (direction, rung, row): one lookup per row over the whole ladder
+    quad = np.array([acc.ball_quadratic(directions, ladder) for acc in accs]).transpose(1, 2, 0).tolist()
+    for u, by_rung in zip(directions, quad):
         by_eps = []
-        for e in ladder:
-            vals = [acc.ball_quadratic(u, e) for acc in accs]
+        for vals in by_rung:
             # limsup/liminf surrogate: the row sequence must stabilize
             steps_n = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
             if not _cauchy_pass(steps_n):

@@ -86,10 +86,15 @@ def _merge(points: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np.ndar
     linkage, the one rule that does not depend on input order).  It sits at
     the lexicographically first of them and carries their summed weights.
     Ties are broken by weight, so the sums do not depend on input order either.
+    Atoms with no other atom within tol are returned as sorted, with no
+    linkage pass: on the plane, ``_needs_merge`` tells so even when atoms
+    share an x coordinate.
     """
     order = np.lexsort((weights, *points.T[::-1]))
     pts, wts = points[order], weights[order]
     if not (pts[1:, 0] - pts[:-1, 0] <= tol).any():
+        return pts, wts
+    if pts.shape[1] == 2 and not _needs_merge(pts, np.zeros(len(pts), dtype=int), 1, tol)[0]:
         return pts, wts
     # exact duplicates are adjacent; link the distinct sites only
     new = np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))

@@ -373,6 +373,19 @@ class TestCliLimit:
         assert report["verdicts_agree"] is True
         assert (out / "bifree_residuals.csv").exists()
 
+    def test_row_data_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = bifree.limits.row_accumulators
+
+        def counting(centered):
+            calls.append(1)
+            return real(centered)
+
+        monkeypatch.setattr(bifree.limits, "row_accumulators", counting)
+        arr = write(tmp_path / "arr.json", self._poisson_array_payload())
+        assert main(["--out", str(tmp_path / "out"), "limit", arr]) == 0
+        assert len(calls) == 3  # one per row, for both condition checks
+
     def test_bad_law_exit_2_names_its_position(self, tmp_path, capsys):
         arr = write(tmp_path / "arr.json", with_bad_law(BAD_MEASURES[-2][0]))
         assert main(["--out", str(tmp_path / "o"), "limit", arr]) == 2

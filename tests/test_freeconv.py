@@ -383,6 +383,31 @@ class TestWorkCounts:
         rep.f_value(np.linspace(-6.0, 6.0, 64) + 0.1j)
         assert calls == [1]
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_law_order_does_not_matter(self, monkeypatch, k):
+        # nu boxplus mu^{boxplus (k - 1)} in both orders: one solve each, the same F
+        calls = []
+        solve = fc._subordinate
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(fc, "_subordinate", counting)
+        nu = Measure1D([(-0.5, 0.3), (0.4, 0.7)])
+        zeta = np.linspace(-6.0, 6.0, 64) + 0.1j
+        values = []
+        for laws in ([nu] + [B] * (k - 1), [B] * (k - 1) + [nu]):
+            calls.clear()
+            rep = free_convolve_many(laws)
+            f, omegas = rep.f_value(zeta, return_aux=True)
+            assert calls == [1]
+            # each omega belongs to its own law: F_j(omega_j) = F
+            for m, om in zip(rep.laws, omegas):
+                assert np.max(np.abs(1.0 / (1.0 / (om[:, None] - m.points) @ m.weights) - f)) <= 1e-10 * np.max(np.abs(f))
+            values.append(f)
+        assert np.max(np.abs(values[0] - values[1])) <= 1e-12 * np.max(np.abs(values[1]))
+
     def test_density_inversions_settle_at_their_start(self):
         rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])
         axis = np.linspace(-6.0, 6.0, 64)

@@ -433,6 +433,35 @@ def test_prefix_sums_match_brute_force(arr, data):
                 want = m[(norms >= lo_r) & (norms <= hi_r)].sum()
                 assert acc.between(lo_r, hi_r) == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
             assert acc.above(r, acc.SIGMA1) == pytest.approx(sigma1[norms > r].sum(), rel=1e-13, abs=1e-13 * scale)
+        # arrays of radii and directions give the scalar calls' values, bit for bit
+        rs = np.array(radii + [hi, 0.0])
+        us = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-0.5, 2.0)])
+        assert acc.ball_quadratic(us, rs).tolist() == [[acc.ball_quadratic(tuple(u), r) for r in rs] for u in us]
+        assert acc.ball_quadratic(us[3], rs).tolist() == [acc.ball_quadratic(tuple(us[3]), r) for r in rs]
+        assert acc.ball_quadratic(us, rs[0]).tolist() == [acc.ball_quadratic(tuple(u), rs[0]) for u in us]
+        assert acc.between(rs, rs[::-1]).tolist() == [acc.between(a, b) for a, b in zip(rs, rs[::-1])]
+        for col in range(4):
+            assert acc.above(rs, col).tolist() == [acc.above(r, col) for r in rs]
+
+
+def bl_reference(points):
+    """The bounded-Lipschitz family one function at a time, each bump as one exp: (29, atoms)."""
+    s, t = points[:, 0], points[:, 1]
+    centres = (-3.0, -1.5, 0.0, 1.5, 3.0)
+    bumps = [np.exp(-((s - a) ** 2 + (t - b) ** 2)) for a in centres for b in centres]
+    return np.array(bumps + [1.0 / (1.0 + s**2 + t**2), s / (1.0 + s**2), t / (1.0 + t**2),
+                             s * t / ((1.0 + s**2) * (1.0 + t**2))])
+
+
+@given(stacked_arrays())
+def test_separable_bl_family_matches_reference(arr):
+    for _, _, acc in lm._row_data(arr):
+        family = bl_reference(acc.points)
+        got = lm._bl_values(acc)
+        assert got.shape == (2, 29)
+        # every test function has |f| <= 1, so each integral is within rounding of the sigma mass
+        for row, sigma in zip(got, (acc.sigma1, acc.sigma2)):
+            assert np.abs(row - family @ sigma).max() <= 1e-14 * sigma.sum()
 
 
 def noniid_rows(ns=(64, 256, 1024, 4096)):

@@ -246,6 +246,18 @@ class TestMerge:
             assert AtomicMeasure2D(order).atoms() == want
             assert AtomicMeasure2D.from_arrays([p for p, _ in order], [w for _, w in order]).atoms() == want
 
+    @given(st.lists(st.tuples(merge_coords, merge_coords), min_size=2, max_size=12),
+           st.lists(merge_weights, min_size=12, max_size=12))
+    def test_unmerged_atoms_match_the_linkage_path(self, pts, wts):
+        # atoms with no pair within tol skip the linkage pass; forcing it gives the same bits
+        points, weights = np.array(pts), np.array(wts[: len(pts)])
+        fast = ms._merge(points, weights, MERGE_TOL)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ms, "_needs_merge", lambda p, law, count, tol: np.ones(count, dtype=bool))
+            slow = ms._merge(points, weights, MERGE_TOL)
+        for a, b in zip(fast, slow):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     @given(st.lists(st.tuples(merge_coords, merge_weights), min_size=1, max_size=12),
            st.randoms(use_true_random=False))
     def test_line_shuffle_invariant(self, atoms, rnd):

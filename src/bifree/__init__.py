@@ -26,6 +26,7 @@ from .limits import (
     center_row,
     check_condition_I_II,
     check_condition_III_IV,
+    condition_reports,
     iid_array,
     limit_triplet,
     limit_vector,
@@ -33,6 +34,7 @@ from .limits import (
     row_accumulators,
     run_bi_free_limit,
     run_classical_limit,
+    triplet_from_reports,
 )
 from .measure import (
     AtomicMeasure2D,

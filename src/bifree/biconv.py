@@ -15,6 +15,7 @@ inside phi start at their roots.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -76,7 +77,7 @@ class BiConvRep:
         F + p.  Built once per rep, in ``marginals``.
         """
         lines = [(m.marginal(axis), count) for m, count in groups]
-        rep, slots = _grouped(lines, [t.marginal_phi_term(axis) for t in self.triplets],
+        rep, slots = _grouped(lines, [functools.partial(t.marginal_phi_dphi, axis) for t in self.triplets],
                               self.shift[axis - 1])
         return rep, tuple((k, 0.0) if k is not None else (None, float(line.points[0]))
                           for k, (line, _) in zip(slots, lines))

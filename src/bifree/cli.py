@@ -79,7 +79,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise io.SchemaError(f"unknown config key {key!r}; known keys: {sorted(known)}")
             if val is None:
                 raise io.SchemaError(f"config key {key!r} must not be null")
-            setattr(cfg, key, type(getattr(cfg, key))(val))
+            try:
+                setattr(cfg, key, type(getattr(cfg, key))(val))
+            except (TypeError, ValueError):
+                raise io.SchemaError(f"config key {key!r} has a bad value {val!r}") from None
     for key in ("epsilon", "probes", "grid"):
         val = getattr(args, key, None)
         if val is not None:
@@ -148,14 +151,12 @@ def cmd_idlaw(args: argparse.Namespace) -> int:
     elif args.mode == "sigma-form":
         sf = triplet_to_sigma_form(trip)
         back = sigma_form_to_triplet(sf)
-        def meas(m):
-            return [{"x": [p[0], p[1]], "m": w} for p, w in m.atoms()]
         out["sigma_form"] = {
             "gamma1": sf.gamma1,
             "gamma2": sf.gamma2,
-            "sigma1": meas(sf.sigma1),
-            "sigma2": meas(sf.sigma2),
-            "sigma_tilde": meas(sf.sigma_tilde),
+            "sigma1": sf.sigma1.to_jsonable(),
+            "sigma2": sf.sigma2.to_jsonable(),
+            "sigma_tilde": sf.sigma_tilde.to_jsonable(),
         }
         out["round_trip_ok"] = bool(
             abs(back.v[0] - trip.v[0]) <= 1e-12
@@ -174,17 +175,14 @@ def cmd_idlaw(args: argparse.Namespace) -> int:
 def cmd_limit(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     arr = io.array_from_dict(io.load_json(args.array))
-    lm.ensure_infinitesimal(arr)
-    data = lm._row_data(arr)  # built once, read by both checks
-    rep12 = lm.check_condition_I_II(arr, precomputed=data)
-    rep34 = lm.check_condition_III_IV(arr, precomputed=data)
+    rep12, rep34 = lm.condition_reports(arr)
     agree = rep12.passed == rep34.passed
     io.dump_json(cfg.out / "condition_report.json", {
         "I_II": rep12.to_jsonable(),
         "III_IV": rep34.to_jsonable(),
         "verdicts_agree": agree,
     })
-    trip = lm._triplet_from_reports(rep12, rep34)
+    trip = lm.triplet_from_reports(rep12, rep34)
     io.dump_json(cfg.out / "limit_triplet.json", io.triplet_to_dict(trip))
     probes = load_probes(cfg)
     bif = lm.run_bi_free_limit(arr, probes, reference=trip)

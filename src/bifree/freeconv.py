@@ -1,11 +1,12 @@
 """Free additive convolution of laws on the line, by subordination.
 
 A :class:`FreeConvRep` stores the terms of a free convolution: distinct
-atomic laws with their counts, phi-evaluators of infinitely divisible laws
-(the triplet marginals) and a shift.  Its Voiculescu transform phi is the
-count-weighted sum of the terms' phis plus the shift; :meth:`FreeConvRep.phi`
-evaluates it inside the working cone by inverting each distinct atomic F
-there once.
+atomic laws with their counts, infinitely divisible laws as plain callables
+z -> (phi, phi') (a triplet marginal is
+``functools.partial(triplet.marginal_phi_dphi, axis)``) and a shift.  Its
+Voiculescu transform phi is the count-weighted sum of the terms' phis plus
+the shift; :meth:`FreeConvRep.phi` evaluates it inside the working cone by
+inverting each distinct atomic F there once.
 
 F of the convolution needs no inversion at all (Belinschi-Bercovici, J.
 Anal. Math. 101, 2007).  With z = zeta - shift, h_j = F_j - id for the
@@ -168,9 +169,9 @@ class FreeConvRep:
     """Lazy representation of a free convolution: phi = sum of term phis + shift.
 
     ``laws`` are distinct atomic laws (no two byte-equal, none a point
-    mass) and ``counts`` their multiplicities; ``ids`` are phi-evaluators of
-    infinitely divisible laws, exposing ``phi_dphi(z) -> (phi, phi')``;
-    ``shift`` adds the constant phi of a point mass.  phi is
+    mass) and ``counts`` their multiplicities; ``ids`` are infinitely
+    divisible laws as callables ``z -> (phi, phi')``, each one pass over
+    its law; ``shift`` adds the constant phi of a point mass.  phi is
     ``sum(counts[j] phi_j) + sum(phi_ID) + shift``.
     """
 
@@ -187,7 +188,7 @@ class FreeConvRep:
             root, ok = newton_f_inverse(m.points, m.weights, z, z)
             total = total + k * np.where(ok, root - z, np.nan)
         for t in self.ids:
-            total = total + t.phi_dphi(z)[0]
+            total = total + t(z)[0]
         if not np.all(np.isfinite(total)):
             raise NoConvergence("phi evaluation failed; move deeper into the cone")
         return complex(total) if total.ndim == 0 else total
@@ -198,9 +199,9 @@ class FreeConvRep:
             return None
 
         def id_phi(x):
-            p, dp = self.ids[0].phi_dphi(x)
+            p, dp = self.ids[0](x)
             for t in self.ids[1:]:
-                q, dq = t.phi_dphi(x)
+                q, dq = t(x)
                 p, dp = p + q, dp + dq
             return p, dp
 
@@ -234,7 +235,7 @@ class FreeConvRep:
         if not return_aux:
             return out
         aux = [reflect(om.reshape(z.shape)) for om in omegas]
-        return out, aux + [out + t.phi_dphi(out)[0] for t in self.ids]
+        return out, aux + [out + t(out)[0] for t in self.ids]
 
     def cauchy(self, zeta):
         """G of the convolution: 1 / F(zeta)."""
@@ -256,8 +257,9 @@ def free_convolve(nu1: Measure1D, nu2: Measure1D) -> FreeConvRep:
 
 
 def free_convolve_many(laws: Sequence[Measure1D], ids: Sequence = (), shift: float = 0.0) -> FreeConvRep:
-    """Representation of the free convolution of atomic laws, phi-evaluators
-    ``ids`` of infinitely divisible laws and the point mass at ``shift``."""
+    """Representation of the free convolution of atomic laws, infinitely
+    divisible laws ``ids`` (callables z -> (phi, phi')) and the point mass
+    at ``shift``."""
     return _grouped([(m, 1) for m in laws], ids, shift)[0]
 
 

@@ -14,7 +14,7 @@ line parameters are not comparable across methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .idlaw import CharTriplet
 
 NONFULL_THRESHOLD = 1e-8
 FULL_FLOOR = 1e-3
+TRIPLET_TOL = 1e-8  # relative tolerance of the triplet structure test
 
 Probe = tuple[complex, complex]
 
@@ -39,13 +40,7 @@ class LineReport:
     method: str = ""
 
     def to_jsonable(self) -> dict:
-        return {
-            "is_full": self.is_full,
-            "line": None if self.line is None else list(self.line),
-            "residual": self.residual,
-            "degenerate": self.degenerate,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def default_fullness_probes() -> list[Probe]:
@@ -153,27 +148,22 @@ def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
     return _classify(rows, "phi")
 
 
-def fullness_of_triplet(t: CharTriplet, rel_tol: float = 1e-8) -> LineReport:
+def fullness_of_triplet(t: CharTriplet) -> LineReport:
     """Structure test: non-full iff A singular and tau on a kernel line.
 
     The reported line is <u,(s,t)> = <u,v> for the kernel direction u.
     """
     lo, hi = t.A.eigenvalues()
     scale = max(abs(hi), 1.0)
-    if abs(lo) > rel_tol * scale:
+    if abs(lo) > TRIPLET_TOL * scale:
         return LineReport(True, None, float(abs(lo) / scale), method="triplet")
 
-    directions: list[tuple[float, float]] = []
-    weights: list[float] = []
-    for (s, tt), m in t.tau.atoms.atoms():
-        directions.append((s, tt))
-        weights.append(m)
+    directions, weights = t.tau.atoms.points.tolist(), t.tau.atoms.masses.tolist()
     if t.tau.radial is not None:
-        for w1, w2, m in t.tau.radial.directions():
-            directions.append((w1, w2))
-            weights.append(m)
+        directions += t.tau.radial.omega.tolist()
+        weights += t.tau.radial.mass.tolist()
 
-    if abs(hi) <= rel_tol:
+    if abs(hi) <= TRIPLET_TOL:
         # zero matrix: every direction is in the kernel; tau must sit on one
         # line through the origin
         if not directions:
@@ -186,16 +176,16 @@ def fullness_of_triplet(t: CharTriplet, rel_tol: float = 1e-8) -> LineReport:
             S += m * np.array([[x1 * x1, x1 * x2], [x1 * x2, x2 * x2]]) / n2
         evals, evecs = np.linalg.eigh(S)
         residual = float(evals[0] / max(evals[1], 1e-300))
-        if residual > rel_tol:
+        if residual > TRIPLET_TOL:
             return LineReport(True, None, residual, method="triplet")
         u = (float(evecs[0, 0]), float(evecs[1, 0]))
     else:
-        u = t.A.kernel_vector(rel_tol)
+        u = t.A.kernel_vector(TRIPLET_TOL)
         worst = 0.0
         for (x1, x2), m in zip(directions, weights):
             n = math.hypot(x1, x2)
             worst = max(worst, abs(u[0] * x1 + u[1] * x2) / n)
-        if worst > rel_tol:
+        if worst > TRIPLET_TOL:
             return LineReport(True, None, float(worst), method="triplet")
         residual = float(abs(lo) / scale)
     gamma = -(u[0] * t.v[0] + u[1] * t.v[1])

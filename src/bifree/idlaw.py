@@ -4,7 +4,9 @@ A characteristic triplet (v, A, tau) parameterizes both the classical
 characteristic function and the two-variable phi-transform of an ID law.
 Levy measures are atomic lists plus an optional radial-stable part: rays
 r^{-1-alpha} dr carried by unit-circle directions, optionally truncated to
-[r_min, r_max].
+[r_min, r_max]; a radial part holds its directions and masses as arrays.
+Each marginal is a free ID law whose phi and phi' come from one pass over
+the triplet (:meth:`CharTriplet.marginal_phi_dphi`).
 
 Rays on all of (0, inf) have closed forms: their integrals are Mellin
 transforms, evaluated in one broadcast over (probe..., ray) for the
@@ -24,15 +26,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2
+from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _freeze
 
 QUAD_ERR_TOL = 1e-7
 AXIS_SNAP = 1e-15  # direction components this small are the axis itself
+SIGMA_FORM_TOL = 1e-9
 
 
 class QuadratureError(ArithmeticError):
@@ -54,12 +57,20 @@ class InconsistentSigmaForm(ValueError):
 
 @dataclass(frozen=True)
 class RadialPart:
-    """Radial-stable component: sum over rays of mass * r^{-1-alpha} dr."""
+    """Radial-stable component: sum over rays of mass * r^{-1-alpha} dr.
+
+    ``omega`` (rays, 2) holds the unit directions and ``mass`` (rays,) the
+    ray masses, built once from ``rays``.  A direction component within
+    ``AXIS_SNAP`` of zero is exactly 0: cos(pi/2) is 6e-17, which would put
+    a ray on the t-axis into the s-marginal.
+    """
 
     alpha: float
     rays: tuple[tuple[float, float], ...]  # (angle, mass)
     r_min: float = 0.0
     r_max: float = math.inf
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
+    mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
@@ -68,18 +79,13 @@ class RadialPart:
             raise ValueError("ray masses must be positive")
         if not (0.0 <= self.r_min < self.r_max):
             raise ValueError("need 0 <= r_min < r_max")
+        snap = [[x if abs(x) > AXIS_SNAP else 0.0 for x in (math.cos(a), math.sin(a))] for a, _ in self.rays]
+        object.__setattr__(self, "omega", _freeze(np.array(snap, dtype=float).reshape(-1, 2)))
+        object.__setattr__(self, "mass", _freeze(np.array([m for _, m in self.rays], dtype=float)))
 
     def directions(self) -> list[tuple[float, float, float]]:
-        """(omega1, omega2, mass) per ray.
-
-        A component within ``AXIS_SNAP`` of zero is exactly 0: cos(pi/2) is
-        6e-17, which would put a ray on the t-axis into the s-marginal.
-        """
-        out = []
-        for a, m in self.rays:
-            c, s = math.cos(a), math.sin(a)
-            out.append((c if abs(c) > AXIS_SNAP else 0.0, s if abs(s) > AXIS_SNAP else 0.0, m))
-        return out
+        """(omega1, omega2, mass) per ray."""
+        return list(zip(*self.omega.T.tolist(), self.mass.tolist()))
 
     def is_untruncated(self) -> bool:
         """Rays span all of (0, inf), where the integrals have closed forms."""
@@ -185,11 +191,12 @@ class LevyMeasure:
             centroid = np.log(er / el) / cell_mass
         else:
             centroid = (el ** (1.0 - a) - er ** (1.0 - a)) / ((a - 1.0) * cell_mass)
-        new_atoms = list(self.atoms.atoms())
-        for w1, w2, m in rp.directions():
-            for r, cm in zip(centroid, cell_mass):
-                new_atoms.append(((r * w1, r * w2), m * cm))
-        return LevyMeasure(AtomicMeasure2D(new_atoms))
+        # ray-major, cells within a ray: (rays, cells, 2) points, (rays, cells) masses
+        pts = rp.omega[:, None, :] * centroid[:, None]
+        masses = rp.mass[:, None] * cell_mass
+        return LevyMeasure(AtomicMeasure2D.from_arrays(
+            np.concatenate([self.atoms.points, pts.reshape(-1, 2)]),
+            np.concatenate([self.atoms.masses, masses.ravel()])))
 
 
 @dataclass(frozen=True)
@@ -228,11 +235,10 @@ class CharTriplet:
             out = out + (m * kern).sum(axis=-1)
         rp = self.tau.radial
         if rp is not None and rp.is_untruncated():
-            om, m = _ray_arrays(rp)
-            c1 = om[:, 0] / z[..., None]
-            c2 = om[:, 1] / w[..., None]
+            c1 = rp.omega[:, 0] / z[..., None]
+            c2 = rp.omega[:, 1] / w[..., None]
             delta = rp.alpha - 1.0
-            out = out + (_ray_i1(c1, delta) + _ray_i1(c2, delta) + _ray_cross(c1, c2, delta)) @ m
+            out = out + (_ray_i1(c1, delta) + _ray_i1(c2, delta) + _ray_cross(c1, c2, delta)) @ rp.mass
         elif rp is not None:
             out = out + _truncated_phi(rp, z, w)
         return out
@@ -255,8 +261,7 @@ class CharTriplet:
             expo = expo + (m * (np.exp(1j * dot) - 1.0 - 1j * dot / (1.0 + s * s + t * t))).sum(axis=-1)
         rp = self.tau.radial
         if rp is not None and rp.is_untruncated():
-            om, m = _ray_arrays(rp)
-            expo = expo + _ray_cf(u @ om.T, rp.alpha - 1.0) @ m
+            expo = expo + _ray_cf(u @ rp.omega.T, rp.alpha - 1.0) @ rp.mass
         elif rp is not None:
             expo = expo + _truncated_cf(rp, u)
         val = np.exp(expo)
@@ -264,47 +269,41 @@ class CharTriplet:
 
     # -- marginals ---------------------------------------------------------
 
-    def marginal_phi(self, axis: int, z):
-        """Free phi-transform of the marginal law on the chosen axis."""
+    def marginal_phi_dphi(self, axis: int, z):
+        """phi of the free ID law on the chosen axis and its z-derivative phi', in one pass.
+
+        Full rays share c = omega/z and Log(-c) between I1 and its derivative;
+        truncated rays integrate both kernels on one panel layout.
+        """
         z = np.asarray(z, dtype=complex)
-        vj = self.v[axis - 1]
         diag = self.A.a if axis == 1 else self.A.b
-        val = vj + diag / z
+        phi = self.v[axis - 1] + diag / z
+        dphi = -diag / z**2
         if len(self.tau.atoms):
-            pts = self.tau.atoms.points
-            m = self.tau.atoms.masses
+            pts, m = self.tau.atoms.points, self.tau.atoms.masses
             s = pts[:, axis - 1]
             nrm = 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
             zz = z[..., None]
-            val = val + (m * (zz * s / (zz - s) - s / nrm)).sum(axis=-1)
+            d = zz - s
+            phi = phi + (m * (zz * s / d - s / nrm)).sum(axis=-1)
+            dphi = dphi - (m * s * s / d**2).sum(axis=-1)
         rp = self.tau.radial
         if rp is not None and rp.is_untruncated():
-            om, m = _ray_arrays(rp)
-            val = val + z * (_ray_i1(om[:, axis - 1] / z[..., None], rp.alpha - 1.0) @ m)
+            i1, di1 = _ray_i1_di1(rp.omega[:, axis - 1] / z[..., None], rp.alpha - 1.0)
+            phi = phi + z * (i1 @ rp.mass)
+            dphi = dphi + di1 @ rp.mass
         elif rp is not None:
-            val = val + _truncated_marginal(rp, axis, z, derivative=False)
-        return complex(val) if np.ndim(val) == 0 else val
+            p, dp = _truncated_marginal(rp, axis, z)
+            phi, dphi = phi + p, dphi + dp
+        return (complex(phi), complex(dphi)) if np.ndim(phi) == 0 else (phi, dphi)
+
+    def marginal_phi(self, axis: int, z):
+        """Free phi-transform of the marginal law on the chosen axis."""
+        return self.marginal_phi_dphi(axis, z)[0]
 
     def marginal_dphi(self, axis: int, z):
         """d/dz of the marginal phi-transform."""
-        z = np.asarray(z, dtype=complex)
-        diag = self.A.a if axis == 1 else self.A.b
-        val = -diag / z**2
-        if len(self.tau.atoms):
-            s = self.tau.atoms.points[:, axis - 1]
-            m = self.tau.atoms.masses
-            zz = z[..., None]
-            val = val - (m * s * s / (zz - s) ** 2).sum(axis=-1)
-        rp = self.tau.radial
-        if rp is not None and rp.is_untruncated():
-            om, m = _ray_arrays(rp)
-            val = val + _ray_di1(om[:, axis - 1] / z[..., None], rp.alpha - 1.0) @ m
-        elif rp is not None:
-            val = val + _truncated_marginal(rp, axis, z, derivative=True)
-        return complex(val) if np.ndim(val) == 0 else val
-
-    def marginal_phi_term(self, axis: int):
-        return TripletMarginalPhi(self, axis)
+        return self.marginal_phi_dphi(axis, z)[1]
 
     # -- structure ---------------------------------------------------------
 
@@ -338,19 +337,6 @@ class CharTriplet:
         )
 
 
-class TripletMarginalPhi:
-    """Free phi-evaluator of a triplet marginal, pluggable into FreeConvRep."""
-
-    __slots__ = ("triplet", "axis")
-
-    def __init__(self, triplet: CharTriplet, axis: int):
-        self.triplet = triplet
-        self.axis = axis
-
-    def phi_dphi(self, z):
-        return self.triplet.marginal_phi(self.axis, z), self.triplet.marginal_dphi(self.axis, z)
-
-
 # -- full rays: closed forms -------------------------------------------------
 #
 # On (0, inf) each radial integral is a Mellin transform.  Per ray of unit
@@ -379,12 +365,6 @@ _H_SERIES = (
     0.19990395075982716, 4.4926236738133142e-5, 0.16664647376198818, 9.4394882752683959e-6,
 )
 _H_SERIES_CUT = 0.05
-
-
-def _ray_arrays(rp: RadialPart) -> tuple[np.ndarray, np.ndarray]:
-    """Ray directions, shape (rays, 2), and masses, shape (rays,)."""
-    d = np.array(rp.directions(), dtype=float).reshape(-1, 3)
-    return d[:, :2], d[:, 2]
 
 
 def _sinc(x: float) -> float:
@@ -429,18 +409,22 @@ def _log_diff(x1, x2):
     return dl, np.where(h == 0, 1.0 / x2, dl / np.where(h == 0, 1.0, h))
 
 
+def _i1(c, log, delta: float):
+    """I1(c) = -c/sinc(d) [(pi^2 d/8) sinc(d/4)^2 + Log(-c) exprel(d Log(-c))], with log = Log(-c)."""
+    return -c / _sinc(delta) * (math.pi**2 * delta / 8.0 * _sinc(0.25 * delta) ** 2 + log * _exprel(delta * log))
+
+
 def _ray_i1(c, delta: float):
-    """I1(c) = -c/sinc(d) [(pi^2 d/8) sinc(d/4)^2 + Log(-c) exprel(d Log(-c))]."""
+    """I1(c), 0 where c = 0."""
+    nz, c = _nonzero(c)
+    return np.where(nz, _i1(c, np.log(-c), delta), 0.0)
+
+
+def _ray_i1_di1(c, delta: float):
+    """I1(c) and the z-derivative of z I1(omega/z), c (-c)^delta / sinc(delta), from one Log(-c)."""
     nz, c = _nonzero(c)
     log = np.log(-c)
-    val = -c / _sinc(delta) * (math.pi**2 * delta / 8.0 * _sinc(0.25 * delta) ** 2 + log * _exprel(delta * log))
-    return np.where(nz, val, 0.0)
-
-
-def _ray_di1(c, delta: float):
-    """z-derivative of z I1(omega/z): c (-c)^delta / sinc(delta)."""
-    nz, c = _nonzero(c)
-    return np.where(nz, c * np.exp(delta * np.log(-c)) / _sinc(delta), 0.0)
+    return np.where(nz, _i1(c, log, delta), 0.0), np.where(nz, c * np.exp(delta * log) / _sinc(delta), 0.0)
 
 
 def _ray_cross(c1, c2, delta: float):
@@ -561,6 +545,7 @@ def _pole_rays(rp: RadialPart, c1, c2, a1, a2, pair, h):
     parts are subtracted and integrate to k ell(p), ell(p) = Log(b - p) - Log(a - p),
     or through the divided difference of ell.  h gets y_j = 1/(1 - c_j r) as
     p_j/(p_j - r), so near a pole h and its parts share one rounded r - p_j.
+    With a leading kernel axis on a_j, ``pair`` and h, the kernels share the panels.
     """
     s = 1.0 - rp.alpha
     p1, p2 = (np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), -1.0) for c in (c1, c2))  # -1: near no panel
@@ -599,31 +584,32 @@ def _pole_rays(rp: RadialPart, c1, c2, a1, a2, pair, h):
     return (val + exact if near else val), err
 
 
-def _by_blocks(integral: str, block, m, *args):
-    """Sum over rays, with masses m, of block's per-ray integrals at the broadcast probes.
+def _by_blocks(integrals: tuple[str, ...], block, m, *args):
+    """Per kernel named in ``integrals``, the sum over rays, with masses m, of block's integrals.
 
-    Probes go in fixed blocks of _BLOCK_PAIRS (probe, ray) pairs, so a grid
-    never holds all of its nodes at once.  Raises QuadratureError where an
-    estimate exceeds QUAD_ERR_TOL (1 + |value|).
+    ``block`` returns values and estimates of shape (kernel, probe, ray) at
+    a block of the broadcast probes: fixed blocks of _BLOCK_PAIRS (probe,
+    ray) pairs, so a grid never holds all of its nodes at once.  Raises
+    QuadratureError where an estimate exceeds QUAD_ERR_TOL (1 + |value|).
     """
     args = np.broadcast_arrays(*args)
     flat = [a.reshape(-1) for a in args]
     step = max(1, _BLOCK_PAIRS // len(m))
-    out = np.empty(flat[0].size, dtype=complex)
-    for lo in range(0, out.size, step):
+    out = np.empty((len(integrals), flat[0].size), dtype=complex)
+    for lo in range(0, flat[0].size, step):
         chunk = [a[lo:lo + step] for a in flat]
-        val, err = block(*chunk)
+        val, err = (x.reshape(len(integrals), len(chunk[0]), len(m)) for x in block(*chunk))
         bad = err > QUAD_ERR_TOL * (1.0 + np.abs(val))
         if bad.any():
-            i, j = np.unravel_index(np.argmax(np.where(bad, err, -1.0)), err.shape)
+            k, i, j = np.unravel_index(np.argmax(np.where(bad, err, -1.0)), err.shape)
             pt = tuple(c[i].item() for c in chunk)
-            raise QuadratureError(integral, float(err[i, j]), pt[0] if len(pt) == 1 else pt)
-        out[lo:lo + step] = val @ m
-    return out.reshape(args[0].shape)
+            raise QuadratureError(integrals[k], float(err[k, i, j]), pt[0] if len(pt) == 1 else pt)
+        out[:, lo:lo + step] = val @ m
+    return out.reshape((len(integrals),) + args[0].shape)
 
 
 def _truncated_phi(rp: RadialPart, z, w):
-    om, m = _ray_arrays(rp)
+    om = rp.omega
 
     def h(r, c1, c2, y1, y2):
         return (c1 * (r + c1) * y1 + c2 * (r + c2) * y2) / (1.0 + r * r) + c1 * c2 * y1 * y2
@@ -632,21 +618,27 @@ def _truncated_phi(rp: RadialPart, z, w):
         c1, c2 = om[:, 0] / zb[:, None], om[:, 1] / wb[:, None]
         return _pole_rays(rp, c1, c2, -c1, -c2, (c1 != 0) & (c2 != 0), h)
 
-    return _by_blocks("phi", block, m, z, w)
+    return _by_blocks(("phi",), block, rp.mass, z, w)[0]
 
 
-def _truncated_marginal(rp: RadialPart, axis: int, z, derivative: bool):
-    om, m = _ray_arrays(rp)
-    o = om[:, axis - 1]
+def _truncated_marginal(rp: RadialPart, axis: int, z):
+    """The rays' parts of the marginal phi and phi' at z, both kernels on one panel layout per block.
+
+    The phi kernel omega (r + c) y / (1 + r^2) has a simple pole at 1/c; the
+    phi' kernel -(c y)^2 has a double pole there, the pair term at p1 = p2.
+    """
+    o = rp.omega[:, axis - 1]
+    oe = o[:, None, None]
+    a1 = np.stack([-o, 0.0 * o])[:, None, :]  # (kernel, probe, ray)
+
+    def h(r, c, _, y, __):
+        return np.stack([oe * (r + c) * y / (1.0 + r * r), -(c * y) ** 2])
 
     def block(zb):
         c = o / zb[:, None]
-        if derivative:  # -c^2 y^2: a double pole, the pair term at p1 = p2
-            return _pole_rays(rp, c, c, 0.0, 0.0, -1.0 * (c != 0), lambda r, c, _, y, __: -(c * y) ** 2)
-        oe = o[:, None, None]
-        return _pole_rays(rp, c, c, -o, 0.0, 0.0, lambda r, c, _, y, __: oe * (r + c) * y / (1.0 + r * r))
+        return _pole_rays(rp, c, c, a1, 0.0, np.stack([0.0 * c, -1.0 * (c != 0)]), h)
 
-    return _by_blocks("marginal_dphi" if derivative else "marginal_phi", block, m, z)
+    return _by_blocks(("marginal_phi", "marginal_dphi"), block, rp.mass, z)
 
 
 def _e1_ratio(t):
@@ -716,10 +708,10 @@ def _cf_rays(rp: RadialPart, k):
 
 
 def _truncated_cf(rp: RadialPart, u):
-    om, m = _ray_arrays(rp)
+    om = rp.omega
     u = np.asarray(u, dtype=float)
-    return _by_blocks("cf", lambda u1, u2: _cf_rays(rp, u1[:, None] * om[:, 0] + u2[:, None] * om[:, 1]),
-                      m, u[..., 0], u[..., 1])
+    return _by_blocks(("cf",), lambda u1, u2: _cf_rays(rp, u1[:, None] * om[:, 0] + u2[:, None] * om[:, 1]),
+                      rp.mass, u[..., 0], u[..., 1])[0]
 
 
 def _ray_drift(rp: RadialPart) -> float | None:
@@ -732,7 +724,7 @@ def _ray_drift(rp: RadialPart) -> float | None:
     def block(a, b):
         return _drift_integral(rp.alpha, a[:, None], b[:, None])
 
-    return _by_blocks("drift", block, np.ones(1), rp.r_min, rp.r_max).real.item()
+    return _by_blocks(("drift",), block, np.ones(1), rp.r_min, rp.r_max)[0].real.item()
 
 
 # -- named constructors ------------------------------------------------------
@@ -841,13 +833,13 @@ def triplet_to_sigma_form(t: CharTriplet) -> SigmaForm:
     return SigmaForm(g1, g2, AtomicMeasure2D(s1), AtomicMeasure2D(s2), AtomicMeasure2D(st))
 
 
-def sigma_form_to_triplet(sf: SigmaForm, tol: float = 1e-9) -> CharTriplet:
-    """Inverse of :func:`triplet_to_sigma_form`; validates the relations."""
-    sf.verify(tol=tol)
+def sigma_form_to_triplet(sf: SigmaForm) -> CharTriplet:
+    """Inverse of :func:`triplet_to_sigma_form`; validates the relations to SIGMA_FORM_TOL."""
+    sf.verify(tol=SIGMA_FORM_TOL)
     a = sf.sigma1.mass_at((0.0, 0.0))
     b = sf.sigma2.mass_at((0.0, 0.0))
     c = sf.sigma_tilde.mass_at((0.0, 0.0))
-    if c * c > a * b + tol:
+    if c * c > a * b + SIGMA_FORM_TOL:
         raise InconsistentSigmaForm("origin masses violate Cauchy-Schwarz")
     tau_atoms: list[tuple[tuple[float, float], float]] = []
     for (s, t), m in sf.sigma1.atoms():
@@ -865,7 +857,7 @@ def sigma_form_to_triplet(sf: SigmaForm, tol: float = 1e-9) -> CharTriplet:
         mass = m * (1.0 + t * t) / (t * t)
         if (s, t) in seen:
             ref = next(mm for pp, mm in tau_atoms if pp == (s, t))
-            if abs(mass - ref) > tol * (1.0 + abs(ref)):
+            if abs(mass - ref) > SIGMA_FORM_TOL * (1.0 + abs(ref)):
                 raise InconsistentSigmaForm(f"sigma1/sigma2 disagree at ({s}, {t})")
         else:
             tau_atoms.append(((s, t), mass))

@@ -36,6 +36,7 @@ INFINITESIMAL_EPS = 0.5
 INFINITESIMAL_TOL = 0.05
 EPS_LADDER = (0.5, 0.25, 0.125, 0.0625)
 TIGHT_RADIUS = 6.0
+EXTRAPOLATION_POINTS = 4
 
 
 class NotInfinitesimal(ValueError):
@@ -108,26 +109,23 @@ def iid_array(
     return make_array(rows, L=L)
 
 
-def infinitesimality_diagnostic(array: TriangularArray, eps: float = INFINITESIMAL_EPS) -> list[float]:
-    """max_k mu_nk({||x|| >= eps}) per row; small values certify an infinitesimal row."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+def infinitesimality_diagnostic(array: TriangularArray) -> list[float]:
+    """max_k mu_nk({||x|| >= INFINITESIMAL_EPS}) per row; small values certify an infinitesimal row."""
     out = []
     for stack in array.stacks:
-        far = np.hypot(stack.points[..., 0], stack.points[..., 1]) >= eps
+        far = np.hypot(stack.points[..., 0], stack.points[..., 1]) >= INFINITESIMAL_EPS
         out.append(float(np.where(far, stack.weights, 0.0).sum(axis=-1).max()))
     return out
 
 
-def ensure_infinitesimal(array: TriangularArray, eps: float = INFINITESIMAL_EPS,
-                         tol: float = INFINITESIMAL_TOL) -> list[float]:
-    """Reject arrays whose tail diagnostic neither vanishes nor decreases."""
-    diag = infinitesimality_diagnostic(array, eps)
+def ensure_infinitesimal(array: TriangularArray) -> list[float]:
+    """Reject arrays whose tail diagnostic neither vanishes nor decreases to below INFINITESIMAL_TOL."""
+    diag = infinitesimality_diagnostic(array)
     tail = diag[-3:] if len(diag) >= 3 else diag
     decreasing = all(b < a or b == 0.0 for a, b in zip(tail[:-1], tail[1:]))
-    if not (diag[-1] <= tol and (decreasing or diag[-1] == 0.0)):
+    if not (diag[-1] <= INFINITESIMAL_TOL and (decreasing or diag[-1] == 0.0)):
         raise NotInfinitesimal(
-            f"row tail masses {diag} do not vanish (eps={eps}, tol={tol})"
+            f"row tail masses {diag} do not vanish (eps={INFINITESIMAL_EPS}, tol={INFINITESIMAL_TOL})"
         )
     return diag
 
@@ -291,9 +289,8 @@ def _trailing_smooth_run(values: Sequence[float], sizes: Sequence[int]) -> int:
     return min(run, n)
 
 
-def extrapolate_in_inverse_size(values: Sequence[float], sizes: Sequence[int],
-                                max_points: int = 4) -> float:
-    """Neville extrapolation to 1/k_n -> 0 through the last few rows.
+def extrapolate_in_inverse_size(values: Sequence[float], sizes: Sequence[int]) -> float:
+    """Neville extrapolation to 1/k_n -> 0 through the last EXTRAPOLATION_POINTS rows at most.
 
     Row statistics here behave like c0 + c1/k_n + c2/k_n^2 + ... once any
     boundary-crossing transients have settled; polynomial extrapolation in
@@ -302,7 +299,7 @@ def extrapolate_in_inverse_size(values: Sequence[float], sizes: Sequence[int],
     """
     if len(values) < 2:
         return float(values[-1])
-    k = min(max_points, _trailing_smooth_run(values, sizes), len(values))
+    k = min(EXTRAPOLATION_POINTS, _trailing_smooth_run(values, sizes), len(values))
     xs = [1.0 / s for s in sizes[-k:]]
     p = [float(v) for v in values[-k:]]
     for j in range(1, k):
@@ -332,9 +329,7 @@ class ConditionReport:
 
     def to_jsonable(self) -> dict:
         def meas(m):
-            return None if m is None else [
-                {"x": [float(p[0]), float(p[1])], "m": float(w)} for p, w in m.atoms()
-            ]
+            return None if m is None else m.to_jsonable()
 
         return {
             "passed": self.passed,
@@ -350,7 +345,10 @@ class ConditionReport:
         }
 
 
-def _row_data(array: TriangularArray) -> list[tuple[RowStack, np.ndarray, RowAccumulators]]:
+RowData = list[tuple[RowStack, np.ndarray, RowAccumulators]]
+
+
+def _row_data(array: TriangularArray) -> RowData:
     """Centered stack, truncated means and accumulators of every row."""
     out = []
     for stack in array.stacks:
@@ -359,12 +357,26 @@ def _row_data(array: TriangularArray) -> list[tuple[RowStack, np.ndarray, RowAcc
     return out
 
 
-def check_condition_I_II(array: TriangularArray, precomputed=None) -> ConditionReport:
-    """Weak convergence of the sigma accumulators and the mixed-moment limit."""
+def _checked_row_data(array: TriangularArray) -> RowData:
+    """The row data of an array that the condition checks accept: three rows or more, infinitesimal."""
     if len(array.rows) < 3:
         raise ValueError("need at least three rows")
     ensure_infinitesimal(array)
-    data = precomputed or _row_data(array)
+    return _row_data(array)
+
+
+def condition_reports(array: TriangularArray) -> tuple[ConditionReport, ConditionReport]:
+    """Both condition reports of one array, with one pass of row data and one infinitesimality check."""
+    data = _checked_row_data(array)
+    return _conditions_I_II(array, data), _conditions_III_IV(array, data)
+
+
+def check_condition_I_II(array: TriangularArray) -> ConditionReport:
+    """Weak convergence of the sigma accumulators and the mixed-moment limit."""
+    return _conditions_I_II(array, _checked_row_data(array))
+
+
+def _conditions_I_II(array: TriangularArray, data: RowData) -> ConditionReport:
     accs = [acc for _, _, acc in data]
     bl = [_bl_values(acc) for acc in accs]
     d1, d2 = _bl_steps([b[0] for b in bl]), _bl_steps([b[1] for b in bl])
@@ -417,12 +429,12 @@ def _atom_sites(candidates: np.ndarray) -> list[np.ndarray]:
     return sites
 
 
-def check_condition_III_IV(array: TriangularArray, precomputed=None) -> ConditionReport:
+def check_condition_III_IV(array: TriangularArray) -> ConditionReport:
     """Vague convergence away from 0 and the small-ball quadratic limits."""
-    if len(array.rows) < 3:
-        raise ValueError("need at least three rows")
-    ensure_infinitesimal(array)
-    data = precomputed or _row_data(array)
+    return _conditions_III_IV(array, _checked_row_data(array))
+
+
+def _conditions_III_IV(array: TriangularArray, data: RowData) -> ConditionReport:
     accs = [acc for _, _, acc in data]
     all_norms = np.concatenate([acc.norms for acc in accs])
     ladder = [_perturb_radius(e, all_norms) for e in EPS_LADDER]
@@ -510,7 +522,7 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
     c_quantity = gamma_hat - float(last.beyond[k_last, last.GAMMA])
 
     tau_limit = LevyMeasure(tau_hat) if ok else None
-    v_rows, v = limit_vector(array, precomputed=data)
+    v_rows, v = _limit_vector(array, data)
     per_n["v_per_row"] = [list(x) for x in v_rows]
     return ConditionReport(
         passed=bool(ok),
@@ -524,9 +536,12 @@ def check_condition_III_IV(array: TriangularArray, precomputed=None) -> Conditio
     )
 
 
-def limit_vector(array: TriangularArray, precomputed=None) -> tuple[list[Vec2], Vec2]:
+def limit_vector(array: TriangularArray) -> tuple[list[Vec2], Vec2]:
     """Per-row recentring sums and their extrapolated limit."""
-    data = precomputed or _row_data(array)
+    return _limit_vector(array, _row_data(array))
+
+
+def _limit_vector(array: TriangularArray, data: RowData) -> tuple[list[Vec2], Vec2]:
     per_row: list[Vec2] = []
     for (centered, centers, _), shift in zip(data, array.shifts):
         pts = centered.points
@@ -542,15 +557,11 @@ def limit_vector(array: TriangularArray, precomputed=None) -> tuple[list[Vec2], 
 
 def limit_triplet(array: TriangularArray) -> CharTriplet:
     """Characteristic triplet of the limit law; requires passing checks."""
-    data = _row_data(array)
-    return _triplet_from_reports(
-        check_condition_I_II(array, precomputed=data),
-        check_condition_III_IV(array, precomputed=data),
-    )
+    return triplet_from_reports(*condition_reports(array))
 
 
-def _triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> CharTriplet:
-    """The limit triplet read off the two condition reports of one array."""
+def triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> CharTriplet:
+    """The limit triplet read off the two condition reports of one array; requires both to pass."""
     if not (rep12.passed and rep34.passed):
         raise ConditionsNotMet("condition checks failed; see reports for diagnostics")
     return CharTriplet(rep34.v, rep34.A, rep34.tau_limit)

@@ -470,6 +470,10 @@ class AtomicMeasure2D:
     def atoms(self) -> list[tuple[Vec2, float]]:
         return [((p[0], p[1]), w) for p, w in zip(self.points, self.masses)]
 
+    def to_jsonable(self) -> list[dict]:
+        """The atoms as JSON objects {"x": [s, t], "m": mass}, in canonical order."""
+        return [{"x": [float(p[0]), float(p[1])], "m": float(w)} for p, w in self.atoms()]
+
     def total_mass(self) -> float:
         return float(self.masses.sum())
 

@@ -37,6 +37,32 @@ def _need(obj: dict, key: str, kind=None):
     return val
 
 
+def _objects(entries, key: str) -> list:
+    """``entries``, checked to be a list of JSON objects; errors name ``key``."""
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise SchemaError(f"key {key!r} must hold a list of objects, got {entries!r}")
+    return entries
+
+
+def _rays(entries, key: str) -> tuple[tuple[float, float], ...]:
+    """(angle, mass) per entry of a circle measure ``key``."""
+    return tuple(
+        (float(_need(e, "angle", (int, float))), float(_need(e, "m", (int, float))))
+        for e in _objects(entries, key)
+    )
+
+
+def _matrix2(rows, key: str) -> Matrix2:
+    """The symmetric matrix [[a, c], [c, b]] of JSON rows; errors name ``key``."""
+    try:
+        (a, c), (c_low, b) = ([float(x) for x in r] for r in rows)
+    except (TypeError, ValueError):
+        raise SchemaError(f"key {key!r} must be a 2x2 matrix of numbers, got {rows!r}") from None
+    if abs(c - c_low) > 1e-12:
+        raise SchemaError(f"key {key!r} must be symmetric")
+    return Matrix2(a, c, b)
+
+
 def _vec2(x) -> tuple[float, float]:
     if not (isinstance(x, (list, tuple)) and len(x) == 2):
         raise SchemaError(f"expected a 2-vector, got {x!r}")
@@ -88,9 +114,7 @@ def measure_from_dict(obj: dict) -> PlanarMeasure:
 
 
 def triplet_to_dict(t: CharTriplet) -> dict:
-    tau: dict[str, Any] = {
-        "atoms": [{"x": [float(p[0]), float(p[1])], "m": float(m)} for p, m in t.tau.atoms.atoms()]
-    }
+    tau: dict[str, Any] = {"atoms": t.tau.atoms.to_jsonable()}
     if t.tau.radial is not None:
         rp = t.tau.radial
         tau["radial"] = {
@@ -108,34 +132,26 @@ def triplet_to_dict(t: CharTriplet) -> dict:
 
 def triplet_from_dict(obj: dict) -> CharTriplet:
     v = _vec2(_need(obj, "v"))
-    A_rows = _need(obj, "A", list)
-    if len(A_rows) != 2 or any(len(r) != 2 for r in A_rows):
-        raise SchemaError("A must be a 2x2 matrix")
-    if abs(float(A_rows[0][1]) - float(A_rows[1][0])) > 1e-12:
-        raise SchemaError("A must be symmetric")
-    A = Matrix2(float(A_rows[0][0]), float(A_rows[0][1]), float(A_rows[1][1]))
+    A = _matrix2(_need(obj, "A"), "A")
     tau_obj = _need(obj, "tau", dict)
     atoms = [
         (_vec2(_need(a, "x")), float(_need(a, "m", (int, float))))
-        for a in tau_obj.get("atoms", [])
+        for a in _objects(tau_obj.get("atoms", []), "tau.atoms")
     ]
     radial = None
-    if tau_obj.get("radial") is not None:
-        r = tau_obj["radial"]
-        rays = tuple(
-            (float(_need(e, "angle", (int, float))), float(_need(e, "m", (int, float))))
-            for e in _need(r, "theta", list)
-        )
-        r_max = r.get("r_max")
-        radial = RadialPart(
-            alpha=float(_need(r, "alpha", (int, float))),
-            rays=rays,
-            r_min=float(r.get("r_min", 0.0)),
-            r_max=math.inf if r_max is None else float(r_max),
-        )
     try:
+        if tau_obj.get("radial") is not None:
+            r = _need(tau_obj, "radial", dict)
+            rays = _rays(_need(r, "theta"), "tau.radial.theta")
+            r_max = r.get("r_max")
+            radial = RadialPart(
+                alpha=float(_need(r, "alpha", (int, float))),
+                rays=rays,
+                r_min=float(r.get("r_min", 0.0)),
+                r_max=math.inf if r_max is None else float(r_max),
+            )
         return CharTriplet(v, A, LevyMeasure(AtomicMeasure2D(atoms), radial))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise SchemaError(str(e)) from e
 
 
@@ -144,15 +160,11 @@ def triplet_from_dict(obj: dict) -> CharTriplet:
 
 def stable_spec_from_dict(obj: dict) -> StableSpec:
     alpha = float(_need(obj, "alpha", (int, float)))
-    theta = tuple(
-        (float(_need(e, "angle", (int, float))), float(_need(e, "m", (int, float))))
-        for e in obj.get("theta", [])
-    )
+    theta = _rays(obj.get("theta", []), "theta")
     v = _vec2(obj.get("v", [0.0, 0.0]))
     A = None
     if obj.get("gaussian_A") is not None:
-        rows = obj["gaussian_A"]
-        A = Matrix2(float(rows[0][0]), float(rows[0][1]), float(rows[1][1]))
+        A = _matrix2(obj["gaussian_A"], "gaussian_A")
     try:
         return StableSpec(alpha=alpha, theta=theta, v=v, gaussian_a=A)
     except ValueError as e:

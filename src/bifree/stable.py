@@ -11,7 +11,7 @@ least squares over probe points rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2
 from .transforms import bi_free_phi
 
 Probe = tuple[complex, complex]
+RESIDUAL_RATIO = 0.6
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,7 @@ class StabilityReport:
     probe_residuals: list[dict] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "shift": list(self.shift),
-            "max_residual": self.max_residual,
-            "is_stable": self.is_stable,
-            "probe_residuals": self.probe_residuals,
-        }
+        return asdict(self)
 
 
 def check_stability(
@@ -171,18 +163,11 @@ class ConvergenceReport:
         return self.bifree_converged == self.classical_converged
 
     def to_jsonable(self) -> dict:
-        return {
-            "ns": self.ns,
-            "bifree_residuals": self.bifree_residuals,
-            "classical_residuals": self.classical_residuals,
-            "bifree_converged": self.bifree_converged,
-            "classical_converged": self.classical_converged,
-            "agree": self.agree,
-        }
+        return {**asdict(self), "agree": self.agree}
 
 
-def residuals_converge(resids: Sequence[float], ratio: float = 0.6) -> bool:
-    """Heuristic: successive residuals must keep shrinking geometrically.
+def residuals_converge(resids: Sequence[float]) -> bool:
+    """Heuristic: successive residuals must keep shrinking by RESIDUAL_RATIO at least.
 
     Assumes the sample sizes grow by a fixed factor; an O(1/n) rate then
     shows up as a stable ratio well below 1, while a non-matching target
@@ -197,7 +182,7 @@ def residuals_converge(resids: Sequence[float], ratio: float = 0.6) -> bool:
         if prev <= floor and cur <= floor:
             checks.append(True)
         else:
-            checks.append(cur <= ratio * prev + floor)
+            checks.append(cur <= RESIDUAL_RATIO * prev + floor)
     return all(checks[-2:]) if len(checks) >= 2 else checks[-1]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import math
 from unittest import mock
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bifree.idlaw as idlaw
 import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
 from bifree.freeconv import free_convolve_many
@@ -185,17 +187,31 @@ class TestMixedTerms:
         assert grid.riemann_mass() >= 0.9
 
 
-    def test_b2_plus_truncated_rays_density(self):
+    @staticmethod
+    def b2_plus_truncated_rays():
         # rays in opposite pairs on [0.2, 5]: both terms are symmetric under x -> -x
         rays = tuple((0.3 + 0.5 * math.pi * k, 0.25) for k in range(4))
         trip = CharTriplet((0.0, 0.0), Matrix2(0.0, 0.0, 0.0),
                            LevyMeasure(AtomicMeasure2D(), RadialPart(1.2, rays, 0.2, 5.0)))
-        rep = bi_free_convolve([PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)]), trip])
+        return bi_free_convolve([PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)]), trip])
+
+    def test_b2_plus_truncated_rays_density(self):
+        rep = self.b2_plus_truncated_rays()
         axis = np.linspace(-3.0, 3.0, 16)
         vals = rep.density(axis, axis, 0.1).values
         assert np.all(np.isfinite(vals))
         assert vals.min() >= -1e-9 * vals.max()
         np.testing.assert_allclose(vals, vals[::-1, ::-1], rtol=0, atol=1e-8 * vals.max())
+
+    def test_truncated_marginal_phi_and_derivative_share_kernel_calls(self, monkeypatch):
+        # each subordination step gets phi and phi' of the rays from one kernel call per block
+        calls = []
+        real = idlaw.quad
+        monkeypatch.setattr(idlaw, "quad", lambda *a: calls.append(1) or real(*a))
+        rep = self.b2_plus_truncated_rays()
+        axis = np.linspace(-3.0, 3.0, 16)
+        rep.density(axis, axis, 0.1)
+        assert len(calls) == 20  # 32 with separate phi and phi' kernel calls
 
 
 class TestRepSerialization:
@@ -328,7 +344,8 @@ def reference_density(terms, shift, s_axis, t_axis, eps):
 
     def solve(axis, zeta):
         lines = [m.marginal(axis) for m in laws]
-        rep = free_convolve_many(lines, [t.marginal_phi_term(axis) for t in triplets], shift[axis - 1])
+        rep = free_convolve_many(lines, [functools.partial(t.marginal_phi_dphi, axis) for t in triplets],
+                                 shift[axis - 1])
         f, aux = rep.f_value(zeta, return_aux=True)
         omegas = {law_key(x): om for x, om in zip(rep.laws, aux)}
         return f, [f + x.points[0] if len(x) == 1 else omegas[law_key(x)] for x in lines]

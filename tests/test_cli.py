@@ -196,6 +196,40 @@ class TestArrayLoading:
             array_from_dict(payload)
 
 
+SQUARE_SPEC = {"alpha": 2.0, "gaussian_A": [[1.0, 0.0], [0.0, 1.0]]}
+ZERO_TRIPLET = {"v": [0.0, 0.0], "A": [[0.0, 0.0], [0.0, 0.0]], "tau": {"atoms": []}}
+
+
+class TestMalformedInputs:
+    """A malformed input file exits 2 with a schema error, no traceback, naming what is at fault."""
+
+    @pytest.mark.parametrize("command,payload,key", [
+        ("stable", {**SQUARE_SPEC, "gaussian_A": [[1.0]]}, "'gaussian_A'"),
+        ("stable", {**SQUARE_SPEC, "gaussian_A": [[1.0, 0.5], [0.2, 1.0]]}, "'gaussian_A'"),
+        ("stable", {**SQUARE_SPEC, "alpha": 1.0, "theta": [5]}, "'theta'"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [5]}}, "'tau.atoms'"),
+        ("idlaw", {**ZERO_TRIPLET, "A": [1, 2]}, "'A'"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 1.0, "theta": [[0.0, 1.0]]}}},
+         "'tau.radial.theta'"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 3.0, "theta": []}}}, "radial index"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 1.0, "theta": [], "r_min": "abc"}}},
+         "'abc'"),
+        ("config", {"epsilon": "abc"}, "'epsilon'"),
+    ])
+    def test_exit_2_names_the_key(self, tmp_path, capsys, command, payload, key):
+        out = str(tmp_path / "out")
+        if command == "config":
+            args = ["--config", write(tmp_path / "cfg.json", payload), "--out", out,
+                    "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]
+        elif command == "stable":
+            args = ["--out", out, "stable", write(tmp_path / "s.json", payload), "--a", "2", "--b", "0"]
+        else:
+            args = ["--out", out, "idlaw", write(tmp_path / "t.json", payload)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and key in err
+
+
 class TestCliConvolve:
     def test_basic_run(self, tmp_path):
         f1 = write(tmp_path / "m1.json", DIRAC_JSON)
@@ -374,17 +408,21 @@ class TestCliLimit:
         assert (out / "bifree_residuals.csv").exists()
 
     def test_row_data_built_once(self, tmp_path, monkeypatch):
-        calls = []
+        calls, diagnostics = [], []
         real = bifree.limits.row_accumulators
+        real_diagnostic = bifree.limits.infinitesimality_diagnostic
 
         def counting(centered):
             calls.append(1)
             return real(centered)
 
         monkeypatch.setattr(bifree.limits, "row_accumulators", counting)
+        monkeypatch.setattr(bifree.limits, "infinitesimality_diagnostic",
+                            lambda a: diagnostics.append(1) or real_diagnostic(a))
         arr = write(tmp_path / "arr.json", self._poisson_array_payload())
         assert main(["--out", str(tmp_path / "out"), "limit", arr]) == 0
         assert len(calls) == 3  # one per row, for both condition checks
+        assert len(diagnostics) == 1  # one infinitesimality check for both
 
     def test_bad_law_exit_2_names_its_position(self, tmp_path, capsys):
         arr = write(tmp_path / "arr.json", with_bad_law(BAD_MEASURES[-2][0]))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -219,7 +220,7 @@ def id_terms(draw):
         xs = draw(st.lists(jump, min_size=1, max_size=3, unique=True))
         jumps = PlanarMeasure([((x, 1.0), 1.0 / len(xs)) for x in xs])
         trip = make_compound_poisson(draw(st.floats(0.1, 2.0)), jumps)
-    return trip.marginal_phi_term(1)
+    return functools.partial(trip.marginal_phi_dphi, 1)
 
 
 def assert_subordination(rep, zeta):

@@ -269,6 +269,23 @@ class TestInfinitesimality:
             assert diag[-1] <= 0.05
 
 
+class TestConditionReports:
+    """Both reports of one array from one pass: row data and infinitesimality once."""
+
+    def test_reports_match_the_separate_checks(self):
+        for arr in (poisson_array(), clt_array(), dirac_array(), escape_array()):
+            rep12, rep34 = lm.condition_reports(arr)
+            assert rep12.to_jsonable() == check_condition_I_II(arr).to_jsonable()
+            assert rep34.to_jsonable() == check_condition_III_IV(arr).to_jsonable()
+
+    def test_limit_triplet_checks_infinitesimality_once(self, monkeypatch):
+        calls = []
+        real = lm.infinitesimality_diagnostic
+        monkeypatch.setattr(lm, "infinitesimality_diagnostic", lambda a: calls.append(1) or real(a))
+        limit_triplet(poisson_array())
+        assert len(calls) == 1
+
+
 class TestIidArray:
     def test_dirac_rows(self):
         arr = iid_array(dirac((1.0, 1.0)), lambda kn: 1.0 / kn, [2, 4, 8])

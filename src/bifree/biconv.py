@@ -172,6 +172,8 @@ class BiConvRep:
         One subordination solve per axis gives F_1 on s + i eps and F_2 on
         t + i eps, with the terms' subordination functions as the warm
         starts of phi's inversions; G at t - i eps follows by conjugation.
+        The same solves give the marginal densities (``axis_densities``),
+        equal to ``self.marginal(j).density`` on the axes.
         """
         if eps <= 0.0:
             raise ValueError("eps must be positive")
@@ -188,7 +190,9 @@ class BiConvRep:
         g_plus = self._recover(z1, w2, Phi1, Phi2, starts)
         # lower w-half-plane values by reflection: F and phi commute with conj
         g_minus = self._recover(z1, np.conj(w2), Phi1, np.conj(Phi2), (starts[0], np.conj(starts[1])))
-        return GridDensity(s_axis, t_axis, inversion_values(g_plus, g_minus), eps)
+        # the marginal densities -Im G_j / pi come with the solves, G_j = 1 / F_j
+        axis_densities = tuple(-(1.0 / f.ravel()).imag / np.pi for f in (z1, w2))
+        return GridDensity(s_axis, t_axis, inversion_values(g_plus, g_minus), eps, axis_densities)
 
 
 def bi_free_convolve(items: Sequence, shift: Vec2 = (0.0, 0.0)) -> BiConvRep:

@@ -1,18 +1,20 @@
 """Triangular-array limit machinery and the classical/bi-free transfer runner.
 
 Every row is held as a stack: the padded points, weights and counts of its
-distinct laws (``RowStack``), built once with the array.  Rows are centered
-by truncated means and accumulated into the row measures tau_n, sigma_1n,
+distinct laws (``RowStack``), built once with the array.  So is what the
+condition checks read of each row (``RowData``): the laws are centered by
+truncated means and accumulated into the row measures tau_n, sigma_1n,
 sigma_2n as flat arrays of merged atoms sorted by norm, with cumulative
 moment sums, so the small-ball quadratic sums of a row over the whole eps
-ladder are one ``searchsorted``, and so are its annulus masses.  The
-bounded-Lipschitz family is separable: its Gaussian bumps are products of
-one exp table per coordinate, so a row's integrals against a sigma are one
-matrix product.  These are screened through two equivalent condition
-systems: weak convergence of the sigmas plus a mixed-moment limit, or vague
-convergence of tau_n away from the origin plus small-ball quadratic limits.
-The runners evaluate phi and the characteristic function of all laws of a
-row at once.  Finite-n verdicts use ratio tests on consecutive rows; these
+ladder are one ``searchsorted``, and so are its annulus masses.  All rows
+are centered, merged and sorted in one batched pass.  The bounded-Lipschitz
+family is separable: its Gaussian bumps are products of one exp table per
+coordinate, so a row's integrals against a sigma are one matrix product.
+These are screened through two equivalent condition systems: weak
+convergence of the sigmas plus a mixed-moment limit, or vague convergence
+of tau_n away from the origin plus small-ball quadratic limits.  The
+runners evaluate phi and the characteristic function of all laws of a row
+at once.  Finite-n verdicts use ratio tests on consecutive rows; these
 surrogates are heuristics and can be fooled by adversarial slowly-diverging
 arrays, so the per-row diagnostics are always reported alongside the verdict.
 """
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .idlaw import CharTriplet, LevyMeasure
-from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical
+from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical, _canonical_rows, _freeze
 from .measure import Groups, RowStack, row_groups, row_stack  # the row type, shared with biconv
 from .transforms import bi_free_phi
 
@@ -54,6 +56,9 @@ class TriangularArray:
     ``rows`` is the expanded view; ``groups`` holds each row's distinct laws
     with their counts (``row_groups``), and ``stacks`` the same laws as
     padded arrays (``row_stack``), which is what the machinery works on.
+    ``row_data`` holds what the condition checks read of each row
+    (``build_row_data``): a pure function of the rows, shifts and L, built
+    once here and read-only.
     """
 
     rows: tuple[tuple[PlanarMeasure, ...], ...]
@@ -61,6 +66,7 @@ class TriangularArray:
     L: float = 1.0
     groups: tuple[Groups, ...] = field(init=False, repr=False, compare=False)
     stacks: tuple[RowStack, ...] = field(init=False, repr=False, compare=False)
+    row_data: tuple[RowData, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != len(self.shifts):
@@ -74,7 +80,9 @@ class TriangularArray:
             raise ValueError("centering radius must be positive")
         groups = tuple(row_groups(r) for r in self.rows)
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "stacks", tuple(row_stack(g) for g in groups))
+        stacks = tuple(row_stack(g) for g in groups)
+        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "row_data", build_row_data(stacks, self.shifts, self.L))
 
     def row_sizes(self) -> list[int]:
         return [len(r) for r in self.rows]
@@ -134,7 +142,8 @@ def center_row(stack: RowStack, L: float) -> tuple[RowStack, np.ndarray]:
     """The recentered stack and the truncated means (G, 2) of its laws.
 
     A law's truncated mean is its mean over the open ball ||x|| < L, and
-    its atoms move from x to x minus that mean.
+    its atoms move from x to x minus that mean.  One row at a time: the
+    reference form of the centering in ``build_row_data``.
     """
     pts = stack.points
     inside = np.hypot(pts[..., 0], pts[..., 1]) < L
@@ -197,7 +206,11 @@ def _scalar(x):
 
 
 def row_accumulators(centered: RowStack) -> RowAccumulators:
-    """tau_n = sum of the centered laws with their counts; sigma_jn are its tilts."""
+    """tau_n = sum of the centered laws with their counts; sigma_jn are its tilts.
+
+    One row at a time: the reference form of ``build_row_data``, whose
+    accumulators equal these bit for bit.
+    """
     masses = centered.counts[:, None] * centered.weights
     keep = centered.weights > 0.0
     if keep.all():  # no padding: skip the masked copy of the points
@@ -217,6 +230,82 @@ def row_accumulators(centered: RowStack) -> RowAccumulators:
     beyond = np.zeros((len(tau) + 1, 4))
     beyond[:-1] = np.cumsum(np.column_stack((tau, gamma, sigma1, sigma2))[::-1], axis=0)[::-1]
     return RowAccumulators(pts, norms, tau, sigma1, sigma2, ball, beyond)
+
+
+class RowData(NamedTuple):
+    """What the condition checks read of one row, built once with the array.
+
+    ``acc`` holds the accumulators of the centered tau_n, ``centers`` (G, 2)
+    the truncated means of the row's distinct laws, and ``v`` the row's
+    recentring sum: the shift plus sum_k count_k (m_k + int x / (1 + |x|^2)
+    d(mu_k centered)), m_k the truncated mean of law k.
+    """
+
+    acc: RowAccumulators
+    centers: np.ndarray
+    v: Vec2
+
+
+def _law_sums(law: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Per-law sums (count, 2) of the rows of ``values``, each law's in atom order.
+
+    ``bincount`` adds in index order from 0.0, as a stack's sum over its
+    atom axis does, so the sums are the stack's bit for bit.
+    """
+    return np.column_stack([np.bincount(law, weights=values[:, k], minlength=count) for k in (0, 1)])
+
+
+def build_row_data(stacks: Sequence[RowStack], shifts: Sequence[Vec2], L: float) -> tuple[RowData, ...]:
+    """The row data of every row, in one batched pass over all atoms.
+
+    Every law of every row is centered at once, all atoms are merged and
+    sorted by one (row, s, t, mass) sort (``measure._canonical_rows``), and
+    by norm with one stable (row, norm) sort.  Only the cumulative sums run
+    row by row, so each row's accumulators equal
+    ``row_accumulators(center_row(stack, L)[0])`` bit for bit.  Every array
+    held is read-only.
+    """
+    law_counts = [len(stack.counts) for stack in stacks]
+    pts, wts, law, start = [], [], [], 0
+    for stack, n_laws in zip(stacks, law_counts):
+        real = stack.weights > 0.0  # padding has weight 0
+        pts.append(stack.points[real])
+        wts.append(stack.weights[real])
+        law.append(np.nonzero(real)[0] + start)
+        start += n_laws
+    pts, wts, law = np.concatenate(pts), np.concatenate(wts), np.concatenate(law)
+    counts = np.concatenate([stack.counts for stack in stacks])
+    law_row = np.repeat(np.arange(len(stacks)), law_counts)
+
+    inside = np.hypot(pts[:, 0], pts[:, 1]) < L
+    centers = _freeze(_law_sums(law, np.where(inside, wts, 0.0)[:, None] * pts, len(counts)))
+    pts = pts - centers[law]
+    nrm = 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
+    terms = centers + _law_sums(law, wts[:, None] * pts / nrm[:, None], len(counts))
+
+    pts, tau, row = _canonical_rows(pts, counts[law] * wts, law_row[law], len(stacks))
+    norms = np.hypot(pts[:, 0], pts[:, 1])
+    order = np.lexsort((norms, row))
+    pts, norms, tau = _freeze(pts[order]), _freeze(norms[order]), _freeze(tau[order])
+    s, t = pts[:, 0], pts[:, 1]
+    sigma1 = _freeze(tau * (s * s / (1.0 + s * s)))
+    sigma2 = _freeze(tau * (t * t / (1.0 + t * t)))
+    gamma = tau * (s * t / ((1.0 + s * s) * (1.0 + t * t)))
+    moments = np.column_stack((tau * s * s, tau * t * t, tau * s * t))
+    tails = np.column_stack((tau, gamma, sigma1, sigma2))
+
+    out = []
+    atom_ends = np.cumsum(np.bincount(row, minlength=len(stacks))).tolist()
+    law_ends = np.cumsum(law_counts).tolist()
+    for a, b, g0, g1, shift in zip([0] + atom_ends[:-1], atom_ends, [0] + law_ends[:-1], law_ends, shifts):
+        ball = np.zeros((b - a + 1, 3))
+        ball[1:] = np.cumsum(moments[a:b], axis=0)
+        beyond = np.zeros((b - a + 1, 4))
+        beyond[:-1] = np.cumsum(tails[a:b][::-1], axis=0)[::-1]
+        acc = RowAccumulators(pts[a:b], norms[a:b], tau[a:b], sigma1[a:b], sigma2[a:b], _freeze(ball), _freeze(beyond))
+        v1, v2 = np.asarray(shift, dtype=float) + counts[g0:g1] @ terms[g0:g1]
+        out.append(RowData(acc, centers[g0:g1], (float(v1), float(v2))))
+    return tuple(out)
 
 
 # centres of the Gaussian bumps of the bounded-Lipschitz family, per coordinate
@@ -345,39 +434,27 @@ class ConditionReport:
         }
 
 
-RowData = list[tuple[RowStack, np.ndarray, RowAccumulators]]
-
-
-def _row_data(array: TriangularArray) -> RowData:
-    """Centered stack, truncated means and accumulators of every row."""
-    out = []
-    for stack in array.stacks:
-        centered, centers = center_row(stack, array.L)
-        out.append((centered, centers, row_accumulators(centered)))
-    return out
-
-
-def _checked_row_data(array: TriangularArray) -> RowData:
-    """The row data of an array that the condition checks accept: three rows or more, infinitesimal."""
+def _require_checkable(array: TriangularArray) -> None:
+    """Reject arrays the condition checks do not accept: fewer than three rows, or not infinitesimal."""
     if len(array.rows) < 3:
         raise ValueError("need at least three rows")
     ensure_infinitesimal(array)
-    return _row_data(array)
 
 
 def condition_reports(array: TriangularArray) -> tuple[ConditionReport, ConditionReport]:
-    """Both condition reports of one array, with one pass of row data and one infinitesimality check."""
-    data = _checked_row_data(array)
-    return _conditions_I_II(array, data), _conditions_III_IV(array, data)
+    """Both condition reports of one array, with one infinitesimality check."""
+    _require_checkable(array)
+    return _conditions_I_II(array), _conditions_III_IV(array)
 
 
 def check_condition_I_II(array: TriangularArray) -> ConditionReport:
     """Weak convergence of the sigma accumulators and the mixed-moment limit."""
-    return _conditions_I_II(array, _checked_row_data(array))
+    _require_checkable(array)
+    return _conditions_I_II(array)
 
 
-def _conditions_I_II(array: TriangularArray, data: RowData) -> ConditionReport:
-    accs = [acc for _, _, acc in data]
+def _conditions_I_II(array: TriangularArray) -> ConditionReport:
+    accs = [rd.acc for rd in array.row_data]
     bl = [_bl_values(acc) for acc in accs]
     d1, d2 = _bl_steps([b[0] for b in bl]), _bl_steps([b[1] for b in bl])
     esc1 = [acc.above(TIGHT_RADIUS, acc.SIGMA1) for acc in accs]
@@ -431,11 +508,12 @@ def _atom_sites(candidates: np.ndarray) -> list[np.ndarray]:
 
 def check_condition_III_IV(array: TriangularArray) -> ConditionReport:
     """Vague convergence away from 0 and the small-ball quadratic limits."""
-    return _conditions_III_IV(array, _checked_row_data(array))
+    _require_checkable(array)
+    return _conditions_III_IV(array)
 
 
-def _conditions_III_IV(array: TriangularArray, data: RowData) -> ConditionReport:
-    accs = [acc for _, _, acc in data]
+def _conditions_III_IV(array: TriangularArray) -> ConditionReport:
+    accs = [rd.acc for rd in array.row_data]
     all_norms = np.concatenate([acc.norms for acc in accs])
     ladder = [_perturb_radius(e, all_norms) for e in EPS_LADDER]
     eps_min = ladder[-1]
@@ -522,7 +600,7 @@ def _conditions_III_IV(array: TriangularArray, data: RowData) -> ConditionReport
     c_quantity = gamma_hat - float(last.beyond[k_last, last.GAMMA])
 
     tau_limit = LevyMeasure(tau_hat) if ok else None
-    v_rows, v = _limit_vector(array, data)
+    v_rows, v = limit_vector(array)
     per_n["v_per_row"] = [list(x) for x in v_rows]
     return ConditionReport(
         passed=bool(ok),
@@ -538,17 +616,7 @@ def _conditions_III_IV(array: TriangularArray, data: RowData) -> ConditionReport
 
 def limit_vector(array: TriangularArray) -> tuple[list[Vec2], Vec2]:
     """Per-row recentring sums and their extrapolated limit."""
-    return _limit_vector(array, _row_data(array))
-
-
-def _limit_vector(array: TriangularArray, data: RowData) -> tuple[list[Vec2], Vec2]:
-    per_row: list[Vec2] = []
-    for (centered, centers, _), shift in zip(data, array.shifts):
-        pts = centered.points
-        nrm = 1.0 + pts[..., 0] ** 2 + pts[..., 1] ** 2
-        terms = centers + (centered.weights[..., None] * pts / nrm[..., None]).sum(axis=1)
-        v1, v2 = np.asarray(shift, dtype=float) + centered.counts @ terms
-        per_row.append((float(v1), float(v2)))
+    per_row = [rd.v for rd in array.row_data]
     sizes = array.row_sizes()
     vx = extrapolate_in_inverse_size([v[0] for v in per_row], sizes)
     vy = extrapolate_in_inverse_size([v[1] for v in per_row], sizes)

@@ -14,7 +14,7 @@ reported as :class:`NoConvergence`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -258,12 +258,18 @@ def bi_free_phi(mu, z, w, guess1=None, guess2=None):
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Epsilon-smoothed density on a rectangular grid (row-major over s)."""
+    """Epsilon-smoothed density on a rectangular grid (row-major over s).
+
+    ``axis_densities`` are the eps-smoothed densities of the two marginal
+    laws on ``s_axis`` and ``t_axis``, when the recovery solved them on the
+    way (a genuine bi-free convolution), and None otherwise.
+    """
 
     s_axis: np.ndarray
     t_axis: np.ndarray
     values: np.ndarray
     epsilon: float
+    axis_densities: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def spacing(self) -> tuple[float, float]:
         ds = float(np.diff(self.s_axis).mean()) if len(self.s_axis) > 1 else 1.0

@@ -23,7 +23,10 @@ from bifree.serialize import (
     stable_spec_from_dict,
     triplet_from_dict,
     triplet_to_dict,
+    write_table_csv,
 )
+from bifree.biconv import bi_free_convolve
+from bifree.freeconv import FreeConvRep
 from bifree.idlaw import make_compound_poisson
 from bifree.limits import make_array
 from bifree.measure import MERGE_TOL
@@ -283,6 +286,23 @@ class TestCliConvolve:
         want = -kesten_mckay_g(8, rows[:, 0] + 0.05j).imag / math.pi
         assert np.max(np.abs(rows[:, 1] - want)) <= 1e-9
 
+    def test_marginals_come_from_the_density_solves(self, tmp_path, monkeypatch):
+        m2 = {"atoms": [{"x": [-0.3, 0.6], "w": 0.25}, {"x": [0.8, -0.8], "w": 0.35},
+                        {"x": [-1.1, -1.0], "w": 0.4}]}
+        files = [write(tmp_path / "m1.json", TWO_ATOM_JSON), write(tmp_path / "m2.json", m2)]
+        calls = []
+        real = FreeConvRep.f_value
+        monkeypatch.setattr(FreeConvRep, "f_value", lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--grid=-4:4:16,-3:3:12", "--epsilon", "0.1", "convolve", *files]) == 0
+        assert len(calls) == 2  # F_1 and F_2, once each
+        # the files equal those of the marginal reps' own solves, byte for byte
+        rep = bi_free_convolve([measure_from_dict(TWO_ATOM_JSON), measure_from_dict(m2)])
+        for axis, ax in ((1, np.linspace(-4, 4, 16)), (2, np.linspace(-3, 3, 12))):
+            want = tmp_path / f"want{axis}.csv"
+            write_table_csv(want, ["x", "density"], list(zip(ax, rep.marginal(axis).density(ax, 0.1))))
+            assert (out / f"marginal{axis}.csv").read_bytes() == want.read_bytes()
+
     def test_schema_error_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", {"atoms": [{"x": [0, 0], "w": 0.4}]})
         assert main(["--out", str(tmp_path / "o"), "convolve", bad]) == 2
@@ -409,19 +429,16 @@ class TestCliLimit:
 
     def test_row_data_built_once(self, tmp_path, monkeypatch):
         calls, diagnostics = [], []
-        real = bifree.limits.row_accumulators
         real_diagnostic = bifree.limits.infinitesimality_diagnostic
 
-        def counting(centered):
-            calls.append(1)
-            return real(centered)
-
-        monkeypatch.setattr(bifree.limits, "row_accumulators", counting)
+        for name in ("build_row_data", "center_row", "row_accumulators"):
+            real = getattr(bifree.limits, name)
+            monkeypatch.setattr(bifree.limits, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
         monkeypatch.setattr(bifree.limits, "infinitesimality_diagnostic",
                             lambda a: diagnostics.append(1) or real_diagnostic(a))
         arr = write(tmp_path / "arr.json", self._poisson_array_payload())
         assert main(["--out", str(tmp_path / "out"), "limit", arr]) == 0
-        assert len(calls) == 3  # one per row, for both condition checks
+        assert calls == ["build_row_data"]  # one batched pass, with the array
         assert len(diagnostics) == 1  # one infinitesimality check for both
 
     def test_bad_law_exit_2_names_its_position(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import bifree.limits as lm
+import bifree.measure as ms
 import bifree.transforms as tf
 from bifree.idlaw import make_compound_poisson, make_gaussian
 from bifree.limits import (
@@ -430,7 +431,7 @@ def expanded_atoms(row, L):
 
 @given(stacked_arrays(), st.data())
 def test_prefix_sums_match_brute_force(arr, data):
-    for row, (_, _, acc) in zip(arr.rows, lm._row_data(arr)):
+    for row, acc in zip(arr.rows, (rd.acc for rd in arr.row_data)):
         pts, m = expanded_atoms(row, arr.L)
         s, t = pts[:, 0], pts[:, 1]
         norms = np.hypot(s, t)
@@ -472,13 +473,84 @@ def bl_reference(points):
 
 @given(stacked_arrays())
 def test_separable_bl_family_matches_reference(arr):
-    for _, _, acc in lm._row_data(arr):
+    for acc in (rd.acc for rd in arr.row_data):
         family = bl_reference(acc.points)
         got = lm._bl_values(acc)
         assert got.shape == (2, 29)
         # every test function has |f| <= 1, so each integral is within rounding of the sigma mass
         for row, sigma in zip(got, (acc.sigma1, acc.sigma2)):
             assert np.abs(row - family @ sigma).max() <= 1e-14 * sigma.sum()
+
+
+ACC_FIELDS = ("points", "norms", "tau", "sigma1", "sigma2", "ball", "beyond")
+
+
+def recentring_reference(centered, centers, shift):
+    """The recentring sum v_n of one row, law by law from its centered stack."""
+    pts = centered.points
+    nrm = 1.0 + pts[..., 0] ** 2 + pts[..., 1] ** 2
+    terms = centers + (centered.weights[..., None] * pts / nrm[..., None]).sum(axis=1)
+    v1, v2 = np.asarray(shift, dtype=float) + centered.counts @ terms
+    return float(v1), float(v2)
+
+
+def near_pair_rows():
+    """Two laws of one row whose centered atoms lie 4e-13 apart, so the row goes through ``_merge``."""
+    a = PlanarMeasure([((0.5, 0.0), 0.5), ((-0.5, 0.0), 0.5)])
+    b = PlanarMeasure([((0.5 + 4e-13, 0.0), 0.5), ((-0.5 - 4e-13, 0.0), 0.5)])
+    return [[a], [a, a], [a, b, b]], [(0.0, 0.0), (0.25, -0.5), (0.0, 0.0)]
+
+
+def near_pair_array():
+    return make_array(*near_pair_rows())
+
+
+class TestRowData:
+    """Row data is built once with the array, in one batched pass."""
+
+    @example(near_pair_array())
+    @given(stacked_arrays())
+    def test_equals_the_per_row_reference(self, arr):
+        assert len(arr.row_data) == len(arr.stacks)
+        for rd, stack, shift in zip(arr.row_data, arr.stacks, arr.shifts):
+            centered, centers = center_row(stack, arr.L)
+            ref = row_accumulators(centered)
+            for name in ACC_FIELDS:
+                got, want = getattr(rd.acc, name), getattr(ref, name)
+                assert got.shape == want.shape and np.array_equal(got, want), name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), name
+            assert np.array_equal(rd.centers, centers)
+            assert rd.v == recentring_reference(centered, centers, shift)
+
+    def test_near_atoms_are_merged(self, monkeypatch):
+        rows, shifts = near_pair_rows()
+        calls = []
+        real = ms._merge
+        monkeypatch.setattr(ms, "_merge", lambda *a: calls.append(1) or real(*a))
+        arr = make_array(rows, shifts)
+        assert len(calls) == 1  # the last row only
+        last = arr.row_data[-1].acc
+        assert len(last.points) == 2 and last.tau.tolist() == [1.5, 1.5]
+
+    def test_arrays_are_read_only(self):
+        for arr in (poisson_array(), near_pair_array()):
+            for rd in arr.row_data:
+                held = [getattr(rd.acc, name) for name in ACC_FIELDS] + [rd.centers]
+                assert not any(a.flags.writeable for a in held)
+
+    def test_checks_build_no_row_data(self, monkeypatch):
+        arr = poisson_array()
+        calls = []
+        for name in ("center_row", "row_accumulators", "build_row_data"):
+            real = getattr(lm, name)
+            monkeypatch.setattr(lm, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        ensure_infinitesimal(arr)
+        check_condition_I_II(arr)
+        check_condition_III_IV(arr)
+        lm.condition_reports(arr)
+        limit_triplet(arr)
+        limit_vector(arr)
+        assert calls == []
 
 
 def noniid_rows(ns=(64, 256, 1024, 4096)):
@@ -563,3 +635,4 @@ def test_extrapolation_helper():
     vals = [(1 + 1 / n) ** -2 for n in sizes]
     assert extrapolate_in_inverse_size(vals, sizes) == pytest.approx(1.0, abs=1e-9)
     assert extrapolate_in_inverse_size([2.0, 2.0, 2.0, 2.0], sizes) == 2.0
+

@@ -43,10 +43,8 @@ from .measure import (
     PlanarMeasure,
     RowStack,
     dirac,
-    dirac1d,
     row_groups,
     row_stack,
-    row_tail_mass,
 )
 from .stable import (
     ConvergenceReport,
@@ -68,9 +66,7 @@ from .transforms import (
     f_transform,
     free_phi,
     invert_f,
-    stieltjes1d,
     stieltjes2d,
-    tightness_probe,
 )
 
 __version__ = "0.1.0"

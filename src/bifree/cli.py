@@ -108,10 +108,11 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     measures = [io.measure_from_dict(io.load_json(p)) for p in args.inputs]
     shift = (0.0, 0.0)
     if args.shift:
-        parts = args.shift.split(",")
-        if len(parts) != 2:
-            raise io.SchemaError("--shift expects 's,t'")
-        shift = (float(parts[0]), float(parts[1]))
+        try:
+            s, t = (float(x) for x in args.shift.split(","))
+        except ValueError as e:
+            raise io.SchemaError(f"bad --shift {args.shift!r}: expected 's,t'") from e
+        shift = (s, t)
     rep = bi_free_convolve(measures, shift=shift)
     # default probes are scaled by the rep's cone height
     probes = fl.default_phi_probes(rep) if cfg.probes == "default" else load_probes(cfg)

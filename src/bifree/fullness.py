@@ -180,14 +180,13 @@ def fullness_of_triplet(t: CharTriplet) -> LineReport:
             return LineReport(True, None, residual, method="triplet")
         u = (float(evecs[0, 0]), float(evecs[1, 0]))
     else:
-        u = t.A.kernel_vector(TRIPLET_TOL)
+        u = t.A.kernel_vector()
         worst = 0.0
         for (x1, x2), m in zip(directions, weights):
             n = math.hypot(x1, x2)
             worst = max(worst, abs(u[0] * x1 + u[1] * x2) / n)
         if worst > TRIPLET_TOL:
             return LineReport(True, None, float(worst), method="triplet")
-        residual = float(abs(lo) / scale)
     gamma = -(u[0] * t.v[0] + u[1] * t.v[1])
     line, _ = _normalize_line(np.array([u[0], u[1], gamma]))
     return LineReport(False, line, float(abs(lo) / scale), degenerate=False, method="triplet")

@@ -132,9 +132,6 @@ class LevyMeasure:
     def zero(cls) -> "LevyMeasure":
         return cls(AtomicMeasure2D())
 
-    def is_zero(self) -> bool:
-        return len(self.atoms) == 0 and self.radial is None
-
     def is_atomic(self) -> bool:
         return self.radial is None
 
@@ -208,7 +205,7 @@ class CharTriplet:
     tau: LevyMeasure
 
     def __post_init__(self):
-        if not self.A.is_psd(tol=1e-12):
+        if not self.A.is_psd():
             raise ValueError("matrix part must be positive semi-definite")
 
     # -- bi-free side ------------------------------------------------------

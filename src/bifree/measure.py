@@ -19,6 +19,8 @@ import numpy as np
 
 MERGE_TOL = 1e-12
 MASS_TOL = 1e-12
+PSD_TOL = 1e-12  # absolute slack of Matrix2.is_psd
+KERNEL_TOL = 1e-8  # eigenvalue ratio below which Matrix2.kernel_vector reports a kernel
 
 Vec2 = tuple[float, float]
 
@@ -31,8 +33,8 @@ class Matrix2:
     c: float
     b: float
 
-    def is_psd(self, tol: float = 1e-12) -> bool:
-        return self.a >= -tol and self.b >= -tol and self.a * self.b - self.c**2 >= -tol
+    def is_psd(self) -> bool:
+        return self.a >= -PSD_TOL and self.b >= -PSD_TOL and self.a * self.b - self.c**2 >= -PSD_TOL
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.c], [self.c, self.b]], dtype=float)
@@ -47,16 +49,16 @@ class Matrix2:
         disc = math.hypot(0.5 * (self.a - self.b), self.c)
         return half - disc, half + disc
 
-    def kernel_vector(self, rel_tol: float = 1e-8) -> Vec2 | None:
+    def kernel_vector(self) -> Vec2 | None:
         """Unit vector spanning the kernel, or None if nonsingular.
 
         Returns (nan, nan) sentinel-free: the zero matrix reports (1.0, 0.0)
         since every direction is in the kernel.
         """
         lo, hi = self.eigenvalues()
-        if abs(lo) > rel_tol * max(abs(hi), 1.0):
+        if abs(lo) > KERNEL_TOL * max(abs(hi), 1.0):
             return None
-        if abs(hi) <= rel_tol:
+        if abs(hi) <= KERNEL_TOL:
             return (1.0, 0.0)
         # eigenvector for the small eigenvalue of [[a,c],[c,b]]
         if abs(self.c) > abs(self.a - lo):
@@ -311,24 +313,6 @@ class PlanarMeasure:
         out.weights = self.weights
         return out
 
-    def truncated_mean(self, L: float) -> Vec2:
-        """Mean over the open ball ||x|| < L."""
-        if L <= 0.0:
-            raise ValueError("truncation radius must be positive")
-        inside = np.hypot(self.points[:, 0], self.points[:, 1]) < L
-        m = (self.weights[inside, None] * self.points[inside]).sum(axis=0)
-        return (float(m[0]), float(m[1])) if inside.any() else (0.0, 0.0)
-
-    def integrate(self, f: Callable[[float, float], complex]) -> complex:
-        """Sum of w_k * f(s_k, t_k); rejects non-finite values."""
-        total = 0.0
-        for (s, t), w in zip(self.points, self.weights):
-            val = f(s, t)
-            if not np.all(np.isfinite([np.real(val), np.imag(val)])):
-                raise ValueError(f"integrand not finite at atom ({s}, {t})")
-            total = total + w * val
-        return total
-
     def tail_mass(self, eps: float) -> float:
         """Mass of { ||x|| >= eps }."""
         norms = np.hypot(self.points[:, 0], self.points[:, 1])
@@ -434,15 +418,6 @@ class Measure1D:
         out.weights = self.weights
         return out
 
-    def integrate(self, f: Callable[[float], complex]) -> complex:
-        total = 0.0
-        for p, w in zip(self.points, self.weights):
-            val = f(p)
-            if not np.all(np.isfinite([np.real(val), np.imag(val)])):
-                raise ValueError(f"integrand not finite at atom {p}")
-            total = total + w * val
-        return total
-
     def support_radius(self) -> float:
         return float(np.abs(self.points).max())
 
@@ -504,11 +479,12 @@ class AtomicMeasure2D:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def mass_at(self, point: Sequence[float], tol: float = MERGE_TOL) -> float:
+    def mass_at(self, point: Sequence[float]) -> float:
+        """Mass of the atoms within ``MERGE_TOL`` of ``point``."""
         if len(self) == 0:
             return 0.0
         d = np.linalg.norm(self.points - np.asarray(point, dtype=float), axis=1)
-        return float(self.masses[d <= tol].sum())
+        return float(self.masses[d <= MERGE_TOL].sum())
 
     def mass_where(self, pred: Callable[[np.ndarray], np.ndarray]) -> float:
         """Mass of the set {pred}; pred maps an (n,2) array to a bool mask."""
@@ -522,12 +498,6 @@ class AtomicMeasure2D:
             return self
         mask = pred(self.points)
         return AtomicMeasure2D._from_merged(self.points[mask], self.masses[mask])
-
-    def integrate(self, f: Callable[[float, float], complex]) -> complex:
-        total = 0.0
-        for (s, t), w in zip(self.points, self.masses):
-            total = total + w * f(s, t)
-        return total
 
     def weighted(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "AtomicMeasure2D":
         """New measure with masses multiplied by f(s, t) pointwise.
@@ -562,16 +532,3 @@ class AtomicMeasure2D:
 def dirac(v: Sequence[float]) -> PlanarMeasure:
     """Point mass at v."""
     return PlanarMeasure([((float(v[0]), float(v[1])), 1.0)])
-
-
-def dirac1d(a: float) -> Measure1D:
-    return Measure1D([(float(a), 1.0)])
-
-
-def row_tail_mass(row: Sequence[PlanarMeasure], eps: float) -> float:
-    """max_k mu_k({||x|| >= eps}); small values certify an infinitesimal row."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not row:
-        raise ValueError("empty row")
-    return max(m.tail_mass(eps) for m in row)

@@ -2,7 +2,8 @@
 
 All emitted JSON uses sorted keys and shortest-round-trip floats; CSV cells
 carry 17 significant digits.  Identical inputs therefore produce
-byte-identical reports.
+byte-identical reports.  Every malformed input, including an entry that is
+not an object where one is expected, raises ``SchemaError`` naming the key.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ class SchemaError(ValueError):
 
 
 def _need(obj: dict, key: str, kind=None):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected an object with key {key!r}, got {obj!r}")
     if key not in obj:
         raise SchemaError(f"missing key {key!r}")
     val = obj[key]
@@ -239,19 +242,9 @@ def array_from_dict(obj: dict) -> TriangularArray:
 # -- convolution reps --------------------------------------------------------
 
 
-def rep_to_dict(rep: BiConvRep) -> dict:
-    terms = []
-    for t in rep.terms:
-        if isinstance(t, PlanarMeasure):
-            terms.append({"measure": measure_to_dict(t)})
-        else:
-            terms.append({"triplet": triplet_to_dict(t)})
-    return {"terms": terms, "shift": list(rep.shift)}
-
-
 def rep_from_dict(obj: dict) -> BiConvRep:
     items = []
-    for t in _need(obj, "terms", list):
+    for t in _objects(_need(obj, "terms", list), "terms"):
         if "measure" in t:
             items.append(measure_from_dict(t["measure"]))
         elif "triplet" in t:

@@ -10,7 +10,6 @@ least squares over probe points rather than assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -125,29 +124,6 @@ def check_stability(
         max_residual=leftover, is_stable=bool(leftover <= threshold),
         probe_residuals=table,
     )
-
-
-def scan_best_index_scale(
-    spec: StableSpec, a: float, b: float, probes: Sequence[Probe] | None = None,
-    c_grid: Sequence[float] | None = None,
-) -> float:
-    """c minimizing the drift-fitted residual over a 1-d scan."""
-    if probes is None:
-        probes = default_probes()
-    trip = stable_triplet(spec)
-    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
-    base = trip.bi_free_phi(zs / a, ws / a) + trip.bi_free_phi(zs / b, ws / b)
-    c_star = (a**spec.alpha + b**spec.alpha) ** (1.0 / spec.alpha)
-    if c_grid is None:
-        c_grid = np.linspace(0.7 * c_star, 1.3 * c_star, 61)
-    cs = np.asarray(c_grid, dtype=float)[:, None]
-    resids = base - trip.bi_free_phi(zs / cs, ws / cs)
-    best_c, best_r = None, math.inf
-    for c, resid in zip(c_grid, resids):
-        _, leftover = fit_point_mass_shift(probes, resid)
-        if leftover < best_r:
-            best_c, best_r = float(c), leftover
-    return best_c
 
 
 @dataclass

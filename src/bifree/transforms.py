@@ -159,17 +159,16 @@ def newton_f_inverse(points: np.ndarray, weights: np.ndarray, target: np.ndarray
     return roots, ok
 
 
-def invert_f(nu: Measure1D, target, guess=None):
+def invert_f(nu: Measure1D, target):
     """zeta with F_nu(zeta) = target, to 1e-12 relative residual.
 
-    The initial guess defaults to the target itself.  Raises
+    The iteration starts at the target itself.  Raises
     :class:`NoConvergence` when the iteration does not settle, which signals
     a target outside the reliable inversion domain.
     """
     target = np.asarray(target, dtype=complex)
     _require_nonreal(target, "target")
-    start = target if guess is None else np.broadcast_to(np.asarray(guess, dtype=complex), target.shape)
-    roots, ok = newton_f_inverse(nu.points, nu.weights, target, start)
+    roots, ok = newton_f_inverse(nu.points, nu.weights, target, target)
     if not ok.all():
         raise NoConvergence(f"F inversion failed at {target[~ok].ravel()[:3]}")
     return complex(roots) if roots.ndim == 0 else roots
@@ -290,15 +289,6 @@ class GridDensity:
         raise ValueError("axis must be 1 or 2")
 
 
-def stieltjes1d(geval: Callable, axis, eps: float) -> np.ndarray:
-    """Density of the eps-smoothed law: -Im G(s + i eps) / pi."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    axis = np.asarray(axis, dtype=float)
-    g = np.asarray(geval(axis + 1j * eps), dtype=complex)
-    return -g.imag / np.pi
-
-
 def inversion_values(g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
     """-Re[G(s+ie, t+ie) - G(s+ie, t-ie)] / (2 pi^2), the planar inversion."""
     vals = np.real(g_plus) - np.real(g_minus)
@@ -331,12 +321,3 @@ def stieltjes2d(geval: Callable, s_axis, t_axis, eps: float) -> GridDensity:
 def cone_for(m: PlanarMeasure | Measure1D) -> TruncatedCone:
     """Working cone: theta = 1, M = max(1, 8 * support radius)."""
     return TruncatedCone(1.0, max(1.0, 8.0 * m.support_radius()))
-
-
-def tightness_probe(mu: PlanarMeasure, radii) -> list[float]:
-    """|(ir)(ir) G(ir, ir) - 1| per radius; decay toward 0 certifies tightness."""
-    radii = np.asarray(radii, dtype=float)
-    if (radii <= 0).any():
-        raise ValueError("radii must be positive")
-    z = 1j * radii
-    return np.abs(z * z * cauchy2d(mu, z, z) - 1.0).tolist()

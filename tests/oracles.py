@@ -3,7 +3,8 @@
 Kept out of the package on purpose: moment computations go through explicit
 non-crossing-partition enumeration, densities through direct quadrature, and
 radial Levy integrals through 30-digit ``mpmath`` quadrature, so they share
-no code path with the transforms they check.
+no code path with the transforms they check.  ``integrate`` and ``dirac1d``
+are plain references that only the tests need.
 """
 
 from __future__ import annotations
@@ -13,6 +14,29 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+
+from bifree.measure import AtomicMeasure2D, Measure1D
+
+
+def dirac1d(a: float) -> Measure1D:
+    """Point mass at a on the line."""
+    return Measure1D([(float(a), 1.0)])
+
+
+def integrate(measure, f) -> complex:
+    """Sum of mass_k f(x_k) over the atoms, one call per atom; rejects non-finite values.
+
+    ``measure`` is a ``PlanarMeasure`` or ``AtomicMeasure2D`` (f(s, t)) or a
+    ``Measure1D`` (f(x)).
+    """
+    masses = measure.masses if isinstance(measure, AtomicMeasure2D) else measure.weights
+    total = 0.0
+    for x, m in zip(measure.points, masses):
+        val = f(*np.atleast_1d(x))
+        if not np.all(np.isfinite([np.real(val), np.imag(val)])):
+            raise ValueError(f"integrand not finite at atom {x}")
+        total = total + m * val
+    return total
 
 
 @lru_cache(maxsize=None)

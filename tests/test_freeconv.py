@@ -10,12 +10,13 @@ import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
 from bifree.freeconv import free_convolve, free_convolve_many
 from bifree.idlaw import make_compound_poisson, make_gaussian
-from bifree.measure import Matrix2, Measure1D, PlanarMeasure, dirac1d
+from bifree.measure import Matrix2, Measure1D, PlanarMeasure
 from bifree.transforms import f_transform
 
 from test_biconv import counting_inversions, law_key
 from oracles import (
     atomic_moments,
+    dirac1d,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
     mp_free_convolution_f,

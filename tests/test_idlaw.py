@@ -159,7 +159,7 @@ class TestConstructors:
     def test_gaussian(self):
         t = make_gaussian((0.0, 0.0), I2)
         assert t.A.as_array().tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert t.tau.is_zero()
+        assert len(t.tau.atoms) == 0 and t.tau.radial is None
 
     def test_two_atom_jump(self):
         jump = PlanarMeasure([((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5)])

@@ -30,7 +30,7 @@ from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D, PlanarMeasure, d
 from bifree.serialize import array_from_dict, array_to_dict
 from bifree.transforms import cauchy2d, invert_f
 
-from oracles import richardson_limit
+from oracles import integrate, richardson_limit
 
 
 def poisson_array(lam=1.0, ns=(8, 32, 128, 512)):
@@ -425,7 +425,7 @@ def test_stacked_phi_and_cf_match_expanded_rows(arr):
 
 def expanded_atoms(row, L):
     """Centered atoms of every entry of a row, one by one, unmerged."""
-    pts = np.concatenate([m.points - np.array(m.truncated_mean(L)) for m in row])
+    pts = np.concatenate([m.points - center_row(row_stack(((m, 1),)), L)[1][0] for m in row])
     return pts, np.concatenate([m.weights for m in row])
 
 
@@ -616,7 +616,7 @@ class TestMarginalConsistency:
         # gamma_1 from its defining per-row sum, taken on the last row
         centered, centers = center_row(arr.stacks[-1], arr.L)
         g1 = sum(
-            count * (c[0] + law(centered, g).integrate(lambda s, t: s / (1.0 + s * s)).real)
+            count * (c[0] + integrate(law(centered, g), lambda s, t: s / (1.0 + s * s)).real)
             for g, (count, c) in enumerate(zip(centered.counts, centers))
         )
         assert g1 == pytest.approx(0.5, abs=1e-12)
@@ -626,7 +626,7 @@ class TestMarginalConsistency:
             vals = [trip.bi_free_phi(z, 1j * v) for v in vs]
             slice_limit = richardson_limit(vals, [1.0 / v for v in vs])
             phi1 = z * slice_limit
-            free_lh = g1 + sigma1.integrate(lambda s, t: (1.0 + z * s) / (z - s))
+            free_lh = g1 + integrate(sigma1, lambda s, t: (1.0 + z * s) / (z - s))
             assert phi1 == pytest.approx(free_lh, abs=1e-6)
 
 

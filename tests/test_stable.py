@@ -7,8 +7,9 @@ from bifree.measure import Matrix2, PlanarMeasure, dirac
 from bifree.stable import (
     StableSpec,
     check_stability,
+    default_probes,
     domain_of_attraction_run,
-    scan_best_index_scale,
+    fit_point_mass_shift,
     stable_triplet,
 )
 from bifree.transforms import bi_free_phi
@@ -25,7 +26,7 @@ class TestSpecAndTriplet:
     def test_gaussian_branch(self):
         spec = StableSpec(alpha=2.0, gaussian_a=I2)
         t = stable_triplet(spec)
-        assert t.tau.is_zero()
+        assert len(t.tau.atoms) == 0 and t.tau.radial is None
         assert t.A.as_array().tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_single_ray(self):
@@ -102,8 +103,6 @@ class TestStability:
         trip = stable_triplet(spec)
         a, b = 1.0, 2.0
         c_wrong = (a**wrong.alpha + b**wrong.alpha) ** (1 / wrong.alpha)
-        from bifree.stable import default_probes, fit_point_mass_shift
-
         probes = default_probes()
         resid = [
             trip.bi_free_phi(z / a, w / a)
@@ -115,10 +114,18 @@ class TestStability:
         assert leftover > 1e-2
 
     def test_index_scan_matches(self):
+        # the drift-fitted residual of phi(./a) + phi(./b) - phi(./c), scanned
+        # over c, is smallest at c = (a^alpha + b^alpha)^(1/alpha)
         spec = StableSpec(alpha=1.5, theta=uniform_theta(8))
         a, b = 1.0, 2.0
-        best = scan_best_index_scale(spec, a, b)
         expect = (a**1.5 + b**1.5) ** (1 / 1.5)
+        trip = stable_triplet(spec)
+        probes = default_probes()
+        zs, ws = np.array(probes).T
+        base = trip.bi_free_phi(zs / a, ws / a) + trip.bi_free_phi(zs / b, ws / b)
+        cs = np.linspace(0.7 * expect, 1.3 * expect, 61)
+        leftovers = [fit_point_mass_shift(probes, base - trip.bi_free_phi(zs / c, ws / c))[1] for c in cs]
+        best = cs[np.argmin(leftovers)]
         assert abs(best - expect) / expect < 0.01
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bifree.measure import Measure1D, PlanarMeasure, dirac, dirac1d
+from bifree.freeconv import free_convolve_many
+from bifree.measure import Measure1D, PlanarMeasure, dirac
 from bifree.transforms import (
     NoConvergence,
     bi_free_phi,
@@ -11,12 +12,10 @@ from bifree.transforms import (
     f_transform,
     free_phi,
     invert_f,
-    stieltjes1d,
     stieltjes2d,
-    tightness_probe,
 )
 
-from oracles import smoothed_atoms_2d
+from oracles import dirac1d, smoothed_atoms_2d
 
 B = Measure1D([(1.0, 0.5), (-1.0, 0.5)])
 TWO_ATOM = PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
@@ -147,20 +146,19 @@ class TestBiFreePhi:
 
 
 class TestStieltjes1D:
+    """-Im G(s + i eps) / pi of one law, read from ``FreeConvRep.density``."""
+
     def test_smoothed_atom_center(self):
-        g = lambda z: cauchy1d(dirac1d(0.0), z)
-        val = stieltjes1d(g, [0.0], 0.1)
+        val = free_convolve_many([dirac1d(0.0)]).density([0.0], 0.1)
         assert val[0] == pytest.approx(10 / np.pi)
 
     def test_smoothed_atom_offset(self):
-        g = lambda z: cauchy1d(dirac1d(0.0), z)
-        val = stieltjes1d(g, [0.1], 0.1)
+        val = free_convolve_many([dirac1d(0.0)]).density([0.1], 0.1)
         assert val[0] == pytest.approx(5 / np.pi)
 
     def test_symmetry(self):
-        g = lambda z: cauchy1d(B, z)
         axis = np.array([-1.3, -0.4, 0.4, 1.3])
-        vals = stieltjes1d(g, axis, 0.05)
+        vals = free_convolve_many([B]).density(axis, 0.05)
         assert vals[0] == pytest.approx(vals[3])
         assert vals[1] == pytest.approx(vals[2])
 
@@ -226,16 +224,23 @@ class TestConeFor:
 
 
 class TestTightnessProbe:
+    """|z^2 G(z, z) - 1| at z = i r, which decays to 0 for a probability law."""
+
+    @staticmethod
+    def probe(mu, radii):
+        z = 1j * np.asarray(radii, dtype=float)
+        return np.abs(z * z * cauchy2d(mu, z, z) - 1.0).tolist()
+
     def test_origin_exact(self):
-        assert tightness_probe(dirac((0, 0)), [1, 10, 100]) == [0.0, 0.0, 0.0]
+        assert self.probe(dirac((0, 0)), [1, 10, 100]) == [0.0, 0.0, 0.0]
 
     def test_shifted_atom_direct(self):
         r = 10.0
-        val = tightness_probe(dirac((1, 1)), [r])[0]
+        val = self.probe(dirac((1, 1)), [r])[0]
         expect = abs((1j * r) ** 2 / (1j * r - 1) ** 2 - 1)
         assert val == pytest.approx(expect)
 
     def test_decay(self):
         m = PlanarMeasure([((1, -2), 0.3), ((0.5, 0.5), 0.7)])
-        probes = tightness_probe(m, [10.0, 100.0])
+        probes = self.probe(m, [10.0, 100.0])
         assert probes[1] < probes[0]

@@ -9,6 +9,7 @@ deterministic: fixed iteration orders, no timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,8 +43,8 @@ class RunConfig:
     stability_threshold: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise io.SchemaError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise io.SchemaError(f"--epsilon must be finite and positive, got {self.epsilon!r}")
 
 
 def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
@@ -52,13 +53,15 @@ def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
         axes = []
         for part in (s_part, t_part):
             lo, hi, n = part.split(":")
-            n = int(n)
+            lo, hi, n = float(lo), float(hi), int(n)
             if n < 8:
                 raise ValueError("resolution must be at least 8")
-            axes.append(np.linspace(float(lo), float(hi), n))
+            if not (-math.inf < lo < hi < math.inf):
+                raise ValueError("ends must be finite with lo < hi")
+            axes.append(np.linspace(lo, hi, n))
         return axes[0], axes[1]
     except ValueError as e:
-        raise io.SchemaError(f"bad grid spec {spec!r}: {e}") from e
+        raise io.SchemaError(f"bad --grid spec {spec!r}: {e}") from e
 
 
 def load_probes(cfg: RunConfig) -> list[tuple[complex, complex]]:

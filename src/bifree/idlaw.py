@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _freeze
+from .measure import MERGE_TOL, AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _freeze
 
 QUAD_ERR_TOL = 1e-7
 AXIS_SNAP = 1e-15  # direction components this small are the axis itself
@@ -91,22 +91,6 @@ class RadialPart:
         """Rays span all of (0, inf), where the integrals have closed forms."""
         return self.r_min == 0.0 and math.isinf(self.r_max)
 
-    def total_theta_mass(self) -> float:
-        return sum(m for _, m in self.rays)
-
-    def min_one_norm_sq(self) -> float:
-        """integral of 1 ^ r^2 against r^{-1-alpha} dr, summed over rays."""
-        a = self.alpha
-        lo, hi = self.r_min, self.r_max
-        total = 0.0
-        cut = min(max(lo, 1.0), hi)
-        if cut > lo:  # r^2 part on [lo, cut); exact antiderivative
-            total += (cut ** (2.0 - a) - lo ** (2.0 - a)) / (2.0 - a)
-        if hi > cut:
-            hi_term = 0.0 if math.isinf(hi) else hi**-a
-            total += (cut**-a - hi_term) / a
-        return total * self.total_theta_mass()
-
     def scaled(self, c: float) -> "RadialPart":
         return RadialPart(self.alpha, tuple((a, c * m) for a, m in self.rays), self.r_min, self.r_max)
 
@@ -125,22 +109,11 @@ class LevyMeasure:
             raise ValueError("Levy measure cannot charge the origin")
 
     @classmethod
-    def from_atoms(cls, atoms: Sequence[tuple[Sequence[float], float]]) -> "LevyMeasure":
-        return cls(AtomicMeasure2D(atoms))
-
-    @classmethod
     def zero(cls) -> "LevyMeasure":
         return cls(AtomicMeasure2D())
 
     def is_atomic(self) -> bool:
         return self.radial is None
-
-    def min_one_norm_sq(self) -> float:
-        pts = self.atoms.points
-        total = float(np.minimum(1.0, pts[:, 0] ** 2 + pts[:, 1] ** 2) @ self.atoms.masses)
-        if self.radial is not None:
-            total += self.radial.min_one_norm_sq()
-        return total
 
     def scaled(self, c: float) -> "LevyMeasure":
         if c <= 0.0:
@@ -747,7 +720,7 @@ def make_compound_poisson(lam: float, jump: PlanarMeasure) -> CharTriplet:
         lam * float((wts * pts[:, 0] / nrm).sum()),
         lam * float((wts * pts[:, 1] / nrm).sum()),
     )
-    tau = LevyMeasure.from_atoms([(p, lam * w) for p, w in jump.atoms()])
+    tau = LevyMeasure(AtomicMeasure2D.from_arrays(pts, lam * wts))
     return CharTriplet(v, Matrix2(0.0, 0.0, 0.0), tau)
 
 
@@ -783,88 +756,102 @@ class SigmaForm:
 
     def verify(self, tol: float = 1e-12) -> None:
         """Check the defining relations atomwise; raises on violation."""
-        locs = {tuple(p) for p in self.sigma1.points}
-        locs |= {tuple(p) for p in self.sigma2.points}
-        locs |= {tuple(p) for p in self.sigma_tilde.points}
-        for s, t in sorted(locs):
-            m1 = self.sigma1.mass_at((s, t))
-            m2 = self.sigma2.mass_at((s, t))
-            mt = self.sigma_tilde.mass_at((s, t))
-            if (s, t) == (0.0, 0.0):
-                if mt * mt > m1 * m2 + tol:
-                    raise InconsistentSigmaForm("origin masses violate Cauchy-Schwarz")
-                continue
-            lhs1 = t / math.sqrt(1.0 + t * t) * m1
-            rhs1 = s / math.sqrt(1.0 + s * s) * mt
-            lhs2 = s / math.sqrt(1.0 + s * s) * m2
-            rhs2 = t / math.sqrt(1.0 + t * t) * mt
-            if abs(lhs1 - rhs1) > tol or abs(lhs2 - rhs2) > tol:
-                raise InconsistentSigmaForm(f"relations fail at atom ({s}, {t})")
+        _check_sites(self, tol)
+
+
+def _check_sites(sf: SigmaForm, tol: float) -> list[float]:
+    """Check the relations at every atom; return the three masses within MERGE_TOL of 0.
+
+    The atoms of the three measures are put in lexicographic order by one
+    stable sort.  At each atom a measure reads the mass of its atoms within
+    MERGE_TOL, as ``mass_at`` reads it; the first atom that fails raises.
+    """
+    parts = (sf.sigma1, sf.sigma2, sf.sigma_tilde)
+    pts = np.concatenate([m.points for m in parts])
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    s, t = pts.T
+    part = np.repeat(np.arange(3), [len(m) for m in parts])[order]
+    mass = np.concatenate([m.masses for m in parts])[order]
+    # atoms within MERGE_TOL share a cell: a chain of s-gaps <= MERGE_TOL, then of t-gaps in it
+    run = np.cumsum(np.diff(s, prepend=s[:1]) > MERGE_TOL)
+    o = np.lexsort((t, run))
+    cell = np.cumsum((np.diff(run[o], prepend=run[o][:1]) != 0) | (np.diff(t[o], prepend=t[o][:1]) > MERGE_TOL))
+    size = np.bincount(cell)[cell]
+    i = np.repeat(o, size)
+    j = o[np.repeat(np.searchsorted(cell, cell), size) + np.arange(len(i)) - np.repeat(np.cumsum(size) - size, size)]
+    near = np.linalg.norm(pts[j] - pts[i], axis=1) <= MERGE_TOL
+    m1, m2, mt = (np.bincount(i, np.where(near & (part[j] == k), mass[j], 0.0), len(pts)) for k in range(3))
+    r1, r2 = s / np.sqrt(1.0 + s * s), t / np.sqrt(1.0 + t * t)
+    origin = (s == 0.0) & (t == 0.0)
+    relations = (np.abs(r2 * m1 - r1 * mt) > tol) | (np.abs(r1 * m2 - r2 * mt) > tol)
+    bad = np.flatnonzero(np.where(origin, mt * mt > m1 * m2 + tol, relations))
+    if len(bad) and origin[bad[0]]:
+        raise InconsistentSigmaForm("origin masses violate Cauchy-Schwarz")
+    if len(bad):
+        raise InconsistentSigmaForm(f"relations fail at atom ({s[bad[0]]}, {t[bad[0]]})")
+    return np.bincount(part, np.where(np.linalg.norm(pts, axis=1) <= MERGE_TOL, mass, 0.0), 3).tolist()
+
+
+def _added_in_order(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., rounded after each addition as a loop adds them."""
+    return float(np.cumsum(np.append(start, terms))[-1])
 
 
 def triplet_to_sigma_form(t: CharTriplet) -> SigmaForm:
-    """Finite-measure form of an atomic triplet.
+    """Finite-measure form of an atomic triplet: elementwise maps of tau's atoms.
 
     Radial Levy parts must be discretized first (see
-    :meth:`LevyMeasure.discretized`).
+    :meth:`LevyMeasure.discretized`).  A puts one atom at the origin of each
+    sigma; zero masses are dropped.
     """
     if not t.tau.is_atomic():
         raise ValueError("sigma-form requires an atomic Levy measure; discretize first")
-    s1 = [((0.0, 0.0), t.A.a)] if t.A.a != 0.0 else []
-    s2 = [((0.0, 0.0), t.A.b)] if t.A.b != 0.0 else []
-    st = [((0.0, 0.0), t.A.c)] if t.A.c != 0.0 else []
-    g1 = t.v[0]
-    g2 = t.v[1]
-    for (s, tt), m in t.tau.atoms.atoms():
-        den1 = 1.0 + s * s
-        den2 = 1.0 + tt * tt
-        nrm = 1.0 + s * s + tt * tt
-        if s != 0.0:
-            s1.append(((s, tt), m * s * s / den1))
-        if tt != 0.0:
-            s2.append(((s, tt), m * tt * tt / den2))
-        if s != 0.0 and tt != 0.0:
-            st.append(((s, tt), m * s * tt / math.sqrt(den1 * den2)))
-        g1 += m * s * tt * tt / (den1 * nrm)
-        g2 += m * tt * s * s / (den2 * nrm)
-    return SigmaForm(g1, g2, AtomicMeasure2D(s1), AtomicMeasure2D(s2), AtomicMeasure2D(st))
+    pts, m = t.tau.atoms.points, t.tau.atoms.masses
+    s, tt = pts.T
+    den1, den2, nrm = 1.0 + s * s, 1.0 + tt * tt, 1.0 + s * s + tt * tt
+    with_origin = np.vstack(([0.0, 0.0], pts))
+    return SigmaForm(
+        _added_in_order(t.v[0], m * s * tt * tt / (den1 * nrm)),
+        _added_in_order(t.v[1], m * tt * s * s / (den2 * nrm)),
+        AtomicMeasure2D.from_arrays(with_origin, np.append(t.A.a, m * s * s / den1)),
+        AtomicMeasure2D.from_arrays(with_origin, np.append(t.A.b, m * tt * tt / den2)),
+        AtomicMeasure2D.from_arrays(with_origin, np.append(t.A.c, m * s * tt / np.sqrt(den1 * den2))),
+    )
 
 
 def sigma_form_to_triplet(sf: SigmaForm) -> CharTriplet:
-    """Inverse of :func:`triplet_to_sigma_form`; validates the relations to SIGMA_FORM_TOL."""
-    sf.verify(tol=SIGMA_FORM_TOL)
-    a = sf.sigma1.mass_at((0.0, 0.0))
-    b = sf.sigma2.mass_at((0.0, 0.0))
-    c = sf.sigma_tilde.mass_at((0.0, 0.0))
+    """Inverse of :func:`triplet_to_sigma_form`; validates the relations to SIGMA_FORM_TOL.
+
+    sigma2's atoms are matched to sigma1's by exact equality; both are in
+    lexicographic order, which is the order of their points read as complex
+    numbers, so one ``searchsorted`` finds every match.
+    """
+    a, b, c = _check_sites(sf, SIGMA_FORM_TOL)
     if c * c > a * b + SIGMA_FORM_TOL:
         raise InconsistentSigmaForm("origin masses violate Cauchy-Schwarz")
-    tau_atoms: list[tuple[tuple[float, float], float]] = []
-    for (s, t), m in sf.sigma1.atoms():
-        if (s, t) == (0.0, 0.0):
-            continue
-        if s == 0.0:
-            raise InconsistentSigmaForm("sigma1 charges a point with s = 0 off the origin")
-        tau_atoms.append(((s, t), m * (1.0 + s * s) / (s * s)))
-    seen = {pt for pt, _ in tau_atoms}
-    for (s, t), m in sf.sigma2.atoms():
-        if (s, t) == (0.0, 0.0):
-            continue
-        if t == 0.0:
-            raise InconsistentSigmaForm("sigma2 charges a point with t = 0 off the origin")
-        mass = m * (1.0 + t * t) / (t * t)
-        if (s, t) in seen:
-            ref = next(mm for pp, mm in tau_atoms if pp == (s, t))
-            if abs(mass - ref) > SIGMA_FORM_TOL * (1.0 + abs(ref)):
-                raise InconsistentSigmaForm(f"sigma1/sigma2 disagree at ({s}, {t})")
-        else:
-            tau_atoms.append(((s, t), mass))
-    tau = LevyMeasure.from_atoms(tau_atoms)
-    g1 = sf.gamma1
-    g2 = sf.gamma2
-    v1 = g1 - sum(
-        m * s * t * t / ((1.0 + s * s) * (1.0 + s * s + t * t)) for (s, t), m in tau_atoms
-    )
-    v2 = g2 - sum(
-        m * t * s * s / ((1.0 + t * t) * (1.0 + s * s + t * t)) for (s, t), m in tau_atoms
-    )
-    return CharTriplet((v1, v2), Matrix2(a, c, b), tau)
+    off = [(m.points != 0.0).any(axis=1) for m in (sf.sigma1, sf.sigma2)]
+    p1, p2 = sf.sigma1.points[off[0]], sf.sigma2.points[off[1]]
+    if (p1[:, 0] == 0.0).any():
+        raise InconsistentSigmaForm("sigma1 charges a point with s = 0 off the origin")
+    s, t = p1.T
+    tau1 = sf.sigma1.masses[off[0]] * (1.0 + s * s) / (s * s)
+    # atoms after the first one with t = 0 are never reached
+    k = np.flatnonzero(np.append(p2[:, 1] == 0.0, True))[0]
+    s, t = p2[:k].T
+    tau2 = sf.sigma2.masses[off[1]][:k] * (1.0 + t * t) / (t * t)
+    key1, key2 = p1.view(complex).ravel(), p2[:k].view(complex).ravel()
+    j = np.searchsorted(key1, key2)
+    hit = j < len(key1)
+    hit[hit] = key1[j[hit]] == key2[hit]
+    ref = tau1[j[hit]]
+    bad = np.flatnonzero(hit)[np.abs(tau2[hit] - ref) > SIGMA_FORM_TOL * (1.0 + np.abs(ref))]
+    if len(bad):
+        raise InconsistentSigmaForm(f"sigma1/sigma2 disagree at ({s[bad[0]]}, {t[bad[0]]})")
+    if k < len(p2):
+        raise InconsistentSigmaForm("sigma2 charges a point with t = 0 off the origin")
+    pts, m = np.concatenate((p1, p2[~hit])), np.concatenate((tau1, tau2[~hit]))
+    s, t = pts.T
+    v1 = sf.gamma1 - _added_in_order(0.0, m * s * t * t / ((1.0 + s * s) * (1.0 + s * s + t * t)))
+    v2 = sf.gamma2 - _added_in_order(0.0, m * t * s * s / ((1.0 + t * t) * (1.0 + s * s + t * t)))
+    return CharTriplet((v1, v2), Matrix2(a, c, b), LevyMeasure(AtomicMeasure2D.from_arrays(pts, m)))

@@ -77,10 +77,6 @@ class Matrix2:
         return Matrix2(f * self.a, f * self.c, f * self.b)
 
 
-ZERO_MATRIX = Matrix2(0.0, 0.0, 0.0)
-IDENTITY_MATRIX = Matrix2(1.0, 0.0, 1.0)
-
-
 def _merge(points: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sort (n, d) atoms lexicographically and merge every chain of gaps <= tol.
 

@@ -40,6 +40,16 @@ def _need(obj: dict, key: str, kind=None):
     return val
 
 
+def _number(obj: dict, key: str, default: float, where: str) -> float:
+    """``obj[key]`` as a float, ``default`` when absent or null; errors name ``where``."""
+    val = obj.get(key)
+    if val is None:
+        return default
+    if not isinstance(val, (int, float)):
+        raise SchemaError(f"key {where!r} must be a number, got {val!r}")
+    return float(val)
+
+
 def _objects(entries, key: str) -> list:
     """``entries``, checked to be a list of JSON objects; errors name ``key``."""
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
@@ -146,12 +156,11 @@ def triplet_from_dict(obj: dict) -> CharTriplet:
         if tau_obj.get("radial") is not None:
             r = _need(tau_obj, "radial", dict)
             rays = _rays(_need(r, "theta"), "tau.radial.theta")
-            r_max = r.get("r_max")
             radial = RadialPart(
                 alpha=float(_need(r, "alpha", (int, float))),
                 rays=rays,
-                r_min=float(r.get("r_min", 0.0)),
-                r_max=math.inf if r_max is None else float(r_max),
+                r_min=_number(r, "r_min", 0.0, "tau.radial.r_min"),
+                r_max=_number(r, "r_max", math.inf, "tau.radial.r_max"),
             )
         return CharTriplet(v, A, LevyMeasure(AtomicMeasure2D(atoms), radial))
     except (TypeError, ValueError) as e:
@@ -234,7 +243,7 @@ def array_from_dict(obj: dict) -> TriangularArray:
         if not row:
             raise SchemaError(f"rows[{i}].measures: rows must not be empty")
     try:
-        return make_array(rows, shifts, L=float(obj.get("L", 1.0)))
+        return make_array(rows, shifts, L=_number(obj, "L", 1.0, "L"))
     except ValueError as e:
         raise SchemaError(str(e)) from e
 
@@ -244,7 +253,10 @@ def array_from_dict(obj: dict) -> TriangularArray:
 
 def rep_from_dict(obj: dict) -> BiConvRep:
     items = []
-    for t in _objects(_need(obj, "terms", list), "terms"):
+    terms = _objects(_need(obj, "terms", list), "terms")
+    if not terms:
+        raise SchemaError("key 'terms' must hold at least one term")
+    for t in terms:
         if "measure" in t:
             items.append(measure_from_dict(t["measure"]))
         elif "triplet" in t:

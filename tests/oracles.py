@@ -4,18 +4,22 @@ Kept out of the package on purpose: moment computations go through explicit
 non-crossing-partition enumeration, densities through direct quadrature, and
 radial Levy integrals through 30-digit ``mpmath`` quadrature, so they share
 no code path with the transforms they check.  ``integrate`` and ``dirac1d``
-are plain references that only the tests need.
+are plain references that only the tests need, and the sigma-form loops
+(``sigma_form_loop``, ``verify_loop``, ``triplet_loop``) convert one atom at
+a time, as the library did before its array maps.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from bifree.measure import AtomicMeasure2D, Measure1D
+from bifree.idlaw import SIGMA_FORM_TOL, CharTriplet, InconsistentSigmaForm, LevyMeasure, SigmaForm
+from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D
 
 
 def dirac1d(a: float) -> Measure1D:
@@ -380,3 +384,95 @@ def mp_free_convolution_f(laws, zeta: complex, dps: int = 30, max_sweeps: int = 
             if moved <= goal:
                 return complex(omegas[0] + hs[0])
         raise ArithmeticError(f"n-term sweeps did not settle at {zeta}")
+
+
+# -- 1 ^ ||x||^2 of a Levy measure, and the sigma-form atom by atom ---------------
+
+
+def min_one_norm_sq(levy) -> float:
+    """Integral of 1 ^ ||x||^2 against a ``LevyMeasure``: atoms one by one, rays by 30-digit quadrature."""
+    total = sum(m * min(1.0, s * s + t * t) for (s, t), m in levy.atoms.atoms())
+    rp = levy.radial
+    if rp is not None:
+        with mp.workdps(30):
+            knots = [k for k in (rp.r_min, 1, rp.r_max) if rp.r_min <= k <= rp.r_max]
+            ray = mp.quad(lambda r: min(1, r * r) * r ** (-1 - mp.mpf(rp.alpha)), knots)
+        total += float(ray) * sum(m for _, m in rp.rays)
+    return total
+
+
+def sigma_form_loop(t):
+    """``triplet_to_sigma_form`` as one pass over tau's atoms, one Python float operation at a time."""
+    s1 = [((0.0, 0.0), t.A.a)] if t.A.a != 0.0 else []
+    s2 = [((0.0, 0.0), t.A.b)] if t.A.b != 0.0 else []
+    st = [((0.0, 0.0), t.A.c)] if t.A.c != 0.0 else []
+    g1 = t.v[0]
+    g2 = t.v[1]
+    for (s, tt), m in t.tau.atoms.atoms():
+        den1 = 1.0 + s * s
+        den2 = 1.0 + tt * tt
+        nrm = 1.0 + s * s + tt * tt
+        if s != 0.0:
+            s1.append(((s, tt), m * s * s / den1))
+        if tt != 0.0:
+            s2.append(((s, tt), m * tt * tt / den2))
+        if s != 0.0 and tt != 0.0:
+            st.append(((s, tt), m * s * tt / math.sqrt(den1 * den2)))
+        g1 += m * s * tt * tt / (den1 * nrm)
+        g2 += m * tt * s * s / (den2 * nrm)
+    return SigmaForm(g1, g2, AtomicMeasure2D(s1), AtomicMeasure2D(s2), AtomicMeasure2D(st))
+
+
+def verify_loop(sf, tol: float = 1e-12) -> None:
+    """``SigmaForm.verify`` site by site: three ``mass_at`` reads at every distinct atom."""
+    locs = {tuple(p) for p in sf.sigma1.points}
+    locs |= {tuple(p) for p in sf.sigma2.points}
+    locs |= {tuple(p) for p in sf.sigma_tilde.points}
+    for s, t in sorted(locs):
+        m1 = sf.sigma1.mass_at((s, t))
+        m2 = sf.sigma2.mass_at((s, t))
+        mt = sf.sigma_tilde.mass_at((s, t))
+        if (s, t) == (0.0, 0.0):
+            if mt * mt > m1 * m2 + tol:
+                raise InconsistentSigmaForm("origin masses violate Cauchy-Schwarz")
+            continue
+        lhs1 = t / math.sqrt(1.0 + t * t) * m1
+        rhs1 = s / math.sqrt(1.0 + s * s) * mt
+        lhs2 = s / math.sqrt(1.0 + s * s) * m2
+        rhs2 = t / math.sqrt(1.0 + t * t) * mt
+        if abs(lhs1 - rhs1) > tol or abs(lhs2 - rhs2) > tol:
+            raise InconsistentSigmaForm(f"relations fail at atom ({s}, {t})")
+
+
+def triplet_loop(sf):
+    """``sigma_form_to_triplet`` atom by atom, with a linear search for each shared atom."""
+    verify_loop(sf, tol=SIGMA_FORM_TOL)
+    a = sf.sigma1.mass_at((0.0, 0.0))
+    b = sf.sigma2.mass_at((0.0, 0.0))
+    c = sf.sigma_tilde.mass_at((0.0, 0.0))
+    if c * c > a * b + SIGMA_FORM_TOL:
+        raise InconsistentSigmaForm("origin masses violate Cauchy-Schwarz")
+    tau_atoms = []
+    for (s, t), m in sf.sigma1.atoms():
+        if (s, t) == (0.0, 0.0):
+            continue
+        if s == 0.0:
+            raise InconsistentSigmaForm("sigma1 charges a point with s = 0 off the origin")
+        tau_atoms.append(((s, t), m * (1.0 + s * s) / (s * s)))
+    seen = {pt for pt, _ in tau_atoms}
+    for (s, t), m in sf.sigma2.atoms():
+        if (s, t) == (0.0, 0.0):
+            continue
+        if t == 0.0:
+            raise InconsistentSigmaForm("sigma2 charges a point with t = 0 off the origin")
+        mass = m * (1.0 + t * t) / (t * t)
+        if (s, t) in seen:
+            ref = next(mm for pp, mm in tau_atoms if pp == (s, t))
+            if abs(mass - ref) > SIGMA_FORM_TOL * (1.0 + abs(ref)):
+                raise InconsistentSigmaForm(f"sigma1/sigma2 disagree at ({s}, {t})")
+        else:
+            tau_atoms.append(((s, t), mass))
+    tau = LevyMeasure(AtomicMeasure2D(tau_atoms))
+    v1 = sf.gamma1 - sum(m * s * t * t / ((1.0 + s * s) * (1.0 + s * s + t * t)) for (s, t), m in tau_atoms)
+    v2 = sf.gamma2 - sum(m * t * s * s / ((1.0 + t * t) * (1.0 + s * s + t * t)) for (s, t), m in tau_atoms)
+    return CharTriplet((v1, v2), Matrix2(a, c, b), tau)

@@ -222,6 +222,16 @@ class TestMalformedInputs:
         ("limit", {"rows": [1, 2, 3]}, "'measures'"),
         ("fullness", {"terms": [1]}, "'terms'"),
         ("shift", "1,x", "--shift"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 1.0, "theta": [], "r_min": [1]}}},
+         "'tau.radial.r_min'"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 1.0, "theta": [], "r_max": "abc"}}},
+         "'tau.radial.r_max'"),
+        ("limit", {"L": [1], "rows": [{"measures": [DIRAC_JSON]}]}, "'L'"),
+        ("fullness", {"terms": []}, "'terms'"),
+        ("flag", "--grid=5:-5:16,-5:5:16", "--grid"),
+        ("flag", "--grid=nan:5:16,-5:5:16", "--grid"),
+        ("flag", "--epsilon=nan", "--epsilon"),
+        ("flag", "--epsilon=inf", "--epsilon"),
     ])
     def test_exit_2_names_the_key(self, tmp_path, capsys, command, payload, key):
         out = str(tmp_path / "out")
@@ -233,6 +243,8 @@ class TestMalformedInputs:
                     "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]
         elif command == "shift":
             args = ["--out", out, "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON), "--shift", payload]
+        elif command == "flag":
+            args = ["--out", out, payload, "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]
         elif command == "stable":
             args = ["--out", out, "stable", write(tmp_path / "s.json", payload), "--a", "2", "--b", "0"]
         elif command in ("limit", "fullness"):

@@ -15,6 +15,7 @@ from bifree.idlaw import (
     InconsistentSigmaForm,
     LevyMeasure,
     RadialPart,
+    SigmaForm,
     convolve_triplets,
     lambda_bijection,
     make_compound_poisson,
@@ -24,6 +25,7 @@ from bifree.idlaw import (
 )
 from bifree.measure import AtomicMeasure2D, Matrix2, PlanarMeasure, dirac
 from oracles import (
+    min_one_norm_sq,
     mp_ray_cf,
     mp_ray_cf_on,
     mp_ray_drift,
@@ -32,6 +34,9 @@ from oracles import (
     mp_ray_phi,
     mp_truncated_ray_cf,
     mp_truncated_ray_phi,
+    sigma_form_loop,
+    triplet_loop,
+    verify_loop,
 )
 
 I2 = Matrix2(1.0, 0.0, 1.0)
@@ -281,6 +286,8 @@ class TestSigmaForm:
         assert back.v == pytest.approx(trip.v, abs=1e-12)
         assert back.A.as_array() == pytest.approx(trip.A.as_array(), abs=1e-12)
         assert back.tau.atoms.close_to(trip.tau.atoms, tol=1e-12)
+        assert sigma_form_bits(sf) == sigma_form_bits(sigma_form_loop(trip))
+        assert triplet_bits(back) == triplet_bits(triplet_loop(sf))
 
     def test_inconsistent_rejected(self):
         t = CharTriplet((0, 0), Matrix2(0, 0, 0), LevyMeasure(AtomicMeasure2D([((1.0, 1.0), 1.0)])))
@@ -310,6 +317,125 @@ class TestSigmaForm:
         assert back.tau.atoms.close_to(disc.atoms, tol=1e-9)
 
 
+def _bits(*xs) -> bytes:
+    return b"".join(np.asarray(x, dtype=float).tobytes() for x in xs)
+
+
+def sigma_form_bits(sf: SigmaForm) -> bytes:
+    parts = (sf.sigma1, sf.sigma2, sf.sigma_tilde)
+    return _bits(sf.gamma1, sf.gamma2, *(x for m in parts for x in (m.points, m.masses)))
+
+
+def triplet_bits(t: CharTriplet) -> bytes:
+    return _bits(t.v, t.A.a, t.A.c, t.A.b, t.tau.atoms.points, t.tau.atoms.masses)
+
+
+def outcome(f, *args):
+    """The bits of f's result, or the type and message of what it raised."""
+    try:
+        out = f(*args)
+    except ValueError as e:  # InconsistentSigmaForm included
+        return type(e), str(e)
+    return {SigmaForm: sigma_form_bits, CharTriplet: triplet_bits}.get(type(out), repr)(out)
+
+
+@st.composite
+def atomic_triplets(draw):
+    """Up to 2000 atoms: a quarter on each axis, scales 1e-3 to 1e3, and A charging the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 12) | st.integers(0, 2000))
+    pts = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    axis = rng.integers(0, 4, size=n)
+    pts[axis == 0, 0] = 0.0
+    pts[axis == 1, 1] = 0.0
+    pts = pts[(pts != 0.0).any(axis=1)]
+    a, b = draw(st.sampled_from([0.0, 1.0])) * rng.exponential(size=2)
+    c = math.sqrt(a * b) * draw(st.sampled_from([-1.0, 0.0, 0.5]))
+    v = tuple(rng.normal(size=2))
+    return CharTriplet(v, Matrix2(a, c, b), LevyMeasure(AtomicMeasure2D.from_arrays(pts, rng.exponential(size=len(pts)))))
+
+
+@st.composite
+def perturbed(draw, sf: SigmaForm):
+    """sf with one atom's mass moved near SIGMA_FORM_TOL, its site moved near MERGE_TOL, or onto an axis."""
+    parts = [sf.sigma1, sf.sigma2, sf.sigma_tilde]
+    k = draw(st.integers(0, 2))
+    if not len(parts[k]):
+        return sf
+    i = draw(st.integers(0, len(parts[k]) - 1))
+    pts, masses = parts[k].points.copy(), parts[k].masses.copy()
+    kind = draw(st.sampled_from(["mass", "site", "axis"]))
+    if kind == "mass":
+        scale = draw(st.sampled_from([1.0, abs(masses[i])]))
+        masses[i] += draw(st.sampled_from([-2.0, -1.01, -0.99, 0.5, 0.99, 1.01, 2.0])) * 1e-9 * scale
+    elif kind == "site":
+        pts[i] += draw(st.sampled_from([3e-13, 7e-13, 1.5e-12])) * np.array([draw(st.sampled_from([-1, 0, 1])), 1])
+    else:
+        pts[i, draw(st.integers(0, 1))] = 0.0
+    parts[k] = AtomicMeasure2D.from_arrays(pts, masses)
+    return SigmaForm(sf.gamma1, sf.gamma2, *parts)
+
+
+class TestSigmaFormArrays:
+    """The sigma-form conversions equal the atom-by-atom loops of ``oracles`` bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(atomic_triplets(), st.data())
+    def test_bit_identical_to_the_loops(self, trip, data):
+        sf = triplet_to_sigma_form(trip)
+        assert sigma_form_bits(sf) == sigma_form_bits(sigma_form_loop(trip))
+        assert outcome(sigma_form_to_triplet, sf) == outcome(triplet_loop, sf)
+        bad = data.draw(perturbed(sf))
+        assert outcome(sigma_form_to_triplet, bad) == outcome(triplet_loop, bad)
+        assert outcome(bad.verify) == outcome(verify_loop, bad)
+
+    @pytest.mark.parametrize("edit,raised", [
+        ({1: [((0.0, 1.0), 1e-10)]}, "sigma1 charges a point with s = 0"),
+        ({2: [((5.0, 0.0), 1e-10)]}, "sigma2 charges a point with t = 0"),
+        ({2: [((0.01, 0.1), 2e-10)]}, None),  # tau differs by 2e-8, within 1e-9 (1 + 50)
+        ({2: [((0.01, 0.1), 1e-9)]}, r"sigma1/sigma2 disagree at \(0\.01, 0\.1\)"),
+        ({2: [((0.01, 0.1), 1e-9), ((5.0, 0.0), 1e-10)]}, "disagree"),
+        ({2: [((0.01, 0.1), 1e-9), ((-5.0, 0.0), 1e-10)]}, "t = 0"),
+    ])
+    def test_errors_in_the_loops_order(self, edit, raised):
+        # tau at (0.01, 0.1) carries 50; a sigma_2 mass moved by 2e-10 or 1e-9 passes verify
+        tau = AtomicMeasure2D([((0.01, 0.1), 50.0), ((1.0, 2.0), 10.0), ((-1.0, 1.0), 1.0)])
+        sf = triplet_to_sigma_form(CharTriplet((0.1, 0.2), I2, LevyMeasure(tau)))
+        parts = {1: sf.sigma1, 2: sf.sigma2}
+        for k, atoms in edit.items():
+            parts[k] = parts[k] + AtomicMeasure2D(atoms)
+        bad = SigmaForm(sf.gamma1, sf.gamma2, parts[1], parts[2], sf.sigma_tilde)
+        assert outcome(sigma_form_to_triplet, bad) == outcome(triplet_loop, bad)
+        if raised is None:
+            sigma_form_to_triplet(bad)
+        else:
+            with pytest.raises(InconsistentSigmaForm, match=raised):
+                sigma_form_to_triplet(bad)
+
+    def test_near_sites_read_as_mass_at_reads_them(self):
+        # sigma~ sits 0.5e-12 off the site of sigma1 and sigma2: both sites read all three masses
+        sf = triplet_to_sigma_form(CharTriplet((0.0, 0.0), Matrix2(0, 0, 0), LevyMeasure(AtomicMeasure2D([((1.0, 2.0), 1.0)]))))
+        moved = SigmaForm(sf.gamma1, sf.gamma2, sf.sigma1, sf.sigma2, AtomicMeasure2D.from_arrays(
+            sf.sigma_tilde.points + [0.0, 5e-13], sf.sigma_tilde.masses))
+        moved.verify()
+        assert outcome(sigma_form_to_triplet, moved) == outcome(triplet_loop, moved)
+        far = SigmaForm(sf.gamma1, sf.gamma2, sf.sigma1, sf.sigma2, sf.sigma_tilde.scaled(1.0 + 1e-6))
+        with pytest.raises(InconsistentSigmaForm, match=r"relations fail at atom \(1\.0, 2\.0\)"):
+            far.verify()
+
+    def test_round_trip_reads_no_site_alone(self, monkeypatch):
+        rays = tuple((k * math.pi / 4, 1.0) for k in range(8))
+        tau = LevyMeasure(AtomicMeasure2D(), RadialPart(1.2, rays)).discretized()
+        trip = CharTriplet((0.1, -0.2), Matrix2(0.0, 0.0, 0.0), tau)
+        assert len(tau.atoms) == 12800
+        calls = []
+        mass_at = AtomicMeasure2D.mass_at
+        monkeypatch.setattr(AtomicMeasure2D, "mass_at", lambda self, p: calls.append(p) or mass_at(self, p))
+        back = sigma_form_to_triplet(triplet_to_sigma_form(trip))
+        assert len(calls) <= 3
+        assert back.tau.atoms.close_to(tau.atoms, tol=1e-12)
+
+
 class TestDiscretization:
     def test_mass_and_moment_match(self):
         rp = RadialPart(0.7, ((0.0, 1.0),), r_min=1e-3, r_max=1e3)
@@ -319,8 +445,8 @@ class TestDiscretization:
         a = 0.7
         expect_mass = (1e-3**-a - 1e3**-a) / a
         assert disc.atoms.total_mass() == pytest.approx(expect_mass, rel=1e-12)
-        # 1 ^ r^2 integral agrees with the closed form
-        assert disc.min_one_norm_sq() == pytest.approx(lm.min_one_norm_sq(), rel=1e-5)
+        # 1 ^ r^2 integral of the atoms agrees with the ray's, by quadrature
+        assert min_one_norm_sq(disc) == pytest.approx(min_one_norm_sq(lm), rel=1e-5)
 
     def test_atoms_match_the_per_cell_loop(self):
         # the reference builds one atom per (ray, cell) in ray-major order

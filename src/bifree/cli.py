@@ -108,6 +108,7 @@ def _phi_table(rep_or_triplet, probes):
 
 def cmd_convolve(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    s_axis, t_axis = parse_grid(cfg.grid)  # a bad grid is rejected before any file is written
     measures = [io.measure_from_dict(io.load_json(p)) for p in args.inputs]
     shift = (0.0, 0.0)
     if args.shift:
@@ -120,7 +121,6 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     # default probes are scaled by the rep's cone height
     probes = fl.default_phi_probes(rep) if cfg.probes == "default" else load_probes(cfg)
     io.dump_json(cfg.out / "phi_probes.json", {"probes": _phi_table(rep, probes)})
-    s_axis, t_axis = parse_grid(cfg.grid)
     grid = rep.density(s_axis, t_axis, cfg.epsilon)
     io.write_grid_csv(cfg.out / "density.csv", grid)
     for axis, ax in ((1, s_axis), (2, t_axis)):

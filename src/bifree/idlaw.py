@@ -11,7 +11,8 @@ the triplet (:meth:`CharTriplet.marginal_phi_dphi`).
 Rays on all of (0, inf) have closed forms: their integrals are Mellin
 transforms, evaluated in one broadcast over (probe..., ray) for the
 bi-free phi, the marginal phi and its derivative, and the classical
-characteristic function.  Rays with a finite end (r_min > 0 or r_max < inf)
+characteristic function; the phi kernels read per-axis ray tables that the
+radial part builds once.  Rays with a finite end (r_min > 0 or r_max < inf)
 go through one fixed-node Gauss-Legendre kernel, :func:`quad`, in one
 broadcast over (probe, ray, panel, node) per block of probes: v = r^{2-a}
 near zero, u = r^{-a} toward infinity, geometric panels between, poles
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +64,12 @@ class RadialPart:
     ray masses, built once from ``rays``.  A direction component within
     ``AXIS_SNAP`` of zero is exactly 0: cos(pi/2) is 6e-17, which would put
     a ray on the t-axis into the s-marginal.
+
+    The full-ray closed forms read read-only tables built at the same time.
+    ``axis_rays`` holds, per axis, the components on that axis of the rays
+    not on the other axis, and their masses; the first ``n_both`` entries
+    of both tables are the rays with two nonzero components, in the same
+    order.  ``consts`` holds the closed forms' constants at delta = alpha - 1.
     """
 
     alpha: float
@@ -71,6 +78,10 @@ class RadialPart:
     r_max: float = math.inf
     omega: np.ndarray = field(init=False, repr=False, compare=False)
     mass: np.ndarray = field(init=False, repr=False, compare=False)
+    axis_rays: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+    n_both: int = field(init=False, repr=False, compare=False)
+    consts: _RayConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
@@ -82,6 +93,13 @@ class RadialPart:
         snap = [[x if abs(x) > AXIS_SNAP else 0.0 for x in (math.cos(a), math.sin(a))] for a, _ in self.rays]
         object.__setattr__(self, "omega", _freeze(np.array(snap, dtype=float).reshape(-1, 2)))
         object.__setattr__(self, "mass", _freeze(np.array([m for _, m in self.rays], dtype=float)))
+        both = [i for i, (x, y) in enumerate(snap) if x and y]
+        order = [both + [i for i, o in enumerate(snap) if o[k] and not o[1 - k]] for k in (0, 1)]
+        object.__setattr__(self, "axis_rays", tuple(
+            (_freeze(np.array([snap[i][k] for i in idx], dtype=float)),
+             _freeze(np.array([self.rays[i][1] for i in idx], dtype=float))) for k, idx in enumerate(order)))
+        object.__setattr__(self, "n_both", len(both))
+        object.__setattr__(self, "consts", _ray_constants(self.alpha - 1.0))
 
     def directions(self) -> list[tuple[float, float, float]]:
         """(omega1, omega2, mass) per ray."""
@@ -187,9 +205,18 @@ class CharTriplet:
         """phi-transform of the ID law; defined on all of (C\\R)^2."""
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        v1, v2 = self.v
-        A = self.A
-        val = v1 / z + v2 / w + A.a / z**2 + A.c / (z * w) + A.b / w**2
+        (v1, v2), A = self.v, self.A
+        val = 0.0  # terms whose coefficient is zero are skipped
+        if v1:
+            val = val + v1 / z
+        if v2:
+            val = val + v2 / w
+        if A.a:
+            val = val + A.a / z**2
+        if A.c:
+            val = val + A.c / (z * w)
+        if A.b:
+            val = val + A.b / w**2
         val = val + self._poisson_part(z, w)
         return complex(val) if np.ndim(val) == 0 else val
 
@@ -205,10 +232,7 @@ class CharTriplet:
             out = out + (m * kern).sum(axis=-1)
         rp = self.tau.radial
         if rp is not None and rp.is_untruncated():
-            c1 = rp.omega[:, 0] / z[..., None]
-            c2 = rp.omega[:, 1] / w[..., None]
-            delta = rp.alpha - 1.0
-            out = out + (_ray_i1(c1, delta) + _ray_i1(c2, delta) + _ray_cross(c1, c2, delta)) @ rp.mass
+            out = out + _full_phi(rp, z, w)
         elif rp is not None:
             out = out + _truncated_phi(rp, z, w)
         return out
@@ -222,7 +246,11 @@ class CharTriplet:
         """
         u = np.asarray(u, dtype=float)
         u1, u2 = u[..., 0], u[..., 1]
-        expo = 1j * (u1 * self.v[0] + u2 * self.v[1]) - 0.5 * self.A.quad_form((u1, u2))
+        expo = np.zeros(u1.shape, dtype=complex)  # a zero drift or Gaussian part is skipped
+        if any(self.v):
+            expo = expo + 1j * (u1 * self.v[0] + u2 * self.v[1])
+        if any((self.A.a, self.A.c, self.A.b)):
+            expo = expo - 0.5 * self.A.quad_form((u1, u2))
         if len(self.tau.atoms):
             s = self.tau.atoms.points[:, 0]
             t = self.tau.atoms.points[:, 1]
@@ -231,7 +259,7 @@ class CharTriplet:
             expo = expo + (m * (np.exp(1j * dot) - 1.0 - 1j * dot / (1.0 + s * s + t * t))).sum(axis=-1)
         rp = self.tau.radial
         if rp is not None and rp.is_untruncated():
-            expo = expo + _ray_cf(u @ rp.omega.T, rp.alpha - 1.0) @ rp.mass
+            expo = expo + _ray_cf(u @ rp.omega.T, rp.alpha - 1.0, rp.consts) @ rp.mass
         elif rp is not None:
             expo = expo + _truncated_cf(rp, u)
         val = np.exp(expo)
@@ -247,8 +275,10 @@ class CharTriplet:
         """
         z = np.asarray(z, dtype=complex)
         diag = self.A.a if axis == 1 else self.A.b
-        phi = self.v[axis - 1] + diag / z
-        dphi = -diag / z**2
+        phi = np.full(z.shape, complex(self.v[axis - 1]))
+        dphi = np.zeros(z.shape, dtype=complex)
+        if diag:
+            phi, dphi = phi + diag / z, dphi - diag / z**2
         if len(self.tau.atoms):
             pts, m = self.tau.atoms.points, self.tau.atoms.masses
             s = pts[:, axis - 1]
@@ -259,9 +289,8 @@ class CharTriplet:
             dphi = dphi - (m * s * s / d**2).sum(axis=-1)
         rp = self.tau.radial
         if rp is not None and rp.is_untruncated():
-            i1, di1 = _ray_i1_di1(rp.omega[:, axis - 1] / z[..., None], rp.alpha - 1.0)
-            phi = phi + z * (i1 @ rp.mass)
-            dphi = dphi + di1 @ rp.mass
+            p, dp = _full_marginal(rp, axis, z)
+            phi, dphi = phi + p, dphi + dp
         elif rp is not None:
             p, dp = _truncated_marginal(rp, axis, z)
             phi, dphi = phi + p, dphi + dp
@@ -312,17 +341,36 @@ class CharTriplet:
 # On (0, inf) each radial integral is a Mellin transform.  Per ray of unit
 # mass, with c = omega / z, delta = alpha - 1 and principal branches:
 #   I1(c) = integral of [cr/(1-cr) - cr/(1+r^2)] r^{-1-alpha} dr
-#         = c pi/sin(pi delta) [-2 sin^2(pi delta/4) - expm1(delta Log(-c))],
+#         = -c/sinc(delta) [(pi^2 delta/8) sinc^2(delta/4) + expm1(delta Log(-c))/delta],
 #   which is -c Log(-c) at delta = 0.  The marginal phi is z I1(omega/z), with
-#   z-derivative -(1-alpha)(-c)^alpha pi/sin(pi alpha).
+#   z-derivative c (-c)^delta / sinc(delta).
 # The bi-free kernel splits by partial fractions into I1(c1) + I1(c2) +
 #   c1 c2 (pi/sin pi alpha) D,  D = [(-c1)^delta - (-c2)^delta] / (c1 - c2).
 # The classical integral is Gamma(-alpha)(-ik)^alpha - ik (pi/2)/cos(pi alpha/2)
 #   = -ik expm1(delta t) / (delta sinc(delta/2)),  t = H(delta) + Log(-ik),
 #   H(d) = [lgamma(1-d) - log1p(d) + log sinc(d/2)] / d,
 #   which is -(pi/2)|k| - ik log|k| + ik(1 - gamma) at alpha = 1.
-# Written with sinc and expm1(x)/x, the forms below stay accurate through
+# Written with sinc and expm1(x)/delta, the forms below stay accurate through
 # alpha = 1, and the divided difference D stays accurate through c1 = c2.
+#
+# A ray adds to an axis only where its component there is nonzero, and which
+# components are zero depends on the rays alone: RadialPart keeps, per axis,
+# the table of rays with a nonzero component, and puts the rays with two
+# first in both tables.  A call takes one Log(-c) per axis table, which I1,
+# the marginal phi' and the cross term D share.  For omega != 0 and z off the
+# real axis, Log(-c) has a nonzero imaginary part, so I1 needs no guard at 0.
+# D's near-confluence branch (|c1/c2 - 1| < 1/2) and its guards at c1 = c2
+# run only when some entry needs them.
+
+
+class _RayConstants(NamedTuple):
+    """The closed forms' constants at one delta = alpha - 1."""
+
+    sinc: float  # sinc(delta)
+    kappa: float  # (pi^2 delta/8) sinc^2(delta/4)
+    slope: float  # H(delta)
+    sinc_half: float  # sinc(delta/2)
+
 
 # H(d) = (gamma - 1) + sum over n >= 2 of a_n d^{n-1}, with a_n = (zeta(n) - 1)/n
 # for odd n and ((1 - 2^{1-n}) zeta(n) + 1)/n for even n; a_2 ... a_13 below.
@@ -342,75 +390,6 @@ def _sinc(x: float) -> float:
     return 1.0 if x == 0.0 else math.sin(math.pi * x) / (math.pi * x)
 
 
-def _exprel(x):
-    """expm1(x) / x elementwise, 1 at 0."""
-    x = np.asarray(x, dtype=complex)
-    zero = x == 0
-    safe = np.where(zero, 1.0, x)
-    return np.where(zero, 1.0, np.expm1(safe) / safe)
-
-
-def _log1p(u):
-    """Log(1 + u) for complex u, accurate for small |u| (NumPy's complex log1p is not)."""
-    x, y = u.real, u.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
-
-
-def _nonzero(c):
-    """Mask of c != 0 and c with its zeros replaced by 1 (axis rays drop out)."""
-    nz = c != 0
-    return nz, np.where(nz, c, 1.0)
-
-
-def _log_diff(x1, x2):
-    """Log x1 - Log x2 and its ratio to x1 - x2 (1/x2 at x1 = x2).
-
-    For |x1 - x2| < |x2|/2 the difference is Log1p((x1 - x2)/x2) plus the
-    whole turns that the two principal logs differ by, so nearby x1, x2 lose
-    nothing to cancellation.
-    """
-    log1, log2 = np.log(x1), np.log(x2)
-    h = x1 - x2
-    u = h / x2
-    near = np.abs(u) < 0.5
-    lp = _log1p(np.where(near, u, 0.0))
-    turns = np.round((log1.imag - log2.imag - lp.imag) / (2.0 * math.pi))
-    dl = np.where(near, lp + 2j * math.pi * turns, log1 - log2)
-    return dl, np.where(h == 0, 1.0 / x2, dl / np.where(h == 0, 1.0, h))
-
-
-def _i1(c, log, delta: float):
-    """I1(c) = -c/sinc(d) [(pi^2 d/8) sinc(d/4)^2 + Log(-c) exprel(d Log(-c))], with log = Log(-c)."""
-    return -c / _sinc(delta) * (math.pi**2 * delta / 8.0 * _sinc(0.25 * delta) ** 2 + log * _exprel(delta * log))
-
-
-def _ray_i1(c, delta: float):
-    """I1(c), 0 where c = 0."""
-    nz, c = _nonzero(c)
-    return np.where(nz, _i1(c, np.log(-c), delta), 0.0)
-
-
-def _ray_i1_di1(c, delta: float):
-    """I1(c) and the z-derivative of z I1(omega/z), c (-c)^delta / sinc(delta), from one Log(-c)."""
-    nz, c = _nonzero(c)
-    log = np.log(-c)
-    return np.where(nz, _i1(c, log, delta), 0.0), np.where(nz, c * np.exp(delta * log) / _sinc(delta), 0.0)
-
-
-def _ray_cross(c1, c2, delta: float):
-    """c1 c2 (pi/sin pi alpha) D = -c1 c2 (-c2)^d exprel(d Dl) (Dl/h) / sinc(d).
-
-    h = c1 - c2 and Dl = Log(-c1) - Log(-c2), from :func:`_log_diff`, so
-    nearly equal c1, c2 (such as cos(pi/4) against sin(pi/4)) lose nothing
-    to cancellation; Dl/h is 1/c2 at h = 0.
-    """
-    nz1, c1 = _nonzero(c1)
-    nz2, c2 = _nonzero(c2)
-    dl, ratio = _log_diff(-c1, -c2)  # ratio = Dl / (c2 - c1)
-    val = c1 * c2 * np.exp(delta * np.log(-c2)) * _exprel(delta * dl) * ratio / _sinc(delta)
-    return np.where(nz1 & nz2, val, 0.0)
-
-
 def _cf_log_slope(delta: float) -> float:
     """H(delta); gamma - 1 at delta = 0."""
     if abs(delta) < _H_SERIES_CUT:
@@ -421,11 +400,93 @@ def _cf_log_slope(delta: float) -> float:
     return (math.lgamma(1.0 - delta) - math.log1p(delta) + math.log(_sinc(0.5 * delta))) / delta
 
 
-def _ray_cf(k, delta: float):
-    """Classical ray integral at real k: -ik t exprel(delta t) / sinc(delta/2), 0 at k = 0."""
-    nz, k = _nonzero(np.asarray(k, dtype=float))
-    t = _cf_log_slope(delta) + np.log(np.abs(k)) - 0.5j * math.pi * np.sign(k)
-    return np.where(nz, -1j * k * t * _exprel(delta * t) / _sinc(0.5 * delta), 0.0)
+def _ray_constants(delta: float) -> _RayConstants:
+    return _RayConstants(_sinc(delta), math.pi**2 * delta / 8.0 * _sinc(0.25 * delta) ** 2,
+                         _cf_log_slope(delta), _sinc(0.5 * delta))
+
+
+def _exprel(x):
+    """expm1(x) / x elementwise, 1 at 0; x is a complex array."""
+    zero = x == 0
+    if zero.any():
+        safe = np.where(zero, 1.0, x)
+        return np.where(zero, 1.0, np.expm1(safe) / safe)
+    return np.expm1(x) / x
+
+
+def _log1p(u):
+    """Log(1 + u) for complex u, accurate for small |u| (NumPy's complex log1p is not)."""
+    x, y = u.real, u.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _log_diff(x1, x2, log1=None, log2=None):
+    """Log x1 - Log x2 and its ratio to x1 - x2 (1/x2 at x1 = x2); log1, log2 are the two Logs if known.
+
+    For |x1 - x2| < |x2|/2 the difference is Log1p((x1 - x2)/x2) plus the
+    whole turns that the two principal logs differ by, so nearby x1, x2 lose
+    nothing to cancellation.  That branch and the guard at x1 = x2 run only
+    when some entry needs them.
+    """
+    dl = (np.log(x1) if log1 is None else log1) - (np.log(x2) if log2 is None else log2)
+    h = x1 - x2
+    u = h / x2
+    near = np.abs(u) < 0.5
+    if near.any():
+        lp = _log1p(np.where(near, u, 0.0))
+        turns = np.round((dl.imag - lp.imag) / (2.0 * math.pi))
+        dl = np.where(near, lp + 2j * math.pi * turns, dl)
+    zero = h == 0
+    if zero.any():
+        return dl, np.where(zero, 1.0 / x2, dl / np.where(zero, 1.0, h))
+    return dl, dl / h
+
+
+def _i1_sum(c, log, m, rc: _RayConstants, delta: float):
+    """Sum over an axis table of m I1(c), with log = Log(-c)."""
+    e = np.expm1(delta * log) / delta if delta else log
+    return (c * (rc.kappa + e)) @ m / -rc.sinc
+
+
+def _full_phi(rp: RadialPart, z, w):
+    """The full rays' part of the bi-free phi: I1 on each axis table, D on the rays in both."""
+    (o1, m1), (o2, m2) = rp.axis_rays
+    rc, delta, nb = rp.consts, rp.alpha - 1.0, rp.n_both
+    c1, c2 = o1 / z[..., None], o2 / w[..., None]
+    log1, log2 = np.log(-c1), np.log(-c2)
+    out = _i1_sum(c1, log1, m1, rc, delta) + _i1_sum(c2, log2, m2, rc, delta)
+    if nb:
+        # c1 c2 (-c2)^delta exprel(delta Dl) Dl / (c2 - c1) / sinc(delta), Dl = Log(-c1) - Log(-c2)
+        c1, c2, log2 = c1[..., :nb], c2[..., :nb], log2[..., :nb]
+        dl, ratio = _log_diff(-c1, -c2, log1[..., :nb], log2)
+        if delta:
+            ratio = ratio * np.exp(delta * log2) * _exprel(delta * dl)
+        out = out + (c1 * c2 * ratio) @ m1[:nb] / rc.sinc
+    return out
+
+
+def _full_marginal(rp: RadialPart, axis: int, z):
+    """The full rays' parts of the marginal phi and phi' at z, from one Log(-c) over the axis table."""
+    o, m = rp.axis_rays[axis - 1]
+    rc, delta = rp.consts, rp.alpha - 1.0
+    c = o / z[..., None]
+    log = np.log(-c)
+    dphi = (c * np.exp(delta * log)) @ m / rc.sinc if delta else c @ m
+    return z * _i1_sum(c, log, m, rc, delta), dphi
+
+
+def _ray_cf(k, delta: float, rc: _RayConstants | None = None):
+    """Classical ray integral at real k: -ik expm1(delta t) / (delta sinc(delta/2)), 0 at k = 0.
+
+    ``rc`` holds the constants at delta (a radial part's ``consts``); they are computed when not given.
+    """
+    k = np.asarray(k, dtype=float)
+    rc = _ray_constants(delta) if rc is None else rc
+    zero = k == 0
+    if zero.any():
+        return np.where(zero, 0.0, _ray_cf(np.where(zero, 1.0, k), delta, rc))
+    t = rc.slope + np.log(-1j * k)
+    return -1j * k * (np.expm1(delta * t) / (delta * rc.sinc_half) if delta else t)
 
 
 # -- rays with a finite end: fixed-node Gauss-Legendre -------------------------
@@ -657,7 +718,8 @@ def _cf_rays(rp: RadialPart, k):
     Panels reach b = max(20/|k|, r_min); beyond b, e^{ikr} is :func:`_gamma_tail`,
     the -1 exact and the compensator :func:`_drift_integral`.
     """
-    nz, k = _nonzero(k)
+    nz = k != 0
+    k = np.where(nz, k, 1.0)
     a, r_max = rp.alpha, rp.r_max
     pan = _Panels(a, 2.0 - a, rp.r_min, r_max, _END_FRAC * np.minimum(1.0, 1.0 / np.abs(k)),
                   np.maximum(_CF_TAIL_KR / np.abs(k), rp.r_min), u_tail=False)

@@ -255,6 +255,12 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("schema error: ") and key in err
 
+    @pytest.mark.parametrize("grid", ["--grid=5:-5:16,-5:5:16", "--grid=nan:5:16,-5:5:16", "--grid=-5:5:4,-5:5:16"])
+    def test_rejected_grid_writes_no_file(self, tmp_path, grid):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), grid, "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestCliConvolve:
     def test_basic_run(self, tmp_path):

@@ -626,6 +626,98 @@ class TestFullRaysAgainstQuadrature:
         assert abs(t.classical_cf(u) / cmath.exp(quad_expo) - 1.0) <= 1e-9 * max(1.0, abs(quad_expo))
 
 
+AXIS_ANGLES = st.sampled_from((0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi))
+
+
+@st.composite
+def mixed_rays(draw):
+    """(alpha, rays, z, w, u): rays on the axes and off them; w may put an off-axis ray at omega1 w = omega2 z."""
+    alpha = draw(ALPHAS)
+    mass = st.floats(0.1, 1.0)
+    on = draw(st.lists(st.tuples(AXIS_ANGLES, mass), min_size=1, max_size=3))
+    off = draw(st.lists(st.tuples(ANGLES, mass), min_size=1, max_size=3))
+    rays = draw(st.permutations(on + off))
+    z = draw(off_axis())
+    om1, om2 = RadialPart(alpha, (off[0],)).omega[0]
+    if om1 != 0.0 and om2 != 0.0 and 0.05 < abs(om2 / om1) < 20.0 and draw(st.booleans()):
+        w = z * (om2 / om1)
+    else:
+        w = draw(off_axis())
+    u = draw(st.sampled_from(((0.7, -1.3), (0.9, 0.0), (0.0, -1.1), (0.0, 0.0))))
+    return alpha, rays, z, w, u
+
+
+class TestRayTables:
+    """Full rays read per-axis tables built with the radial part."""
+
+    RAYS = ((0.0, 0.5), (0.3, 0.25), (0.5 * math.pi, 0.75), (2.0, 0.125), (math.pi, 0.5))
+
+    @staticmethod
+    def tables(rp):
+        return [a for pair in rp.axis_rays for a in pair]
+
+    def test_axis_tables_put_rays_with_both_components_first(self):
+        rp = RadialPart(0.7, self.RAYS)
+        (o1, m1), (o2, m2) = rp.axis_rays
+        assert rp.n_both == 2
+        assert o1.tolist() == [math.cos(0.3), math.cos(2.0), 1.0, -1.0] and m1.tolist() == [0.25, 0.125, 0.5, 0.5]
+        assert o2.tolist() == [math.sin(0.3), math.sin(2.0), 1.0] and m2.tolist() == [0.25, 0.125, 0.75]
+
+    def test_built_once_and_read_only(self):
+        t = radial_triplet(0.7, self.RAYS)
+        rp = t.tau.radial
+        before = [a.copy() for a in self.tables(rp)]
+        ids = [id(a) for a in self.tables(rp)]
+        consts = rp.consts
+        for _ in range(2):
+            t.bi_free_phi(1.0 + 2j, -0.5 - 1j)
+            t.marginal_phi_dphi(1, np.array([2j, 1.0 - 1j]))
+            t.classical_cf((0.3, -0.8))
+        assert [id(a) for a in self.tables(rp)] == ids and rp.consts is consts
+        for a, b in zip(self.tables(rp), before):
+            np.testing.assert_array_equal(a, b)
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_scaled_tables_match_a_fresh_part(self):
+        rp = RadialPart(1.3, self.RAYS)
+        got, want = rp.scaled(2.5), RadialPart(1.3, tuple((a, 2.5 * m) for a, m in self.RAYS))
+        assert got.n_both == want.n_both and got.consts == want.consts
+        for a, b in zip(self.tables(got), self.tables(want)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_log_per_axis(self, monkeypatch):
+        t = radial_triplet(0.7, [(2.0 * math.pi * k / 8.0, 0.125) for k in range(8)])
+        calls = []
+        log = np.log
+        monkeypatch.setattr(np, "log", lambda *a, **k: calls.append(1) or log(*a, **k))
+        for z, w in ((2j, -4j + 0.3), (2j, 2j), (1.0 + 1j, 3.0 + 0.5j)):  # (2j, 2j): omega1 w = omega2 z at pi/4
+            calls.clear()
+            t.bi_free_phi(z, w)
+            assert len(calls) <= 2
+
+    @settings(max_examples=60)
+    @given(mixed_rays())
+    @example((1.0, ((0.0, 0.5), (0.25 * math.pi, 0.3), (0.5 * math.pi, 0.2)), 2j, 2j, (0.0, 1.0)))
+    @example((1.0 - 1e-9, ((math.pi, 0.4), (2.5, 0.6)), -1.0 + 1j, (-1.0 + 1j) * math.tan(2.5), (0.9, 0.0)))
+    def test_mixed_rays_sum_single_rays(self, probe):
+        # a ray may sit in one axis table and not the other; each value is the
+        # sum of the single-ray triplets' values, and the CF their product
+        alpha, rays, z, w, u = probe
+        t = radial_triplet(alpha, rays)
+        singles = [radial_triplet(alpha, [ray]) for ray in rays]
+
+        def close(got, parts):
+            return abs(got - sum(parts)) <= 1e-13 * sum(abs(p) for p in parts)
+
+        assert close(t.bi_free_phi(z, w), [s.bi_free_phi(z, w) for s in singles])
+        for axis, x in ((1, z), (2, w)):
+            assert close(t.marginal_phi(axis, x), [s.marginal_phi(axis, x) for s in singles])
+            assert close(t.marginal_dphi(axis, x), [s.marginal_dphi(axis, x) for s in singles])
+        expos = [cmath.log(s.classical_cf(u)) for s in singles]
+        assert abs(t.classical_cf(u) / cmath.exp(sum(expos)) - 1.0) <= 1e-13 * max(1.0, sum(abs(e) for e in expos))
+
+
 class TestTruncatedRays:
     """Rays with a finite end go through one fixed-node Gauss-Legendre kernel."""
 

@@ -45,6 +45,10 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < math.inf):
             raise io.SchemaError(f"--epsilon must be finite and positive, got {self.epsilon!r}")
+        if not (0.0 < self.stability_threshold < math.inf):
+            raise io.SchemaError(
+                f"config key 'stability_threshold' must be finite and positive, got {self.stability_threshold!r}"
+            )
 
 
 def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +120,8 @@ def cmd_convolve(args: argparse.Namespace) -> int:
             s, t = (float(x) for x in args.shift.split(","))
         except ValueError as e:
             raise io.SchemaError(f"bad --shift {args.shift!r}: expected 's,t'") from e
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise io.SchemaError(f"bad --shift {args.shift!r}: coordinates must be finite")
         shift = (s, t)
     rep = bi_free_convolve(measures, shift=shift)
     # default probes are scaled by the rep's cone height

@@ -475,13 +475,12 @@ def _full_marginal(rp: RadialPart, axis: int, z):
     return z * _i1_sum(c, log, m, rc, delta), dphi
 
 
-def _ray_cf(k, delta: float, rc: _RayConstants | None = None):
+def _ray_cf(k, delta: float, rc: _RayConstants):
     """Classical ray integral at real k: -ik expm1(delta t) / (delta sinc(delta/2)), 0 at k = 0.
 
-    ``rc`` holds the constants at delta (a radial part's ``consts``); they are computed when not given.
+    ``rc`` holds the constants at delta (a radial part's ``consts``).
     """
     k = np.asarray(k, dtype=float)
-    rc = _ray_constants(delta) if rc is None else rc
     zero = k == 0
     if zero.any():
         return np.where(zero, 0.0, _ray_cf(np.where(zero, 1.0, k), delta, rc))

@@ -6,8 +6,9 @@ condition checks read of each row (``RowData``): the laws are centered by
 truncated means and accumulated into the row measures tau_n, sigma_1n,
 sigma_2n as flat arrays of merged atoms sorted by norm, with cumulative
 moment sums, so the small-ball quadratic sums of a row over the whole eps
-ladder are one ``searchsorted``, and so are its annulus masses.  All rows
-are centered, merged and sorted in one batched pass.  The bounded-Lipschitz
+ladder are one ``searchsorted``, and so are its annulus masses.  Each row
+is centered (``center_row``) and accumulated (``row_accumulators``) on its
+own; the checks only read the result.  The bounded-Lipschitz
 family is separable: its Gaussian bumps are products of one exp table per
 coordinate, so a row's integrals against a sigma are one matrix product.
 These are screened through two equivalent condition systems: weak
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .idlaw import CharTriplet, LevyMeasure
-from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical, _canonical_rows, _freeze
+from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical, _freeze
 from .measure import Groups, RowStack, row_groups, row_stack  # the row type, shared with biconv
 from .transforms import bi_free_phi
 
@@ -142,8 +143,7 @@ def center_row(stack: RowStack, L: float) -> tuple[RowStack, np.ndarray]:
     """The recentered stack and the truncated means (G, 2) of its laws.
 
     A law's truncated mean is its mean over the open ball ||x|| < L, and
-    its atoms move from x to x minus that mean.  One row at a time: the
-    reference form of the centering in ``build_row_data``.
+    its atoms move from x to x minus that mean.
     """
     pts = stack.points
     inside = np.hypot(pts[..., 0], pts[..., 1]) < L
@@ -208,8 +208,7 @@ def _scalar(x):
 def row_accumulators(centered: RowStack) -> RowAccumulators:
     """tau_n = sum of the centered laws with their counts; sigma_jn are its tilts.
 
-    One row at a time: the reference form of ``build_row_data``, whose
-    accumulators equal these bit for bit.
+    Every array returned is read-only.
     """
     masses = centered.counts[:, None] * centered.weights
     keep = centered.weights > 0.0
@@ -229,82 +228,31 @@ def row_accumulators(centered: RowStack) -> RowAccumulators:
     ball[1:] = np.cumsum(np.column_stack((tau * s * s, tau * t * t, tau * s * t)), axis=0)
     beyond = np.zeros((len(tau) + 1, 4))
     beyond[:-1] = np.cumsum(np.column_stack((tau, gamma, sigma1, sigma2))[::-1], axis=0)[::-1]
-    return RowAccumulators(pts, norms, tau, sigma1, sigma2, ball, beyond)
+    return RowAccumulators(*map(_freeze, (pts, norms, tau, sigma1, sigma2, ball, beyond)))
 
 
 class RowData(NamedTuple):
     """What the condition checks read of one row, built once with the array.
 
-    ``acc`` holds the accumulators of the centered tau_n, ``centers`` (G, 2)
-    the truncated means of the row's distinct laws, and ``v`` the row's
-    recentring sum: the shift plus sum_k count_k (m_k + int x / (1 + |x|^2)
-    d(mu_k centered)), m_k the truncated mean of law k.
+    ``acc`` holds the accumulators of the centered tau_n, and ``v`` the
+    row's recentring sum: the shift plus sum_k count_k (m_k + int x / (1 +
+    |x|^2) d(mu_k centered)), m_k the truncated mean of law k.
     """
 
     acc: RowAccumulators
-    centers: np.ndarray
     v: Vec2
 
 
-def _law_sums(law: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    """Per-law sums (count, 2) of the rows of ``values``, each law's in atom order.
-
-    ``bincount`` adds in index order from 0.0, as a stack's sum over its
-    atom axis does, so the sums are the stack's bit for bit.
-    """
-    return np.column_stack([np.bincount(law, weights=values[:, k], minlength=count) for k in (0, 1)])
-
-
 def build_row_data(stacks: Sequence[RowStack], shifts: Sequence[Vec2], L: float) -> tuple[RowData, ...]:
-    """The row data of every row, in one batched pass over all atoms.
-
-    Every law of every row is centered at once, all atoms are merged and
-    sorted by one (row, s, t, mass) sort (``measure._canonical_rows``), and
-    by norm with one stable (row, norm) sort.  Only the cumulative sums run
-    row by row, so each row's accumulators equal
-    ``row_accumulators(center_row(stack, L)[0])`` bit for bit.  Every array
-    held is read-only.
-    """
-    law_counts = [len(stack.counts) for stack in stacks]
-    pts, wts, law, start = [], [], [], 0
-    for stack, n_laws in zip(stacks, law_counts):
-        real = stack.weights > 0.0  # padding has weight 0
-        pts.append(stack.points[real])
-        wts.append(stack.weights[real])
-        law.append(np.nonzero(real)[0] + start)
-        start += n_laws
-    pts, wts, law = np.concatenate(pts), np.concatenate(wts), np.concatenate(law)
-    counts = np.concatenate([stack.counts for stack in stacks])
-    law_row = np.repeat(np.arange(len(stacks)), law_counts)
-
-    inside = np.hypot(pts[:, 0], pts[:, 1]) < L
-    centers = _freeze(_law_sums(law, np.where(inside, wts, 0.0)[:, None] * pts, len(counts)))
-    pts = pts - centers[law]
-    nrm = 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
-    terms = centers + _law_sums(law, wts[:, None] * pts / nrm[:, None], len(counts))
-
-    pts, tau, row = _canonical_rows(pts, counts[law] * wts, law_row[law], len(stacks))
-    norms = np.hypot(pts[:, 0], pts[:, 1])
-    order = np.lexsort((norms, row))
-    pts, norms, tau = _freeze(pts[order]), _freeze(norms[order]), _freeze(tau[order])
-    s, t = pts[:, 0], pts[:, 1]
-    sigma1 = _freeze(tau * (s * s / (1.0 + s * s)))
-    sigma2 = _freeze(tau * (t * t / (1.0 + t * t)))
-    gamma = tau * (s * t / ((1.0 + s * s) * (1.0 + t * t)))
-    moments = np.column_stack((tau * s * s, tau * t * t, tau * s * t))
-    tails = np.column_stack((tau, gamma, sigma1, sigma2))
-
+    """The row data of every row: its laws centered by ``center_row``, then accumulated by ``row_accumulators``."""
     out = []
-    atom_ends = np.cumsum(np.bincount(row, minlength=len(stacks))).tolist()
-    law_ends = np.cumsum(law_counts).tolist()
-    for a, b, g0, g1, shift in zip([0] + atom_ends[:-1], atom_ends, [0] + law_ends[:-1], law_ends, shifts):
-        ball = np.zeros((b - a + 1, 3))
-        ball[1:] = np.cumsum(moments[a:b], axis=0)
-        beyond = np.zeros((b - a + 1, 4))
-        beyond[:-1] = np.cumsum(tails[a:b][::-1], axis=0)[::-1]
-        acc = RowAccumulators(pts[a:b], norms[a:b], tau[a:b], sigma1[a:b], sigma2[a:b], _freeze(ball), _freeze(beyond))
-        v1, v2 = np.asarray(shift, dtype=float) + counts[g0:g1] @ terms[g0:g1]
-        out.append(RowData(acc, centers[g0:g1], (float(v1), float(v2))))
+    for stack, shift in zip(stacks, shifts):
+        centered, centers = center_row(stack, L)
+        pts = centered.points
+        nrm = 1.0 + pts[..., 0] ** 2 + pts[..., 1] ** 2
+        terms = centers + (centered.weights[..., None] * pts / nrm[..., None]).sum(axis=1)
+        v1, v2 = np.asarray(shift, dtype=float) + centered.counts @ terms
+        out.append(RowData(row_accumulators(centered), (float(v1), float(v2))))
     return tuple(out)
 
 

@@ -193,33 +193,6 @@ def _canonical(points: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     return _freeze(pts[keep]), _freeze(wts[keep])
 
 
-def _canonical_rows(
-    points: np.ndarray, masses: np.ndarray, row: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_canonical`` of each of ``count`` rows of a batch at once, rows in order.
-
-    ``row`` labels the atoms.  One sort by (row, x, y, mass) puts every row
-    in the order ``_merge`` would; only rows that ``_needs_merge`` flags go
-    through ``_merge``, one by one, as ``PlanarMeasure.from_flat`` treats
-    laws.  Returns the points, masses and row labels, zero masses dropped.
-    """
-    order = np.lexsort((masses, points[:, 1], points[:, 0], row))
-    pts, wts, row = points[order], masses[order], row[order]
-    flagged = np.flatnonzero(_needs_merge(pts, row, count, MERGE_TOL)).tolist()
-    if flagged:
-        bounds = np.searchsorted(row, np.arange(count + 1)).tolist()
-        parts, start = [], 0
-        for r in flagged:
-            a, b = bounds[r], bounds[r + 1]
-            m_pts, m_wts = _merge(pts[a:b], wts[a:b], MERGE_TOL)
-            parts += [(pts[start:a], wts[start:a], row[start:a]), (m_pts, m_wts, np.full(len(m_wts), r))]
-            start = b
-        parts.append((pts[start:], wts[start:], row[start:]))
-        pts, wts, row = (np.concatenate(col) for col in zip(*parts))
-    keep = wts != 0.0
-    return pts[keep], wts[keep], row[keep]
-
-
 class PlanarMeasure:
     """Borel probability measure on R^2 with finitely many atoms."""
 

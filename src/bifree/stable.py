@@ -10,6 +10,7 @@ least squares over probe points rather than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -25,12 +26,16 @@ RESIDUAL_RATIO = 0.6
 
 @dataclass(frozen=True)
 class StableSpec:
-    """Index, circle measure, shift and (for alpha = 2) the Gaussian matrix."""
+    """Index, circle measure, shift and (for alpha = 2) the Gaussian matrix.
+
+    ``triplet`` is the characteristic triplet of the law, built once here.
+    """
 
     alpha: float
     theta: tuple[tuple[float, float], ...] = ()
     v: Vec2 = (0.0, 0.0)
     gaussian_a: Matrix2 | None = None
+    triplet: CharTriplet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
@@ -40,19 +45,20 @@ class StableSpec:
                 raise ValueError("alpha = 2 admits no circle measure")
             if self.gaussian_a is None or not self.gaussian_a.is_psd():
                 raise ValueError("alpha = 2 requires a psd Gaussian matrix")
+            trip = make_gaussian(self.v, self.gaussian_a)
         else:
             if not self.theta:
                 raise ValueError("alpha < 2 requires a nonempty circle measure")
             if self.gaussian_a is not None:
                 raise ValueError("Gaussian matrix only allowed at alpha = 2")
+            radial = RadialPart(self.alpha, tuple(self.theta))
+            trip = CharTriplet(self.v, Matrix2(0.0, 0.0, 0.0), LevyMeasure(AtomicMeasure2D(), radial))
+        object.__setattr__(self, "triplet", trip)
 
 
 def stable_triplet(spec: StableSpec) -> CharTriplet:
     """Characteristic triplet of the stable law described by the spec."""
-    if spec.alpha == 2.0:
-        return make_gaussian(spec.v, spec.gaussian_a)
-    radial = RadialPart(spec.alpha, tuple(spec.theta))
-    return CharTriplet(spec.v, Matrix2(0.0, 0.0, 0.0), LevyMeasure(AtomicMeasure2D(), radial))
+    return spec.triplet
 
 
 def default_probes(scale: float = 1.0) -> list[Probe]:
@@ -104,8 +110,8 @@ def check_stability(
     fit.  A large residual flags that the tested index does not match the
     law (the negative-control path).
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("dilation factors must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("dilation factors must be finite and positive")
     if probes is None:
         probes = default_probes()
     c = (a**spec.alpha + b**spec.alpha) ** (1.0 / spec.alpha)

@@ -172,10 +172,12 @@ class TestArrayLoading:
             return wrapper
 
         monkeypatch.setattr(PlanarMeasure, "__init__", counting(PlanarMeasure.__init__))
-        monkeypatch.setattr(ms, "_merge", counting(ms._merge))
+        for name in ("_probability", "_merge"):
+            monkeypatch.setattr(ms, name, counting(getattr(ms, name)))
         arr = array_from_dict(payload)
         assert sum(arr.row_sizes()) == 5440
-        assert calls == []
+        # no law is checked or merged alone; each row's tau_n is merged once
+        assert [fn.__name__ for fn in calls] == ["_merge"] * len(arr.rows)
 
     @pytest.mark.parametrize("bad,message", BAD_MEASURES)
     def test_errors_keep_their_text_and_gain_a_position(self, bad, message):
@@ -232,6 +234,11 @@ class TestMalformedInputs:
         ("flag", "--grid=nan:5:16,-5:5:16", "--grid"),
         ("flag", "--epsilon=nan", "--epsilon"),
         ("flag", "--epsilon=inf", "--epsilon"),
+        ("shift", "nan,0", "--shift"),
+        ("shift", "0,-inf", "--shift"),
+        ("config", {"stability_threshold": "nan"}, "'stability_threshold'"),
+        ("config", {"stability_threshold": -1}, "'stability_threshold'"),
+        ("config", {"stability_threshold": "inf"}, "'stability_threshold'"),
     ])
     def test_exit_2_names_the_key(self, tmp_path, capsys, command, payload, key):
         out = str(tmp_path / "out")
@@ -259,6 +266,12 @@ class TestMalformedInputs:
     def test_rejected_grid_writes_no_file(self, tmp_path, grid):
         out = tmp_path / "out"
         assert main(["--out", str(out), grid, "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_rejected_shift_writes_no_file(self, tmp_path):
+        out = tmp_path / "out"
+        m = write(tmp_path / "m.json", TWO_ATOM_JSON)
+        assert main(["--out", str(out), "--grid=-3:3:8,-3:3:8", "convolve", m, m, "--shift", "nan,0"]) == 2
         assert not out.exists() or not any(out.iterdir())
 
 
@@ -467,7 +480,8 @@ class TestCliLimit:
                             lambda a: diagnostics.append(1) or real_diagnostic(a))
         arr = write(tmp_path / "arr.json", self._poisson_array_payload())
         assert main(["--out", str(tmp_path / "out"), "limit", arr]) == 0
-        assert calls == ["build_row_data"]  # one batched pass, with the array
+        # once, with the array: each of its three rows centered, then accumulated
+        assert calls == ["build_row_data"] + ["center_row", "row_accumulators"] * 3
         assert len(diagnostics) == 1  # one infinitesimality check for both
 
     def test_bad_law_exit_2_names_its_position(self, tmp_path, capsys):
@@ -502,6 +516,13 @@ class TestCliStable:
         assert rep["is_stable"] is True
         assert rep["max_residual"] <= 1e-6
         assert rep["c"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_dilation_exit_4(self, tmp_path, a):
+        spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 0], [0, 1]]})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "stable", spec, "--a", a, "--b", "2"]) == 4
+        assert not out.exists() or not any(out.iterdir())
 
     def test_doa(self, tmp_path):
         nu = write(tmp_path / "nu.json", TWO_ATOM_JSON)

@@ -505,38 +505,56 @@ def near_pair_array():
     return make_array(*near_pair_rows())
 
 
+def tau_reference(row, L):
+    """tau_n of one row from its distinct laws, atoms x - m_k with masses count_k w, in norm order.
+
+    m_k is law k's mean over the open ball ||x|| < L, taken from the law's
+    own atoms, not from the row's stack.
+    """
+    atoms = []
+    for m, count in row_groups(row):
+        inside = np.hypot(m.points[:, 0], m.points[:, 1]) < L
+        center = (m.weights[inside, None] * m.points[inside]).sum(axis=0)
+        atoms += [(p - center, count * w) for p, w in zip(m.points, m.weights)]
+    tau = AtomicMeasure2D(atoms)
+    order = np.argsort(np.hypot(tau.points[:, 0], tau.points[:, 1]), kind="stable")
+    return tau.points[order], tau.masses[order]
+
+
 class TestRowData:
-    """Row data is built once with the array, in one batched pass."""
+    """Row data is built once with the array, one row at a time."""
 
     @example(near_pair_array())
     @given(stacked_arrays())
     def test_equals_the_per_row_reference(self, arr):
         assert len(arr.row_data) == len(arr.stacks)
-        for rd, stack, shift in zip(arr.row_data, arr.stacks, arr.shifts):
+        for rd, row, stack, shift in zip(arr.row_data, arr.rows, arr.stacks, arr.shifts):
+            acc = rd.acc
+            pts, tau = tau_reference(row, arr.L)
+            assert acc.points.shape == pts.shape and acc.tau.shape == tau.shape
+            np.testing.assert_allclose(acc.points, pts, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(acc.tau, tau, rtol=1e-13, atol=0)
+            s, t = pts[:, 0], pts[:, 1]
+            np.testing.assert_allclose(acc.norms, np.hypot(s, t), rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(acc.sigma1, tau * s * s / (1.0 + s * s), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(acc.sigma2, tau * t * t / (1.0 + t * t), rtol=1e-12, atol=1e-15)
             centered, centers = center_row(stack, arr.L)
-            ref = row_accumulators(centered)
-            for name in ACC_FIELDS:
-                got, want = getattr(rd.acc, name), getattr(ref, name)
-                assert got.shape == want.shape and np.array_equal(got, want), name
-                assert np.array_equal(np.signbit(got), np.signbit(want)), name
-            assert np.array_equal(rd.centers, centers)
             assert rd.v == recentring_reference(centered, centers, shift)
 
     def test_near_atoms_are_merged(self, monkeypatch):
         rows, shifts = near_pair_rows()
         calls = []
-        real = ms._merge
-        monkeypatch.setattr(ms, "_merge", lambda *a: calls.append(1) or real(*a))
+        real = ms._needs_merge
+        monkeypatch.setattr(ms, "_needs_merge", lambda pts, *a: calls.append(len(pts)) or real(pts, *a))
         arr = make_array(rows, shifts)
-        assert len(calls) == 1  # the last row only
+        assert calls == [4]  # the last row only: its four atoms hold the near pairs
         last = arr.row_data[-1].acc
         assert len(last.points) == 2 and last.tau.tolist() == [1.5, 1.5]
 
     def test_arrays_are_read_only(self):
         for arr in (poisson_array(), near_pair_array()):
             for rd in arr.row_data:
-                held = [getattr(rd.acc, name) for name in ACC_FIELDS] + [rd.centers]
-                assert not any(a.flags.writeable for a in held)
+                assert not any(getattr(rd.acc, name).flags.writeable for name in ACC_FIELDS)
 
     def test_checks_build_no_row_data(self, monkeypatch):
         arr = poisson_array()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bifree.idlaw import RadialPart
 from bifree.measure import Matrix2, PlanarMeasure, dirac
 from bifree.stable import (
     StableSpec,
@@ -40,6 +41,17 @@ class TestSpecAndTriplet:
         spec = StableSpec(alpha=0.5, theta=uniform_theta(4))
         t = stable_triplet(spec)
         assert len(t.tau.radial.rays) == 4
+
+    def test_triplet_built_once_per_spec(self, monkeypatch):
+        built = []
+        real = RadialPart.__post_init__
+        monkeypatch.setattr(RadialPart, "__post_init__", lambda self: built.append(1) or real(self))
+        spec = StableSpec(alpha=1.5, theta=uniform_theta(8))
+        for a, b in ((1.0, 2.0), (0.5, 0.5), (2.0, 1.0)):
+            check_stability(spec, a, b)
+        domain_of_attraction_run(dirac((1.0, 1.0)), spec, [4, 8, 16])
+        assert len(built) == 1
+        assert stable_triplet(spec) is spec.triplet
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -95,6 +107,12 @@ class TestStability:
         rep = check_stability(spec, *ab)
         assert rep.max_residual <= 1e-8
         assert rep.c == pytest.approx((ab[0] ** alpha + ab[1] ** alpha) ** (1 / alpha))
+
+    @pytest.mark.parametrize("ab", [(math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, -math.inf), (0.0, 1.0)])
+    def test_dilation_factors_must_be_finite_and_positive(self, ab):
+        spec = StableSpec(alpha=1.5, theta=uniform_theta(8))
+        with pytest.raises(ValueError, match="dilation factors must be finite and positive"):
+            check_stability(spec, *ab)
 
     def test_wrong_index_flagged(self):
         spec = StableSpec(alpha=1.0, theta=uniform_theta(8))

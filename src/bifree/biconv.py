@@ -4,13 +4,25 @@ Terms of a :class:`BiConvRep` are atomic planar measures or characteristic
 triplets; the representation is never materialized as atoms.  The atomic
 terms are grouped by content into one padded stack with counts
 (``measure.row_stack``, the row type of the limit machinery), so phi of
-all of them is one ``bi_free_phi`` call and one Newton solve.  Recovery of
-the planar Cauchy transform finds F_1(z) and F_2(w) of the two marginal
-free convolutions by subordination (independent 1-d problems), evaluates
-phi there, and divides through the defining relation of the two-variable
-phi-transform.  The marginal solves also return each term's subordination
-function, which is the exact inverse that phi needs, so the inversions
-inside phi start at their roots.
+all of them is one ``bi_free_phi`` call and one Newton solve.
+
+Recovery of the planar Cauchy transform solves the defining relation of the
+two-variable phi-transform, G = 1 / (z1 w2 D), at z1 = F_1(z), w2 = F_2(w),
+the reciprocal Cauchy transforms of the two marginal free convolutions
+(independent 1-d subordination solves).  With N the stack's total count,
+
+    D = alpha/z1 + beta/w2 + (1 - N) + sum_g c_g / (z1 w2 G_g) - sum phi_triplet,
+
+where alpha = Phi_1 - shift_1 - sum_g c_g (F_g^{-1}(z1) - z1) on the z-axis,
+beta likewise on the w-axis, and G_g is law g's Cauchy transform at its
+marginals' inverses.  The marginal solves also return each law's
+subordination function, which is that inverse, so the stack's one inversion
+settles at its start.  Pointwise evaluation (``cauchy``) and grids share
+the routine that completes D.  A grid is recovered in row blocks of about
+``BLOCK_NODES`` nodes: z1 w2 G_g comes from one real matrix product per law
+and block, every reciprocal is conj(x) / |x|^2, and only Re 1/(z1 w2 D) is
+formed.  The lower w-half-plane needs no second inversion, since
+G(z, conj w) = conj G(conj z, w).
 """
 
 from __future__ import annotations
@@ -28,13 +40,19 @@ from .transforms import (
     DegenerateDenominator,
     GridDensity,
     TruncatedCone,
+    _law_sum,
+    _pair_sum,
     bi_free_phi,
     cauchy1d,
     cauchy2d,
     cone_for,
-    inversion_values,
+    stack_inverses,
     stieltjes2d,
 )
+
+# grid nodes per row block of a density: its work arrays, 2 x BLOCK_NODES values
+# for the two half-planes, stay in cache and below the allocator's page-fault path
+BLOCK_NODES = 4096
 
 
 def _is_triplet(obj) -> bool:
@@ -96,38 +114,78 @@ class BiConvRep:
         """
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        total = self._terms_phi(z, w) + self.shift[0] / z + self.shift[1] / w
-        return complex(total) if total.ndim == 0 else total
-
-    def _terms_phi(self, z, w, starts=(None, None)) -> np.ndarray:
-        """Summed phi of the terms at (z, w), without the shift, as a new array."""
         if self.stack is None:
             total = np.zeros(np.broadcast_shapes(z.shape, w.shape), dtype=complex)
         else:
-            total = np.asarray(bi_free_phi(self.stack, z, w, *starts))
+            total = np.asarray(bi_free_phi(self.stack, z, w))
         for t in self.triplets:
             total += t.bi_free_phi(z, w)
-        return total
-
-    def _recover(self, z1, w2, Phi1, Phi2, starts) -> np.ndarray:
-        """G = 1 / (z1 w2 D), D = Phi1/z1 + Phi2/w2 + 1 - phi(z1, w2)."""
-        neg_d = self._terms_phi(z1, w2, starts)
-        neg_d -= (Phi1 - self.shift[0]) / z1 + 1.0
-        neg_d -= (Phi2 - self.shift[1]) / w2
-        if (np.abs(neg_d) < DEGENERATE_TOL).any():
-            raise DegenerateDenominator("phi-relation denominator vanished during recovery")
-        neg_d *= -z1
-        neg_d *= w2
-        return np.divide(1.0, neg_d, out=neg_d)
+        total = total + self.shift[0] / z + self.shift[1] / w
+        return complex(total) if total.ndim == 0 else total
 
     def _marginal_solves(self, Z, W):
-        """F_1(Z), F_2(W) and the stack's warm starts for phi at them."""
+        """F_1(Z), F_2(W) and the stack's warm starts for its inversions at them."""
         out = []
         for (rep, starts), zeta in zip(self.marginals, (Z, W)):
             f, aux = rep.f_value(zeta, return_aux=True)
             out.append((f, np.array([f + p if k is None else aux[k] for k, p in starts])))
         (z1, start1), (w2, start2) = out
         return z1, w2, (start1, start2)
+
+    def _axis_parts(self, Z, W):
+        """z1 = F_1(Z), w2 = F_2(W), the parts of D on one axis each, and the pair factors.
+
+        Z and W take a common number of axes first.  The axis parts are
+        alpha/z1 and beta/w2 + 1 - N; the factors A = z1 / (F_g^{-1}(z1) - s_gk),
+        shaped (n, *z1.shape, m), and B = w2 p_gk / (F_g^{-1}(w2) - t_gk) give
+        z1 w2 G_g = sum_k A_gk B_gk.  Without atomic terms the factors are None.
+        """
+        nd = max(Z.ndim, W.ndim)
+        Z = Z.reshape((1,) * (nd - Z.ndim) + Z.shape)
+        W = W.reshape((1,) * (nd - W.ndim) + W.shape)
+        z1, w2, starts = self._marginal_solves(Z, W)
+        alpha = Z - self.shift[0] - z1
+        beta = W - self.shift[1] - w2
+        if self.stack is None:
+            return z1, w2, alpha / z1, beta / w2 + 1.0, None
+        counts = self.stack.counts
+        i1, i2 = stack_inverses(self.stack, z1, w2, starts)
+        alpha -= _law_sum(counts, i1 - z1)
+        beta -= _law_sum(counts, i2 - w2)
+        lead = (len(counts), *(1,) * nd, -1)
+        pts = self.stack.points
+        a = z1[..., None] / (i1[..., None] - pts[..., 0].reshape(lead))
+        b = (w2[..., None] * self.stack.weights.reshape(lead)) / (i2[..., None] - pts[..., 1].reshape(lead))
+        return z1, w2, alpha / z1, beta / w2 + float(1 - counts.sum()), (a, b)
+
+    def _complete_denominator(self, d_re, d_im, pairs, z1, w2) -> np.ndarray:
+        """Finish D = d_re + i d_im at (z1, w2) in place; returns |D|^2.
+
+        On entry D holds the axis parts.  This subtracts the triplets' phi
+        and adds sum_g c_g / x_g, with x_g = z1 w2 G_g given by ``pairs``, its
+        real and imaginary parts law by law in stack order.  Each reciprocal
+        is conj(x) / |x|^2; |x| or |D| below DEGENERATE_TOL raises
+        :class:`DegenerateDenominator`, and reading |x|^2 against
+        DEGENERATE_TOL^2 keeps it clear of underflow.
+        """
+        for t in self.triplets:
+            p = t.bi_free_phi(z1, w2)
+            d_re -= p.real
+            d_im -= p.imag
+        q, tmp = np.empty_like(d_re), np.empty_like(d_re)
+        for (x_re, x_im), count in zip(pairs, () if self.stack is None else self.stack.counts):
+            np.multiply(x_re, x_re, out=q)
+            q += np.multiply(x_im, x_im, out=tmp)
+            if (q < DEGENERATE_TOL**2).any():
+                raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")
+            np.divide(count, q, out=q)
+            d_re += np.multiply(x_re, q, out=tmp)
+            d_im -= np.multiply(x_im, q, out=tmp)
+        np.multiply(d_re, d_re, out=q)
+        q += np.multiply(d_im, d_im, out=tmp)
+        if (q < DEGENERATE_TOL**2).any():
+            raise DegenerateDenominator("phi-relation denominator vanished during recovery")
+        return q
 
     def _direct_atomic(self):
         """The translated atomic law, when the rep is one up to a shift."""
@@ -163,17 +221,29 @@ class BiConvRep:
                     cauchy1d(direct.marginal(2), W))
         Z = np.asarray(Z, dtype=complex)
         W = np.asarray(W, dtype=complex)
-        z1, w2, starts = self._marginal_solves(Z, W)
-        return self._recover(z1, w2, Z - z1, W - w2, starts), 1.0 / z1, 1.0 / w2
+        z1, w2, u1, u2, factors = self._axis_parts(Z, W)
+        d = np.asarray(u1 + u2)
+        pairs = ()
+        if factors is not None:
+            x = _pair_sum(*factors)
+            pairs = zip(x.real, x.imag)
+        self._complete_denominator(d.real, d.imag, pairs, z1, w2)
+        d *= z1
+        d *= w2
+        g = np.conj(d)
+        g /= d.real * d.real + d.imag * d.imag
+        return g, (1.0 / z1).reshape(Z.shape), (1.0 / w2).reshape(W.shape)
 
     def density(self, s_axis, t_axis, eps: float) -> GridDensity:
         """eps-smoothed joint density grid of the convolution.
 
         One subordination solve per axis gives F_1 on s + i eps and F_2 on
         t + i eps, with the terms' subordination functions as the warm
-        starts of phi's inversions; G at t - i eps follows by conjugation.
-        The same solves give the marginal densities (``axis_densities``),
-        equal to ``self.marginal(j).density`` on the axes.
+        starts of the stack's one inversion; G at t - i eps follows by
+        conjugation.  Rows go in blocks of about ``BLOCK_NODES`` nodes, each
+        written straight into the result.  The same solves give the marginal
+        densities (``axis_densities``), equal to ``self.marginal(j).density``
+        on the axes.
         """
         if eps <= 0.0:
             raise ValueError("eps must be positive")
@@ -182,17 +252,43 @@ class BiConvRep:
             return stieltjes2d(lambda z, w: cauchy2d(direct, z, w), s_axis, t_axis, eps)
         s_axis = np.asarray(s_axis, dtype=float)
         t_axis = np.asarray(t_axis, dtype=float)
-        Z = (s_axis + 1j * eps)[:, None]
-        W = (t_axis + 1j * eps)[None, :]
-        z1, w2, starts = self._marginal_solves(Z, W)
-        Phi1 = Z - z1
-        Phi2 = W - w2
-        g_plus = self._recover(z1, w2, Phi1, Phi2, starts)
-        # lower w-half-plane values by reflection: F and phi commute with conj
-        g_minus = self._recover(z1, np.conj(w2), Phi1, np.conj(Phi2), (starts[0], np.conj(starts[1])))
+        z1, w2, u1, u2, factors = self._axis_parts(s_axis + 1j * eps, t_axis + 1j * eps)
+        # the lower w-half-plane by reflection, G(z, conj w) = conj G(conj z, w):
+        # half h = 1 conjugates the z side, and the w side is shared
+        zs = np.stack([z1, np.conj(z1)])
+        us = np.stack([u1, np.conj(u1)])
+        inv_z, inv_w = 1.0 / zs, 1.0 / w2
+        n_t = len(t_axis)
+        if factors is not None:
+            # real factors of one product per block: row h of ``left`` against
+            # ``right`` gives Re and Im of z1 w2 G_g on half h, side by side
+            a, b = factors
+            left = np.stack([np.concatenate([a.real, -a.imag], axis=-1),
+                             np.concatenate([a.real, a.imag], axis=-1)], axis=1)
+            b_re, b_im = b.real.transpose(0, 2, 1), b.imag.transpose(0, 2, 1)
+            right = np.concatenate([np.concatenate([b_re, b_im], axis=2),
+                                    np.concatenate([b_im, -b_re], axis=2)], axis=1)
+        values = np.empty((len(s_axis), n_t))
+        rows = max(1, BLOCK_NODES // max(n_t, 1))
+        for lo in range(0, len(s_axis), rows):
+            blk = slice(lo, lo + rows)
+            d_re = us.real[:, blk, None] + u2.real
+            d_im = us.imag[:, blk, None] + u2.imag
+            # one law's product at a time, each freed before the next
+            pairs = () if factors is None else (
+                (x[..., :n_t], x[..., n_t:]) for x in (lf[:, blk] @ rt for lf, rt in zip(left, right)))
+            q = self._complete_denominator(d_re, d_im, pairs, zs[:, blk, None], w2)
+            # Re 1/(z1 w2 D) = Re(v conj D) / |D|^2 with v = 1/(z1 w2)
+            v = inv_z[:, blk, None] * inv_w
+            d_re *= v.real
+            d_im *= v.imag
+            d_re += d_im
+            d_re /= q
+            np.subtract(d_re[1], d_re[0], out=values[blk])
+            values[blk] /= 2.0 * np.pi**2
         # the marginal densities -Im G_j / pi come with the solves, G_j = 1 / F_j
-        axis_densities = tuple(-(1.0 / f.ravel()).imag / np.pi for f in (z1, w2))
-        return GridDensity(s_axis, t_axis, inversion_values(g_plus, g_minus), eps, axis_densities)
+        axis_densities = tuple(-(1.0 / f).imag / np.pi for f in (z1, w2))
+        return GridDensity(s_axis, t_axis, values, eps, axis_densities)
 
 
 def bi_free_convolve(items: Sequence, shift: Vec2 = (0.0, 0.0)) -> BiConvRep:

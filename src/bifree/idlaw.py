@@ -86,8 +86,10 @@ class RadialPart:
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise ValueError("radial index must lie in (0, 2)")
-        if any(m <= 0.0 for _, m in self.rays):
-            raise ValueError("ray masses must be positive")
+        if not all(math.isfinite(a) for a, _ in self.rays):
+            raise ValueError("ray angles must be finite")
+        if not all(0.0 < m < math.inf for _, m in self.rays):
+            raise ValueError("ray masses must be positive and finite")
         if not (0.0 <= self.r_min < self.r_max):
             raise ValueError("need 0 <= r_min < r_max")
         snap = [[x if abs(x) > AXIS_SNAP else 0.0 for x in (math.cos(a), math.sin(a))] for a, _ in self.rays]
@@ -121,8 +123,10 @@ class LevyMeasure:
     radial: RadialPart | None = None
 
     def __post_init__(self):
-        if len(self.atoms) and np.any(self.atoms.masses <= 0.0):
-            raise ValueError("Levy atoms must carry positive mass")
+        if len(self.atoms) and not np.all((self.atoms.masses > 0.0) & (self.atoms.masses < np.inf)):
+            raise ValueError("Levy atoms must carry positive finite mass")
+        if not np.isfinite(self.atoms.points).all():
+            raise ValueError("Levy atoms must lie at finite points")
         if self.atoms.mass_at((0.0, 0.0)) != 0.0:
             raise ValueError("Levy measure cannot charge the origin")
 

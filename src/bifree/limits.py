@@ -77,8 +77,10 @@ class TriangularArray:
             raise ValueError("rows must not be empty")
         if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
             raise ValueError("row lengths must strictly increase")
-        if self.L <= 0.0:
+        if not self.L > 0.0:
             raise ValueError("centering radius must be positive")
+        if not all(math.isfinite(x) for shift in self.shifts for x in shift):
+            raise ValueError("row shifts must be finite")
         groups = tuple(row_groups(r) for r in self.rows)
         object.__setattr__(self, "groups", groups)
         stacks = tuple(row_stack(g) for g in groups)

@@ -40,13 +40,18 @@ def _need(obj: dict, key: str, kind=None):
     return val
 
 
-def _number(obj: dict, key: str, default: float, where: str) -> float:
-    """``obj[key]`` as a float, ``default`` when absent or null; errors name ``where``."""
+def _number(obj: dict, key: str, default: float, where: str, inf_ok: bool = False) -> float:
+    """``obj[key]`` as a finite float, ``default`` when absent or null; errors name ``where``.
+
+    With ``inf_ok``, +inf is taken as well.
+    """
     val = obj.get(key)
     if val is None:
         return default
     if not isinstance(val, (int, float)):
         raise SchemaError(f"key {where!r} must be a number, got {val!r}")
+    if not (math.isfinite(val) or (inf_ok and val == math.inf)):
+        raise SchemaError(f"key {where!r} must be a finite number, got {val!r}")
     return float(val)
 
 
@@ -58,11 +63,15 @@ def _objects(entries, key: str) -> list:
 
 
 def _rays(entries, key: str) -> tuple[tuple[float, float], ...]:
-    """(angle, mass) per entry of a circle measure ``key``."""
-    return tuple(
+    """(angle, mass) per entry of a circle measure ``key``, both finite."""
+    rays = tuple(
         (float(_need(e, "angle", (int, float))), float(_need(e, "m", (int, float))))
         for e in _objects(entries, key)
     )
+    for ray, e in zip(rays, entries):
+        if not all(map(math.isfinite, ray)):
+            raise SchemaError(f"key {key!r} must hold finite angles and masses, got {e!r}")
+    return rays
 
 
 def _matrix2(rows, key: str) -> Matrix2:
@@ -71,18 +80,28 @@ def _matrix2(rows, key: str) -> Matrix2:
         (a, c), (c_low, b) = ([float(x) for x in r] for r in rows)
     except (TypeError, ValueError):
         raise SchemaError(f"key {key!r} must be a 2x2 matrix of numbers, got {rows!r}") from None
+    if not all(map(math.isfinite, (a, c, c_low, b))):
+        raise SchemaError(f"key {key!r} must hold finite numbers, got {rows!r}")
     if abs(c - c_low) > 1e-12:
         raise SchemaError(f"key {key!r} must be symmetric")
     return Matrix2(a, c, b)
 
 
-def _vec2(x) -> tuple[float, float]:
+def _pair(x) -> tuple[float, float]:
     if not (isinstance(x, (list, tuple)) and len(x) == 2):
         raise SchemaError(f"expected a 2-vector, got {x!r}")
     try:
         return float(x[0]), float(x[1])
     except (TypeError, ValueError):
         raise SchemaError(f"expected a 2-vector of numbers, got {x!r}") from None
+
+
+def _vec2(x, key: str) -> tuple[float, float]:
+    """A 2-vector of finite numbers; a non-finite entry's error names ``key``."""
+    v = _pair(x)
+    if not all(map(math.isfinite, v)):
+        raise SchemaError(f"key {key!r} must hold finite numbers, got {x!r}")
+    return v
 
 
 # -- measures ----------------------------------------------------------------
@@ -102,7 +121,8 @@ def _parse_atoms(obj: dict, coords: list, weights: list) -> int:
         for j, a in enumerate(atoms):
             if not isinstance(a, dict):
                 raise SchemaError("atom entries must be objects")
-            x = _vec2(_need(a, "x"))
+            # the law's own checks reject non-finite coordinates
+            x = _pair(_need(a, "x"))
             w = _need(a, "w", (int, float))
             if w <= 0:
                 raise SchemaError(f"atom weight {w} must be positive")
@@ -144,13 +164,15 @@ def triplet_to_dict(t: CharTriplet) -> dict:
 
 
 def triplet_from_dict(obj: dict) -> CharTriplet:
-    v = _vec2(_need(obj, "v"))
+    v = _vec2(_need(obj, "v"), "v")
     A = _matrix2(_need(obj, "A"), "A")
     tau_obj = _need(obj, "tau", dict)
     atoms = [
-        (_vec2(_need(a, "x")), float(_need(a, "m", (int, float))))
+        (_vec2(_need(a, "x"), "tau.atoms"), float(_need(a, "m", (int, float))))
         for a in _objects(tau_obj.get("atoms", []), "tau.atoms")
     ]
+    if not all(math.isfinite(m) for _, m in atoms):
+        raise SchemaError(f"key 'tau.atoms' must hold finite masses, got {[m for _, m in atoms]!r}")
     radial = None
     try:
         if tau_obj.get("radial") is not None:
@@ -173,7 +195,7 @@ def triplet_from_dict(obj: dict) -> CharTriplet:
 def stable_spec_from_dict(obj: dict) -> StableSpec:
     alpha = float(_need(obj, "alpha", (int, float)))
     theta = _rays(obj.get("theta", []), "theta")
-    v = _vec2(obj.get("v", [0.0, 0.0]))
+    v = _vec2(obj.get("v", [0.0, 0.0]), "v")
     A = None
     if obj.get("gaussian_A") is not None:
         A = _matrix2(obj["gaussian_A"], "gaussian_A")
@@ -236,14 +258,15 @@ def array_from_dict(obj: dict) -> TriangularArray:
             raise SchemaError(f"rows[{i}]: {e}") from None
         rows.append(_row_from_list(measures, f"rows[{i}]"))
         try:
-            shifts.append(_vec2(r.get("shift", [0.0, 0.0])))
+            shifts.append(_vec2(r.get("shift", [0.0, 0.0]), "shift"))
         except SchemaError as e:
             raise SchemaError(f"rows[{i}].shift: {e}") from None
     for i, row in enumerate(rows):
         if not row:
             raise SchemaError(f"rows[{i}].measures: rows must not be empty")
     try:
-        return make_array(rows, shifts, L=_number(obj, "L", 1.0, "L"))
+        # L = inf keeps its meaning: the untruncated mean
+        return make_array(rows, shifts, L=_number(obj, "L", 1.0, "L", inf_ok=True))
     except ValueError as e:
         raise SchemaError(str(e)) from e
 
@@ -263,7 +286,7 @@ def rep_from_dict(obj: dict) -> BiConvRep:
             items.append(triplet_from_dict(t["triplet"]))
         else:
             raise SchemaError("rep terms must contain 'measure' or 'triplet'")
-    return bi_free_convolve(items, shift=_vec2(obj.get("shift", [0.0, 0.0])))
+    return bi_free_convolve(items, shift=_vec2(obj.get("shift", [0.0, 0.0]), "shift"))
 
 
 # -- probes ------------------------------------------------------------------
@@ -274,8 +297,8 @@ def probes_from_dict(obj) -> list[tuple[complex, complex]]:
         raise SchemaError("probes file must hold a nonempty list")
     out = []
     for e in obj:
-        z = _vec2(_need(e, "z"))
-        w = _vec2(_need(e, "w"))
+        z = _vec2(_need(e, "z"), "z")
+        w = _vec2(_need(e, "w"), "w")
         out.append((complex(*z), complex(*w)))
     return out
 

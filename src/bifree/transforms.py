@@ -76,12 +76,17 @@ def cauchy2d(mu: PlanarMeasure, z, w) -> complex | np.ndarray:
 
 
 def _f_and_deriv(points: np.ndarray, weights: np.ndarray, x: np.ndarray):
-    d = x[..., None] - points
-    g = (weights / d).sum(axis=-1)
-    gp = -(weights / (d * d)).sum(axis=-1)
-    f = 1.0 / g
-    fp = -gp / (g * g)
-    return f, fp
+    """F = 1/G and F' = F^2 sum_k w_k / (x - p_k)^2 of the atomic law at x.
+
+    One complex division over the atoms; the sums over the few atoms are
+    matrix-vector products, which ``weights`` of shape (m,) or (..., m) both
+    take.
+    """
+    inv = 1.0 / (x[..., None] - points)
+    weighted = inv * weights
+    ones = np.ones(inv.shape[-1])
+    f = 1.0 / (weighted @ ones)
+    return f, ((weighted * inv) @ ones) * (f * f)
 
 
 def _hyperbolic(x, h):
@@ -200,20 +205,41 @@ def _law_sum(counts: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x[0] if len(counts) == 1 else x.sum(axis=0)
 
 
-def bi_free_phi(mu, z, w, guess1=None, guess2=None):
+def stack_inverses(mu: RowStack, z: np.ndarray, w: np.ndarray, starts=None):
+    """F^{-1} of every law's marginals: the s-columns at z, the t-columns at w.
+
+    All laws and both axes run in one Newton solve on z and w as given, so a
+    grid's two axes cost one inversion per law and axis point.  ``starts``,
+    a pair shaped like z and w with the stack's law axis in front,
+    warm-starts the solve; without it each entry starts at its target.
+    Returns arrays of shape (n, *z.shape) and (n, *w.shape).  Raises
+    :class:`NoConvergence` when an entry does not settle.
+    """
+    n = len(mu.counts)
+    # law-major entries: the s-columns against z, then the t-columns against w
+    per_law = [x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)]
+    target = np.concatenate(per_law)
+    start = target if starts is None else np.concatenate(
+        [np.broadcast_to(g, (n, *x.shape)).ravel() for g, x in zip(starts, (z, w))])
+    roots, ok = newton_f_inverse(
+        np.concatenate([mu.points[..., 0].repeat(z.size, 0), mu.points[..., 1].repeat(w.size, 0)]),
+        np.concatenate([mu.weights.repeat(z.size, 0), mu.weights.repeat(w.size, 0)]), target, start)
+    if not ok.all():
+        raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
+    return roots[: z.size * n].reshape(n, *z.shape), roots[z.size * n:].reshape(n, *w.shape)
+
+
+def bi_free_phi(mu, z, w):
     """Two-variable phi-transform at (z, w), broadcast against each other.
 
     phi(z,w) = phi_1(z)/z + phi_2(w)/w + 1 - 1/(z w G(F_1^{-1}(z), F_2^{-1}(w))).
 
     ``mu`` is a :class:`PlanarMeasure` or a :class:`RowStack`, whose phi is
     the count-weighted sum of its laws' phis, the phi of their bi-free
-    convolution.  Every marginal inversion, the s-columns of the laws against
-    z and the t-columns against w, runs in one Newton solve on z and w as
-    given, so a grid ``z[:, None], w[None, :]`` costs one inversion per law
-    and axis point.  The parts that depend on z only or w only are computed
-    on the axes, law by law; no broadcast (..., m) temporary is formed.
-    ``guess1`` and ``guess2`` optionally warm-start the inversions, shaped
-    like z and w with the stack's law axis in front.
+    convolution.  The marginal inversions are one :func:`stack_inverses`
+    solve started at z and w.  The parts that depend on z only or w only are
+    computed on the axes, law by law; no broadcast (..., m) temporary is
+    formed.
     """
     if not isinstance(mu, RowStack):
         mu = RowStack(mu.points[None], mu.weights[None], _ONE)
@@ -221,24 +247,14 @@ def bi_free_phi(mu, z, w, guess1=None, guess2=None):
     w = np.asarray(w, dtype=complex)
     _require_nonreal(z, "z")
     _require_nonreal(w, "w")
-    n = len(mu.counts)
-    s_pts, t_pts = mu.points[..., 0], mu.points[..., 1]
-    # law-major entries: the s-columns against z, then the t-columns against w
-    per_law = [x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)]
-    target = np.concatenate(per_law)
-    start = np.concatenate([p if g is None else np.broadcast_to(g, (n, *x.shape)).ravel()
-                            for p, g, x in zip(per_law, (guess1, guess2), (z, w))])
-    roots, ok = newton_f_inverse(
-        np.concatenate([s_pts.repeat(z.size, 0), t_pts.repeat(w.size, 0)]),
-        np.concatenate([mu.weights.repeat(z.size, 0), mu.weights.repeat(w.size, 0)]), target, start)
-    if not ok.all():
-        raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
+    i1, i2 = stack_inverses(mu, z, w)
     # a common number of axes, so the law axis in front lines up
-    nd = max(z.ndim, w.ndim)
+    n, nd = len(mu.counts), max(z.ndim, w.ndim)
     z = z.reshape((1,) * (nd - z.ndim) + z.shape)
     w = w.reshape((1,) * (nd - w.ndim) + w.shape)
-    i1 = roots[: z.size * n].reshape(n, *z.shape)
-    i2 = roots[z.size * n:].reshape(n, *w.shape)
+    i1 = i1.reshape(n, *z.shape)
+    i2 = i2.reshape(n, *w.shape)
+    s_pts, t_pts = mu.points[..., 0], mu.points[..., 1]
     lead = (n, *(1,) * nd, -1)
     a = 1.0 / (i1[..., None] - s_pts.reshape(lead))
     b = mu.weights.reshape(lead) * (1.0 / (i2[..., None] - t_pts.reshape(lead)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bifree.biconv as bc
 import bifree.idlaw as idlaw
 import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
@@ -336,12 +337,20 @@ def law_key(m):
     return m.points.tobytes(), m.weights.tobytes()
 
 
+def started_phi(m, z, w, start1, start2):
+    """Law m's phi at (z, w), its marginals inverted by Newton from the given starts."""
+    i1, ok1 = tf.newton_f_inverse(m.points[:, 0], m.weights, z, start1)
+    i2, ok2 = tf.newton_f_inverse(m.points[:, 1], m.weights, w, start2)
+    assert ok1.all() and ok2.all()
+    return (i1 - z) / z + (i2 - w) / w + 1.0 - 1.0 / (z * w * tf.cauchy2d(m, i1, i2))
+
+
 def reference_density(terms, shift, s_axis, t_axis, eps):
     """The planar inversion by the phi relation, term by term.
 
     Each marginal is solved on its own rep built here from the terms'
     marginals in term order, which stores equal marginals once with their
-    count.  Each law's phi is one ``bi_free_phi`` call started at the
+    count.  Each law's phi is ``started_phi`` started at the
     subordination function of its marginal (at F + p where its marginal is
     the point p).  The lower w-side is solved at conj(W) itself.
     """
@@ -360,7 +369,7 @@ def reference_density(terms, shift, s_axis, t_axis, eps):
     def cauchy(W):
         (z1, starts1), (w2, starts2) = solve(1, Z), solve(2, W)
         phi = shift[0] / z1 + shift[1] / w2 + sum(t.bi_free_phi(z1, w2) for t in triplets)
-        phi = phi + sum(bi_free_phi(m, z1, w2, a, b) for m, a, b in zip(laws, starts1, starts2))
+        phi = phi + sum(started_phi(m, z1, w2, a, b) for m, a, b in zip(laws, starts1, starts2))
         return 1.0 / (z1 * w2 * ((Z - z1) / z1 + (W - w2) / w2 + 1.0 - phi))
 
     W = (t_axis + 1j * eps)[None, :]
@@ -415,7 +424,68 @@ class TestStackedRep:
         t_axis = np.linspace(-2.5, 2.5, 6)
         with counting_inversions() as per_call:
             got = rep.density(s_axis, t_axis, eps).values
-        # one solve per recovery side, each settled at its warm start
-        assert per_call in ([], [1, 1])
+        # one solve serves both half-planes, settled at its warm start
+        assert per_call in ([], [1])
         want = reference_density(terms, shift, s_axis, t_axis, eps)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+FULL_RAYS = CharTriplet((0.1, 0.0), Matrix2(0.0, 0.0, 0.0),
+                        LevyMeasure(AtomicMeasure2D(), RadialPart(1.5, ((0.4, 0.3), (2.0, 0.2), (4.0, 0.25)))))
+# with blocks of 12 nodes, (rows, columns): one block; rows not a multiple
+# of a block's rows; a grid wider than a block
+BLOCK_GRIDS = [(2, 6), (7, 5), (2, 15)]
+
+
+@st.composite
+def counted_reps(draw):
+    """Terms and shift of a rep of 2-4 atomic laws, each given 1-3 times, and maybe a triplet."""
+    laws = draw(st.lists(planar_laws(), min_size=2, max_size=4))
+    terms = [m for m in laws for _ in range(draw(st.integers(1, 3)))]
+    terms += draw(st.sampled_from([[], [GAUSS], [FULL_RAYS]]))
+    return draw(st.permutations(terms)), (draw(nonzero), draw(nonzero))
+
+
+class TestBlockedRecovery:
+    """The row-blocked density agrees with term-by-term recovery and with
+    pointwise ``cauchy``, on grids that split into blocks unevenly."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(counted_reps(), st.sampled_from(BLOCK_GRIDS), st.floats(0.2, 1.0))
+    def test_density_matches_references(self, drawn, shape, eps):
+        terms, shift = drawn
+        rep = bi_free_convolve(terms, shift=shift)
+        s_axis = np.linspace(-3.0, 3.0, shape[0])
+        t_axis = np.linspace(-2.5, 2.5, shape[1])
+        with mock.patch.object(bc, "BLOCK_NODES", 12):
+            got = rep.density(s_axis, t_axis, eps).values
+        want = reference_density(terms, shift, s_axis, t_axis, eps)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        Z, W = np.meshgrid(s_axis + 1j * eps, t_axis + 1j * eps, indexing="ij")
+        pointwise = inversion_values(rep.cauchy(Z, W), rep.cauchy(Z, np.conj(W)))
+        assert np.max(np.abs(got - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
+
+
+class TestDegenerateChecks:
+    """A raised DEGENERATE_TOL trips both checks: |z w G_g| of each atomic law,
+    on the phi and recovery paths, and |D| of the phi relation."""
+
+    @pytest.fixture(autouse=True)
+    def huge_tolerance(self, monkeypatch):
+        for module in (bc, tf):
+            monkeypatch.setattr(module, "DEGENERATE_TOL", 1e3)
+
+    def test_pair_denominator(self):
+        rep = bi_free_convolve([MU, GAUSS])
+        axis = np.linspace(-1.0, 1.0, 3)
+        calls = [lambda: rep.density(axis, axis, 0.5), lambda: rep.cauchy(5j, 6j), lambda: rep.phi(30j, 40j)]
+        for call in calls:
+            with pytest.raises(tf.DegenerateDenominator, match="enlarge the cone height"):
+                call()
+
+    def test_relation_denominator(self):
+        rep = bi_free_convolve([GAUSS, POISSON])
+        axis = np.linspace(-1.0, 1.0, 3)
+        for call in (lambda: rep.density(axis, axis, 0.5), lambda: rep.cauchy(5j, 6j)):
+            with pytest.raises(tf.DegenerateDenominator, match="phi-relation denominator vanished"):
+                call()

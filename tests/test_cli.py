@@ -239,6 +239,23 @@ class TestMalformedInputs:
         ("config", {"stability_threshold": "nan"}, "'stability_threshold'"),
         ("config", {"stability_threshold": -1}, "'stability_threshold'"),
         ("config", {"stability_threshold": "inf"}, "'stability_threshold'"),
+        ("stable", {"alpha": 1.0, "theta": [{"angle": 0.0, "m": math.nan}]}, "'theta'"),
+        ("stable", {"alpha": 1.0, "theta": [{"angle": math.nan, "m": 1.0}]}, "'theta'"),
+        ("stable", {"alpha": 1.0, "theta": [{"angle": 0.0, "m": math.inf}]}, "'theta'"),
+        ("stable", {**SQUARE_SPEC, "v": [0.0, math.nan]}, "'v'"),
+        ("limit", {"L": math.nan, "rows": [{"measures": [DIRAC_JSON]}]}, "'L'"),
+        ("limit", {"L": -math.inf, "rows": [{"measures": [DIRAC_JSON]}]}, "'L'"),
+        ("limit", {"rows": [{"measures": [DIRAC_JSON], "shift": [math.nan, 0.0]}]}, "'shift'"),
+        ("fullness", {"terms": [{"measure": TWO_ATOM_JSON}], "shift": [0.0, math.inf]}, "'shift'"),
+        ("idlaw", {**ZERO_TRIPLET, "v": [math.nan, 0.0]}, "'v'"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 1.0, "theta": [], "r_min": math.nan}}},
+         "'tau.radial.r_min'"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [], "radial": {"alpha": 1.0, "theta": [], "r_max": math.inf}}},
+         "'tau.radial.r_max'"),
+        ("probes", [{"z": [0.0, math.inf], "w": [0.0, 5.0]}], "'z'"),
+        ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [{"x": [1.0, 0.5], "m": math.nan}]}}, "'tau.atoms'"),
+        ("idlaw", {**ZERO_TRIPLET, "A": [[math.inf, 0.0], [0.0, 1.0]]}, "'A'"),
+        ("stable", {**SQUARE_SPEC, "gaussian_A": [[1.0, 0.0], [0.0, math.inf]]}, "'gaussian_A'"),
     ])
     def test_exit_2_names_the_key(self, tmp_path, capsys, command, payload, key):
         out = str(tmp_path / "out")

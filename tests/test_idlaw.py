@@ -181,6 +181,16 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_gaussian((0.0, 0.0), Matrix2(1.0, 2.0, 1.0))
 
+    @pytest.mark.parametrize("ray", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_ray_rejected(self, ray):
+        with pytest.raises(ValueError, match="finite"):
+            RadialPart(1.0, (ray,))
+
+    @pytest.mark.parametrize("atom", [((1.0, 0.5), math.nan), ((1.0, 0.5), math.inf), ((math.nan, 0.5), 1.0)])
+    def test_non_finite_levy_atom_rejected(self, atom):
+        with pytest.raises(ValueError, match="finite"):
+            LevyMeasure(AtomicMeasure2D([atom]))
+
 
 class TestConvolveTriplets:
     def test_gaussian_addition(self):

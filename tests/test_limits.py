@@ -98,6 +98,17 @@ class TestCenterRow:
         assert centers.tolist() == [[0.0, 0.0]]
 
 
+class TestArrayChecks:
+    @pytest.mark.parametrize("L,shift", [(math.nan, (0.0, 0.0)), (-math.inf, (0.0, 0.0)),
+                                         (1.0, (math.nan, 0.0)), (1.0, (0.0, math.inf))])
+    def test_non_finite_rejected(self, L, shift):
+        with pytest.raises(ValueError):
+            make_array([[dirac((0.0, 0.0))]], [shift], L=L)
+
+    def test_untruncated_mean_allowed(self):
+        assert make_array([[dirac((0.0, 0.0))]], L=math.inf).L == math.inf
+
+
 class TestRowAccumulators:
     def test_poisson_row(self):
         n = 100

@@ -11,17 +11,18 @@ two-variable phi-transform, G = 1 / (z1 w2 D), at z1 = F_1(z), w2 = F_2(w),
 the reciprocal Cauchy transforms of the two marginal free convolutions
 (independent 1-d subordination solves).  With N the stack's total count,
 
-    D = alpha/z1 + beta/w2 + (1 - N) + sum_g c_g / (z1 w2 G_g) - sum phi_triplet,
+    D = 1 - N + sum_g c_g / (z1 w2 G_g)
+          + sum_t [phi_t1(z1)/z1 + phi_t2(w2)/w2 - phi_t(z1, w2)],
 
-where alpha = Phi_1 - shift_1 - sum_g c_g (F_g^{-1}(z1) - z1) on the z-axis,
-beta likewise on the w-axis, and G_g is law g's Cauchy transform at its
-marginals' inverses.  The marginal solves also return each law's
-subordination function, which is that inverse, so the stack's one inversion
-settles at its start.  Pointwise evaluation (``cauchy``) and grids share
-the routine that completes D.  A grid is recovered in row blocks of about
+where G_g is law g's Cauchy transform at its marginals' inverses, which are
+its marginals' subordination functions, and phi_t1(z1) = omega_t - z1 is
+triplet t's marginal phi: the marginal solves give both, and the
+subordination identity cancels every other axis term, so recovery inverts
+nothing.  Pointwise evaluation (``cauchy``) and grids share the routine
+that completes D.  A grid is recovered in row blocks of about
 ``BLOCK_NODES`` nodes: z1 w2 G_g comes from one real matrix product per law
 and block, every reciprocal is conj(x) / |x|^2, and only Re 1/(z1 w2 D) is
-formed.  The lower w-half-plane needs no second inversion, since
+formed.  The lower w-half-plane needs no second solve, since
 G(z, conj w) = conj G(conj z, w).
 """
 
@@ -40,13 +41,11 @@ from .transforms import (
     DegenerateDenominator,
     GridDensity,
     TruncatedCone,
-    _law_sum,
     _pair_sum,
     bi_free_phi,
     cauchy1d,
     cauchy2d,
     cone_for,
-    stack_inverses,
     stieltjes2d,
 )
 
@@ -82,16 +81,16 @@ class BiConvRep:
         object.__setattr__(self, "cone", TruncatedCone(1.0, height))
         object.__setattr__(self, "stack", row_stack(groups) if groups else None)
         object.__setattr__(self, "triplets", tuple(t for t in self.terms if not isinstance(t, PlanarMeasure)))
-        object.__setattr__(self, "marginals", tuple(self._marginal_with_starts(groups, ax) for ax in (1, 2)))
+        object.__setattr__(self, "marginals", tuple(self._marginal_with_inverses(groups, ax) for ax in (1, 2)))
 
-    def _marginal_with_starts(self, groups, axis: int) -> tuple[FreeConvRep, tuple]:
-        """Marginal rep, plus where each law of ``stack`` finds its warm start.
+    def _marginal_with_inverses(self, groups, axis: int) -> tuple[FreeConvRep, tuple]:
+        """Marginal rep, plus where each law of ``stack`` finds its marginal's inverse.
 
         Each group's marginal enters once with its count (byte-equal
         marginals are one law).  A law's entry is (k, 0.0), with k the index
         of its marginal among the rep's laws, whose subordination function
-        is the root of the law's inversion, or (None, p) when its marginal is
-        the point p, folded into the shift, whose inversion at F has the root
+        is the inverse of the law's F at F of the rep, or (None, p) when its
+        marginal is the point p, folded into the shift, whose inverse at F is
         F + p.  Built once per rep, in ``marginals``.
         """
         lines = [(m.marginal(axis), count) for m, count in groups]
@@ -124,39 +123,36 @@ class BiConvRep:
         return complex(total) if total.ndim == 0 else total
 
     def _marginal_solves(self, Z, W):
-        """F_1(Z), F_2(W) and the stack's warm starts for its inversions at them."""
+        """Per axis, from one subordination solve: F_j, each stack law's marginal
+        inverse at it, and the triplets' summed marginal phi there, sum_t (omega_t - F_j)."""
         out = []
-        for (rep, starts), zeta in zip(self.marginals, (Z, W)):
+        for (rep, slots), zeta in zip(self.marginals, (Z, W)):
             f, aux = rep.f_value(zeta, return_aux=True)
-            out.append((f, np.array([f + p if k is None else aux[k] for k, p in starts])))
-        (z1, start1), (w2, start2) = out
-        return z1, w2, (start1, start2)
+            inverses = np.array([f + p if k is None else aux[k] for k, p in slots])
+            out.append((f, inverses, sum(om - f for om in aux[len(rep.laws):])))
+        return out
 
     def _axis_parts(self, Z, W):
         """z1 = F_1(Z), w2 = F_2(W), the parts of D on one axis each, and the pair factors.
 
         Z and W take a common number of axes first.  The axis parts are
-        alpha/z1 and beta/w2 + 1 - N; the factors A = z1 / (F_g^{-1}(z1) - s_gk),
+        phi_T1(z1)/z1 and phi_T2(w2)/w2 + 1 - N, with phi_Tj the triplets'
+        summed marginal phi; the factors A = z1 / (F_g^{-1}(z1) - s_gk),
         shaped (n, *z1.shape, m), and B = w2 p_gk / (F_g^{-1}(w2) - t_gk) give
         z1 w2 G_g = sum_k A_gk B_gk.  Without atomic terms the factors are None.
         """
         nd = max(Z.ndim, W.ndim)
         Z = Z.reshape((1,) * (nd - Z.ndim) + Z.shape)
         W = W.reshape((1,) * (nd - W.ndim) + W.shape)
-        z1, w2, starts = self._marginal_solves(Z, W)
-        alpha = Z - self.shift[0] - z1
-        beta = W - self.shift[1] - w2
+        (z1, i1, phi1), (w2, i2, phi2) = self._marginal_solves(Z, W)
+        u1 = phi1 / z1
         if self.stack is None:
-            return z1, w2, alpha / z1, beta / w2 + 1.0, None
-        counts = self.stack.counts
-        i1, i2 = stack_inverses(self.stack, z1, w2, starts)
-        alpha -= _law_sum(counts, i1 - z1)
-        beta -= _law_sum(counts, i2 - w2)
-        lead = (len(counts), *(1,) * nd, -1)
+            return z1, w2, u1, phi2 / w2 + 1.0, None
+        lead = (len(i1), *(1,) * nd, -1)
         pts = self.stack.points
         a = z1[..., None] / (i1[..., None] - pts[..., 0].reshape(lead))
         b = (w2[..., None] * self.stack.weights.reshape(lead)) / (i2[..., None] - pts[..., 1].reshape(lead))
-        return z1, w2, alpha / z1, beta / w2 + float(1 - counts.sum()), (a, b)
+        return z1, w2, u1, phi2 / w2 + float(1 - self.stack.counts.sum()), (a, b)
 
     def _complete_denominator(self, d_re, d_im, pairs, z1, w2) -> np.ndarray:
         """Finish D = d_re + i d_im at (z1, w2) in place; returns |D|^2.
@@ -238,12 +234,11 @@ class BiConvRep:
         """eps-smoothed joint density grid of the convolution.
 
         One subordination solve per axis gives F_1 on s + i eps and F_2 on
-        t + i eps, with the terms' subordination functions as the warm
-        starts of the stack's one inversion; G at t - i eps follows by
-        conjugation.  Rows go in blocks of about ``BLOCK_NODES`` nodes, each
-        written straight into the result.  The same solves give the marginal
-        densities (``axis_densities``), equal to ``self.marginal(j).density``
-        on the axes.
+        t + i eps and the terms' marginal inverses there; G at t - i eps
+        follows by conjugation.  Rows go in blocks of about ``BLOCK_NODES``
+        nodes, each written straight into the result.  The same solves give
+        the marginal densities (``axis_densities``), equal to
+        ``self.marginal(j).density`` on the axes.
         """
         if eps <= 0.0:
             raise ValueError("eps must be positive")

@@ -84,8 +84,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, val in payload.items():
             if key not in known:
                 raise io.SchemaError(f"unknown config key {key!r}; known keys: {sorted(known)}")
-            if val is None:
-                raise io.SchemaError(f"config key {key!r} must not be null")
+            if val is None or isinstance(val, bool):
+                raise io.SchemaError(f"config key {key!r} must not be {'null' if val is None else 'a boolean'}")
             try:
                 setattr(cfg, key, type(getattr(cfg, key))(val))
             except (TypeError, ValueError):

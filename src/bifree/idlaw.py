@@ -33,6 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measure import MERGE_TOL, AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _freeze
+from .transforms import _require_nonreal
 
 QUAD_ERR_TOL = 1e-7
 AXIS_SNAP = 1e-15  # direction components this small are the axis itself
@@ -206,9 +207,11 @@ class CharTriplet:
     # -- bi-free side ------------------------------------------------------
 
     def bi_free_phi(self, z, w):
-        """phi-transform of the ID law; defined on all of (C\\R)^2."""
+        """phi-transform of the ID law; defined on all of (C\\R)^2, so a real z or w raises ValueError."""
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
+        _require_nonreal(z, "z")
+        _require_nonreal(w, "w")
         (v1, v2), A = self.v, self.A
         val = 0.0  # terms whose coefficient is zero are skipped
         if v1:

@@ -296,10 +296,11 @@ def probes_from_dict(obj) -> list[tuple[complex, complex]]:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("probes file must hold a nonempty list")
     out = []
-    for e in obj:
-        z = _vec2(_need(e, "z"), "z")
-        w = _vec2(_need(e, "w"), "w")
-        out.append((complex(*z), complex(*w)))
+    for i, e in enumerate(obj):
+        z, w = (complex(*_vec2(_need(e, key), key)) for key in ("z", "w"))
+        if z.imag == 0.0 or w.imag == 0.0:
+            raise SchemaError(f"probes entry {i} must have non-real z and w, got {e!r}")
+        out.append((z, w))
     return out
 
 
@@ -322,13 +323,13 @@ def dump_json(path: str | Path, payload: Any) -> None:
 
 
 def write_grid_csv(path: str | Path, grid: GridDensity) -> None:
-    """Two axis header rows, then the value matrix row-major over s."""
+    """Two axis header rows, then the value matrix row-major over s, one %-format per row."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join([CSV_FMT] * len(grid.t_axis)) + "\n"
     with open(path, "w") as fh:
-        fh.write("s_axis," + ",".join(CSV_FMT % v for v in grid.s_axis) + "\n")
-        fh.write("t_axis," + ",".join(CSV_FMT % v for v in grid.t_axis) + "\n")
-        for i in range(len(grid.s_axis)):
-            fh.write(",".join(CSV_FMT % v for v in grid.values[i]) + "\n")
+        fh.write("s_axis," + ",".join([CSV_FMT] * len(grid.s_axis)) % tuple(grid.s_axis.tolist()) + "\n")
+        fh.write("t_axis," + row % tuple(grid.t_axis.tolist()))
+        fh.writelines(row % tuple(values) for values in grid.values.tolist())
 
 
 def write_table_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

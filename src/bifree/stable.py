@@ -82,6 +82,16 @@ def fit_point_mass_shift(
     return u, float(np.abs(r - u[0] / zs - u[1] / ws).max())
 
 
+def _probe_points(probes: Sequence[Probe] | None):
+    """The probes (``default_probes()`` when None) and their z and w, at least two of
+    them: one generic probe fits the two-parameter shift exactly, whatever the law."""
+    probes = default_probes() if probes is None else probes
+    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    if zs.size < 2:
+        raise ValueError("need at least two probes: one fits the point-mass shift exactly")
+    return probes, zs, ws
+
+
 @dataclass
 class StabilityReport:
     alpha: float
@@ -112,11 +122,9 @@ def check_stability(
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("dilation factors must be finite and positive")
-    if probes is None:
-        probes = default_probes()
+    probes, zs, ws = _probe_points(probes)
     c = (a**spec.alpha + b**spec.alpha) ** (1.0 / spec.alpha)
     trip = stable_triplet(spec)
-    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
     resid = (
         trip.bi_free_phi(zs / a, ws / a) + trip.bi_free_phi(zs / b, ws / b) - trip.bi_free_phi(zs / c, ws / c)
     )
@@ -195,12 +203,10 @@ def domain_of_attraction_run(
     ns = list(ns)
     if any(n2 <= n1 for n1, n2 in zip(ns[:-1], ns[1:])):
         raise ValueError("sample sizes must increase")
-    if probes is None:
-        probes = default_probes()
+    probes, zs, ws = _probe_points(probes)
     if u_probes is None:
         u_probes = default_u_probes()
     trip = stable_triplet(spec)
-    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
     us = np.array(u_probes, dtype=float).reshape(-1, 2)
     target_phi = trip.bi_free_phi(zs, ws)
     target_cf = trip.classical_cf(us)

@@ -48,7 +48,7 @@ class TruncatedCone:
 
 
 def _require_nonreal(z: np.ndarray | complex, name: str = "z") -> None:
-    if (np.asarray(z).imag == 0.0).any():
+    if not np.asarray(z).imag.all():
         raise ValueError(f"{name} must be non-real")
 
 
@@ -205,30 +205,6 @@ def _law_sum(counts: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x[0] if len(counts) == 1 else x.sum(axis=0)
 
 
-def stack_inverses(mu: RowStack, z: np.ndarray, w: np.ndarray, starts=None):
-    """F^{-1} of every law's marginals: the s-columns at z, the t-columns at w.
-
-    All laws and both axes run in one Newton solve on z and w as given, so a
-    grid's two axes cost one inversion per law and axis point.  ``starts``,
-    a pair shaped like z and w with the stack's law axis in front,
-    warm-starts the solve; without it each entry starts at its target.
-    Returns arrays of shape (n, *z.shape) and (n, *w.shape).  Raises
-    :class:`NoConvergence` when an entry does not settle.
-    """
-    n = len(mu.counts)
-    # law-major entries: the s-columns against z, then the t-columns against w
-    per_law = [x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)]
-    target = np.concatenate(per_law)
-    start = target if starts is None else np.concatenate(
-        [np.broadcast_to(g, (n, *x.shape)).ravel() for g, x in zip(starts, (z, w))])
-    roots, ok = newton_f_inverse(
-        np.concatenate([mu.points[..., 0].repeat(z.size, 0), mu.points[..., 1].repeat(w.size, 0)]),
-        np.concatenate([mu.weights.repeat(z.size, 0), mu.weights.repeat(w.size, 0)]), target, start)
-    if not ok.all():
-        raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
-    return roots[: z.size * n].reshape(n, *z.shape), roots[z.size * n:].reshape(n, *w.shape)
-
-
 def bi_free_phi(mu, z, w):
     """Two-variable phi-transform at (z, w), broadcast against each other.
 
@@ -236,10 +212,11 @@ def bi_free_phi(mu, z, w):
 
     ``mu`` is a :class:`PlanarMeasure` or a :class:`RowStack`, whose phi is
     the count-weighted sum of its laws' phis, the phi of their bi-free
-    convolution.  The marginal inversions are one :func:`stack_inverses`
-    solve started at z and w.  The parts that depend on z only or w only are
-    computed on the axes, law by law; no broadcast (..., m) temporary is
-    formed.
+    convolution.  All laws' marginal inversions, the s-columns at z and the
+    t-columns at w, are one Newton solve on z and w as given, started at
+    the targets.  The parts that depend on z only or w only are computed on
+    the axes, law by law; no broadcast (..., m) temporary is formed.  Raises
+    :class:`NoConvergence` when an inversion does not settle.
     """
     if not isinstance(mu, RowStack):
         mu = RowStack(mu.points[None], mu.weights[None], _ONE)
@@ -247,13 +224,20 @@ def bi_free_phi(mu, z, w):
     w = np.asarray(w, dtype=complex)
     _require_nonreal(z, "z")
     _require_nonreal(w, "w")
-    i1, i2 = stack_inverses(mu, z, w)
+    n = len(mu.counts)
+    # law-major entries: the s-columns against z, then the t-columns against w
+    target = np.concatenate([x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)])
+    roots, ok = newton_f_inverse(
+        np.concatenate([mu.points[..., 0].repeat(z.size, 0), mu.points[..., 1].repeat(w.size, 0)]),
+        np.concatenate([mu.weights.repeat(z.size, 0), mu.weights.repeat(w.size, 0)]), target, target)
+    if not ok.all():
+        raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
     # a common number of axes, so the law axis in front lines up
-    n, nd = len(mu.counts), max(z.ndim, w.ndim)
+    nd = max(z.ndim, w.ndim)
     z = z.reshape((1,) * (nd - z.ndim) + z.shape)
     w = w.reshape((1,) * (nd - w.ndim) + w.shape)
-    i1 = i1.reshape(n, *z.shape)
-    i2 = i2.reshape(n, *w.shape)
+    i1 = roots[: z.size * n].reshape(n, *z.shape)
+    i2 = roots[z.size * n:].reshape(n, *w.shape)
     s_pts, t_pts = mu.points[..., 0], mu.points[..., 1]
     lead = (n, *(1,) * nd, -1)
     a = 1.0 / (i1[..., None] - s_pts.reshape(lead))

@@ -15,6 +15,7 @@ from bifree.cli import main
 from bifree.fullness import default_fullness_probes
 from bifree.measure import PlanarMeasure, dirac
 from bifree.serialize import (
+    CSV_FMT,
     SchemaError,
     array_from_dict,
     array_to_dict,
@@ -23,6 +24,7 @@ from bifree.serialize import (
     stable_spec_from_dict,
     triplet_from_dict,
     triplet_to_dict,
+    write_grid_csv,
     write_table_csv,
 )
 from bifree.biconv import bi_free_convolve
@@ -30,7 +32,7 @@ from bifree.freeconv import FreeConvRep
 from bifree.idlaw import make_compound_poisson
 from bifree.limits import make_array
 from bifree.measure import MERGE_TOL
-from bifree.transforms import cone_for
+from bifree.transforms import GridDensity, cone_for
 from test_freeconv import kesten_mckay_g
 from test_limits import noniid_rows
 from test_measure import assert_same_laws, merge_coords, merge_weights
@@ -141,6 +143,18 @@ def normalised(atoms):
 row_coords = st.one_of(merge_coords, st.just(-0.0))
 row_laws = st.lists(st.lists(st.tuples(st.tuples(row_coords, row_coords), merge_weights),
                              min_size=1, max_size=5).map(normalised), min_size=1, max_size=8)
+
+
+class TestGridCsv:
+    def test_bytes_equal_the_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((128, 96)) * 10.0 ** rng.integers(-300, 300, (128, 96))
+        values[0, :6] = [0.0, -0.0, 1e-320, math.inf, -math.inf, math.nan]
+        s_axis, t_axis = np.linspace(-5.0, 5.0, 128), np.linspace(-1.0 / 3.0, 2.0, 96)
+        write_grid_csv(tmp_path / "g.csv", GridDensity(s_axis, t_axis, values, 0.1))
+        rows = [["s_axis", *(CSV_FMT % v for v in s_axis)], ["t_axis", *(CSV_FMT % v for v in t_axis)]]
+        rows += [[CSV_FMT % v for v in row] for row in values]
+        assert (tmp_path / "g.csv").read_bytes() == "".join(",".join(r) + "\n" for r in rows).encode()
 
 
 class TestArrayLoading:
@@ -256,6 +270,11 @@ class TestMalformedInputs:
         ("idlaw", {**ZERO_TRIPLET, "tau": {"atoms": [{"x": [1.0, 0.5], "m": math.nan}]}}, "'tau.atoms'"),
         ("idlaw", {**ZERO_TRIPLET, "A": [[math.inf, 0.0], [0.0, 1.0]]}, "'A'"),
         ("stable", {**SQUARE_SPEC, "gaussian_A": [[1.0, 0.0], [0.0, math.inf]]}, "'gaussian_A'"),
+        ("probes", [{"z": [1.0, 2.0], "w": [1.0, 0.0]}], "probes entry 0"),
+        ("probes", [{"z": [0.0, 5.0], "w": [0.0, 5.0]}, {"z": [3.0, 0.0], "w": [0.0, -5.0]}], "probes entry 1"),
+        ("stable-probes", [{"z": [1.0, 2.0], "w": [1.0, 0.0]}, {"z": [0.0, 4.0], "w": [0.0, 4.0]}], "probes entry 0"),
+        ("config", {"epsilon": True}, "'epsilon'"),
+        ("config", {"grid": False}, "'grid'"),
     ])
     def test_exit_2_names_the_key(self, tmp_path, capsys, command, payload, key):
         out = str(tmp_path / "out")
@@ -271,6 +290,10 @@ class TestMalformedInputs:
             args = ["--out", out, payload, "convolve", write(tmp_path / "m.json", TWO_ATOM_JSON)]
         elif command == "stable":
             args = ["--out", out, "stable", write(tmp_path / "s.json", payload), "--a", "2", "--b", "0"]
+        elif command == "stable-probes":
+            args = ["--probes", write(tmp_path / "p.json", payload), "--out", out,
+                    "stable", write(tmp_path / "s.json", {"alpha": 1.0, "theta": [{"angle": 0.0, "m": 1.0}]}),
+                    "--a", "1", "--b", "2"]
         elif command in ("limit", "fullness"):
             args = ["--out", out, command, write(tmp_path / "in.json", payload)]
         else:
@@ -539,6 +562,18 @@ class TestCliStable:
         spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 0], [0, 1]]})
         out = tmp_path / "out"
         assert main(["--out", str(out), "stable", spec, "--a", a, "--b", "2"]) == 4
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["stable", "doa"])
+    def test_one_probe_exit_4(self, tmp_path, capsys, command):
+        # one probe fits the two-parameter shift exactly, so no verdict can be read from it
+        probes = write(tmp_path / "p.json", [{"z": [1.0, 2.0], "w": [-1.0, 3.0]}])
+        spec = write(tmp_path / "s.json", {"alpha": 1.0, "theta": [{"angle": 0.0, "m": 1.0}]})
+        out = tmp_path / "out"
+        args = (["stable", spec, "--a", "1", "--b", "2"] if command == "stable"
+                else ["doa", write(tmp_path / "nu.json", TWO_ATOM_JSON), spec, "--ns", "8,32,128"])
+        assert main(["--probes", probes, "--out", str(out), *args]) == 4
+        assert "need at least two probes" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_doa(self, tmp_path):

@@ -13,7 +13,7 @@ from bifree.idlaw import make_compound_poisson, make_gaussian
 from bifree.measure import Matrix2, Measure1D, PlanarMeasure
 from bifree.transforms import f_transform
 
-from test_biconv import counting_inversions, law_key
+from test_biconv import counting_inversions, law_key, reference_density
 from oracles import (
     atomic_moments,
     dirac1d,
@@ -410,23 +410,31 @@ class TestWorkCounts:
             values.append(f)
         assert np.max(np.abs(values[0] - values[1])) <= 1e-12 * np.max(np.abs(values[1]))
 
-    def test_density_inversions_settle_at_their_start(self):
-        rep = bi_free_convolve([planar(a) for a in GENERIC_PAIR])
-        axis = np.linspace(-6.0, 6.0, 64)
+    @staticmethod
+    def assert_recovery_makes_no_inversion(rep, axis):
+        """Density, pointwise G and G with the marginals make no inversion; returns the density."""
         with counting_inversions() as per_call:
-            rep.density(axis, axis, 0.1)
-        # one solve for both marginals of both terms, for upper and lower w
-        assert per_call == [1]
+            grid = rep.density(axis, axis, 0.1).values
+            rep.cauchy(axis + 0.1j, axis - 0.2j)
+            rep.cauchy_with_marginals(axis[:, None] + 0.1j, axis[None, :] + 0.3j)
+        assert per_call == []
+        return grid
 
-    def test_collapsed_marginal_starts_at_its_root(self):
-        # the second law's s-marginal is the point 0.4, folded into the shift;
-        # its inversion starts at F + 0.4, the others at their omegas
-        rep = bi_free_convolve([planar(GENERIC_PAIR[0]), planar(GENERIC_PAIR[0]),
-                                planar([((0.4, 1.0), 0.5), ((0.4, -1.0), 0.5)])])
+    def test_recovery_makes_no_inversion(self):
+        # every inverse comes from the marginal subordination solves, with or without a triplet
+        gauss = make_gaussian((0.1, 0.0), Matrix2(0.5, 0.1, 0.4))
+        axis = np.linspace(-6.0, 6.0, 64)
+        for extra in ([], [gauss]):
+            self.assert_recovery_makes_no_inversion(bi_free_convolve([planar(a) for a in GENERIC_PAIR] + extra), axis)
+
+    def test_collapsed_marginal_makes_no_inversion(self):
+        # the third law's s-marginal is the point 0.4, folded into the shift;
+        # its inverse at F is F + 0.4, the others are their omegas
+        terms = [planar(GENERIC_PAIR[0]), planar(GENERIC_PAIR[0]), planar([((0.4, 1.0), 0.5), ((0.4, -1.0), 0.5)])]
         axis = np.linspace(-6.0, 6.0, 16)
-        with counting_inversions() as per_call:
-            rep.density(axis, axis, 0.1)
-        assert per_call == [1]
+        got = self.assert_recovery_makes_no_inversion(bi_free_convolve(terms), axis)
+        want = reference_density(terms, (0.0, 0.0), axis, axis, 0.1)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_scalar_phi_makes_one_inversion(self):
         gauss = make_gaussian((0.1, 0.0), Matrix2(0.5, 0.1, 0.4))

@@ -106,6 +106,16 @@ class TestBiFreePhiID:
                 np.conj(t.bi_free_phi(z, w)), abs=1e-10
             )
 
+    @pytest.mark.parametrize("z,w", [(1.0, 2j), (3j, 1.0), (np.array([2j, -0.5]), 4j), (2j, np.array([[3j], [0.0]]))])
+    def test_real_argument_rejected(self, z, w):
+        # as for atomic laws (transforms.bi_free_phi): phi lives off the real axes
+        drift = make_gaussian((1.0, -2.0), Matrix2(0.0, 0.0, 0.0))
+        rays = CharTriplet((0.0, 0.0), Matrix2(0, 0, 0),
+                           LevyMeasure(AtomicMeasure2D(), RadialPart(0.7, ((0.4, 0.5), (2.5, 0.5)))))
+        for t in (drift, rays):
+            with pytest.raises(ValueError, match="must be non-real"):
+                t.bi_free_phi(z, w)
+
     def test_nth_root_divisibility(self):
         t = CharTriplet(
             (0.4, -0.2), ONES, LevyMeasure(AtomicMeasure2D([((1.0, 1.0), 0.9)]))

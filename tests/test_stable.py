@@ -205,3 +205,24 @@ class TestDomainOfAttraction:
         for nu, spec in cases:
             rep = domain_of_attraction_run(nu, spec, [8, 16, 32, 64])
             assert rep.agree
+
+
+class TestProbeCount:
+    """A shift fit over one probe is vacuous: the two-parameter shift fits any
+    single generic residual exactly, so both experiments need two probes."""
+
+    SPEC = StableSpec(alpha=1.0, theta=uniform_theta(8))
+    FOUR_ATOM = PlanarMeasure([((0.3, -0.8), 0.25), ((-0.6, 0.2), 0.25), ((0.9, 0.5), 0.25), ((-0.4, -0.7), 0.25)])
+    ONE_PROBE = [(1 + 2j, -1 + 3j)]
+
+    def test_one_probe_is_rejected(self):
+        with pytest.raises(ValueError, match="need at least two probes"):
+            check_stability(self.SPEC, 1.0, 2.0, probes=self.ONE_PROBE)
+        with pytest.raises(ValueError, match="need at least two probes"):
+            domain_of_attraction_run(self.FOUR_ATOM, self.SPEC, [8, 32, 128, 512], probes=self.ONE_PROBE)
+
+    def test_two_probes_are_enough(self):
+        probes = [(2j, 2j), (4j, -2j)]
+        assert check_stability(self.SPEC, 1.0, 2.0, probes=probes).is_stable
+        rep = domain_of_attraction_run(self.FOUR_ATOM, self.SPEC, [8, 32, 128, 512], probes=probes)
+        assert len(rep.bifree_residuals) == 4

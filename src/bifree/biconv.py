@@ -42,6 +42,7 @@ from .transforms import (
     GridDensity,
     TruncatedCone,
     _pair_sum,
+    _require_eps,
     bi_free_phi,
     cauchy1d,
     cauchy2d,
@@ -240,8 +241,7 @@ class BiConvRep:
         the marginal densities (``axis_densities``), equal to
         ``self.marginal(j).density`` on the axes.
         """
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+        _require_eps(eps)
         direct = self._direct_atomic()
         if direct is not None:
             return stieltjes2d(lambda z, w: cauchy2d(direct, z, w), s_axis, t_axis, eps)

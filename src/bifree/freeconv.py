@@ -10,47 +10,52 @@ inverting each distinct atomic F there once.
 
 F of the convolution needs no inversion at all (Belinschi-Bercovici, J.
 Anal. Math. 101, 2007).  With z = zeta - shift, h_j = F_j - id for the
-atomic laws mu_j with counts c_j, and phi_ID the summed phi of the infinitely
-divisible terms (analytic on C+ with Im phi_ID <= 0; Bercovici-Voiculescu,
-Indiana Univ. Math. J. 42, 1993), F(zeta) = F_1(omega_1).  The c_j copies of
-mu_j share one subordination function omega_j, so law 1 contributes
-a(w) = z + (c_1 - 1) h_1(w) (for mu^{boxplus c} alone, omega = z/c +
-(1 - 1/c) F_mu(omega); Belinschi-Bercovici, Math. Z. 248, 2004), and omega_1
-is the fixed point of a map T sending C+ into {Im w >= Im z}:
+distinct atomic laws mu_j with counts c_j, and phi_ID the summed phi of the
+infinitely divisible terms (analytic on C+ with Im phi_ID <= 0;
+Bercovici-Voiculescu, Indiana Univ. Math. J. 42, 1993), the c_j copies of
+mu_j share one subordination function omega_j (Belinschi-Bercovici, Math. Z.
+248, 2004), and an infinitely divisible term t has omega_t = F + phi_t(F).
+F_j(omega_j) = F and the sum of the N terms' omegas, z + (N - 1) F, give
 
-- no atomic law: T(w) = z - phi_ID(w), and F is the fixed point itself;
-- one: T(w) = a - phi_ID(F_1(w));
-- two, the second once: T(w) = a + s_2(a + s_1(w)), with
-  s_j(v) = h_j(v) - phi_ID(F_j(v));
-- otherwise: T(w) = a + h_rest(z + c_1 h_1(w)), where h_rest of the
-  convolution of the rest, with its counts, comes from the same solve.
+    omega_j = z + S - h_j(omega_j) - phi_ID(F),  S = sum_i c_i h_i(omega_i),
 
-The laws are numbered by descending count, ties in the given order, so two
-laws of which one is counted once take the two-law map in either order.
+with F = F_0(omega_0).  The laws are numbered by descending count, ties in
+the given order.  Of two or more, a last law counted once, e, is eliminated:
+omega_e = z + S - phi_ID(F), with S over the other laws, and each other
+omega_j is an unknown of omega = T(omega), T_j = z + S + h_e(omega_e) -
+h_j(omega_j) - phi_ID(F), with h_e = 0 when no law is eliminated.  Without
+atomic laws the one unknown is F itself, F = z - phi_ID(F).  Every term of
+T_j but z has Im >= 0 on C+, so T sends (C+)^U into {Im >= Im z}^U; a
+holomorphic self-map has at most one fixed point there (Schwarz-Pick), so
+an iterate that settles in C+ is on the right branch: there is no cone,
+ladder or branch choice.  With atomic laws only, T maps {Im >= Im z}^U
+into a bounded part of it, and the plain iteration omega <- T(omega)
+converges from every start (Earle-Hamilton, 1970).
 
-Every added term has Im >= 0 on C+, so each T keeps that range, and the
-nesting deepens once per distinct law, not once per copy.  Such a T has at
-most one fixed point in C+ (Schwarz-Pick), so an iterate that settles in the
-upper half-plane is on the right branch: there is no cone, ladder or branch
-choice.  Newton steps on w - T(w), with T' in closed form, accelerate the
-plain iteration w <- T(w), which converges from every start and takes over
-wherever a Newton step would not bring w and T(w) closer in the hyperbolic
-metric (``transforms._damped_newton``).  Each point stops once
-|w - T(w)| <= 1e-13 (1 + |w|).  Lower half-plane points are solved at their
-conjugates, since F commutes with conjugation.
+Newton steps on omega - T(omega) accelerate it.  The Jacobian is
+diag(1 + h_j') - 1 u^T, u_i = (1 + h_e'(omega_e)) (c_i h_i' - [i = 0]
+phi_ID'(F) F_0'), so a step costs O(U) per point by Sherman-Morrison (one
+unknown takes the scalar quotient).  A Newton step is kept only where it
+lowers the largest pseudo-hyperbolic distance between an omega_j and T_j,
+which the plain step never raises; elsewhere the plain step is taken
+(``transforms._damped_newton``).  Each unknown stops once
+|omega - T(omega)| <= 1e-13 (1 + |omega|).  Lower half-plane points are
+solved at their conjugates, since F commutes with conjugation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .measure import Measure1D
+from .measure import Measure1D, row_stack
 from .transforms import (
     NoConvergence,
     _damped_newton,
+    _nonzero,
+    _require_eps,
     _require_nonreal,
     newton_f_inverse,
 )
@@ -62,106 +67,90 @@ FIXED_POINT_MAXITER = 200
 def _h_and_deriv(points: np.ndarray, weights: np.ndarray, wp: np.ndarray, x: np.ndarray):
     """(h, h') of an atomic law, h = F - id = -sum(w p / (x - p)) / sum(w / (x - p)).
 
-    ``wp`` is weights * points.  The quotient form has no cancellation
-    between F and x at large |x|.
+    ``wp`` is weights * points.  A law's (m,) arrays take x of any shape; a
+    stack, with points (U, 1, m) and the rest (U, m, 1), takes x of shape
+    (U, K).  The quotient form has no cancellation between F and x at large
+    |x|.
     """
     inv = 1.0 / (x[..., None] - points)
-    g = inv @ weights
-    return -(inv @ wp) / g, ((inv * inv) @ weights) / (g * g) - 1.0
+    g = (inv @ weights).reshape(x.shape)
+    return -(inv @ wp).reshape(x.shape) / g, ((inv * inv) @ weights).reshape(x.shape) / (g * g) - 1.0
 
 
-def _phi_prime(hp):
-    """phi'(F_j(v)) = 1 / F_j'(v) - 1 of a law with h_j'(v) = hp."""
-    return -hp / (1.0 + hp)
+def _system(laws: Sequence[Measure1D], counts: Sequence[int]) -> tuple:
+    """The distinct atomic laws arranged for :func:`_subordinate`.
 
-
-def _subordinate(z: np.ndarray, laws: Sequence[Measure1D], counts: Sequence[int], id_phi):
-    """h = F - z and h' = F' - 1 of the convolution at z in C+, with the omegas.
-
-    ``laws`` are the distinct atomic operands, ``counts`` their
-    multiplicities, and ``id_phi(x) -> (phi, phi')`` the summed phi of the
-    infinitely divisible ones, or None.  Returns ``(h, h', omegas,
-    converged)``; ``omegas[j]`` is omega_j with F_j(omega_j) = F(z), shared
-    by the copies of law j, and entries that did not settle are nan.  The
-    solve takes the laws by descending count (a stable sort); the omegas
-    come back in the given order.
+    The laws go by descending count (a stable sort); of two or more, a last
+    law counted once is eliminated.  Returns ``(unknown, counts, first,
+    last, order)``: (points, weights, weights * points) of the laws whose
+    omegas are unknowns, as a zero-padded stack shaped for
+    :func:`_h_and_deriv`, as one law's (m,) arrays, or None without laws;
+    their counts, (U, 1) or a number; 1 at law 0 and 0 elsewhere, shaped
+    alike; the eliminated law's (m,) arrays or None; and the given index of
+    each law in solve order.
     """
-    n = len(laws)
-    order = sorted(range(n), key=lambda j: -counts[j])
-    laws, counts = [laws[j] for j in order], [counts[j] for j in order]
+    order = sorted(range(len(laws)), key=lambda j: -counts[j])
+    if not order:
+        return None, 1.0, 1.0, None, order
+    k = len(order) - (len(order) >= 2 and counts[order[-1]] == 1)  # the unknown laws
+    stack = row_stack([(laws[j], counts[j]) for j in order])
+    cols = stack.points, stack.weights, stack.weights * stack.points
+    last = tuple(a[-1] for a in cols) if k < len(order) else None
+    if k == 1:  # one unknown takes the scalar step
+        return tuple(a[0] for a in cols), float(stack.counts[0]), 1.0, last, order
+    unknown = cols[0][:k, None, :], cols[1][:k, :, None], cols[2][:k, :, None]
+    return unknown, stack.counts[:k, None].astype(float), (np.arange(k) == 0)[:, None] * 1.0, last, order
+
+
+def _subordinate(z: np.ndarray, system: tuple, id_phi):
+    """F of the convolution at z in C+ (a flat array), with the omegas.
+
+    ``system`` holds the distinct atomic laws (see :func:`_system`) and
+    ``id_phi(x) -> (phi, phi')`` is the summed phi of the infinitely
+    divisible terms, or None.  Returns ``(F, omegas, converged)``;
+    ``omegas[j]`` is omega_j with F_j(omega_j) = F, shared by the copies of
+    law j, in the given order, and entries that did not settle are nan.
+    """
+    unknown, c, first, last, order = system
     zero = np.zeros_like(z)
-    if n == 0 and id_phi is None:
-        return zero, zero, [], np.ones(z.shape, bool)
-    cols = [(m.points, m.weights, m.weights * m.points) for m in laws]
-    c1 = counts[0] if n else 1
+    if unknown is None and id_phi is None:
+        return z, [], np.ones(z.shape, bool)
+    stacked = np.ndim(c) > 0
 
-    def step(j, v):
-        """s_j(v) = h_j(v) - phi_ID(F_j(v)), s_j', h_j, h_j' and phi_ID'(F_j(v))."""
-        h, hp = _h_and_deriv(*cols[j], v)
-        if id_phi is None:
-            return h, hp, h, hp, zero
-        p, dp = id_phi(v + h)
-        return h - p, hp - dp * (1.0 + hp), h, hp, dp
+    def residual(x):
+        """x - T(x), its Newton step and (F, omega_e); x is the unknown omegas, or F itself."""
+        h, hp = (zero, zero) if unknown is None else _h_and_deriv(*unknown, x)
+        f = x[0] + h[0] if stacked else x + h
+        d, s, v = 1.0 + hp, c * h, c * hp  # v = d omega_e / d omega without phi_ID
+        om_e = z + (s.sum(axis=0) if stacked else s)
+        if id_phi is not None:
+            p, dp = id_phi(f)
+            om_e, v = om_e - p, v - dp * (first * d)
+        he, hpe = (zero, zero) if last is None else _h_and_deriv(*last, om_e)
+        r = x - (om_e + he - h)
+        # the Jacobian of r is diag(d) - 1 u^T, with u = F_e'(omega_e) d omega_e / d omega
+        u = (1.0 + hpe) * v
+        if stacked:  # Sherman-Morrison, b = diag(d)^-1
+            b = 1.0 / _nonzero(d)
+            step = -b * (r + (u * b * r).sum(axis=0) / _nonzero(1.0 - (u * b).sum(axis=0)))
+        else:
+            step = -r / _nonzero(d - u)
+        return r, step, (f, om_e)
 
-    def lead(h1, hp1):
-        """a = z + (c_1 - 1) h_1(w), the other copies of law 1, and a'; z and 0 at c_1 = 1."""
-        return (z, 0.0) if c1 == 1 else (z + (c1 - 1) * h1, (c1 - 1) * hp1)
-
-    # each t_eval returns T(w), T'(w) and [h_1(w), phi_ID'(F_1(w)), h_1'(w),
-    # h_rest'(omega_rest), omega_rest...]; F = w + h_1(w) at the fixed point
-    # (h_1 = 0 without atomic terms), and phi'(F) sums over the terms there;
-    # T' skips a' = 0 at c_1 = 1, so a law counted once costs what it did
-    if n == 0:
-
-        def t_eval(w):
-            p, dp = id_phi(w)
-            return z - p, -dp, [zero, dp]
-
-    elif n == 1:
-
-        def t_eval(w):
-            s, _, h, hp, dp = step(0, w)  # s - h = -phi_ID(F_1(w))
-            a, da = lead(h, hp)
-            return a + (s - h), da - dp * (1.0 + hp), [h, dp, hp]
-
-    elif n == 2 and counts[1] == 1:
-
-        def t_eval(w):
-            s1, ds1, h1, hp1, _ = step(0, w)
-            a, da = lead(h1, hp1)
-            om2 = a + s1
-            s2, ds2, _, hp2, dp = step(1, om2)
-            return a + s2, ds2 * ds1 if c1 == 1 else da + ds2 * (da + ds1), [h1, dp, hp1, hp2, om2]
-
-    else:
-
-        def t_eval(w):
-            h1, hp1 = _h_and_deriv(*cols[0], w)
-            a, da = lead(h1, hp1)
-            v = a + h1
-            # the rest is only defined on C+; a proposal that leaves it gets nan
-            up = v.imag > 0
-            hr, hpr, inner, _ = _subordinate(np.where(up, v, z), laws[1:], counts[1:], id_phi)
-            dt = hpr * hp1 if c1 == 1 else da + hpr * (da + hp1)
-            return np.where(up, a + hr, np.nan), dt, [h1, zero, hp1, hpr, *inner]
-
-    def residual(w):
-        t, dt, by = t_eval(w)
-        return w - t, 1.0 - dt, by
-
-    w, (h1, dp, *rest), ok = _damped_newton(
-        residual, z + 2j, z, tol=FIXED_POINT_TOL, maxiter=FIXED_POINT_MAXITER, fixed_point=True
+    start = z + 2j
+    if stacked:
+        start = np.broadcast_to(start, (len(c), *z.shape))
+    x, (f, om_e), ok = _damped_newton(
+        residual, start, z, tol=FIXED_POINT_TOL, maxiter=FIXED_POINT_MAXITER, fixed_point=True
     )
-    hps, rest = rest[: min(n, 2)], rest[min(n, 2):]
-    dphi = dp + sum(k * _phi_prime(hp) for k, hp in zip((c1, 1), hps))
-    h = (w - z) + h1
-    hp = _phi_prime(dphi)  # F' = 1 / (1 + phi'(F))
-    solved = [w, *rest] if n else []
-    omegas = [solved[k] for k in sorted(range(n), key=order.__getitem__)]  # in the given order
+    solved = list(x) if stacked else [] if unknown is None else [x]
+    if last is not None:
+        solved.append(om_e)
+    omegas = [solved[k] for k in sorted(range(len(order)), key=order.__getitem__)]  # in the given order
     if not ok.all():
-        h, hp = np.where(ok, h, np.nan), np.where(ok, hp, np.nan)
+        f = np.where(ok, f, np.nan)
         omegas = [np.where(ok, o, np.nan) for o in omegas]
-    return h, hp, omegas, ok
+    return f, omegas, ok
 
 
 @dataclass(frozen=True)
@@ -172,13 +161,18 @@ class FreeConvRep:
     mass) and ``counts`` their multiplicities; ``ids`` are infinitely
     divisible laws as callables ``z -> (phi, phi')``, each one pass over
     its law; ``shift`` adds the constant phi of a point mass.  phi is
-    ``sum(counts[j] phi_j) + sum(phi_ID) + shift``.
+    ``sum(counts[j] phi_j) + sum(phi_ID) + shift``.  ``system`` holds the
+    atomic laws arranged for the subordination solve, built once.
     """
 
     laws: tuple
     counts: tuple
     ids: tuple
     shift: float
+    system: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "system", _system(self.laws, self.counts))
 
     def phi(self, z):
         """phi of the representation at z (z within the working cone)."""
@@ -199,11 +193,8 @@ class FreeConvRep:
             return None
 
         def id_phi(x):
-            p, dp = self.ids[0](x)
-            for t in self.ids[1:]:
-                q, dq = t(x)
-                p, dp = p + q, dp + dq
-            return p, dp
+            values = [t(x) for t in self.ids]
+            return sum(v[0] for v in values), sum(v[1] for v in values)
 
         return id_phi
 
@@ -226,12 +217,12 @@ class FreeConvRep:
             return np.where(lower, np.conj(a), a) if lower.any() else a
 
         z = reflect(zeta) - self.shift
-        h, _, omegas, ok = _subordinate(z.ravel(), self.laws, self.counts, self._id_phi())
+        f, omegas, ok = _subordinate(z.ravel(), self.system, self._id_phi())
         if not ok.all():
             raise NoConvergence(
                 f"subordination did not settle at {(~ok).sum()} of {ok.size} points"
             )
-        out = reflect(z + h.reshape(z.shape))
+        out = reflect(f.reshape(z.shape))
         if not return_aux:
             return out
         aux = [reflect(om.reshape(z.shape)) for om in omegas]
@@ -244,8 +235,7 @@ class FreeConvRep:
 
     def density(self, axis, eps: float) -> np.ndarray:
         """eps-smoothed density on the axis: -Im G(s + i eps) / pi by subordination."""
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+        _require_eps(eps)
         axis = np.asarray(axis, dtype=float)
         g = self.cauchy(axis + 1j * eps)
         return -np.asarray(g).imag / np.pi

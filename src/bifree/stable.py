@@ -70,8 +70,9 @@ def default_probes(scale: float = 1.0) -> list[Probe]:
 def fit_point_mass_shift(
     probes: Sequence[Probe], residuals: Sequence[complex]
 ) -> tuple[Vec2, float]:
-    """Least-squares u with residual ~ u1/z + u2/w; returns (u, max leftover)."""
-    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    """Least-squares u with residual ~ u1/z + u2/w, over at least two probes;
+    returns (u, max leftover)."""
+    _, zs, ws = _probe_points(probes)
     r = np.asarray(residuals, dtype=complex)
     basis = np.stack([1.0 / zs, 1.0 / ws], axis=-1)
     # the real and imaginary part of each probe's equation, in turn

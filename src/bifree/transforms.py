@@ -14,6 +14,7 @@ reported as :class:`NoConvergence`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,6 +51,11 @@ class TruncatedCone:
 def _require_nonreal(z: np.ndarray | complex, name: str = "z") -> None:
     if not np.asarray(z).imag.all():
         raise ValueError(f"{name} must be non-real")
+
+
+def _require_eps(eps: float) -> None:
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError("eps must be finite and positive")
 
 
 def cauchy1d(nu: Measure1D, z) -> complex | np.ndarray:
@@ -94,13 +100,22 @@ def _hyperbolic(x, h):
     return np.abs(h) / np.abs(2j * x.imag + np.conj(h))
 
 
+def _nonzero(d):
+    """d with its entries of modulus <= 1e-300 set to 1, a divisor that keeps a Newton step finite."""
+    return np.where(np.abs(d) > 1e-300, d, 1.0)
+
+
 def _damped_newton(h_eval: Callable, x, target, tol: float = NEWTON_TOL,
                    maxiter: int = NEWTON_MAXITER, fixed_point: bool = False):
-    """Solve h(x) = 0 elementwise by damped Newton; one root per target entry.
+    """Solve h(x) = 0 by damped Newton; one root per target entry.
 
-    ``h_eval(x) -> (h, h', aux)`` evaluates the residual, its derivative and
-    per-entry by-products ``aux`` (a sequence of arrays shaped like ``x``),
-    which are returned as evaluated at the final ``x``.  An entry stops once
+    ``h_eval(x) -> (h, step, aux)`` evaluates the residual, the Newton step
+    -J^{-1} h, which the caller forms from its own Jacobian, and per-entry
+    by-products ``aux`` (a sequence of arrays shaped like ``target``), which
+    are returned as evaluated at the final ``x``.  ``x`` is shaped like
+    ``target`` or has leading axes in front, the unknowns of each entry: an
+    entry is settled when all its unknowns are, fails when any does, and its
+    merit is the largest over them.  An entry stops once
     |h| <= tol (1 + |target|).  Its step is halved, up to 60 times, while h
     at the proposal is not finite or the proposal leaves the half-plane of
     its target; an entry whose halvings run out, or whose start is not
@@ -109,43 +124,48 @@ def _damped_newton(h_eval: Callable, x, target, tol: float = NEWTON_TOL,
     one given up keeps its last rejected proposal, so callers read only the
     entries of the converged mask.
 
-    With ``fixed_point`` the residual is h = x - T(x) for a map T of the
-    target's half-plane into itself, and an entry stops once
-    |h| <= tol (1 + |x|).  A Newton proposal must then also bring x and T(x)
-    closer in the pseudo-hyperbolic distance |h| / |x - conj(T(x))|, which
-    the plain step x <- T(x) = x - h never increases (Schwarz-Pick); one that
-    does not is replaced, before any halving, by the plain step.  Returns
-    ``(x, aux, converged mask)``.
+    With ``fixed_point`` the residual is h = x - T(x) for a holomorphic map T
+    of the target's half-plane (a product of them, with unknown axes) into
+    itself, and an unknown settles once |h| <= tol (1 + |x|).  A Newton
+    proposal must then also lower the merit, the largest pseudo-hyperbolic
+    distance |h| / |x - conj(T(x))| over the unknowns, which the plain step
+    x <- T(x) = x - h never increases (Schwarz-Pick for the Kobayashi
+    distance of the product); one that does not is replaced, before any
+    halving, by the plain step.  Returns ``(x, aux, converged mask)``.
     """
     x = np.array(x, dtype=complex)
     sign = np.sign(target.imag)
+    if x.ndim > np.ndim(target):  # over the unknowns of each entry
+        lead = tuple(range(x.ndim - np.ndim(target)))
+        every, some, largest = (functools.partial(f, axis=lead) for f in (np.all, np.any, np.max))
+    else:
+        every = some = largest = lambda a: a
 
     def settled(x, h):
-        return np.abs(h) <= tol * (1.0 + np.abs(x if fixed_point else target))
+        return every(np.abs(h) <= tol * (1.0 + np.abs(x if fixed_point else target)))
 
-    h, hp, aux = h_eval(x)
+    h, step, aux = h_eval(x)
     done = settled(x, h)
-    failed = ~np.isfinite(h)
-    merit = _hyperbolic(x, h) if fixed_point else np.zeros(x.shape)
+    failed = some(~np.isfinite(h))
+    merit = largest(_hyperbolic(x, h)) if fixed_point else np.zeros(done.shape)
     for _ in range(maxiter):
         act = ~(done | failed)
         if not act.any():
             break
-        safe = np.where(np.abs(hp) > 1e-300, hp, 1.0)
-        step = np.where(act, -h / safe, 0.0)
+        step = np.where(act, step, 0.0)
         newton = act & fixed_point
         for _ in range(60):
             prop = x + step
-            ph, php, paux = h_eval(prop)
-            bad = act & (~np.isfinite(ph) | (np.sign(prop.imag) != sign))
-            pmerit = _hyperbolic(prop, ph) if fixed_point else merit
+            ph, pstep, paux = h_eval(prop)
+            bad = act & some(~np.isfinite(ph) | (np.sign(prop.imag) != sign))
+            pmerit = largest(_hyperbolic(prop, ph)) if fixed_point else merit
             fall_back = newton & (bad | (pmerit >= merit))
             if not (bad | fall_back).any():
                 break
             step = np.where(fall_back, -h, np.where(bad, 0.5 * step, step))
             newton &= ~fall_back
         failed |= bad
-        x, h, hp, merit, aux = prop, ph, php, pmerit, paux
+        x, h, step, merit, aux = prop, ph, pstep, pmerit, paux
         done |= act & ~bad & settled(x, h)
     return x, aux, done
 
@@ -158,7 +178,8 @@ def newton_f_inverse(points: np.ndarray, weights: np.ndarray, target: np.ndarray
 
     def h_eval(x):
         f, fp = _f_and_deriv(points, weights, x)
-        return f - target, fp, ()
+        h = f - target
+        return h, -h / _nonzero(fp), ()
 
     roots, _, ok = _damped_newton(h_eval, guess, target)
     return roots, ok
@@ -304,8 +325,7 @@ def stieltjes2d(geval: Callable, s_axis, t_axis, eps: float) -> GridDensity:
     the eps-smoothed measure itself; no extrapolation toward eps -> 0 is
     attempted.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     s_axis = np.asarray(s_axis, dtype=float)
     t_axis = np.asarray(t_axis, dtype=float)
     Z = (s_axis + 1j * eps)[:, None] * np.ones_like(t_axis)[None, :]

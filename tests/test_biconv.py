@@ -506,3 +506,18 @@ class TestDegenerateChecks:
         for call in (lambda: rep.density(axis, axis, 0.5), lambda: rep.cauchy(5j, 6j)):
             with pytest.raises(tf.DegenerateDenominator, match="phi-relation denominator vanished"):
                 call()
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["free", "bi_free", "stieltjes2d"])
+def test_non_finite_eps_is_rejected(entry, eps):
+    # before any solve: a genuine convolution would run its fixed-point loop on NaN
+    rep = bi_free_convolve([MU, PlanarMeasure([((0.5, -0.5), 0.3), ((-0.2, 0.4), 0.7)])])
+    axis = np.linspace(-1.0, 1.0, 3)
+    calls = {
+        "free": lambda: rep.marginal(1).density(axis, eps),
+        "bi_free": lambda: rep.density(axis, axis, eps),
+        "stieltjes2d": lambda: tf.stieltjes2d(functools.partial(tf.cauchy2d, MU), axis, axis, eps),
+    }
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        calls[entry]()

@@ -269,6 +269,13 @@ class TestSubordination:
         assert {law_key(m) for m in rep.laws} == {law_key(m) for m, _ in kept}
         assert_subordination(rep, zeta)
 
+    @settings(max_examples=100)
+    @given(st.data(), st.lists(line_laws(), min_size=4, max_size=6, unique_by=law_key),
+           st.lists(id_terms(), max_size=1), off_axis())
+    def test_many_distinct_laws(self, data, laws, ids, zeta):
+        counts = data.draw(st.lists(st.integers(1, 3), min_size=len(laws), max_size=len(laws)))
+        assert_subordination(free_convolve_many([m for m, c in zip(laws, counts) for _ in range(c)], ids), zeta)
+
     @pytest.mark.parametrize(
         "laws,zeta",
         [
@@ -281,6 +288,13 @@ class TestSubordination:
              0.4 + 0.3j),
             ([([-1.0, 0.2, 1.3], [0.4, 0.35, 0.25]), ([-0.6, 0.6], [0.45, 0.55])], 2.1 - 0.02j),
             ([([-0.6, 0.6], [0.45, 0.55])] + [([-1.0, 0.2, 1.3], [0.4, 0.35, 0.25])] * 3, 0.9 + 0.05j),
+            # five distinct laws counted 1, 2, 1, 3, 1, and six counted once
+            ([([-1.0, 0.5, 1.5], [0.3, 0.4, 0.3])] + [([-0.8, 0.8], [0.6, 0.4])] * 2
+             + [([-1.5, 0.0, 1.0, 2.0], [0.1, 0.4, 0.3, 0.2])] + [([0.2, 1.2], [0.5, 0.5])] * 3
+             + [([-2.0, -0.3, 0.7], [0.2, 0.5, 0.3])], 0.3 + 0.2j),
+            ([([-1.0, 0.5, 1.5], [0.3, 0.4, 0.3]), ([-0.8, 0.8], [0.6, 0.4]),
+              ([-1.5, 0.0, 1.0, 2.0], [0.1, 0.4, 0.3, 0.2]), ([0.2, 1.2], [0.5, 0.5]),
+              ([-2.0, -0.3, 0.7], [0.2, 0.5, 0.3]), ([-0.5, 0.4, 1.1], [0.25, 0.35, 0.4])], -1.1 + 0.1j),
         ],
     )
     def test_against_mpmath_sweeps(self, laws, zeta):
@@ -409,6 +423,25 @@ class TestWorkCounts:
                 assert np.max(np.abs(1.0 / (1.0 / (om[:, None] - m.points) @ m.weights) - f)) <= 1e-10 * np.max(np.abs(f))
             values.append(f)
         assert np.max(np.abs(values[0] - values[1])) <= 1e-12 * np.max(np.abs(values[1]))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("with_id", [False, True])
+    def test_distinct_laws_are_one_solve(self, monkeypatch, n, with_id):
+        calls = []
+        newton = fc._damped_newton
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(fc, "_damped_newton", counting)
+        rng = np.random.default_rng(n)
+        laws = [Measure1D(list(zip(rng.uniform(-2.0, 2.0, 3), rng.dirichlet(np.ones(3))))) for _ in range(n)]
+        ids = [functools.partial(make_gaussian((0.2, 0.0), Matrix2(0.5, 0.0, 1.0)).marginal_phi_dphi, 1)] * with_id
+        rep = free_convolve_many(laws, ids)
+        assert len(rep.laws) == n
+        rep.f_value(np.linspace(-6.0, 6.0, 64) + 0.1j)
+        assert calls == [1]
 
     @staticmethod
     def assert_recovery_makes_no_inversion(rep, axis):

@@ -221,6 +221,11 @@ class TestProbeCount:
         with pytest.raises(ValueError, match="need at least two probes"):
             domain_of_attraction_run(self.FOUR_ATOM, self.SPEC, [8, 32, 128, 512], probes=self.ONE_PROBE)
 
+    def test_one_probe_shift_fit_is_rejected(self):
+        # any residual at one probe would fit with no leftover
+        with pytest.raises(ValueError, match="need at least two probes"):
+            fit_point_mass_shift(self.ONE_PROBE, [0.37 - 1.2j])
+
     def test_two_probes_are_enough(self):
         probes = [(2j, 2j), (4j, -2j)]
         assert check_stability(self.SPEC, 1.0, 2.0, probes=probes).is_stable

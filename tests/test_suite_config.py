@@ -24,10 +24,16 @@ def test_warns():
 '''
 
 
-def run_pytest(tmp_path: Path, source: str) -> subprocess.CompletedProcess:
+PASSING = '''
+def test_passes():
+    pass
+'''
+
+
+def run_pytest(tmp_path: Path, source: str, ini: Path = INI) -> subprocess.CompletedProcess:
     (tmp_path / "test_throwaway.py").write_text(source)
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-c", str(INI), "-p", "no:cacheprovider", "test_throwaway.py"],
+        [sys.executable, "-m", "pytest", "-c", str(ini), "-p", "no:cacheprovider", "test_throwaway.py"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
 
@@ -44,3 +50,11 @@ def test_our_deprecation_warnings_still_fail(tmp_path):
     run = run_pytest(tmp_path, OWN_DEPRECATION)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "DeprecationWarning: ours" in run.stdout
+
+
+def test_misspelled_ini_key_fails(tmp_path):
+    ini = tmp_path / "pytest.ini"
+    ini.write_text(INI.read_text() + "filterwarning = error\n")
+    run = run_pytest(tmp_path, PASSING, ini)
+    assert run.returncode != 0, run.stdout + run.stderr
+    assert "filterwarning" in run.stdout + run.stderr

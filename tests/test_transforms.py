@@ -5,6 +5,7 @@ from bifree.freeconv import free_convolve_many
 from bifree.measure import Measure1D, PlanarMeasure, dirac
 from bifree.transforms import (
     NoConvergence,
+    _damped_newton,
     bi_free_phi,
     cauchy1d,
     cauchy2d,
@@ -87,6 +88,29 @@ class TestInvertF:
         # nearby root reachable from the identity guess
         with pytest.raises(NoConvergence):
             invert_f(B, 0.05j)
+
+
+class TestDampedNewtonUnknowns:
+    """Unknowns on a leading axis: an entry settles when all of them do and fails when one does."""
+
+    TARGET = np.array([1j, 2j, 3j])
+
+    def h_eval(self, x):
+        # x_0 = t is solved by the first Newton step, x_1^2 = t takes several
+        h = np.stack([x[0] - self.TARGET, x[1] * x[1] - self.TARGET])
+        with np.errstate(invalid="ignore"):  # a nan start
+            return h, -h / np.stack([np.ones_like(x[0]), 2.0 * x[1]]), ()
+
+    def test_every_unknown_settles(self):
+        x, _, ok = _damped_newton(self.h_eval, np.stack([self.TARGET + 1.0] * 2), self.TARGET)
+        assert ok.all()
+        assert np.max(np.abs(x[1] * x[1] - self.TARGET)) <= 1e-12 * 4.0
+
+    def test_one_failed_unknown_fails_its_entry(self):
+        start = np.stack([self.TARGET + 1.0] * 2)
+        start[1, 0] = np.nan
+        _, _, ok = _damped_newton(self.h_eval, start, self.TARGET)
+        assert ok.tolist() == [False, True, True]
 
 
 class TestFreePhi:

@@ -18,12 +18,12 @@ where G_g is law g's Cauchy transform at its marginals' inverses, which are
 its marginals' subordination functions, and phi_t1(z1) = omega_t - z1 is
 triplet t's marginal phi: the marginal solves give both, and the
 subordination identity cancels every other axis term, so recovery inverts
-nothing.  Pointwise evaluation (``cauchy``) and grids share the routine
-that completes D.  A grid is recovered in row blocks of about
-``BLOCK_NODES`` nodes: z1 w2 G_g comes from one real matrix product per law
-and block, every reciprocal is conj(x) / |x|^2, and only Re 1/(z1 w2 D) is
-formed.  The lower w-half-plane needs no second solve, since
-G(z, conj w) = conj G(conj z, w).
+nothing.  Pointwise evaluation (``cauchy``) and density grids share one
+routine that completes D at broadcast (z1, w2); z1 w2 G_g is the pair sum
+of ``transforms._pair_factors``, as in ``bi_free_phi``.  A density is
+recovered in row blocks of about ``BLOCK_NODES`` nodes, each block's rows
+stacked on their conjugates: the lower w-half-plane needs no second solve,
+since G(z, conj w) = conj G(conj z, w).
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from .transforms import (
     DegenerateDenominator,
     GridDensity,
     TruncatedCone,
-    _pair_sum,
+    _inverse_pair_sum,
+    _law_sum,
+    _pair_factors,
     _require_eps,
     bi_free_phi,
     cauchy1d,
@@ -138,9 +140,9 @@ class BiConvRep:
 
         Z and W take a common number of axes first.  The axis parts are
         phi_T1(z1)/z1 and phi_T2(w2)/w2 + 1 - N, with phi_Tj the triplets'
-        summed marginal phi; the factors A = z1 / (F_g^{-1}(z1) - s_gk),
-        shaped (n, *z1.shape, m), and B = w2 p_gk / (F_g^{-1}(w2) - t_gk) give
-        z1 w2 G_g = sum_k A_gk B_gk.  Without atomic terms the factors are None.
+        summed marginal phi; the factors are ``transforms._pair_factors`` at
+        (z1, w2) and the laws' marginal inverses there, or None without
+        atomic terms.
         """
         nd = max(Z.ndim, W.ndim)
         Z = Z.reshape((1,) * (nd - Z.ndim) + Z.shape)
@@ -149,40 +151,24 @@ class BiConvRep:
         u1 = phi1 / z1
         if self.stack is None:
             return z1, w2, u1, phi2 / w2 + 1.0, None
-        lead = (len(i1), *(1,) * nd, -1)
-        pts = self.stack.points
-        a = z1[..., None] / (i1[..., None] - pts[..., 0].reshape(lead))
-        b = (w2[..., None] * self.stack.weights.reshape(lead)) / (i2[..., None] - pts[..., 1].reshape(lead))
-        return z1, w2, u1, phi2 / w2 + float(1 - self.stack.counts.sum()), (a, b)
+        factors = _pair_factors(self.stack, i1, i2, z1, w2)
+        return z1, w2, u1, phi2 / w2 + float(1 - self.stack.counts.sum()), factors
 
-    def _complete_denominator(self, d_re, d_im, pairs, z1, w2) -> np.ndarray:
-        """Finish D = d_re + i d_im at (z1, w2) in place; returns |D|^2.
+    def _denominator(self, z1, w2, u1, u2, factors):
+        """D = u1 + u2 - sum_t phi_t(z1, w2) + sum_g c_g / (z1 w2 G_g), broadcast.
 
-        On entry D holds the axis parts.  This subtracts the triplets' phi
-        and adds sum_g c_g / x_g, with x_g = z1 w2 G_g given by ``pairs``, its
-        real and imaginary parts law by law in stack order.  Each reciprocal
-        is conj(x) / |x|^2; |x| or |D| below DEGENERATE_TOL raises
-        :class:`DegenerateDenominator`, and reading |x|^2 against
-        DEGENERATE_TOL^2 keeps it clear of underflow.
+        The arguments are those of :meth:`_axis_parts`, or slices of them
+        that broadcast against each other.  |z1 w2 G_g| or |D| below
+        DEGENERATE_TOL raises :class:`DegenerateDenominator`.
         """
+        d = u1 + u2
         for t in self.triplets:
-            p = t.bi_free_phi(z1, w2)
-            d_re -= p.real
-            d_im -= p.imag
-        q, tmp = np.empty_like(d_re), np.empty_like(d_re)
-        for (x_re, x_im), count in zip(pairs, () if self.stack is None else self.stack.counts):
-            np.multiply(x_re, x_re, out=q)
-            q += np.multiply(x_im, x_im, out=tmp)
-            if (q < DEGENERATE_TOL**2).any():
-                raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")
-            np.divide(count, q, out=q)
-            d_re += np.multiply(x_re, q, out=tmp)
-            d_im -= np.multiply(x_im, q, out=tmp)
-        np.multiply(d_re, d_re, out=q)
-        q += np.multiply(d_im, d_im, out=tmp)
-        if (q < DEGENERATE_TOL**2).any():
+            d -= t.bi_free_phi(z1, w2)
+        if factors is not None:
+            d += _law_sum(self.stack.counts, _inverse_pair_sum(*factors))
+        if (np.abs(d) < DEGENERATE_TOL).any():
             raise DegenerateDenominator("phi-relation denominator vanished during recovery")
-        return q
+        return d
 
     def _direct_atomic(self):
         """The translated atomic law, when the rep is one up to a shift."""
@@ -219,26 +205,21 @@ class BiConvRep:
         Z = np.asarray(Z, dtype=complex)
         W = np.asarray(W, dtype=complex)
         z1, w2, u1, u2, factors = self._axis_parts(Z, W)
-        d = np.asarray(u1 + u2)
-        pairs = ()
-        if factors is not None:
-            x = _pair_sum(*factors)
-            pairs = zip(x.real, x.imag)
-        self._complete_denominator(d.real, d.imag, pairs, z1, w2)
+        d = self._denominator(z1, w2, u1, u2, factors)
         d *= z1
         d *= w2
-        g = np.conj(d)
-        g /= d.real * d.real + d.imag * d.imag
-        return g, (1.0 / z1).reshape(Z.shape), (1.0 / w2).reshape(W.shape)
+        return 1.0 / d, (1.0 / z1).reshape(Z.shape), (1.0 / w2).reshape(W.shape)
 
     def density(self, s_axis, t_axis, eps: float) -> GridDensity:
         """eps-smoothed joint density grid of the convolution.
 
         One subordination solve per axis gives F_1 on s + i eps and F_2 on
-        t + i eps and the terms' marginal inverses there; G at t - i eps
-        follows by conjugation.  Rows go in blocks of about ``BLOCK_NODES``
-        nodes, each written straight into the result.  The same solves give
-        the marginal densities (``axis_densities``), equal to
+        t + i eps and the terms' marginal inverses there.  Rows go in blocks
+        of about ``BLOCK_NODES`` nodes: each block's rows are stacked on
+        their conjugates, since G(z, conj w) = conj G(conj z, w), and one
+        :meth:`_denominator` call gives G at t + i eps and, in real part, at
+        t - i eps; the block's values go straight into the result.  The same
+        solves give the marginal densities (``axis_densities``), equal to
         ``self.marginal(j).density`` on the axes.
         """
         _require_eps(eps)
@@ -247,42 +228,23 @@ class BiConvRep:
             return stieltjes2d(lambda z, w: cauchy2d(direct, z, w), s_axis, t_axis, eps)
         s_axis = np.asarray(s_axis, dtype=float)
         t_axis = np.asarray(t_axis, dtype=float)
-        z1, w2, u1, u2, factors = self._axis_parts(s_axis + 1j * eps, t_axis + 1j * eps)
-        # the lower w-half-plane by reflection, G(z, conj w) = conj G(conj z, w):
-        # half h = 1 conjugates the z side, and the w side is shared
-        zs = np.stack([z1, np.conj(z1)])
-        us = np.stack([u1, np.conj(u1)])
-        inv_z, inv_w = 1.0 / zs, 1.0 / w2
-        n_t = len(t_axis)
-        if factors is not None:
-            # real factors of one product per block: row h of ``left`` against
-            # ``right`` gives Re and Im of z1 w2 G_g on half h, side by side
-            a, b = factors
-            left = np.stack([np.concatenate([a.real, -a.imag], axis=-1),
-                             np.concatenate([a.real, a.imag], axis=-1)], axis=1)
-            b_re, b_im = b.real.transpose(0, 2, 1), b.imag.transpose(0, 2, 1)
-            right = np.concatenate([np.concatenate([b_re, b_im], axis=2),
-                                    np.concatenate([b_im, -b_re], axis=2)], axis=1)
-        values = np.empty((len(s_axis), n_t))
-        rows = max(1, BLOCK_NODES // max(n_t, 1))
+        z1, w2, u1, u2, factors = self._axis_parts((s_axis + 1j * eps)[:, None], t_axis + 1j * eps)
+        values = np.empty((len(s_axis), len(t_axis)))
+        rows = max(1, BLOCK_NODES // max(len(t_axis), 1))
         for lo in range(0, len(s_axis), rows):
             blk = slice(lo, lo + rows)
-            d_re = us.real[:, blk, None] + u2.real
-            d_im = us.imag[:, blk, None] + u2.imag
-            # one law's product at a time, each freed before the next
-            pairs = () if factors is None else (
-                (x[..., :n_t], x[..., n_t:]) for x in (lf[:, blk] @ rt for lf, rt in zip(left, right)))
-            q = self._complete_denominator(d_re, d_im, pairs, zs[:, blk, None], w2)
-            # Re 1/(z1 w2 D) = Re(v conj D) / |D|^2 with v = 1/(z1 w2)
-            v = inv_z[:, blk, None] * inv_w
-            d_re *= v.real
-            d_im *= v.imag
-            d_re += d_im
-            d_re /= q
-            np.subtract(d_re[1], d_re[0], out=values[blk])
+            zb, ub = (np.concatenate([x[blk], np.conj(x[blk])]) for x in (z1, u1))
+            fb = None if factors is None else (
+                np.concatenate([factors[0][:, blk], np.conj(factors[0][:, blk])], axis=1), factors[1])
+            g = self._denominator(zb, w2, ub, u2, fb)
+            g *= zb
+            g *= w2
+            # Re G at t - i eps minus Re G at t + i eps: the inversion
+            g = np.reciprocal(g, out=g).real
+            np.subtract(g[len(g) // 2:], g[: len(g) // 2], out=values[blk])
             values[blk] /= 2.0 * np.pi**2
         # the marginal densities -Im G_j / pi come with the solves, G_j = 1 / F_j
-        axis_densities = tuple(-(1.0 / f).imag / np.pi for f in (z1, w2))
+        axis_densities = tuple(-(1.0 / f.ravel()).imag / np.pi for f in (z1, w2))
         return GridDensity(s_axis, t_axis, values, eps, axis_densities)
 
 

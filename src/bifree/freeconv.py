@@ -6,7 +6,7 @@ z -> (phi, phi') (a triplet marginal is
 ``functools.partial(triplet.marginal_phi_dphi, axis)``) and a shift.  Its
 Voiculescu transform phi is the count-weighted sum of the terms' phis plus
 the shift; :meth:`FreeConvRep.phi` evaluates it inside the working cone by
-inverting each distinct atomic F there once.
+inverting the distinct atomic laws' F there, all in one Newton solve.
 
 F of the convolution needs no inversion at all (Belinschi-Bercovici, J.
 Anal. Math. 101, 2007).  With z = zeta - shift, h_j = F_j - id for the
@@ -175,12 +175,18 @@ class FreeConvRep:
         object.__setattr__(self, "system", _system(self.laws, self.counts))
 
     def phi(self, z):
-        """phi of the representation at z (z within the working cone)."""
+        """phi of the representation at z (z within the working cone).
+
+        The distinct atomic laws' F are inverted in one Newton solve over
+        their padded stack.
+        """
         z = np.asarray(z, dtype=complex)
         total = np.full(z.shape, complex(self.shift))
-        for m, k in zip(self.laws, self.counts):
-            root, ok = newton_f_inverse(m.points, m.weights, z, z)
-            total = total + k * np.where(ok, root - z, np.nan)
+        if self.laws:
+            stack = row_stack(list(zip(self.laws, self.counts)))
+            target = np.broadcast_to(z.ravel(), (len(self.laws), z.size))
+            roots, ok = newton_f_inverse(stack.points[:, None], stack.weights[:, None], target, target)
+            total = total + (stack.counts @ np.where(ok, roots - target, np.nan)).reshape(z.shape)
         for t in self.ids:
             total = total + t(z)[0]
         if not np.all(np.isfinite(total)):

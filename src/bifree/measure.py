@@ -267,9 +267,9 @@ class PlanarMeasure:
         return Measure1D(zip(self.points[:, axis - 1], self.weights))
 
     def dilated(self, lam: float) -> "PlanarMeasure":
-        """Image under x -> lam*x (lam > 0); weights untouched."""
-        if lam <= 0.0:
-            raise ValueError("dilation factor must be positive")
+        """Image under x -> lam*x (0 < lam < inf); weights untouched."""
+        if not 0.0 < lam < np.inf:  # NaN fails too
+            raise ValueError("dilation factor must be positive and finite")
         out = object.__new__(PlanarMeasure)
         out.points = _freeze(lam * self.points)
         out.weights = self.weights
@@ -374,8 +374,8 @@ class Measure1D:
         return f"Measure1D({len(self)} atoms)"
 
     def dilated(self, lam: float) -> "Measure1D":
-        if lam <= 0.0:
-            raise ValueError("dilation factor must be positive")
+        if not 0.0 < lam < np.inf:  # NaN fails too
+            raise ValueError("dilation factor must be positive and finite")
         out = object.__new__(Measure1D)
         out.points = _freeze(lam * self.points)
         out.weights = self.weights

@@ -202,6 +202,8 @@ def domain_of_attraction_run(
     n-th CF power (plus a fitted phase) to the target CF.
     """
     ns = list(ns)
+    if any(n < 1 for n in ns):
+        raise ValueError(f"sample sizes must be at least 1: {ns}")
     if any(n2 <= n1 for n1, n2 in zip(ns[:-1], ns[1:])):
         raise ValueError("sample sizes must increase")
     probes, zs, ws = _probe_points(probes)

@@ -205,16 +205,34 @@ def free_phi(nu: Measure1D, z):
     return invert_f(nu, z) - np.asarray(z, dtype=complex)
 
 
-def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[..., k] b[..., k] over the broadcast leading axes.
+def _pair_factors(stack: RowStack, i1: np.ndarray, i2: np.ndarray, z: np.ndarray, w: np.ndarray):
+    """The factors of z w G_g(i1_g, i2_g) = sum_k A_gk B_gk for each law g of ``stack``.
 
-    Both branches are BLAS products, so no broadcast (..., k) temporary is
-    formed: a product grid (a (G, S, 1, m) against b (G, 1, T, m)) is one
+    A = z / (i1 - s_gk) and B = w p_gk / (i2 - t_gk), shaped (n, *z.shape,
+    m) and (n, *w.shape, m); z and w have a common number of axes, and i1,
+    i2 (n, *z.shape) and (n, *w.shape) hold the laws' marginal inverses.
+    """
+    lead = (len(stack.counts), *(1,) * z.ndim, -1)
+    a = z[..., None] / (i1[..., None] - stack.points[..., 0].reshape(lead))
+    b = (w[..., None] * stack.weights.reshape(lead)) / (i2[..., None] - stack.points[..., 1].reshape(lead))
+    return a, b
+
+
+def _inverse_pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 / (z w G_g) from the factors of :func:`_pair_factors`, law by law.
+
+    The sums over k are BLAS products, so no broadcast (..., m) temporary
+    is formed: an outer grid (A (n, S, 1, m) against B (n, 1, T, m)) is one
     matrix product per law, any other broadcast a batch of dot products.
+    Raises :class:`DegenerateDenominator` where |z w G_g| < DEGENERATE_TOL.
     """
     if a.ndim == b.ndim == 4 and a.shape[2] == b.shape[1] == 1:
-        return a[:, :, 0] @ b[:, 0].transpose(0, 2, 1)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+        x = a[:, :, 0] @ b[:, 0].transpose(0, 2, 1)
+    else:
+        x = np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    if (np.abs(x) < DEGENERATE_TOL).any():
+        raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")
+    return np.divide(1.0, x, out=x)
 
 
 def _law_sum(counts: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -259,19 +277,12 @@ def bi_free_phi(mu, z, w):
     w = w.reshape((1,) * (nd - w.ndim) + w.shape)
     i1 = roots[: z.size * n].reshape(n, *z.shape)
     i2 = roots[z.size * n:].reshape(n, *w.shape)
-    s_pts, t_pts = mu.points[..., 0], mu.points[..., 1]
-    lead = (n, *(1,) * nd, -1)
-    a = 1.0 / (i1[..., None] - s_pts.reshape(lead))
-    b = mu.weights.reshape(lead) * (1.0 / (i2[..., None] - t_pts.reshape(lead)))
-    den = z * w * _pair_sum(a, b)
-    if (np.abs(den) < DEGENERATE_TOL).any():
-        raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")
     # each law's phi is put together before the laws are summed: a sum over
     # the laws of the z-parts and w-parts alone would round at their size,
     # which can be far above phi's where they cancel (point masses)
     val = (i1 - z) / z + (i2 - w) / w
     val += 1.0
-    val -= np.divide(1.0, den, out=den)
+    val -= _inverse_pair_sum(*_pair_factors(mu, i1, i2, z, w))
     val = _law_sum(mu.counts, val)
     return complex(val) if val.ndim == 0 else val
 

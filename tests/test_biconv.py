@@ -306,6 +306,9 @@ class TestBroadcastProperties:
 GAUSS = make_gaussian((0.2, -0.1), Matrix2(0.3, 0.05, 0.2))
 POISSON = make_compound_poisson(0.5, PlanarMeasure([((0.5, -0.4), 0.5), ((-0.3, 0.6), 0.5)]))
 nonzero = st.builds(lambda x, sign: sign * x, st.floats(0.05, 1.0), st.sampled_from([-1.0, 1.0]))
+# a point x + iy off the real axis, in either half-plane, with 0.1 <= |y| <= 3
+off_axis = st.builds(lambda x, y, sign: x + 1j * sign * 10.0**y, st.floats(-3.0, 3.0), st.floats(-1.0, 0.5),
+                     st.sampled_from([-1.0, 1.0]))
 
 
 @st.composite
@@ -466,6 +469,20 @@ class TestBlockedRecovery:
         Z, W = np.meshgrid(s_axis + 1j * eps, t_axis + 1j * eps, indexing="ij")
         pointwise = inversion_values(rep.cauchy(Z, W), rep.cauchy(Z, np.conj(W)))
         assert np.max(np.abs(got - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
+
+    @settings(max_examples=25, deadline=None)
+    @given(counted_reps(), st.lists(off_axis, min_size=1, max_size=5), st.lists(off_axis, min_size=1, max_size=4))
+    def test_outer_grid_matches_elementwise(self, drawn, z, w):
+        # an outer grid takes the pair sum's matrix products, a flat list of pairs its dot products
+        terms, shift = drawn
+        rep = bi_free_convolve(terms, shift=shift)
+        z, w = np.array(z), np.array(w)
+        Z, W = (x.ravel() for x in np.meshgrid(z, w, indexing="ij"))
+        grid = rep.cauchy_with_marginals(z[:, None], w[None, :])
+        flat = rep.cauchy_with_marginals(Z, W)
+        for got, want in zip((rep.cauchy(z[:, None], w[None, :]), *grid), (flat[0], *flat)):
+            got = np.broadcast_to(got, (len(z), len(w))).ravel()
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_cauchy_with_marginals_with_a_gaussian_term(self):
         terms = [MU, GAUSS, MU, PlanarMeasure([((0.5, -0.3), 0.3), ((-0.9, 0.7), 0.3), ((1.0, 1.1), 0.4)])]

@@ -576,6 +576,14 @@ class TestCliStable:
         assert "need at least two probes" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("ns", ["-8,32", "0,8"])
+    def test_doa_sizes_below_one_exit_4(self, tmp_path, capsys, ns):
+        spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 1], [1, 1]]})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "doa", write(tmp_path / "nu.json", TWO_ATOM_JSON), spec, f"--ns={ns}"]) == 4
+        assert "sample sizes must be at least 1" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_doa(self, tmp_path):
         nu = write(tmp_path / "nu.json", TWO_ATOM_JSON)
         spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 1], [1, 1]]})

@@ -443,6 +443,33 @@ class TestWorkCounts:
         rep.f_value(np.linspace(-6.0, 6.0, 64) + 0.1j)
         assert calls == [1]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_phi_is_one_inversion(self, monkeypatch, n, mixed):
+        # all distinct laws in one Newton solve, equal to the per-law sum of their phis
+        calls = []
+        newton = fc.newton_f_inverse
+
+        def counting(*args):
+            calls.append(1)
+            return newton(*args)
+
+        monkeypatch.setattr(fc, "newton_f_inverse", counting)
+        rng = np.random.default_rng(n)
+        sizes = [2 + k % 3 if mixed else 3 for k in range(n)]
+        laws = [Measure1D(list(zip(rng.uniform(-2.0, 2.0, m), rng.dirichlet(np.ones(m))))) for m in sizes]
+        rep = free_convolve_many(laws + laws[:2] + [dirac1d(0.3)])
+        assert len(rep.laws) == n
+        z = np.linspace(-20.0, 20.0, 32) + 25j * np.where(np.arange(32) % 2, 1.0, -1.0)
+        got = rep.phi(z)
+        assert calls == [1]
+        want = rep.shift + sum(k * (tf.invert_f(m, z) - z) for m, k in zip(rep.laws, rep.counts))
+        if mixed:
+            # a padded law's F sums zeros too, which may round its root differently, at |z|
+            assert np.all(np.abs(got - want) <= 1e-15 * sum(rep.counts) * np.abs(z))
+        else:
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
     @staticmethod
     def assert_recovery_makes_no_inversion(rep, axis):
         """Density, pointwise G and G with the marginals make no inversion; returns the density."""

@@ -80,6 +80,13 @@ class TestDilate:
         with pytest.raises(ValueError):
             two_atom().dilated(0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_and_negative(self, lam):
+        # NaN passes lam <= 0, and would give NaN atoms
+        for m in (two_atom(), two_atom().marginal(1)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                m.dilated(lam)
+
     def test_preserves_weights_bit_exact(self):
         m = PlanarMeasure([((0.1, 0.2), 1 / 3), ((0.3, 0.4), 2 / 3)])
         d = m.dilated(7.0)

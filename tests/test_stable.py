@@ -175,6 +175,13 @@ class TestDomainOfAttraction:
         # removes it entirely and the residual is the constant target phi gap
         assert all(r >= 0 for r in rep.bifree_residuals)
 
+    @pytest.mark.parametrize("ns", [[-8, 32], [0, 8], [-2, -1]])
+    def test_sizes_below_one_are_rejected(self, ns):
+        # n^(1/alpha) of a negative n is complex, and n = 0 divides by zero
+        nu = PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
+        with pytest.raises(ValueError, match="sample sizes must be at least 1"):
+            domain_of_attraction_run(nu, StableSpec(alpha=2.0, gaussian_a=ONES), ns)
+
     def test_bernoulli_to_gaussian(self):
         nu = PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
         spec = StableSpec(alpha=2.0, gaussian_a=ONES)

@@ -23,6 +23,15 @@ def test_warns():
     warnings.warn("ours", DeprecationWarning)
 '''
 
+COMPLEX_INTO_FLOAT = '''
+import numpy as np
+
+
+def test_complex_into_float():
+    grid = np.empty(2)
+    grid[:] = np.array([1.0 + 2.0j, 3.0 - 1.0j])
+'''
+
 
 PASSING = '''
 def test_passes():
@@ -58,3 +67,10 @@ def test_misspelled_ini_key_fails(tmp_path):
     run = run_pytest(tmp_path, PASSING, ini)
     assert run.returncode != 0, run.stdout + run.stderr
     assert "filterwarning" in run.stdout + run.stderr
+
+
+def test_complex_cast_to_real_fails(tmp_path):
+    # the imaginary part would be dropped without a word
+    run = run_pytest(tmp_path, COMPLEX_INTO_FLOAT)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "ComplexWarning" in run.stdout

@@ -3,21 +3,30 @@
 Every row is held as a stack: the padded points, weights and counts of its
 distinct laws (``RowStack``), built once with the array.  So is what the
 condition checks read of each row (``RowData``): the laws are centered by
-truncated means and accumulated into the row measures tau_n, sigma_1n,
-sigma_2n as flat arrays of merged atoms sorted by norm, with cumulative
-moment sums, so the small-ball quadratic sums of a row over the whole eps
-ladder are one ``searchsorted``, and so are its annulus masses.  Each row
-is centered (``center_row``) and accumulated (``row_accumulators``) on its
-own; the checks only read the result.  The bounded-Lipschitz
+truncated means (``center_row``) and accumulated (``row_accumulators``)
+into the row measures tau_n, sigma_1n, sigma_2n as flat arrays of merged
+atoms sorted by norm, with cumulative moment sums, so the small-ball
+quadratic sums of a row over the whole eps ladder are one
+``searchsorted``, and so are its annulus masses.  The bounded-Lipschitz
 family is separable: its Gaussian bumps are products of one exp table per
 coordinate, so a row's integrals against a sigma are one matrix product.
+
 These are screened through two equivalent condition systems: weak
-convergence of the sigmas plus a mixed-moment limit, or vague convergence
-of tau_n away from the origin plus small-ball quadratic limits.  The
-runners evaluate phi and the characteristic function of all laws of a row
-at once.  Finite-n verdicts use ratio tests on consecutive rows; these
-surrogates are heuristics and can be fooled by adversarial slowly-diverging
-arrays, so the per-row diagnostics are always reported alongside the verdict.
+convergence of the sigmas plus a mixed-moment limit (I/II), or vague
+convergence of tau_n away from the origin plus small-ball quadratic limits
+(III/IV).  Each check holds its row sequences as arrays whose last axis is
+the sequence, and one rule decides them all (``_settles``): a sequence
+settles when its last gap is at most max(1/2 x the gap before it, 1e-9).
+The sequences are the bounded-Lipschitz gaps, the gamma values and the
+sigma mass beyond TIGHT_RADIUS (a gap to 0) in I/II; the annulus masses,
+the masses near tracked atom sites, and Q per direction and rung, both per
+row and extrapolated in 1/k_n, in III/IV.  III/IV's candidate limit tau-hat
+is the last row's atoms at norm at least the smallest rung; it is built
+only for a passing report's ``tau_limit``.  The runners evaluate phi and
+the characteristic function of all laws of a row at once.  These finite-n
+surrogates are heuristics and can be fooled by adversarial
+slowly-diverging arrays, so the per-row diagnostics are always reported
+alongside the verdict.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 from .idlaw import CharTriplet, LevyMeasure
 from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical, _freeze
 from .measure import Groups, RowStack, row_groups, row_stack  # the row type, shared with biconv
-from .transforms import bi_free_phi
+from .transforms import _probe_pairs, bi_free_phi
 
 RATIO_PASS = 0.5
 ABS_PASS = 1e-9
@@ -293,18 +302,28 @@ def _bumps(x: np.ndarray) -> np.ndarray:
     return np.exp(d, out=d)
 
 
-def _bl_steps(values: Sequence[np.ndarray]) -> list[float]:
-    """Weak-distance surrogate between consecutive rows: the largest gap over the family."""
-    return [float(np.abs(b - a).max()) for a, b in zip(values[:-1], values[1:])]
+def _bl_steps(values: np.ndarray) -> np.ndarray:
+    """Weak-distance surrogate between consecutive rows, shape (2, rows - 1): the largest gap over the family.
+
+    ``values`` holds ``_bl_values`` of every row, shape (rows, 2, 29).
+    """
+    return np.abs(np.diff(values, axis=0)).max(axis=-1).T
 
 
-def _cauchy_pass(dists: Sequence[float]) -> bool:
-    """Last gap must at least halve (or already sit at the noise floor)."""
-    if not dists:
-        return True
-    if len(dists) == 1:
-        return dists[-1] <= ABS_PASS
-    return dists[-1] <= max(RATIO_PASS * dists[-2], ABS_PASS)
+def _gaps(values) -> np.ndarray:
+    """|x_{n+1} - x_n| along the last axis: the gaps of each sequence in ``values``."""
+    return np.abs(np.diff(values, axis=-1))
+
+
+def _settles(gaps: np.ndarray) -> bool:
+    """Whether every sequence of gaps along the last axis settles.
+
+    A sequence settles when its last gap is at most max(RATIO_PASS times the
+    gap before it, ABS_PASS): the gaps at least halve, or already sit at the
+    noise floor.  A checked array has at least three rows, so every
+    sequence has two gaps.
+    """
+    return bool(np.all(gaps[..., -1] <= np.maximum(RATIO_PASS * gaps[..., -2], ABS_PASS)))
 
 
 def _trailing_smooth_run(values: Sequence[float], sizes: Sequence[int]) -> int:
@@ -405,31 +424,23 @@ def check_condition_I_II(array: TriangularArray) -> ConditionReport:
 
 def _conditions_I_II(array: TriangularArray) -> ConditionReport:
     accs = [rd.acc for rd in array.row_data]
-    bl = [_bl_values(acc) for acc in accs]
-    d1, d2 = _bl_steps([b[0] for b in bl]), _bl_steps([b[1] for b in bl])
-    esc1 = [acc.above(TIGHT_RADIUS, acc.SIGMA1) for acc in accs]
-    esc2 = [acc.above(TIGHT_RADIUS, acc.SIGMA2) for acc in accs]
-    tight = esc1[-1] <= max(RATIO_PASS * esc1[-2], ABS_PASS) and esc2[-1] <= max(
-        RATIO_PASS * esc2[-2], ABS_PASS
-    )
-    gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
-    dg = [abs(b - a) for a, b in zip(gammas[:-1], gammas[1:])]
-    ok = _cauchy_pass(d1) and _cauchy_pass(d2) and _cauchy_pass(dg) and tight
-    sizes = array.row_sizes()
     last = accs[-1]
-    report = ConditionReport(
-        passed=bool(ok),
+    bl_steps = _bl_steps(np.array([_bl_values(acc) for acc in accs]))
+    # sigma_jn mass beyond TIGHT_RADIUS: tightness asks it to settle to 0, so it is its own gap
+    escaping = np.array([[acc.above(TIGHT_RADIUS, col) for acc in accs] for col in (last.SIGMA1, last.SIGMA2)])
+    gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
+    return ConditionReport(
+        passed=_settles(bl_steps) and _settles(escaping) and _settles(_gaps(gammas)),
         sigma1=AtomicMeasure2D.from_arrays(last.points, last.sigma1),
         sigma2=AtomicMeasure2D.from_arrays(last.points, last.sigma2),
-        gamma=extrapolate_in_inverse_size(gammas, sizes),
+        gamma=extrapolate_in_inverse_size(gammas, array.row_sizes()),
         per_n={
-            "sigma1_bl_steps": d1,
-            "sigma2_bl_steps": d2,
-            "sigma_escaping_mass": [esc1, esc2],
+            "sigma1_bl_steps": bl_steps[0].tolist(),
+            "sigma2_bl_steps": bl_steps[1].tolist(),
+            "sigma_escaping_mass": escaping.tolist(),
             "gamma_per_row": gammas,
         },
     )
-    return report
 
 
 def _perturb_radius(eps: float, norms: np.ndarray) -> float:
@@ -462,105 +473,75 @@ def check_condition_III_IV(array: TriangularArray) -> ConditionReport:
     return _conditions_III_IV(array)
 
 
+_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+
+
+def _key(u: Vec2) -> str:
+    """A direction's key in the report's Q tables."""
+    return f"{u[0]:g},{u[1]:g}"
+
+
 def _conditions_III_IV(array: TriangularArray) -> ConditionReport:
     accs = [rd.acc for rd in array.row_data]
+    sizes = array.row_sizes()
     all_norms = np.concatenate([acc.norms for acc in accs])
     ladder = [_perturb_radius(e, all_norms) for e in EPS_LADDER]
-    eps_min = ladder[-1]
-    # atoms of each row at ||x|| >= eps_min: the mass vague convergence sees
-    away = [np.searchsorted(acc.norms, eps_min, side="left") for acc in accs]
+    # atoms of each row at ||x|| >= the smallest rung: the mass vague convergence sees
+    away = [np.searchsorted(acc.norms, ladder[-1], side="left") for acc in accs]
 
-    per_n: dict = {"eps_ladder": ladder}
-    ok = True
+    # vague stabilization: annulus masses (annulus, row), bounded and unbounded
+    lo, hi = np.array([(e, math.inf) for e in ladder] + [(ladder[0], _perturb_radius(TIGHT_RADIUS, all_norms))]).T
+    annuli = np.array([acc.between(lo, hi) for acc in accs]).T
 
-    # -- vague stabilization on annuli (bounded and unbounded) --------------
-    annuli = [(e, math.inf) for e in ladder] + [(ladder[0], _perturb_radius(TIGHT_RADIUS, all_norms))]
-    lo_r, hi_r = np.array(annuli).T
-    ann_masses = np.array([acc.between(lo_r, hi_r) for acc in accs]).T.tolist()
-    for masses in ann_masses:
-        steps = [abs(b - a) for a, b in zip(masses[:-1], masses[1:])]
-        ok = ok and _cauchy_pass(steps)
-    per_n["annulus_masses"] = ann_masses
-
-    # -- candidate limit: atoms of the last row away from the origin --------
-    last, k_last = accs[-1], away[-1]
-    tau_hat = AtomicMeasure2D.from_arrays(last.points[k_last:], last.tau[k_last:])
-    for (lo, hi), masses in zip(annuli, ann_masses):
-        cand = tau_hat.mass_where(
-            lambda p: (np.hypot(p[:, 0], p[:, 1]) >= lo) & (np.hypot(p[:, 0], p[:, 1]) <= hi)
-        )
-        if abs(cand - masses[-1]) > 1e-6 * (1.0 + abs(cand)):
-            ok = False
-
-    # -- atom tracking: masses near any historical atom site must stabilize -
-    # candidates in each row's canonical (lexicographic) atom order; only
-    # mass away from the origin counts: vague convergence ignores the
-    # shrinking eps-ball entirely
+    # atom tracking: masses (site, row) near the sites of the last three
+    # rows' atoms away from the origin, taken in each row's canonical
+    # (lexicographic) order; vague convergence ignores the shrinking eps-ball
     candidates = []
     for acc, k in zip(accs[-3:], away[-3:]):
         pts = acc.points[k:]
         candidates.append(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
-    site_table = []
-    for q in _atom_sites(np.concatenate(candidates)):
+    sites = _atom_sites(np.concatenate(candidates))
+    site_masses = np.empty((len(sites), len(accs)))
+    for masses, q in zip(site_masses, sites):
         rad = 0.05 * (1.0 + math.hypot(q[0], q[1]))
-        masses = [
-            float(acc.tau[k:][np.linalg.norm(acc.points[k:] - q, axis=1) <= rad].sum())
-            for acc, k in zip(accs, away)
-        ]
-        steps = [abs(b - a) for a, b in zip(masses[:-1], masses[1:])]
-        ok = ok and _cauchy_pass(steps)
-        site_table.append({"site": [float(q[0]), float(q[1])], "masses": masses})
-    per_n["atom_sites"] = site_table
+        masses[:] = [acc.tau[k:][np.linalg.norm(acc.points[k:] - q, axis=1) <= rad].sum() for acc, k in zip(accs, away)]
 
-    # -- small-ball quadratic limits Q(u) ------------------------------------
-    sizes = array.row_sizes()
-    Q: dict[tuple[float, float], float] = {}
-    q_table = {}
-    directions = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-    # (direction, rung, row): one lookup per row over the whole ladder
-    quad = np.array([acc.ball_quadratic(directions, ladder) for acc in accs]).transpose(1, 2, 0).tolist()
-    for u, by_rung in zip(directions, quad):
-        by_eps = []
-        for vals in by_rung:
-            # limsup/liminf surrogate: the row sequence must stabilize
-            steps_n = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
-            if not _cauchy_pass(steps_n):
-                ok = False
-            by_eps.append(extrapolate_in_inverse_size(vals, sizes))
-        steps = [abs(b - a) for a, b in zip(by_eps[:-1], by_eps[1:])]
-        if not _cauchy_pass(steps):
-            ok = False
-        Q[u] = by_eps[-1]
-        q_table[f"{u[0]:g},{u[1]:g}"] = by_eps
-    per_n["Q_by_eps"] = q_table
+    # small-ball quadratic limits: Q (direction, rung, row), one lookup per
+    # row over the whole ladder, then extrapolated in 1/k_n (direction, rung)
+    quad = np.array([acc.ball_quadratic(_DIRECTIONS, ladder) for acc in accs]).transpose(1, 2, 0)
+    q_hat = np.array([[extrapolate_in_inverse_size(vals, sizes) for vals in by_rung] for by_rung in quad.tolist()])
+    ok = all(_settles(_gaps(x)) for x in (annuli, site_masses, quad, q_hat))
 
-    a = Q[(1.0, 0.0)]
-    b = Q[(0.0, 1.0)]
-    c = 0.5 * (Q[(1.0, 1.0)] - a - b)
+    a, b, ab = q_hat[:, -1].tolist()
+    c = 0.5 * (ab - a - b)
     # psd projection inside the reporting tolerance
     if a >= 0.0 and b >= 0.0 and c * c > a * b:
         if c * c - a * b < 1e-9 * max(1.0, a * b):
             c = math.copysign(math.sqrt(a * b), c)
         else:
             ok = False
-    A = Matrix2(max(a, 0.0), c, max(b, 0.0))
 
     gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
     gamma_hat = extrapolate_in_inverse_size(gammas, sizes)
-    c_quantity = gamma_hat - float(last.beyond[k_last, last.GAMMA])
-
-    tau_limit = LevyMeasure(tau_hat) if ok else None
+    last, k_last = accs[-1], away[-1]
+    # the candidate limit tau-hat: the last row's atoms away from the origin
+    tau_hat = LevyMeasure(AtomicMeasure2D.from_arrays(last.points[k_last:], last.tau[k_last:])) if ok else None
     v_rows, v = limit_vector(array)
-    per_n["v_per_row"] = [list(x) for x in v_rows]
     return ConditionReport(
-        passed=bool(ok),
+        passed=ok,
         gamma=gamma_hat,
-        tau_limit=tau_limit,
-        A=A if ok else None,
-        c=c_quantity if ok else None,
+        tau_limit=tau_hat,
+        A=Matrix2(max(a, 0.0), c, max(b, 0.0)) if ok else None,
+        c=gamma_hat - float(last.beyond[k_last, last.GAMMA]) if ok else None,
         v=v,
-        Q={f"{u[0]:g},{u[1]:g}": q for u, q in Q.items()},
-        per_n=per_n,
+        Q={_key(u): q for u, q in zip(_DIRECTIONS, q_hat[:, -1].tolist())},
+        per_n={
+            "eps_ladder": ladder,
+            "annulus_masses": annuli.tolist(),
+            "atom_sites": [{"site": q.tolist(), "masses": m} for q, m in zip(sites, site_masses.tolist())],
+            "Q_by_eps": {_key(u): by_eps for u, by_eps in zip(_DIRECTIONS, q_hat.tolist())},
+            "v_per_row": [list(x) for x in v_rows],
+        },
     )
 
 
@@ -604,8 +585,8 @@ def run_bi_free_limit(
     reference: CharTriplet | None = None,
 ) -> list[tuple[int, float]]:
     """Sup-probe residual of the n-fold phi sum against the limit triplet."""
+    z, w = _probe_pairs(probes, complex, "probes").T
     trip = reference or limit_triplet(array)
-    z, w = np.array(probes, dtype=complex).reshape(-1, 2).T
     target = trip.bi_free_phi(z, w)
     out = []
     for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
@@ -620,11 +601,11 @@ def run_classical_limit(
     reference: CharTriplet | None = None,
 ) -> list[tuple[int, float]]:
     """Sup-probe residual of the row CF products against the limit triplet."""
+    us = _probe_pairs(u_probes, float, "u_probes")
     trip = reference or limit_triplet(array)
-    us = np.array(u_probes, dtype=float).reshape(-1, 2)
     target = trip.classical_cf(us)
     out = []
     for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
-        resid = np.abs(_cf_row(stack, shift, us) - target).max(initial=0.0)
+        resid = np.abs(_cf_row(stack, shift, us) - target).max()
         out.append((size, float(resid)))
     return out

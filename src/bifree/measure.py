@@ -155,6 +155,21 @@ def _probability(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     return _freeze(pts), _freeze(wts)
 
 
+def _dilated(points: np.ndarray, weights: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of the image under x -> lam*x, as the constructor builds them from the scaled atoms.
+
+    A coordinate that overflows raises the constructor's ValueError, and
+    atoms brought within ``MERGE_TOL`` merge.  The weights array itself is
+    kept when the constructor's weights equal it.
+    """
+    if not 0.0 < lam < np.inf:  # NaN fails too
+        raise ValueError("dilation factor must be positive and finite")
+    with np.errstate(over="ignore"):
+        scaled = lam * points
+    pts, wts = _probability(scaled, weights)
+    return pts, weights if np.array_equal(wts, weights) else wts
+
+
 def _needs_merge(points: np.ndarray, law: np.ndarray, count: int, tol: float) -> np.ndarray:
     """Laws of a (law, x, y)-sorted batch that may hold two atoms within tol.
 
@@ -267,12 +282,9 @@ class PlanarMeasure:
         return Measure1D(zip(self.points[:, axis - 1], self.weights))
 
     def dilated(self, lam: float) -> "PlanarMeasure":
-        """Image under x -> lam*x (0 < lam < inf); weights untouched."""
-        if not 0.0 < lam < np.inf:  # NaN fails too
-            raise ValueError("dilation factor must be positive and finite")
+        """Image under x -> lam*x (0 < lam < inf), as the constructor builds it from the scaled atoms."""
         out = object.__new__(PlanarMeasure)
-        out.points = _freeze(lam * self.points)
-        out.weights = self.weights
+        out.points, out.weights = _dilated(self.points, self.weights, lam)
         return out
 
     def shifted_by(self, v: Sequence[float]) -> "PlanarMeasure":
@@ -374,11 +386,10 @@ class Measure1D:
         return f"Measure1D({len(self)} atoms)"
 
     def dilated(self, lam: float) -> "Measure1D":
-        if not 0.0 < lam < np.inf:  # NaN fails too
-            raise ValueError("dilation factor must be positive and finite")
+        """Image under x -> lam*x (0 < lam < inf), as the constructor builds it from the scaled atoms."""
         out = object.__new__(Measure1D)
-        out.points = _freeze(lam * self.points)
-        out.weights = self.weights
+        pts2d, out.weights = _dilated(self.points[:, None], self.weights, lam)
+        out.points = pts2d[:, 0]
         return out
 
     def shifted_by(self, a: float) -> "Measure1D":
@@ -454,12 +465,6 @@ class AtomicMeasure2D:
             return 0.0
         d = np.linalg.norm(self.points - np.asarray(point, dtype=float), axis=1)
         return float(self.masses[d <= MERGE_TOL].sum())
-
-    def mass_where(self, pred: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Mass of the set {pred}; pred maps an (n,2) array to a bool mask."""
-        if len(self) == 0:
-            return 0.0
-        return float(self.masses[pred(self.points)].sum())
 
     def restricted(self, pred: Callable[[np.ndarray], np.ndarray]) -> "AtomicMeasure2D":
         """The atoms in the set {pred}; pred maps an (n,2) array to a bool mask."""

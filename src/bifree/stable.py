@@ -18,7 +18,7 @@ import numpy as np
 
 from .idlaw import CharTriplet, LevyMeasure, RadialPart, make_gaussian
 from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2
-from .transforms import bi_free_phi
+from .transforms import _probe_pairs, bi_free_phi
 
 Probe = tuple[complex, complex]
 RESIDUAL_RATIO = 0.6
@@ -209,8 +209,8 @@ def domain_of_attraction_run(
     probes, zs, ws = _probe_points(probes)
     if u_probes is None:
         u_probes = default_u_probes()
+    us = _probe_pairs(u_probes, float, "u_probes")
     trip = stable_triplet(spec)
-    us = np.array(u_probes, dtype=float).reshape(-1, 2)
     target_phi = trip.bi_free_phi(zs, ws)
     target_cf = trip.classical_cf(us)
     bif, cls = [], []

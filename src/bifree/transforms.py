@@ -53,6 +53,14 @@ def _require_nonreal(z: np.ndarray | complex, name: str = "z") -> None:
         raise ValueError(f"{name} must be non-real")
 
 
+def _probe_pairs(probes, dtype, name: str) -> np.ndarray:
+    """The probes as an array (P, 2); an empty set raises, since a residual over no probes checks nothing."""
+    pairs = np.array(probes, dtype=dtype).reshape(-1, 2)
+    if not len(pairs):
+        raise ValueError(f"{name} is empty: a residual over no probes checks nothing")
+    return pairs
+
+
 def _require_eps(eps: float) -> None:
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")

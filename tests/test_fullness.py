@@ -56,6 +56,15 @@ class TestByG:
         with pytest.raises(ValueError):
             fullness_by_g(dirac((0.0, 0.0)), probes=[(2j, 2j)])
 
+    def test_nearly_collinear_atoms_are_indeterminate(self):
+        # the middle atom sits 1e-3 off the diagonal: too close to call either way
+        m = PlanarMeasure([((-1.0, -1.0), 1 / 3), ((0.0, 1e-3), 1 / 3), ((1.0, 1.0), 1 / 3)])
+        rep = fullness_by_g(m)
+        assert rep.is_full is None
+        assert rep.residual == pytest.approx(1.07e-4, rel=0.01)
+        s = 1 / math.sqrt(2.0)
+        assert line_close(rep.line, (s, -s, 0.0), tol=1e-3)
+
 
 class TestByPhi:
     def test_dirac(self):
@@ -100,6 +109,23 @@ class TestOfTriplet:
 
     def test_identity_gaussian_full(self):
         assert fullness_of_triplet(make_gaussian((0.0, 0.0), I2)).is_full is True
+
+    def test_singular_matrix_with_an_atom_off_its_kernel_line(self):
+        # the kernel of ONES is u = (1, -1)/sqrt 2, and |u . (1, 0)| = 1/sqrt 2
+        t = CharTriplet((0.3, 0.3), ONES, LevyMeasure(AtomicMeasure2D([((1.0, 0.0), 1.0)])))
+        rep = fullness_of_triplet(t)
+        assert rep.is_full is True and rep.line is None
+        assert rep.residual == pytest.approx(1 / math.sqrt(2.0), rel=1e-12)
+        assert fullness_by_g(t).is_full is True
+
+    def test_singular_matrix_with_an_atom_on_its_kernel_line(self):
+        t = CharTriplet((0.3, 0.3), ONES, LevyMeasure(AtomicMeasure2D([((1.0, 1.0), 1.0)])))
+        rep = fullness_of_triplet(t)
+        assert rep.is_full is False and not rep.degenerate
+        s = 1 / math.sqrt(2.0)
+        assert line_close(rep.line, (s, -s, 0.0))
+        by_g = fullness_by_g(t)
+        assert by_g.is_full is False and line_close(by_g.line, rep.line)
 
     def test_compound_poisson_full_jump(self):
         jump = PlanarMeasure([((1.0, 0.0), 1 / 3), ((0.0, 1.0), 1 / 3), ((1.0, 1.0), 1 / 3)])

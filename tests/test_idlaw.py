@@ -456,7 +456,33 @@ class TestSigmaFormArrays:
         assert back.tau.atoms.close_to(tau.atoms, tol=1e-12)
 
 
+class TestLevyAddition:
+    ATOMS = AtomicMeasure2D([((1.0, 0.0), 0.5)])
+
+    def test_radial_parts_of_one_shape_concatenate_their_rays(self):
+        a = LevyMeasure(self.ATOMS, RadialPart(1.2, ((0.0, 0.5),), 0.1, 10.0))
+        b = LevyMeasure(AtomicMeasure2D(), RadialPart(1.2, ((1.0, 0.25), (2.0, 0.25)), 0.1, 10.0))
+        total = a + b
+        assert total.radial == RadialPart(1.2, ((0.0, 0.5), (1.0, 0.25), (2.0, 0.25)), 0.1, 10.0)
+        assert total.atoms.atoms() == self.ATOMS.atoms()
+
+    @pytest.mark.parametrize("other", [RadialPart(0.8, ((1.0, 0.25),), 0.1, 10.0),
+                                       RadialPart(1.2, ((1.0, 0.25),), 0.2, 10.0),
+                                       RadialPart(1.2, ((1.0, 0.25),))])
+    def test_radial_parts_of_different_shapes_do_not_add(self, other):
+        a = LevyMeasure(self.ATOMS, RadialPart(1.2, ((0.0, 0.5),), 0.1, 10.0))
+        with pytest.raises(ValueError, match="different shapes"):
+            a + LevyMeasure(AtomicMeasure2D(), other)
+
+
 class TestDiscretization:
+    def test_index_one_keeps_mass_and_first_moment(self):
+        # one ray of r^-2 dr on [0.5, 2]: mass 2 - 0.5, first moment log(2 / 0.5)
+        lm = LevyMeasure(AtomicMeasure2D(), RadialPart(1.0, ((0.3, 1.0),), r_min=0.5, r_max=2.0))
+        disc = lm.discretized()
+        norms = np.hypot(disc.atoms.points[:, 0], disc.atoms.points[:, 1])
+        assert disc.atoms.total_mass() == pytest.approx(1.5, abs=1e-14)
+        assert float(norms @ disc.atoms.masses) == pytest.approx(math.log(4.0), abs=1e-14)
     def test_mass_and_moment_match(self):
         rp = RadialPart(0.7, ((0.0, 1.0),), r_min=1e-3, r_max=1e3)
         lm = LevyMeasure(AtomicMeasure2D(), rp)

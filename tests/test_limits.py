@@ -160,6 +160,20 @@ class TestConditionI_II:
         assert not rep.passed
 
 
+settle_values = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1e-9, 2e-9, 1.0, 1.5]))
+
+
+@given(st.integers(3, 6).flatmap(
+    lambda n: st.lists(st.lists(settle_values, min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_one_settling_rule_matches_the_per_sequence_loop(seqs):
+    # a sequence settles when its last gap is at most max(gap before / 2, 1e-9)
+    def settles(x):
+        return abs(x[-1] - x[-2]) <= max(0.5 * abs(x[-2] - x[-3]), 1e-9)
+
+    assert lm._settles(lm._gaps(np.array(seqs))) == all(settles(x) for x in seqs)
+    assert lm._settles(lm._gaps(np.array(seqs)[None])) == all(settles(x) for x in seqs)
+
+
 class TestConditionIII_IV:
     def test_poisson(self):
         rep = check_condition_III_IV(poisson_array())
@@ -264,6 +278,42 @@ class TestRunners:
         cls = [r for _, r in run_classical_limit(arr, U_PROBES, reference=trip)]
         ratios = [b / a for a, b in zip(cls[:-1], cls[1:])]
         assert all(0.15 < r < 0.4 for r in ratios)
+
+
+class TestEmptyProbeSets:
+    """A residual table over no probes reads as converged but checks nothing."""
+
+    ARRAY_NS = (8, 32, 128)
+
+    def array(self):
+        return make_array([[PlanarMeasure([((0.0, 0.0), 1 - 1 / n), ((1.0, 1.0), 1 / n)])] * n
+                           for n in self.ARRAY_NS])
+
+    @pytest.fixture
+    def no_transforms(self, monkeypatch):
+        """phi and the CF fail the test if evaluated."""
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a transform was evaluated")
+
+        monkeypatch.setattr(lm, "bi_free_phi", evaluated)
+        monkeypatch.setattr(lm, "_cf_row", evaluated)
+        monkeypatch.setattr(lm, "limit_triplet", evaluated)
+        for name in ("bi_free_phi", "classical_cf"):
+            monkeypatch.setattr(lm.CharTriplet, name, evaluated)
+
+    def test_bi_free_runner(self, no_transforms):
+        trip = make_compound_poisson(1.0, dirac((1.0, 1.0)))
+        with pytest.raises(ValueError, match="probes is empty"):
+            run_bi_free_limit(self.array(), [], reference=trip)
+        with pytest.raises(ValueError, match="probes is empty"):
+            run_bi_free_limit(self.array(), [])
+
+    def test_classical_runner(self, no_transforms):
+        trip = make_compound_poisson(1.0, dirac((1.0, 1.0)))
+        with pytest.raises(ValueError, match="u_probes is empty"):
+            run_classical_limit(self.array(), [], reference=trip)
+        with pytest.raises(ValueError, match="u_probes is empty"):
+            run_classical_limit(self.array(), np.empty((0, 2)))
 
 
 class TestInfinitesimality:

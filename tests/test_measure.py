@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,10 @@ class TestMarginal:
             two_atom().marginal(3)
 
 
+# coordinates that a huge factor takes out of the float range, or a tiny one onto one point
+dilation_coords = st.one_of(st.sampled_from([0.0, 1.0, 1.2, -1.0, 1e-300]), st.floats(-3.0, 3.0))
+
+
 class TestDilate:
     def test_point(self):
         assert dirac((1.0, 1.0)).dilated(2.0).close_to(dirac((2.0, 2.0)))
@@ -91,6 +96,41 @@ class TestDilate:
         m = PlanarMeasure([((0.1, 0.2), 1 / 3), ((0.3, 0.4), 2 / 3)])
         d = m.dilated(7.0)
         assert d.weights is m.weights
+
+    @pytest.mark.parametrize("law", [PlanarMeasure([((1, 2), 0.5), ((-1, 0), 0.5)]),
+                                     Measure1D([(2.0, 0.5), (-1.0, 0.5)])], ids=["planar", "line"])
+    def test_overflow_raises_without_a_warning(self, law):
+        # 1e308 * 2 leaves the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                law.dilated(1e308)
+
+    def test_atoms_brought_together_merge(self):
+        # a subnormal factor rounds both atoms to one point
+        d = PlanarMeasure([((1, 0), 0.5), ((1.2, 0), 0.5)]).dilated(5e-324)
+        assert d.atoms() == [((5e-324, 0.0), 1.0)]
+        d1 = Measure1D([(1.0, 0.5), (1.2, 0.5)]).dilated(5e-324)
+        assert (d1.points.tolist(), d1.weights.tolist()) == ([5e-324], [1.0])
+        assert not (d1.points.flags.writeable or d1.weights.flags.writeable)
+
+    @given(st.lists(st.tuples(st.tuples(dilation_coords, dilation_coords), st.floats(0.01, 1.0)),
+                    min_size=1, max_size=8),
+           st.sampled_from([5e-324, 1e-320, 1e-13, 0.3, 1.0, 7.0, 1e12, 1e307, 1e308]))
+    def test_equals_the_constructor_of_the_scaled_atoms(self, atoms, lam):
+        total = sum(w for _, w in atoms)
+        m = PlanarMeasure([(p, w / total) for p, w in atoms])
+        for law, points in ((m, m.points), (m.marginal(1), m.marginal(1).points[:, None])):
+            with np.errstate(over="ignore"):
+                scaled = lam * points
+            if not np.isfinite(scaled).all():
+                with pytest.raises(ValueError, match="finite"):
+                    law.dilated(lam)
+                continue
+            want = type(law)(zip(scaled.tolist() if law is m else scaled[:, 0].tolist(), law.weights))
+            got = law.dilated(lam)
+            assert got.points.tobytes() == want.points.tobytes() and got.points.shape == want.points.shape
+            assert got.weights.tobytes() == want.weights.tobytes()
 
 
 class TestShiftBy:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bifree.stable as stable
 from bifree.idlaw import RadialPart
 from bifree.measure import Matrix2, PlanarMeasure, dirac
 from bifree.stable import (
@@ -232,6 +233,16 @@ class TestProbeCount:
         # any residual at one probe would fit with no leftover
         with pytest.raises(ValueError, match="need at least two probes"):
             fit_point_mass_shift(self.ONE_PROBE, [0.37 - 1.2j])
+
+    def test_empty_u_probe_set_is_rejected(self, monkeypatch):
+        # a residual over no u-probes checks nothing; no transform is evaluated
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a transform was evaluated")
+
+        monkeypatch.setattr(stable, "stable_triplet", evaluated)
+        monkeypatch.setattr(stable, "bi_free_phi", evaluated)
+        with pytest.raises(ValueError, match="u_probes is empty"):
+            domain_of_attraction_run(self.FOUR_ATOM, self.SPEC, [8, 32, 128, 512], u_probes=[])
 
     def test_two_probes_are_enough(self):
         probes = [(2j, 2j), (4j, -2j)]

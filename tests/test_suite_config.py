@@ -32,6 +32,14 @@ def test_complex_into_float():
     grid[:] = np.array([1.0 + 2.0j, 3.0 - 1.0j])
 '''
 
+USER_WARNING = '''
+import warnings
+
+
+def test_user_warning():
+    warnings.warn("ours", UserWarning)
+'''
+
 
 PASSING = '''
 def test_passes():
@@ -74,3 +82,9 @@ def test_complex_cast_to_real_fails(tmp_path):
     run = run_pytest(tmp_path, COMPLEX_INTO_FLOAT)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "ComplexWarning" in run.stdout
+
+
+def test_any_warning_fails(tmp_path):
+    run = run_pytest(tmp_path, USER_WARNING)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "UserWarning: ours" in run.stdout

@@ -4,6 +4,7 @@ import pytest
 from bifree.freeconv import free_convolve_many
 from bifree.measure import Measure1D, PlanarMeasure, dirac
 from bifree.transforms import (
+    GridDensity,
     NoConvergence,
     _damped_newton,
     bi_free_phi,
@@ -222,6 +223,22 @@ class TestStieltjes2D:
         assert grid.riemann_mass() >= 0.95
         assert grid.riemann_mass() <= 1.05
         assert grid.values.min() >= -1e-10
+
+
+class TestGridDensity:
+    # values[i, j] sits at (s_axis[i], t_axis[j]); steps ds = 1 and dt = 0.5
+    GRID = GridDensity(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5]), np.arange(6.0).reshape(3, 2), 0.1)
+
+    def test_marginals_sum_the_other_axis(self):
+        s, m1 = self.GRID.marginal(1)
+        t, m2 = self.GRID.marginal(2)
+        assert (s.tolist(), m1.tolist()) == ([0.0, 1.0, 2.0], [0.5, 2.5, 4.5])
+        assert (t.tolist(), m2.tolist()) == ([0.0, 0.5], [6.0, 9.0])
+
+    @pytest.mark.parametrize("axis", [0, 3])
+    def test_bad_axis(self, axis):
+        with pytest.raises(ValueError, match="axis must be 1 or 2"):
+            self.GRID.marginal(axis)
 
 
 class TestConeFor:

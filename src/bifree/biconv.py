@@ -18,12 +18,13 @@ where G_g is law g's Cauchy transform at its marginals' inverses, which are
 its marginals' subordination functions, and phi_t1(z1) = omega_t - z1 is
 triplet t's marginal phi: the marginal solves give both, and the
 subordination identity cancels every other axis term, so recovery inverts
-nothing.  Pointwise evaluation (``cauchy``) and density grids share one
-routine that completes D at broadcast (z1, w2); z1 w2 G_g is the pair sum
-of ``transforms._pair_factors``, as in ``bi_free_phi``.  A density is
+nothing.  Pointwise evaluation and density grids share one routine that
+completes G = 1 / (z1 w2 D) at broadcast (z1, w2); z1 w2 G_g is the pair
+sum of ``transforms._pair_factors``, as in ``bi_free_phi``.  A density is
 recovered in row blocks of about ``BLOCK_NODES`` nodes, each block's rows
 stacked on their conjugates: the lower w-half-plane needs no second solve,
-since G(z, conj w) = conj G(conj z, w).
+since G(z, conj w) = conj G(conj z, w).  Every density takes its marginal
+densities from the same solves.
 """
 
 from __future__ import annotations
@@ -125,53 +126,49 @@ class BiConvRep:
         total = total + self.shift[0] / z + self.shift[1] / w
         return complex(total) if total.ndim == 0 else total
 
-    def _marginal_solves(self, Z, W):
-        """Per axis, from one subordination solve: F_j, each stack law's marginal
-        inverse at it, and the triplets' summed marginal phi there, sum_t (omega_t - F_j)."""
-        out = []
-        for (rep, slots), zeta in zip(self.marginals, (Z, W)):
-            f, aux = rep.f_value(zeta, return_aux=True)
-            inverses = np.array([f + p if k is None else aux[k] for k, p in slots])
-            out.append((f, inverses, sum(om - f for om in aux[len(rep.laws):])))
-        return out
-
     def _axis_parts(self, Z, W):
         """z1 = F_1(Z), w2 = F_2(W), the parts of D on one axis each, and the pair factors.
 
-        Z and W take a common number of axes first.  The axis parts are
-        phi_T1(z1)/z1 and phi_T2(w2)/w2 + 1 - N, with phi_Tj the triplets'
-        summed marginal phi; the factors are ``transforms._pair_factors`` at
-        (z1, w2) and the laws' marginal inverses there, or None without
-        atomic terms.
+        Z and W take a common number of axes first.  One subordination solve
+        per axis gives F_j, each stack law's marginal inverse there and the
+        triplets' summed marginal phi, phi_Tj = sum_t (omega_t - F_j).  The
+        axis parts are phi_T1(z1)/z1 and phi_T2(w2)/w2 + 1 - N; the factors
+        are ``transforms._pair_factors`` at (z1, w2) and the laws' marginal
+        inverses there, or None without atomic terms.
         """
         nd = max(Z.ndim, W.ndim)
-        Z = Z.reshape((1,) * (nd - Z.ndim) + Z.shape)
-        W = W.reshape((1,) * (nd - W.ndim) + W.shape)
-        (z1, i1, phi1), (w2, i2, phi2) = self._marginal_solves(Z, W)
-        u1 = phi1 / z1
+        solves = []
+        for (rep, slots), zeta in zip(self.marginals, (Z, W)):
+            f, aux = rep.f_value(zeta.reshape((1,) * (nd - zeta.ndim) + zeta.shape), return_aux=True)
+            inverses = np.array([f + p if k is None else aux[k] for k, p in slots])
+            solves.append((f, inverses, sum(om - f for om in aux[len(rep.laws):]) / f))
+        (z1, i1, u1), (w2, i2, u2) = solves
         if self.stack is None:
-            return z1, w2, u1, phi2 / w2 + 1.0, None
-        factors = _pair_factors(self.stack, i1, i2, z1, w2)
-        return z1, w2, u1, phi2 / w2 + float(1 - self.stack.counts.sum()), factors
+            return z1, w2, u1, u2 + 1.0, None
+        return z1, w2, u1, u2 + float(1 - self.stack.counts.sum()), _pair_factors(self.stack, i1, i2, z1, w2)
 
-    def _denominator(self, z1, w2, u1, u2, factors):
-        """D = u1 + u2 - sum_t phi_t(z1, w2) + sum_g c_g / (z1 w2 G_g), broadcast.
+    def _g_from_parts(self, z1, w2, u1, u2, factors):
+        """G = 1 / (z1 w2 D), D = u1 + u2 - sum_t phi_t(z1, w2) + sum_g c_g / (z1 w2 G_g).
 
         The arguments are those of :meth:`_axis_parts`, or slices of them
-        that broadcast against each other.  |z1 w2 G_g| or |D| below
-        DEGENERATE_TOL raises :class:`DegenerateDenominator`.
+        that broadcast against each other; G is computed in D's array.
+        |z1 w2 G_g| or |D| below DEGENERATE_TOL raises
+        :class:`DegenerateDenominator`.
         """
-        d = u1 + u2
+        d = np.asarray(u1 + u2)
         for t in self.triplets:
             d -= t.bi_free_phi(z1, w2)
         if factors is not None:
             d += _law_sum(self.stack.counts, _inverse_pair_sum(*factors))
         if (np.abs(d) < DEGENERATE_TOL).any():
             raise DegenerateDenominator("phi-relation denominator vanished during recovery")
-        return d
+        d *= z1
+        d *= w2
+        return np.reciprocal(d, out=d)
 
     def _direct_atomic(self):
-        """The translated atomic law, when the rep is one up to a shift."""
+        """The translated atomic law, when the rep is one up to a shift: its
+        closed form stays exact where G vanishes, where D is degenerate."""
         if len(self.terms) == 0:
             return dirac(self.shift)
         if len(self.terms) == 1 and isinstance(self.terms[0], PlanarMeasure):
@@ -181,22 +178,17 @@ class BiConvRep:
         return None
 
     def cauchy(self, Z, W):
-        """G of the convolution at (Z, W), broadcast against each other.
-
-        Representations that are a single atomic law up to translation are
-        evaluated in closed form; genuine convolutions go through the
-        marginal solves, which run on Z and W as given.
-        """
-        direct = self._direct_atomic()
-        if direct is not None:
-            return cauchy2d(direct, Z, W)
+        """G of the convolution at (Z, W), broadcast against each other: the
+        first output of :meth:`cauchy_with_marginals`."""
         G = self.cauchy_with_marginals(Z, W)[0]
-        return complex(G) if G.ndim == 0 else G
+        return complex(G) if np.ndim(G) == 0 else G
 
     def cauchy_with_marginals(self, Z, W):
         """(G(Z, W), G_1(Z), G_2(W)): the planar and marginal Cauchy transforms.
 
-        A genuine convolution gets all three from one pair of marginal solves.
+        Representations that are a single atomic law up to translation are
+        evaluated in closed form; a genuine convolution gets all three from
+        one pair of marginal solves, which run on Z and W as given.
         """
         direct = self._direct_atomic()
         if direct is not None:
@@ -204,31 +196,31 @@ class BiConvRep:
                     cauchy1d(direct.marginal(2), W))
         Z = np.asarray(Z, dtype=complex)
         W = np.asarray(W, dtype=complex)
-        z1, w2, u1, u2, factors = self._axis_parts(Z, W)
-        d = self._denominator(z1, w2, u1, u2, factors)
-        d *= z1
-        d *= w2
-        return 1.0 / d, (1.0 / z1).reshape(Z.shape), (1.0 / w2).reshape(W.shape)
+        z1, w2, *rest = self._axis_parts(Z, W)
+        return self._g_from_parts(z1, w2, *rest), (1.0 / z1).reshape(Z.shape), (1.0 / w2).reshape(W.shape)
 
     def density(self, s_axis, t_axis, eps: float) -> GridDensity:
-        """eps-smoothed joint density grid of the convolution.
+        """eps-smoothed joint density grid of the convolution, with its marginals.
 
         One subordination solve per axis gives F_1 on s + i eps and F_2 on
-        t + i eps and the terms' marginal inverses there.  Rows go in blocks
-        of about ``BLOCK_NODES`` nodes: each block's rows are stacked on
-        their conjugates, since G(z, conj w) = conj G(conj z, w), and one
-        :meth:`_denominator` call gives G at t + i eps and, in real part, at
-        t - i eps; the block's values go straight into the result.  The same
-        solves give the marginal densities (``axis_densities``), equal to
-        ``self.marginal(j).density`` on the axes.
+        t + i eps: the marginal densities (``axis_densities``, equal to
+        ``self.marginal(j).density`` on the axes) and the terms' marginal
+        inverses.  A single atomic law up to translation takes its grid from
+        the closed form.  Otherwise rows go in blocks of about
+        ``BLOCK_NODES`` nodes, each block's rows stacked on their conjugates,
+        since G(z, conj w) = conj G(conj z, w): one :meth:`_g_from_parts` call
+        gives G at t + i eps and, in real part, at t - i eps.
         """
         _require_eps(eps)
-        direct = self._direct_atomic()
-        if direct is not None:
-            return stieltjes2d(lambda z, w: cauchy2d(direct, z, w), s_axis, t_axis, eps)
         s_axis = np.asarray(s_axis, dtype=float)
         t_axis = np.asarray(t_axis, dtype=float)
         z1, w2, u1, u2, factors = self._axis_parts((s_axis + 1j * eps)[:, None], t_axis + 1j * eps)
+        # the marginal densities -Im G_j / pi come with the solves, G_j = 1 / F_j
+        axis_densities = tuple(-(1.0 / f.ravel()).imag / np.pi for f in (z1, w2))
+        direct = self._direct_atomic()
+        if direct is not None:
+            values = stieltjes2d(lambda z, w: cauchy2d(direct, z, w), s_axis, t_axis, eps).values
+            return GridDensity(s_axis, t_axis, values, eps, axis_densities)
         values = np.empty((len(s_axis), len(t_axis)))
         rows = max(1, BLOCK_NODES // max(len(t_axis), 1))
         for lo in range(0, len(s_axis), rows):
@@ -236,15 +228,10 @@ class BiConvRep:
             zb, ub = (np.concatenate([x[blk], np.conj(x[blk])]) for x in (z1, u1))
             fb = None if factors is None else (
                 np.concatenate([factors[0][:, blk], np.conj(factors[0][:, blk])], axis=1), factors[1])
-            g = self._denominator(zb, w2, ub, u2, fb)
-            g *= zb
-            g *= w2
             # Re G at t - i eps minus Re G at t + i eps: the inversion
-            g = np.reciprocal(g, out=g).real
+            g = self._g_from_parts(zb, w2, ub, u2, fb).real
             np.subtract(g[len(g) // 2:], g[: len(g) // 2], out=values[blk])
             values[blk] /= 2.0 * np.pi**2
-        # the marginal densities -Im G_j / pi come with the solves, G_j = 1 / F_j
-        axis_densities = tuple(-(1.0 / f.ravel()).imag / np.pi for f in (z1, w2))
         return GridDensity(s_axis, t_axis, values, eps, axis_densities)
 
 

@@ -129,16 +129,8 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     io.dump_json(cfg.out / "phi_probes.json", {"probes": _phi_table(rep, probes)})
     grid = rep.density(s_axis, t_axis, cfg.epsilon)
     io.write_grid_csv(cfg.out / "density.csv", grid)
-    for axis, ax in ((1, s_axis), (2, t_axis)):
-        if grid.axis_densities is None:  # one law up to a shift: the grid took the closed form
-            vals = rep.marginal(axis).density(ax, cfg.epsilon)
-        else:
-            vals = grid.axis_densities[axis - 1]
-        io.write_table_csv(
-            cfg.out / f"marginal{axis}.csv",
-            ["x", "density"],
-            list(zip(ax, vals)),
-        )
+    for axis, (ax, vals) in enumerate(zip((s_axis, t_axis), grid.axis_densities), start=1):
+        io.write_table_csv(cfg.out / f"marginal{axis}.csv", ["x", "density"], list(zip(ax, vals)))
     io.dump_json(cfg.out / "summary.json", {
         "terms": len(measures),
         "shift": list(shift),

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import Measure1D, row_stack
+from .measure import Measure1D, RowStack, row_stack
 from .transforms import (
     NoConvergence,
     _damped_newton,
@@ -77,8 +77,8 @@ def _h_and_deriv(points: np.ndarray, weights: np.ndarray, wp: np.ndarray, x: np.
     return -(inv @ wp).reshape(x.shape) / g, ((inv * inv) @ weights).reshape(x.shape) / (g * g) - 1.0
 
 
-def _system(laws: Sequence[Measure1D], counts: Sequence[int]) -> tuple:
-    """The distinct atomic laws arranged for :func:`_subordinate`.
+def _system(stack: RowStack | None) -> tuple:
+    """The distinct atomic laws of ``stack`` arranged for :func:`_subordinate`.
 
     The laws go by descending count (a stable sort); of two or more, a last
     law counted once is eliminated.  Returns ``(unknown, counts, first,
@@ -89,17 +89,17 @@ def _system(laws: Sequence[Measure1D], counts: Sequence[int]) -> tuple:
     alike; the eliminated law's (m,) arrays or None; and the given index of
     each law in solve order.
     """
-    order = sorted(range(len(laws)), key=lambda j: -counts[j])
-    if not order:
-        return None, 1.0, 1.0, None, order
-    k = len(order) - (len(order) >= 2 and counts[order[-1]] == 1)  # the unknown laws
-    stack = row_stack([(laws[j], counts[j]) for j in order])
-    cols = stack.points, stack.weights, stack.weights * stack.points
+    if stack is None:
+        return None, 1.0, 1.0, None, []
+    order = sorted(range(len(stack.counts)), key=lambda j: -stack.counts[j])
+    counts = stack.counts[order]
+    k = len(order) - (len(order) >= 2 and counts[-1] == 1)  # the unknown laws
+    cols = stack.points[order], stack.weights[order], (stack.weights * stack.points)[order]
     last = tuple(a[-1] for a in cols) if k < len(order) else None
     if k == 1:  # one unknown takes the scalar step
-        return tuple(a[0] for a in cols), float(stack.counts[0]), 1.0, last, order
+        return tuple(a[0] for a in cols), float(counts[0]), 1.0, last, order
     unknown = cols[0][:k, None, :], cols[1][:k, :, None], cols[2][:k, :, None]
-    return unknown, stack.counts[:k, None].astype(float), (np.arange(k) == 0)[:, None] * 1.0, last, order
+    return unknown, counts[:k, None].astype(float), (np.arange(k) == 0)[:, None] * 1.0, last, order
 
 
 def _subordinate(z: np.ndarray, system: tuple, id_phi):
@@ -109,7 +109,7 @@ def _subordinate(z: np.ndarray, system: tuple, id_phi):
     ``id_phi(x) -> (phi, phi')`` is the summed phi of the infinitely
     divisible terms, or None.  Returns ``(F, omegas, converged)``;
     ``omegas[j]`` is omega_j with F_j(omega_j) = F, shared by the copies of
-    law j, in the given order, and entries that did not settle are nan.
+    law j, in the given order.
     """
     unknown, c, first, last, order = system
     zero = np.zeros_like(z)
@@ -147,9 +147,6 @@ def _subordinate(z: np.ndarray, system: tuple, id_phi):
     if last is not None:
         solved.append(om_e)
     omegas = [solved[k] for k in sorted(range(len(order)), key=order.__getitem__)]  # in the given order
-    if not ok.all():
-        f = np.where(ok, f, np.nan)
-        omegas = [np.where(ok, o, np.nan) for o in omegas]
     return f, omegas, ok
 
 
@@ -161,18 +158,22 @@ class FreeConvRep:
     mass) and ``counts`` their multiplicities; ``ids`` are infinitely
     divisible laws as callables ``z -> (phi, phi')``, each one pass over
     its law; ``shift`` adds the constant phi of a point mass.  phi is
-    ``sum(counts[j] phi_j) + sum(phi_ID) + shift``.  ``system`` holds the
-    atomic laws arranged for the subordination solve, built once.
+    ``sum(counts[j] phi_j) + sum(phi_ID) + shift``.  ``stack`` (the laws'
+    padded stack, or None) and ``system`` (it arranged for the subordination
+    solve) are built once.
     """
 
     laws: tuple
     counts: tuple
     ids: tuple
     shift: float
+    stack: RowStack | None = field(init=False, repr=False, compare=False)
     system: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "system", _system(self.laws, self.counts))
+        stack = row_stack(list(zip(self.laws, self.counts))) if self.laws else None
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "system", _system(stack))
 
     def phi(self, z):
         """phi of the representation at z (z within the working cone).
@@ -182,11 +183,10 @@ class FreeConvRep:
         """
         z = np.asarray(z, dtype=complex)
         total = np.full(z.shape, complex(self.shift))
-        if self.laws:
-            stack = row_stack(list(zip(self.laws, self.counts)))
+        if self.stack is not None:
             target = np.broadcast_to(z.ravel(), (len(self.laws), z.size))
-            roots, ok = newton_f_inverse(stack.points[:, None], stack.weights[:, None], target, target)
-            total = total + (stack.counts @ np.where(ok, roots - target, np.nan)).reshape(z.shape)
+            roots, ok = newton_f_inverse(self.stack.points[:, None], self.stack.weights[:, None], target, target)
+            total = total + (self.stack.counts @ np.where(ok, roots - target, np.nan)).reshape(z.shape)
         for t in self.ids:
             total = total + t(z)[0]
         if not np.all(np.isfinite(total)):

@@ -367,7 +367,7 @@ def extrapolate_in_inverse_size(values: Sequence[float], sizes: Sequence[int]) -
     step = abs(values[-1] - values[-2])
     if not math.isfinite(p[0]) or abs(p[0] - last) > 10.0 * step + ABS_PASS:
         return last
-    return p[0]
+    return p[0] + 0.0  # an all-zero run divides by negative steps: no -0.0 in the reports
 
 
 @dataclass

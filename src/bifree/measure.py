@@ -392,12 +392,6 @@ class Measure1D:
         out.points = pts2d[:, 0]
         return out
 
-    def shifted_by(self, a: float) -> "Measure1D":
-        out = object.__new__(Measure1D)
-        out.points = _freeze(self.points - float(a))
-        out.weights = self.weights
-        return out
-
     def support_radius(self) -> float:
         return float(np.abs(self.points).max())
 

@@ -300,8 +300,9 @@ class GridDensity:
     """Epsilon-smoothed density on a rectangular grid (row-major over s).
 
     ``axis_densities`` are the eps-smoothed densities of the two marginal
-    laws on ``s_axis`` and ``t_axis``, when the recovery solved them on the
-    way (a genuine bi-free convolution), and None otherwise.
+    laws on ``s_axis`` and ``t_axis``: ``BiConvRep.density`` always sets
+    them, from its own marginal solves; a bare :func:`stieltjes2d` grid
+    leaves them None.
     """
 
     s_axis: np.ndarray

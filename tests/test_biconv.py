@@ -22,6 +22,7 @@ from oracles import richardson_limit, smoothed_atoms_2d
 
 MU = PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
 B = Measure1D([(1.0, 0.5), (-1.0, 0.5)])
+GAUSS = make_gaussian((0.2, -0.1), Matrix2(0.3, 0.05, 0.2))
 
 
 def bicone_probes(n=100, seed=7):
@@ -89,6 +90,13 @@ class TestEvalG2D:
 
         for z, w in [(5j, 5j), (-4j, 7j), (2 + 6j, -1 - 5j)]:
             assert rep.cauchy(z, w) == pytest.approx(cauchy2d(shifted, z, w), abs=1e-9)
+
+    @pytest.mark.parametrize("items", [[MU], [dirac((1.0, 2.0))], [MU, MU], [MU, GAUSS]])
+    def test_cauchy_is_the_first_output_of_cauchy_with_marginals(self, items):
+        rep = bi_free_convolve(items, shift=(0.3, -0.4))
+        Z, W = np.array([5j, 2 - 3j]), np.array([-4j, 1 + 2j])
+        np.testing.assert_array_equal(rep.cauchy(Z, W), rep.cauchy_with_marginals(Z, W)[0])
+        assert type(rep.cauchy(5j, 6j)) is complex
 
     def test_marginal_slice_richardson(self):
         rep = bi_free_convolve([MU, MU])
@@ -158,6 +166,18 @@ class TestDensity2D:
         direct = rep.marginal(1).density(s_axis, eps)
         l1 = float(np.sum(np.abs(row_marginal - direct)) * (s_axis[1] - s_axis[0]))
         assert l1 <= 0.02
+
+    @pytest.mark.parametrize("items,shift", [
+        ([MU], (0.0, 0.0)), ([MU], (0.3, -0.4)), ([dirac((0.5, 0.2))], (0.0, 0.0)),
+        ([MU, MU], (0.3, -0.4)), ([MU, GAUSS], (0.0, 0.0)),
+    ])
+    def test_every_density_carries_its_marginals(self, items, shift):
+        # a single law up to a shift takes its grid from the closed form, its marginals from the solves
+        rep = bi_free_convolve(items, shift=shift)
+        s_axis, t_axis = np.linspace(-3, 3, 13), np.linspace(-2, 2, 9)
+        grid = rep.density(s_axis, t_axis, 0.1)
+        for axis, ax in ((1, s_axis), (2, t_axis)):
+            np.testing.assert_array_equal(grid.axis_densities[axis - 1], rep.marginal(axis).density(ax, 0.1))
 
     def test_mass_in_window(self):
         rep = bi_free_convolve([MU, MU])
@@ -303,7 +323,6 @@ class TestBroadcastProperties:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-GAUSS = make_gaussian((0.2, -0.1), Matrix2(0.3, 0.05, 0.2))
 POISSON = make_compound_poisson(0.5, PlanarMeasure([((0.5, -0.4), 0.5), ((-0.3, 0.6), 0.5)]))
 nonzero = st.builds(lambda x, sign: sign * x, st.floats(0.05, 1.0), st.sampled_from([-1.0, 1.0]))
 # a point x + iy off the real axis, in either half-plane, with 0.1 <= |y| <= 3

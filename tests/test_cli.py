@@ -385,6 +385,25 @@ class TestCliConvolve:
             write_table_csv(want, ["x", "density"], list(zip(ax, rep.marginal(axis).density(ax, 0.1))))
             assert (out / f"marginal{axis}.csv").read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("laws", [
+        [TWO_ATOM_JSON], [DIRAC_JSON], [TWO_ATOM_JSON, DIRAC_JSON],
+    ])
+    def test_single_law_marginals_come_from_the_density_solves(self, tmp_path, monkeypatch, laws):
+        # one law up to a shift: the grid takes the closed form, the marginals the grid's own solves
+        files = [write(tmp_path / f"m{k}.json", law) for k, law in enumerate(laws)]
+        calls = []
+        real = FreeConvRep.f_value
+        monkeypatch.setattr(FreeConvRep, "f_value", lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "--grid=-4:4:16,-3:3:12", "--epsilon", "0.1", "convolve", "--shift", "0.1,0.2"]
+        assert main(argv + files) == 0
+        assert len(calls) == 2
+        rep = bi_free_convolve([measure_from_dict(law) for law in laws], shift=(0.1, 0.2))
+        for axis, ax in ((1, np.linspace(-4, 4, 16)), (2, np.linspace(-3, 3, 12))):
+            want = tmp_path / f"want{axis}.csv"
+            write_table_csv(want, ["x", "density"], list(zip(ax, rep.marginal(axis).density(ax, 0.1))))
+            assert (out / f"marginal{axis}.csv").read_bytes() == want.read_bytes()
+
     def test_schema_error_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", {"atoms": [{"x": [0, 0], "w": 0.4}]})
         assert main(["--out", str(tmp_path / "o"), "convolve", bad]) == 2
@@ -612,6 +631,21 @@ class TestCliFullness:
         assert main(["--out", str(out), "fullness", f, "--method", "triplet"]) == 0
         rep = json.loads((out / "fullness_report.json").read_text())
         assert rep["is_full"] is False
+
+    @pytest.mark.parametrize("payload,full", [
+        ({"v": [0.5, 0.5], "A": [[1.0, 1.0], [1.0, 1.0]], "tau": {"atoms": [{"x": [1.0, 1.0], "m": 0.5}]}}, False),
+        ({"v": [0.5, -0.5], "A": [[1.0, 0.0], [0.0, 1.0]], "tau": {"atoms": [{"x": [1.0, 1.0], "m": 0.5}]}}, True),
+    ])
+    def test_triplet_g(self, tmp_path, payload, full):
+        # a triplet file under --method g is convolved alone and fitted on its Cauchy transforms
+        f = write(tmp_path / "t.json", payload)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "fullness", f, "--method", "g"]) == 0
+        rep = json.loads((out / "fullness_report.json").read_text())
+        assert rep["method"] == "cauchy"
+        assert rep["is_full"] is full
+        if not full:
+            assert rep["line"] == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2), 0.0], abs=1e-9)
 
     def test_rep_phi_default_probes_in_cone(self, tmp_path):
         # B2 ++ a three-atom diagonal law has cone height 13.6; invert_f

@@ -303,6 +303,13 @@ class TestSubordination:
         want = mp_free_convolution_f(laws, zeta)
         assert abs(rep.f_value(zeta) - want) <= 1e-10 * abs(want)
 
+    def test_unsettled_points_raise(self, monkeypatch):
+        # one iteration from the start z + 2i settles none of the points
+        monkeypatch.setattr(fc, "FIXED_POINT_MAXITER", 1)
+        rep = free_convolve(Measure1D([(-1.0, 0.5), (1.0, 0.5)]), Measure1D([(-0.5, 0.4), (0.8, 0.6)]))
+        with pytest.raises(tf.NoConvergence, match=r"^subordination did not settle at 3 of 3 points$"):
+            rep.f_value(np.array([0.3 + 0.2j, -1.0 - 0.1j, 2.0j]))
+
 
 def kesten_mckay_g(n, z):
     """G of B^{boxplus n}, the Kesten-McKay law of degree n.

@@ -201,6 +201,23 @@ class TestConditionIII_IV:
         rep = check_condition_III_IV(escape_array())
         assert not rep.passed
 
+    def test_zero_limits_are_positive_zeros(self):
+        # the small-ball limits of a Poisson array are all-zero runs; the report has no -0.0
+        rep = check_condition_III_IV(poisson_array())
+        zeros = [x for x in (*rep.Q.values(), rep.A.a, rep.A.b, rep.A.c) if x == 0.0]
+        assert len(zeros) == 6
+        assert all(math.copysign(1.0, x) == 1.0 for x in zeros)
+
+    def test_rung_nudged_off_an_atom_radius(self):
+        # the atom sits at norm exactly 0.5, the first rung, so the rung moves out by 1e-6
+        # and the atom falls inside the ball: the first annulus holds no mass in any row
+        rows = [[PlanarMeasure([((0.0, 0.0), 1 - 1 / n), ((0.3, 0.4), 1 / n)])] * n for n in (8, 32, 128, 512)]
+        rep = check_condition_III_IV(make_array(rows, L=0.1))
+        assert rep.per_n["eps_ladder"][0] == 0.5 + 1e-6
+        assert rep.per_n["eps_ladder"][1:] == list(lm.EPS_LADDER[1:])
+        assert rep.per_n["annulus_masses"][0] == [0.0] * 4
+        assert rep.per_n["annulus_masses"][1] == pytest.approx([1.0] * 4)
+
 
 class TestLimitVector:
     def test_poisson(self):
@@ -715,3 +732,7 @@ def test_extrapolation_helper():
     assert extrapolate_in_inverse_size(vals, sizes) == pytest.approx(1.0, abs=1e-9)
     assert extrapolate_in_inverse_size([2.0, 2.0, 2.0, 2.0], sizes) == 2.0
 
+
+def test_extrapolated_zero_is_positive():
+    # Neville's divisors 1/k_{n+j} - 1/k_n are negative: an all-zero run must still give +0.0
+    assert math.copysign(1.0, extrapolate_in_inverse_size([0.0] * 4, [64, 256, 1024, 4096])) == 1.0

@@ -215,6 +215,16 @@ class TestDomainOfAttraction:
             assert rep.agree
 
 
+class TestResidualsConverge:
+    def test_residuals_at_the_floor_converge(self):
+        # a pair both below the 1e-13 floor passes, whatever its ratio
+        assert stable.residuals_converge([1e-14, 1e-14, 1e-14])
+        assert stable.residuals_converge([0.0, 0.0])
+
+    def test_flat_residuals_do_not(self):
+        assert not stable.residuals_converge([0.1, 0.1, 0.1])
+
+
 class TestProbeCount:
     """A shift fit over one probe is vacuous: the two-parameter shift fits any
     single generic residual exactly, so both experiments need two probes."""

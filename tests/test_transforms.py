@@ -215,6 +215,11 @@ class TestStieltjes2D:
         oracle = smoothed_atoms_2d(atoms, s_axis, t_axis, 0.1)
         assert np.max(np.abs(grid.values - oracle)) < 1e-10
 
+    def test_non_finite_transform_is_rejected(self):
+        g = lambda z, w: np.where(np.real(z) > 0.5, np.nan, cauchy2d(TWO_ATOM, z, w))
+        with pytest.raises(ArithmeticError, match="transform evaluation failed at a grid node"):
+            stieltjes2d(g, [0.0, 1.0], [0.0], 0.1)
+
     def test_mass_recovery(self):
         s_axis = np.linspace(-5, 5, 201)
         grid = stieltjes2d(

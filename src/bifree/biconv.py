@@ -20,11 +20,14 @@ triplet t's marginal phi: the marginal solves give both, and the
 subordination identity cancels every other axis term, so recovery inverts
 nothing.  Pointwise evaluation and density grids share one routine that
 completes G = 1 / (z1 w2 D) at broadcast (z1, w2); z1 w2 G_g is the pair
-sum of ``transforms._pair_factors``, as in ``bi_free_phi``.  A density is
-recovered in row blocks of about ``BLOCK_NODES`` nodes, each block's rows
-stacked on their conjugates: the lower w-half-plane needs no second solve,
-since G(z, conj w) = conj G(conj z, w).  Every density takes its marginal
-densities from the same solves.
+sum of ``transforms._pair_factors``, as in ``bi_free_phi``.  A lone law,
+one atomic law counted once with no triplet and any shift, has G = G_g
+itself: the pair sum over z1 w2, with no reciprocal, which stays exact
+where G vanishes (through D, a lone B2 is degenerate at (i, i)).  A
+density is recovered in row blocks of about ``BLOCK_NODES`` nodes, each
+block's rows stacked on their conjugates: the lower w-half-plane needs no
+second solve, since G(z, conj w) = conj G(conj z, w).  Every density
+takes its marginal densities from the same solves.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .freeconv import FreeConvRep, _grouped
-from .measure import PlanarMeasure, RowStack, Vec2, dirac, row_groups, row_stack
+from .measure import PlanarMeasure, RowStack, Vec2, row_groups, row_stack
 from .transforms import (
     DEGENERATE_TOL,
     DegenerateDenominator,
@@ -45,12 +48,10 @@ from .transforms import (
     _inverse_pair_sum,
     _law_sum,
     _pair_factors,
+    _pair_sum,
     _require_eps,
     bi_free_phi,
-    cauchy1d,
-    cauchy2d,
     cone_for,
-    stieltjes2d,
 )
 
 # grid nodes per row block of a density: its work arrays, 2 x BLOCK_NODES values
@@ -68,7 +69,8 @@ class BiConvRep:
 
     ``cone`` is the working cone of phi's inversions: theta = 1 and M the
     largest ``cone_for(m).M`` over the atomic laws, or 1, since triplet
-    transforms live on all of (C\\R)^2.
+    transforms live on all of (C\\R)^2.  ``lone`` marks a rep that is one
+    atomic law counted once, with no triplet, up to its shift.
     """
 
     terms: tuple
@@ -76,6 +78,7 @@ class BiConvRep:
     cone: TruncatedCone = field(init=False, compare=False)
     stack: RowStack | None = field(init=False, repr=False, compare=False)
     triplets: tuple = field(init=False, repr=False, compare=False)
+    lone: bool = field(init=False, repr=False, compare=False)
     marginals: tuple[tuple[FreeConvRep, tuple], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -85,6 +88,7 @@ class BiConvRep:
         object.__setattr__(self, "cone", TruncatedCone(1.0, height))
         object.__setattr__(self, "stack", row_stack(groups) if groups else None)
         object.__setattr__(self, "triplets", tuple(t for t in self.terms if not isinstance(t, PlanarMeasure)))
+        object.__setattr__(self, "lone", not self.triplets and [c for _, c in groups] == [1])
         object.__setattr__(self, "marginals", tuple(self._marginal_with_inverses(groups, ax) for ax in (1, 2)))
 
     def _marginal_with_inverses(self, groups, axis: int) -> tuple[FreeConvRep, tuple]:
@@ -153,8 +157,14 @@ class BiConvRep:
         The arguments are those of :meth:`_axis_parts`, or slices of them
         that broadcast against each other; G is computed in D's array.
         |z1 w2 G_g| or |D| below DEGENERATE_TOL raises
-        :class:`DegenerateDenominator`.
+        :class:`DegenerateDenominator`.  A lone law's G is its own G_g, the
+        pair sum over z1 w2, which raises nothing.
         """
+        if self.lone:
+            g = _pair_sum(*factors)[0, ...]
+            g /= z1
+            g /= w2
+            return g
         d = np.asarray(u1 + u2)
         for t in self.triplets:
             d -= t.bi_free_phi(z1, w2)
@@ -166,17 +176,6 @@ class BiConvRep:
         d *= w2
         return np.reciprocal(d, out=d)
 
-    def _direct_atomic(self):
-        """The translated atomic law, when the rep is one up to a shift: its
-        closed form stays exact where G vanishes, where D is degenerate."""
-        if len(self.terms) == 0:
-            return dirac(self.shift)
-        if len(self.terms) == 1 and isinstance(self.terms[0], PlanarMeasure):
-            if self.shift == (0.0, 0.0):
-                return self.terms[0]
-            return self.terms[0].shifted_by((-self.shift[0], -self.shift[1]))
-        return None
-
     def cauchy(self, Z, W):
         """G of the convolution at (Z, W), broadcast against each other: the
         first output of :meth:`cauchy_with_marginals`."""
@@ -186,14 +185,9 @@ class BiConvRep:
     def cauchy_with_marginals(self, Z, W):
         """(G(Z, W), G_1(Z), G_2(W)): the planar and marginal Cauchy transforms.
 
-        Representations that are a single atomic law up to translation are
-        evaluated in closed form; a genuine convolution gets all three from
-        one pair of marginal solves, which run on Z and W as given.
+        All three come from one pair of marginal solves, which run on Z and
+        W as given; a lone law's solves are closed-form.
         """
-        direct = self._direct_atomic()
-        if direct is not None:
-            return (cauchy2d(direct, Z, W), cauchy1d(direct.marginal(1), Z),
-                    cauchy1d(direct.marginal(2), W))
         Z = np.asarray(Z, dtype=complex)
         W = np.asarray(W, dtype=complex)
         z1, w2, *rest = self._axis_parts(Z, W)
@@ -205,11 +199,11 @@ class BiConvRep:
         One subordination solve per axis gives F_1 on s + i eps and F_2 on
         t + i eps: the marginal densities (``axis_densities``, equal to
         ``self.marginal(j).density`` on the axes) and the terms' marginal
-        inverses.  A single atomic law up to translation takes its grid from
-        the closed form.  Otherwise rows go in blocks of about
-        ``BLOCK_NODES`` nodes, each block's rows stacked on their conjugates,
-        since G(z, conj w) = conj G(conj z, w): one :meth:`_g_from_parts` call
-        gives G at t + i eps and, in real part, at t - i eps.
+        inverses.  Rows go in blocks of about ``BLOCK_NODES`` nodes, each
+        block's rows stacked on their conjugates, since G(z, conj w) =
+        conj G(conj z, w): one :meth:`_g_from_parts` call gives G at
+        t + i eps and, in real part, at t - i eps.  A lone law takes the
+        same blocks.
         """
         _require_eps(eps)
         s_axis = np.asarray(s_axis, dtype=float)
@@ -217,10 +211,6 @@ class BiConvRep:
         z1, w2, u1, u2, factors = self._axis_parts((s_axis + 1j * eps)[:, None], t_axis + 1j * eps)
         # the marginal densities -Im G_j / pi come with the solves, G_j = 1 / F_j
         axis_densities = tuple(-(1.0 / f.ravel()).imag / np.pi for f in (z1, w2))
-        direct = self._direct_atomic()
-        if direct is not None:
-            values = stieltjes2d(lambda z, w: cauchy2d(direct, z, w), s_axis, t_axis, eps).values
-            return GridDensity(s_axis, t_axis, values, eps, axis_densities)
         values = np.empty((len(s_axis), len(t_axis)))
         rows = max(1, BLOCK_NODES // max(len(t_axis), 1))
         for lo in range(0, len(s_axis), rows):
@@ -240,8 +230,8 @@ def bi_free_convolve(items: Sequence, shift: Vec2 = (0.0, 0.0)) -> BiConvRep:
 
     Items are :class:`PlanarMeasure` or characteristic triplets.  Point
     masses are the units of the operation up to translation and are folded
-    into the shift, which keeps single-measure representations on the exact
-    closed-form recovery path.
+    into the shift, so a single measure with point masses is still a lone
+    law, whose G is exact where it vanishes.
     """
     items = tuple(items)
     if not items:

@@ -24,7 +24,10 @@ the given order.  Of two or more, a last law counted once, e, is eliminated:
 omega_e = z + S - phi_ID(F), with S over the other laws, and each other
 omega_j is an unknown of omega = T(omega), T_j = z + S + h_e(omega_e) -
 h_j(omega_j) - phi_ID(F), with h_e = 0 when no law is eliminated.  Without
-atomic laws the one unknown is F itself, F = z - phi_ID(F).  Every term of
+atomic laws the one unknown is F itself, F = z - phi_ID(F).  With no
+infinitely divisible term and at most one law, counted once, the
+elimination leaves no unknown: omega = z and F = z + h(z), with no
+iteration (the subordination map is constant).  Every term of
 T_j but z has Im >= 0 on C+, so T sends (C+)^U into {Im >= Im z}^U; a
 holomorphic self-map has at most one fixed point there (Schwarz-Pick), so
 an iterate that settles in C+ is on the right branch: there is no cone,
@@ -112,10 +115,11 @@ def _subordinate(z: np.ndarray, system: tuple, id_phi):
     law j, in the given order.
     """
     unknown, c, first, last, order = system
-    zero = np.zeros_like(z)
-    if unknown is None and id_phi is None:
-        return z, [], np.ones(z.shape, bool)
     stacked = np.ndim(c) > 0
+    if id_phi is None and last is None and not stacked and c == 1:  # omega = z: F = z + h(z)
+        f = z if unknown is None else z + _h_and_deriv(*unknown, z)[0]
+        return f, [] if unknown is None else [z], np.ones(z.shape, bool)
+    zero = np.zeros_like(z)
 
     def residual(x):
         """x - T(x), its Newton step and (F, omega_e); x is the unknown omegas, or F itself."""

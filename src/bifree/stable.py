@@ -168,13 +168,8 @@ def residuals_converge(resids: Sequence[float]) -> bool:
     if len(rs) < 2:
         return False
     floor = 1e-13
-    checks = []
-    for prev, cur in zip(rs[:-1], rs[1:]):
-        if prev <= floor and cur <= floor:
-            checks.append(True)
-        else:
-            checks.append(cur <= RESIDUAL_RATIO * prev + floor)
-    return all(checks[-2:]) if len(checks) >= 2 else checks[-1]
+    checks = [cur <= RESIDUAL_RATIO * prev + floor for prev, cur in zip(rs[:-1], rs[1:])]
+    return all(checks[-2:])
 
 
 def default_u_probes() -> list[Vec2]:

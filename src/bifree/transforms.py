@@ -226,18 +226,24 @@ def _pair_factors(stack: RowStack, i1: np.ndarray, i2: np.ndarray, z: np.ndarray
     return a, b
 
 
-def _inverse_pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 / (z w G_g) from the factors of :func:`_pair_factors`, law by law.
+def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z w G_g = sum_k A_gk B_gk from the factors of :func:`_pair_factors`, law by law.
 
     The sums over k are BLAS products, so no broadcast (..., m) temporary
     is formed: an outer grid (A (n, S, 1, m) against B (n, 1, T, m)) is one
     matrix product per law, any other broadcast a batch of dot products.
-    Raises :class:`DegenerateDenominator` where |z w G_g| < DEGENERATE_TOL.
     """
     if a.ndim == b.ndim == 4 and a.shape[2] == b.shape[1] == 1:
-        x = a[:, :, 0] @ b[:, 0].transpose(0, 2, 1)
-    else:
-        x = np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+        return a[:, :, 0] @ b[:, 0].transpose(0, 2, 1)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _inverse_pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 / (z w G_g), the reciprocal of :func:`_pair_sum`.
+
+    Raises :class:`DegenerateDenominator` where |z w G_g| < DEGENERATE_TOL.
+    """
+    x = _pair_sum(a, b)
     if (np.abs(x) < DEGENERATE_TOL).any():
         raise DegenerateDenominator("z w G(F1^-1, F2^-1) vanished; enlarge the cone height")
     return np.divide(1.0, x, out=x)

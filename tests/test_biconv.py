@@ -2,6 +2,7 @@ import contextlib
 import functools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -172,7 +173,7 @@ class TestDensity2D:
         ([MU, MU], (0.3, -0.4)), ([MU, GAUSS], (0.0, 0.0)),
     ])
     def test_every_density_carries_its_marginals(self, items, shift):
-        # a single law up to a shift takes its grid from the closed form, its marginals from the solves
+        # a lone law up to a shift takes its grid and its marginals from the same solves as any rep
         rep = bi_free_convolve(items, shift=shift)
         s_axis, t_axis = np.linspace(-3, 3, 13), np.linspace(-2, 2, 9)
         grid = rep.density(s_axis, t_axis, 0.1)
@@ -517,6 +518,62 @@ class TestBlockedRecovery:
         assert np.max(np.abs(G - want)) <= 1e-10 * np.max(np.abs(want))
         np.testing.assert_allclose(G1, rep.marginal(1).cauchy(Z), rtol=1e-14)
         np.testing.assert_allclose(G2, rep.marginal(2).cauchy(W), rtol=1e-14)
+
+
+def lone_law(atoms, seed):
+    """A random law of the given number of atoms on [-2, 2]^2."""
+    rng = np.random.default_rng(seed)
+    return PlanarMeasure(list(zip(map(tuple, rng.uniform(-2.0, 2.0, (atoms, 2))), rng.dirichlet(np.ones(atoms)))))
+
+
+class TestLoneLaw:
+    """One atomic law counted once, with no triplet, up to a shift: G is the
+    law's own G at the marginal inverses, in the same row blocks as any rep."""
+
+    LAW = lone_law(300, 3)
+    SHIFT = (0.3, -0.7)
+
+    def test_density_equals_the_smoothed_atoms(self):
+        rep = bi_free_convolve([self.LAW], shift=self.SHIFT)
+        assert rep.lone
+        axis = np.linspace(-3.0, 3.0, 64)
+        atoms = [((s + self.SHIFT[0], t + self.SHIFT[1]), p) for (s, t), p in zip(self.LAW.points, self.LAW.weights)]
+        got = rep.density(axis, axis, 0.1).values
+        assert np.max(np.abs(got - smoothed_atoms_2d(atoms, axis, axis, 0.1))) <= 1e-9
+
+    def test_density_forms_no_atom_axis_over_the_grid(self):
+        rep = bi_free_convolve([self.LAW], shift=self.SHIFT)
+        axis = np.linspace(-3.0, 3.0, 64)
+        rep.density(axis, axis, 0.1)
+        tracemalloc.start()
+        try:
+            rep.density(axis, axis, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (S, T, m) complex array is 64 * 64 * 300 * 16 bytes = 19.7 MB
+        assert peak <= 64 * 64 * 300 * 16 / 8
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.1, 0.2)])
+    def test_b2_vanishes_without_a_degenerate_denominator(self, shift):
+        # G_B2(i, i) = 0, where D of the phi relation is degenerate
+        rep = bi_free_convolve([MU], shift=shift)
+        assert abs(rep.cauchy(shift[0] + 1j, shift[1] + 1j)) <= 1e-15
+
+    @given(planar_laws(), nonzero, nonzero, st.lists(off_axis, min_size=1, max_size=4),
+           st.lists(off_axis, min_size=1, max_size=4))
+    def test_cauchy_with_marginals_equals_the_shifted_law(self, law, a, b, z, w):
+        rep = bi_free_convolve([law], shift=(a, b))
+        moved = law.shifted_by((-a, -b))
+        z, w = np.array(z)[:, None], np.array(w)[None, :]
+        G, G1, G2 = rep.cauchy_with_marginals(z, w)
+        # each bound is relative to the sum of the terms' moduli: G may vanish
+        s, t, p = moved.points[:, 0], moved.points[:, 1], moved.weights
+        scale = (p / np.abs((z[..., None] - s) * (w[..., None] - t))).sum(axis=-1)
+        assert np.all(np.abs(G - tf.cauchy2d(moved, z, w)) <= 1e-13 * scale)
+        for g, x, line in ((G1, z, moved.marginal(1)), (G2, w, moved.marginal(2))):
+            line_scale = (line.weights / np.abs(x[..., None] - line.points)).sum(axis=-1)
+            assert np.all(np.abs(g - tf.cauchy1d(line, x)) <= 1e-13 * line_scale)
 
 
 class TestDegenerateChecks:

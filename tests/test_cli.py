@@ -389,7 +389,7 @@ class TestCliConvolve:
         [TWO_ATOM_JSON], [DIRAC_JSON], [TWO_ATOM_JSON, DIRAC_JSON],
     ])
     def test_single_law_marginals_come_from_the_density_solves(self, tmp_path, monkeypatch, laws):
-        # one law up to a shift: the grid takes the closed form, the marginals the grid's own solves
+        # one law up to a shift: the grid and the marginals come from the same two solves
         files = [write(tmp_path / f"m{k}.json", law) for k, law in enumerate(laws)]
         calls = []
         real = FreeConvRep.f_value

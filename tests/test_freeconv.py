@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bifree.freeconv as fc
 import bifree.transforms as tf
@@ -276,6 +276,16 @@ class TestSubordination:
         counts = data.draw(st.lists(st.integers(1, 3), min_size=len(laws), max_size=len(laws)))
         assert_subordination(free_convolve_many([m for m, c in zip(laws, counts) for _ in range(c)], ids), zeta)
 
+    @given(line_laws(), st.floats(-1.0, 1.0), off_axis())
+    def test_one_law_counted_once_has_omega_zeta_minus_shift(self, law, shift, zeta):
+        # the subordination map of a sole law is constant: no solve, omega exact in both half-planes
+        assume(len(law) > 1)  # atoms that merged to one are a point mass, folded into the shift
+        zeta = np.concatenate([zeta, np.conj(zeta)])
+        rep = free_convolve_many([law], shift=shift)
+        f, (omega,) = rep.f_value(zeta, return_aux=True)
+        assert omega.tobytes() == (zeta - shift).tobytes()
+        assert_subordination(rep, zeta)
+
     @pytest.mark.parametrize(
         "laws,zeta",
         [
@@ -448,7 +458,8 @@ class TestWorkCounts:
         rep = free_convolve_many(laws, ids)
         assert len(rep.laws) == n
         rep.f_value(np.linspace(-6.0, 6.0, 64) + 0.1j)
-        assert calls == [1]
+        # one law counted once with no ID term has omega = z: nothing to solve
+        assert calls == ([] if (n, with_id) == (1, False) else [1])
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("mixed", [False, True])

@@ -41,6 +41,7 @@ import numpy as np
 from .freeconv import FreeConvRep, _grouped
 from .measure import PlanarMeasure, RowStack, Vec2, row_groups, row_stack
 from .transforms import (
+    BLOCK_NODES,
     DEGENERATE_TOL,
     DegenerateDenominator,
     GridDensity,
@@ -53,11 +54,6 @@ from .transforms import (
     bi_free_phi,
     cone_for,
 )
-
-# grid nodes per row block of a density: its work arrays, 2 x BLOCK_NODES values
-# for the two half-planes, stay in cache and below the allocator's page-fault path
-BLOCK_NODES = 4096
-
 
 def _is_triplet(obj) -> bool:
     return hasattr(obj, "tau") and hasattr(obj, "bi_free_phi")
@@ -127,8 +123,12 @@ class BiConvRep:
             total = np.asarray(bi_free_phi(self.stack, z, w))
         for t in self.triplets:
             total += t.bi_free_phi(z, w)
-        total = total + self.shift[0] / z + self.shift[1] / w
-        return complex(total) if total.ndim == 0 else total
+        if total.ndim == 0:
+            return complex(total + self.shift[0] / z + self.shift[1] / w)
+        # in place: a grid's phi holds one grid-sized array
+        total += self.shift[0] / z
+        total += self.shift[1] / w
+        return total
 
     def _axis_parts(self, Z, W):
         """z1 = F_1(Z), w2 = F_2(W), the parts of D on one axis each, and the pair factors.
@@ -199,8 +199,9 @@ class BiConvRep:
         One subordination solve per axis gives F_1 on s + i eps and F_2 on
         t + i eps: the marginal densities (``axis_densities``, equal to
         ``self.marginal(j).density`` on the axes) and the terms' marginal
-        inverses.  Rows go in blocks of about ``BLOCK_NODES`` nodes, each
-        block's rows stacked on their conjugates, since G(z, conj w) =
+        inverses.  Rows go in blocks of about ``BLOCK_NODES`` nodes (2 x
+        BLOCK_NODES values for the two half-planes), each block's rows
+        stacked on their conjugates, since G(z, conj w) =
         conj G(conj z, w): one :meth:`_g_from_parts` call gives G at
         t + i eps and, in real part, at t - i eps.  A lone law takes the
         same blocks.

@@ -27,7 +27,7 @@ from .idlaw import (
     triplet_to_sigma_form,
 )
 from .limits import ConditionsNotMet, NotInfinitesimal
-from .transforms import DegenerateDenominator, NoConvergence
+from .transforms import DegenerateDenominator, NoConvergence, _probe_pairs
 
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
@@ -103,7 +103,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _phi_table(rep_or_triplet, probes):
     """One phi evaluation over all the probes, as JSON rows."""
     phi = getattr(rep_or_triplet, "bi_free_phi", None) or rep_or_triplet.phi
-    vals = np.asarray(phi(*np.array(probes, dtype=complex).reshape(-1, 2).T)).tolist()
+    vals = np.asarray(phi(*_probe_pairs(probes, complex, "probes").T)).tolist()
     return [
         {"z": [z.real, z.imag], "w": [w.real, w.imag], "phi": [val.real, val.imag]}
         for (z, w), val in zip(probes, vals)

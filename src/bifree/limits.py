@@ -1,15 +1,28 @@
 """Triangular-array limit machinery and the classical/bi-free transfer runner.
 
-Every row is held as a stack: the padded points, weights and counts of its
-distinct laws (``RowStack``), built once with the array.  So is what the
-condition checks read of each row (``RowData``): the laws are centered by
-truncated means (``center_row``) and accumulated (``row_accumulators``)
-into the row measures tau_n, sigma_1n, sigma_2n as flat arrays of merged
-atoms sorted by norm, with cumulative moment sums, so the small-ball
-quadratic sums of a row over the whole eps ladder are one
-``searchsorted``, and so are its annulus masses.  The bounded-Lipschitz
-family is separable: its Gaussian bumps are products of one exp table per
-coordinate, so a row's integrals against a sigma are one matrix product.
+An array is held as stacks, built once with it.  The distinct laws of all
+rows of one width (the atom count of a row's largest law) are one padded
+stack of points, weights and counts (``RowStack``), one per width class
+(``WidthClass``); each row's stack is a read-only slice of its width's, so
+no row's laws are copied and none is padded past its own row's width.  Every
+limit operation is one pass per array, or per width: the infinitesimality
+diagnostic reads the width stacks, the bi-free runner makes one Newton
+solve per width for the marginals of all its laws (``transforms.law_phis``),
+and the classical runner one phase product and one ``exp`` per width; each
+row's phi sum and CF product is then a reduction over its own slice.
+
+What the condition checks read of each row (``RowData``) is built once
+too: the laws are centered by truncated means (``center_row``) and
+accumulated (``row_accumulators``) into the row measures tau_n, sigma_1n,
+sigma_2n as flat arrays of merged atoms sorted by norm, with cumulative
+moment sums and the permutation back to canonical (lexicographic) order.
+So the small-ball quadratic sums of a row over the whole eps ladder and its
+annulus masses are one ``searchsorted`` gather per row, then one
+elementwise pass over all rows, and the reported sigmas and tau-hat are
+read off without a merge.  The bounded-Lipschitz family is separable: its
+Gaussian bumps are products of one exp table per coordinate, built once
+over all rows' atoms, so a row's integrals against a sigma are one matrix
+product.
 
 These are screened through two equivalent condition systems: weak
 convergence of the sigmas plus a mixed-moment limit (I/II), or vague
@@ -22,11 +35,9 @@ sigma mass beyond TIGHT_RADIUS (a gap to 0) in I/II; the annulus masses,
 the masses near tracked atom sites, and Q per direction and rung, both per
 row and extrapolated in 1/k_n, in III/IV.  III/IV's candidate limit tau-hat
 is the last row's atoms at norm at least the smallest rung; it is built
-only for a passing report's ``tau_limit``.  The runners evaluate phi and
-the characteristic function of all laws of a row at once.  These finite-n
-surrogates are heuristics and can be fooled by adversarial
-slowly-diverging arrays, so the per-row diagnostics are always reported
-alongside the verdict.
+only for a passing report's ``tau_limit``.  These finite-n surrogates are
+heuristics and can be fooled by adversarial slowly-diverging arrays, so the
+per-row diagnostics are always reported alongside the verdict.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ import numpy as np
 from .idlaw import CharTriplet, LevyMeasure
 from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical, _freeze
 from .measure import Groups, RowStack, row_groups, row_stack  # the row type, shared with biconv
-from .transforms import _probe_pairs, bi_free_phi
+from .transforms import _law_sum, _probe_pairs, law_phis
 
 RATIO_PASS = 0.5
 ABS_PASS = 1e-9
@@ -59,22 +70,60 @@ class ConditionsNotMet(ValueError):
     """Condition checks did not pass; no limit triplet is available."""
 
 
+class WidthClass(NamedTuple):
+    """The distinct laws of every row of one width, stacked once.
+
+    A row's width is the atom count of its largest law.  Row ``rows[i]``
+    holds the laws ``bounds[i]:bounds[i + 1]`` of ``stack``, in the row's
+    ``row_groups`` order.
+    """
+
+    stack: RowStack
+    rows: tuple[int, ...]
+    bounds: tuple[int, ...]
+
+    def slices(self):
+        """(row, lo, hi) for each row of the class: its laws are stack entries lo:hi."""
+        return zip(self.rows, self.bounds[:-1], self.bounds[1:])
+
+
+def width_classes(groups: Sequence[Groups]) -> tuple[tuple[WidthClass, ...], tuple[RowStack, ...]]:
+    """The rows' laws stacked once per width, and each row's stack as a read-only slice of its width's.
+
+    Every law of a width class has at most the class's width of atoms, so
+    a row's slice is padded exactly as ``row_stack`` pads the row alone.
+    Classes come in the order their widths first occur.
+    """
+    widths = [max(len(m) for m, _ in g) for g in groups]
+    classes, stacks = [], [None] * len(groups)
+    for width in dict.fromkeys(widths):
+        rows = tuple(r for r, x in enumerate(widths) if x == width)
+        stack = row_stack(tuple(law for r in rows for law in groups[r]))
+        cls = WidthClass(stack, rows, tuple(np.cumsum([0] + [len(groups[r]) for r in rows]).tolist()))
+        for r, lo, hi in cls.slices():
+            stacks[r] = RowStack(*(x[lo:hi] for x in stack))
+        classes.append(cls)
+    return tuple(classes), tuple(stacks)
+
+
 @dataclass(frozen=True)
 class TriangularArray:
     """Rows of planar measures with per-row point-mass shifts.
 
     ``rows`` is the expanded view; ``groups`` holds each row's distinct laws
-    with their counts (``row_groups``), and ``stacks`` the same laws as
-    padded arrays (``row_stack``), which is what the machinery works on.
-    ``row_data`` holds what the condition checks read of each row
-    (``build_row_data``): a pure function of the rows, shifts and L, built
-    once here and read-only.
+    with their counts (``row_groups``), ``widths`` the laws of all rows of
+    one width as one padded stack per width (``width_classes``), and
+    ``stacks`` each row's stack, a read-only slice of its width's: that is
+    what the machinery works on.  ``row_data`` holds what the condition
+    checks read of each row (``build_row_data``): a pure function of the
+    rows, shifts and L, built once here and read-only.
     """
 
     rows: tuple[tuple[PlanarMeasure, ...], ...]
     shifts: tuple[Vec2, ...]
     L: float = 1.0
     groups: tuple[Groups, ...] = field(init=False, repr=False, compare=False)
+    widths: tuple[WidthClass, ...] = field(init=False, repr=False, compare=False)
     stacks: tuple[RowStack, ...] = field(init=False, repr=False, compare=False)
     row_data: tuple[RowData, ...] = field(init=False, repr=False, compare=False)
 
@@ -92,7 +141,8 @@ class TriangularArray:
             raise ValueError("row shifts must be finite")
         groups = tuple(row_groups(r) for r in self.rows)
         object.__setattr__(self, "groups", groups)
-        stacks = tuple(row_stack(g) for g in groups)
+        widths, stacks = width_classes(groups)
+        object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "stacks", stacks)
         object.__setattr__(self, "row_data", build_row_data(stacks, self.shifts, self.L))
 
@@ -130,12 +180,18 @@ def iid_array(
 
 
 def infinitesimality_diagnostic(array: TriangularArray) -> list[float]:
-    """max_k mu_nk({||x|| >= INFINITESIMAL_EPS}) per row; small values certify an infinitesimal row."""
-    out = []
-    for stack in array.stacks:
-        far = np.hypot(stack.points[..., 0], stack.points[..., 1]) >= INFINITESIMAL_EPS
-        out.append(float(np.where(far, stack.weights, 0.0).sum(axis=-1).max()))
-    return out
+    """max_k mu_nk({||x|| >= INFINITESIMAL_EPS}) per row; small values certify an infinitesimal row.
+
+    One pass per width class: every law's tail mass, then each row's
+    largest over its own slice.
+    """
+    out = np.empty(len(array.rows))
+    for cls in array.widths:
+        pts = cls.stack.points
+        far = np.hypot(pts[..., 0], pts[..., 1]) >= INFINITESIMAL_EPS
+        tails = np.where(far, cls.stack.weights, 0.0).sum(axis=-1)
+        out[list(cls.rows)] = np.maximum.reduceat(tails, cls.bounds[:-1])
+    return out.tolist()
 
 
 def ensure_infinitesimal(array: TriangularArray) -> list[float]:
@@ -168,7 +224,9 @@ class RowAccumulators:
 
     ``points`` are the merged atoms of tau_n = sum_k count_k * mu_nk
     (centered), sorted by ascending ``norms``; ``tau``, ``sigma1`` and
-    ``sigma2`` are their masses under the three measures.  ``ball[k]`` sums
+    ``sigma2`` are their masses under the three measures, and ``lex`` the
+    permutation that puts the atoms back in canonical (lexicographic)
+    order, the order of an ``AtomicMeasure2D`` of them.  ``ball[k]`` sums
     tau*s^2, tau*t^2 and tau*s*t over the k atoms of smallest norm, and
     ``beyond[k]`` sums tau, tau*gamma-integrand, sigma1 and sigma2 over the
     rest, so a ball is read from the origin outward and an annulus from
@@ -182,6 +240,7 @@ class RowAccumulators:
     sigma2: np.ndarray
     ball: np.ndarray
     beyond: np.ndarray
+    lex: np.ndarray
 
     # columns of ``beyond``
     TAU, GAMMA, SIGMA1, SIGMA2 = range(4)
@@ -194,11 +253,7 @@ class RowAccumulators:
         the axis of a single direction or radius dropped, and is a float
         for one of each.  One ``searchsorted`` serves every radius.
         """
-        sums = self.ball[np.searchsorted(self.norms, eps, side="left")]
-        ss, tt, st = sums[..., 0], sums[..., 1], sums[..., 2]
-        u = np.asarray(u, dtype=float)
-        u0, u1 = (u[..., k].reshape(u.shape[:-1] + (1,) * np.ndim(eps)) for k in (0, 1))
-        return _scalar(u0 * u0 * ss + 2.0 * u0 * u1 * st + u1 * u1 * tt)
+        return _scalar(_quadratic(u, self.ball[np.searchsorted(self.norms, eps, side="left")]))
 
     def between(self, lo, hi):
         """tau_n mass of the annulus lo <= ||x|| <= hi; lo and hi may be arrays of radii."""
@@ -216,6 +271,18 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _quadratic(u, sums: np.ndarray) -> np.ndarray:
+    """The integrals of (u . x)^2 from gathered ``ball`` rows ``sums`` (..., 3).
+
+    ``u`` is one direction or an array (U, 2) of them; the result has shape
+    u.shape[:-1] + sums.shape[:-1].
+    """
+    ss, tt, st = sums[..., 0], sums[..., 1], sums[..., 2]
+    u = np.asarray(u, dtype=float)
+    u0, u1 = (u[..., k].reshape(u.shape[:-1] + (1,) * ss.ndim) for k in (0, 1))
+    return u0 * u0 * ss + 2.0 * u0 * u1 * st + u1 * u1 * tt
+
+
 def row_accumulators(centered: RowStack) -> RowAccumulators:
     """tau_n = sum of the centered laws with their counts; sigma_jn are its tilts.
 
@@ -231,6 +298,8 @@ def row_accumulators(centered: RowStack) -> RowAccumulators:
     norms = np.hypot(pts[:, 0], pts[:, 1])
     order = np.argsort(norms, kind="stable")
     pts, norms, tau = pts[order], norms[order], tau[order]
+    lex = np.empty_like(order)
+    lex[order] = np.arange(len(order))
     s, t = pts[:, 0], pts[:, 1]
     sigma1 = tau * (s * s / (1.0 + s * s))
     sigma2 = tau * (t * t / (1.0 + t * t))
@@ -239,7 +308,7 @@ def row_accumulators(centered: RowStack) -> RowAccumulators:
     ball[1:] = np.cumsum(np.column_stack((tau * s * s, tau * t * t, tau * s * t)), axis=0)
     beyond = np.zeros((len(tau) + 1, 4))
     beyond[:-1] = np.cumsum(np.column_stack((tau, gamma, sigma1, sigma2))[::-1], axis=0)[::-1]
-    return RowAccumulators(*map(_freeze, (pts, norms, tau, sigma1, sigma2, ball, beyond)))
+    return RowAccumulators(*map(_freeze, (pts, norms, tau, sigma1, sigma2, ball, beyond, lex)))
 
 
 class RowData(NamedTuple):
@@ -271,8 +340,8 @@ def build_row_data(stacks: Sequence[RowStack], shifts: Sequence[Vec2], L: float)
 _BL_CENTRES = np.array([-3.0, -1.5, 0.0, 1.5, 3.0])
 
 
-def _bl_values(acc: RowAccumulators) -> np.ndarray:
-    """A fixed bounded-Lipschitz family integrated against sigma_1n and sigma_2n, shape (2, 29).
+def _bl_values(accs: Sequence[RowAccumulators]) -> np.ndarray:
+    """A fixed bounded-Lipschitz family integrated against each row's sigma_1n and sigma_2n, shape (rows, 2, 29).
 
     The weak-distance surrogate of conditions (I)-(II).  The family is the
     25 bumps exp(-(s - a)^2 - (t - b)^2) over the centres (a, b) in
@@ -280,17 +349,24 @@ def _bl_values(acc: RowAccumulators) -> np.ndarray:
     t / (1 + t^2) and st / ((1 + s^2)(1 + t^2)).  A bump is the product
     exp(-(s - a)^2) exp(-(t - b)^2), so the 25 integrals against a sigma are
     the (5, 5) matrix of one exp table per coordinate weighted by sigma.
+    The functions are tabulated once over all rows' atoms; each row's
+    integrals are products over its own columns.
     """
-    s, t = acc.points[:, 0], acc.points[:, 1]
+    pts = np.concatenate([acc.points for acc in accs])
+    bounds = np.cumsum([0] + [len(acc.tau) for acc in accs]).tolist()
+    spans = [(slice(lo, hi), (acc.sigma1, acc.sigma2)) for acc, lo, hi in zip(accs, bounds[:-1], bounds[1:])]
+    s, t = pts[:, 0], pts[:, 1]
     ss, tt = s * s, t * t
-    out = np.empty((2, 29))
+    out = np.empty((len(accs), 2, 29))
     rational = (1.0 / (1.0 + ss + tt), s / (1.0 + ss), t / (1.0 + tt), s * t / ((1.0 + ss) * (1.0 + tt)))
-    out[:, 25:] = [[f @ acc.sigma1 for f in rational], [f @ acc.sigma2 for f in rational]]
+    for row, (cols, sigmas) in zip(out, spans):
+        row[:, 25:] = [[f[cols] @ sigma for f in rational] for sigma in sigmas]
     del rational, ss, tt  # freed before the bump tables, which set the peak memory
     bump_s, bump_t = _bumps(s), _bumps(t)
     weighted = np.empty_like(bump_s)
-    for row, sigma in zip(out, (acc.sigma1, acc.sigma2)):
-        row[:25] = (np.multiply(bump_s, sigma, out=weighted) @ bump_t.T).ravel()
+    for row, (cols, sigmas) in zip(out, spans):
+        for values, sigma in zip(row, sigmas):
+            values[:25] = (np.multiply(bump_s[:, cols], sigma, out=weighted[:, cols]) @ bump_t[:, cols].T).ravel()
     return out
 
 
@@ -305,7 +381,7 @@ def _bumps(x: np.ndarray) -> np.ndarray:
 def _bl_steps(values: np.ndarray) -> np.ndarray:
     """Weak-distance surrogate between consecutive rows, shape (2, rows - 1): the largest gap over the family.
 
-    ``values`` holds ``_bl_values`` of every row, shape (rows, 2, 29).
+    ``values`` is ``_bl_values`` of the rows, shape (rows, 2, 29).
     """
     return np.abs(np.diff(values, axis=0)).max(axis=-1).T
 
@@ -425,14 +501,15 @@ def check_condition_I_II(array: TriangularArray) -> ConditionReport:
 def _conditions_I_II(array: TriangularArray) -> ConditionReport:
     accs = [rd.acc for rd in array.row_data]
     last = accs[-1]
-    bl_steps = _bl_steps(np.array([_bl_values(acc) for acc in accs]))
+    bl_steps = _bl_steps(_bl_values(accs))
     # sigma_jn mass beyond TIGHT_RADIUS: tightness asks it to settle to 0, so it is its own gap
-    escaping = np.array([[acc.above(TIGHT_RADIUS, col) for acc in accs] for col in (last.SIGMA1, last.SIGMA2)])
+    tight = np.array([acc.beyond[np.searchsorted(acc.norms, TIGHT_RADIUS, side="right")] for acc in accs])
+    escaping = tight[:, [last.SIGMA1, last.SIGMA2]].T
     gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
     return ConditionReport(
         passed=_settles(bl_steps) and _settles(escaping) and _settles(_gaps(gammas)),
-        sigma1=AtomicMeasure2D.from_arrays(last.points, last.sigma1),
-        sigma2=AtomicMeasure2D.from_arrays(last.points, last.sigma2),
+        sigma1=AtomicMeasure2D._from_merged(last.points[last.lex], last.sigma1[last.lex]),
+        sigma2=AtomicMeasure2D._from_merged(last.points[last.lex], last.sigma2[last.lex]),
         gamma=extrapolate_in_inverse_size(gammas, array.row_sizes()),
         per_n={
             "sigma1_bl_steps": bl_steps[0].tolist(),
@@ -486,29 +563,29 @@ def _conditions_III_IV(array: TriangularArray) -> ConditionReport:
     sizes = array.row_sizes()
     all_norms = np.concatenate([acc.norms for acc in accs])
     ladder = [_perturb_radius(e, all_norms) for e in EPS_LADDER]
+    # one lookup per row places every rung and the tight radius: each sits
+    # off every atom norm, so the side of the lookup does not matter
+    at = np.array([np.searchsorted(acc.norms, ladder + [_perturb_radius(TIGHT_RADIUS, all_norms)]) for acc in accs])
     # atoms of each row at ||x|| >= the smallest rung: the mass vague convergence sees
-    away = [np.searchsorted(acc.norms, ladder[-1], side="left") for acc in accs]
+    away = at[:, len(ladder) - 1].tolist()
 
-    # vague stabilization: annulus masses (annulus, row), bounded and unbounded
-    lo, hi = np.array([(e, math.inf) for e in ladder] + [(ladder[0], _perturb_radius(TIGHT_RADIUS, all_norms))]).T
-    annuli = np.array([acc.between(lo, hi) for acc in accs]).T
+    # vague stabilization: annulus masses (annulus, row), each rung out to
+    # infinity, then the first rung out to TIGHT_RADIUS
+    outside = np.array([acc.beyond[i, acc.TAU] for acc, i in zip(accs, at)])
+    annuli = np.vstack((outside[:, :-1].T, outside[:, 0] - outside[:, -1]))
 
     # atom tracking: masses (site, row) near the sites of the last three
     # rows' atoms away from the origin, taken in each row's canonical
     # (lexicographic) order; vague convergence ignores the shrinking eps-ball
-    candidates = []
-    for acc, k in zip(accs[-3:], away[-3:]):
-        pts = acc.points[k:]
-        candidates.append(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
-    sites = _atom_sites(np.concatenate(candidates))
+    sites = _atom_sites(np.concatenate([acc.points[acc.lex[acc.lex >= k]] for acc, k in zip(accs[-3:], away[-3:])]))
     site_masses = np.empty((len(sites), len(accs)))
     for masses, q in zip(site_masses, sites):
         rad = 0.05 * (1.0 + math.hypot(q[0], q[1]))
         masses[:] = [acc.tau[k:][np.linalg.norm(acc.points[k:] - q, axis=1) <= rad].sum() for acc, k in zip(accs, away)]
 
-    # small-ball quadratic limits: Q (direction, rung, row), one lookup per
-    # row over the whole ladder, then extrapolated in 1/k_n (direction, rung)
-    quad = np.array([acc.ball_quadratic(_DIRECTIONS, ladder) for acc in accs]).transpose(1, 2, 0)
+    # small-ball quadratic limits: Q (direction, rung, row) from each row's
+    # ball sums at the rungs, then extrapolated in 1/k_n (direction, rung)
+    quad = _quadratic(_DIRECTIONS, np.stack([acc.ball[i[:-1]] for acc, i in zip(accs, at)], axis=1))
     q_hat = np.array([[extrapolate_in_inverse_size(vals, sizes) for vals in by_rung] for by_rung in quad.tolist()])
     ok = all(_settles(_gaps(x)) for x in (annuli, site_masses, quad, q_hat))
 
@@ -525,7 +602,10 @@ def _conditions_III_IV(array: TriangularArray) -> ConditionReport:
     gamma_hat = extrapolate_in_inverse_size(gammas, sizes)
     last, k_last = accs[-1], away[-1]
     # the candidate limit tau-hat: the last row's atoms away from the origin
-    tau_hat = LevyMeasure(AtomicMeasure2D.from_arrays(last.points[k_last:], last.tau[k_last:])) if ok else None
+    tau_hat = None
+    if ok:
+        kept = last.lex[last.lex >= k_last]
+        tau_hat = LevyMeasure(AtomicMeasure2D._from_merged(last.points[kept], last.tau[kept]))
     v_rows, v = limit_vector(array)
     return ConditionReport(
         passed=ok,
@@ -566,17 +646,45 @@ def triplet_from_reports(rep12: ConditionReport, rep34: ConditionReport) -> Char
     return CharTriplet(rep34.v, rep34.A, rep34.tau_limit)
 
 
-def _phi_row(stack: RowStack, shift: Vec2, z, w):
-    """The row's phi sum at the probes (z, w), broadcast: one phi call over all its laws."""
-    return shift[0] / z + shift[1] / w + bi_free_phi(stack, z, w)
+def _phi_rows(array: TriangularArray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row's phi sum at the probes (z, w), shape (rows, P).
+
+    One per-law phi solve per width class, then each row's shift part plus
+    the count-weighted sum over its own slice of the laws.
+    """
+    out = np.empty((len(array.rows), len(z)), dtype=complex)
+    for cls in array.widths:
+        phis = law_phis(cls.stack, z, w)
+        for r, lo, hi in cls.slices():
+            shift = array.shifts[r]
+            out[r] = shift[0] / z + shift[1] / w + _law_sum(cls.stack.counts[lo:hi], phis[lo:hi])
+    return out
 
 
-def _cf_row(stack: RowStack, shift: Vec2, us: np.ndarray) -> np.ndarray:
-    """The row's CF product at the u-probes (U, 2): one exp over laws, atoms and probes."""
-    law_cf = (stack.weights[..., None] * np.exp(1j * (stack.points @ us.T))).sum(axis=1)
-    return np.exp(1j * (us @ np.asarray(shift, dtype=float))) * np.prod(
-        law_cf ** stack.counts[:, None], axis=0
-    )
+def _cf_rows(array: TriangularArray, us: np.ndarray) -> np.ndarray:
+    """Each row's CF product at the u-probes (U, 2), shape (rows, U).
+
+    One phase product and one exp over the laws, atoms and probes of each
+    width class, then each row's shift phase times the count-weighted
+    product over its own slice of the laws.
+    """
+    out = np.empty((len(array.rows), len(us)), dtype=complex)
+    for cls in array.widths:
+        pts = cls.stack.points
+        # one-atom laws keep one product per law: numpy's matmul takes its
+        # vector path there, which rounds otherwise than the flat matrix product
+        phase = pts @ us.T if pts.shape[1] == 1 else (pts.reshape(-1, 2) @ us.T).reshape(*pts.shape[:2], -1)
+        law_cf = (cls.stack.weights[..., None] * np.exp(1j * phase)).sum(axis=1)
+        for r, lo, hi in cls.slices():
+            out[r] = np.exp(1j * (us @ np.asarray(array.shifts[r], dtype=float))) * np.prod(
+                law_cf[lo:hi] ** cls.stack.counts[lo:hi, None], axis=0
+            )
+    return out
+
+
+def _residual_table(array: TriangularArray, values: np.ndarray, target: np.ndarray) -> list[tuple[int, float]]:
+    """(row size, sup over the probes of |value - target|) per row."""
+    return [(size, float(np.abs(row - target).max())) for size, row in zip(array.row_sizes(), values)]
 
 
 def run_bi_free_limit(
@@ -588,11 +696,7 @@ def run_bi_free_limit(
     z, w = _probe_pairs(probes, complex, "probes").T
     trip = reference or limit_triplet(array)
     target = trip.bi_free_phi(z, w)
-    out = []
-    for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
-        resid = np.abs(_phi_row(stack, shift, z, w) - target).max()
-        out.append((size, float(resid)))
-    return out
+    return _residual_table(array, _phi_rows(array, z, w), target)
 
 
 def run_classical_limit(
@@ -604,8 +708,4 @@ def run_classical_limit(
     us = _probe_pairs(u_probes, float, "u_probes")
     trip = reference or limit_triplet(array)
     target = trip.classical_cf(us)
-    out = []
-    for stack, shift, size in zip(array.stacks, array.shifts, array.row_sizes()):
-        resid = np.abs(_cf_row(stack, shift, us) - target).max()
-        out.append((size, float(resid)))
-    return out
+    return _residual_table(array, _cf_rows(array, us), target)

@@ -87,7 +87,7 @@ def _probe_points(probes: Sequence[Probe] | None):
     """The probes (``default_probes()`` when None) and their z and w, at least two of
     them: one generic probe fits the two-parameter shift exactly, whatever the law."""
     probes = default_probes() if probes is None else probes
-    zs, ws = np.array(probes, dtype=complex).reshape(-1, 2).T
+    zs, ws = _probe_pairs(probes, complex, "probes").T
     if zs.size < 2:
         raise ValueError("need at least two probes: one fits the point-mass shift exactly")
     return probes, zs, ws
@@ -178,7 +178,7 @@ def default_u_probes() -> list[Vec2]:
 
 def fit_cf_shift(u_probes: Sequence[Vec2], ratios: Sequence[complex]) -> Vec2:
     """Least-squares c with log-ratio ~ i<u, c> (principal branch)."""
-    us = np.asarray(u_probes, dtype=float).reshape(-1, 2)
+    us = _probe_pairs(u_probes, float, "u_probes")
     sol, *_ = np.linalg.lstsq(us, np.angle(ratios), rcond=None)
     return (float(sol[0]), float(sol[1]))
 

@@ -15,6 +15,7 @@ reported as :class:`NoConvergence`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +26,9 @@ from .measure import Measure1D, PlanarMeasure, RowStack
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 100
 DEGENERATE_TOL = 1e-14
+# grid nodes per block of a grid's work arrays: they stay in cache and below the
+# allocator's page-fault path
+BLOCK_NODES = 4096
 _ONE = np.ones(1, dtype=int)
 
 
@@ -54,10 +58,16 @@ def _require_nonreal(z: np.ndarray | complex, name: str = "z") -> None:
 
 
 def _probe_pairs(probes, dtype, name: str) -> np.ndarray:
-    """The probes as an array (P, 2); an empty set raises, since a residual over no probes checks nothing."""
-    pairs = np.array(probes, dtype=dtype).reshape(-1, 2)
-    if not len(pairs):
+    """The probes as an array (P, 2), one pair per row.
+
+    Any other shape raises, rather than being regrouped into pairs, and so
+    does an empty set, since a residual over no probes checks nothing.
+    """
+    pairs = np.array(probes, dtype=dtype)
+    if not pairs.size:
         raise ValueError(f"{name} is empty: a residual over no probes checks nothing")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{name} must be pairs, shape (P, 2); got shape {pairs.shape}")
     return pairs
 
 
@@ -258,6 +268,56 @@ def _law_sum(counts: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x[0] if len(counts) == 1 else x.sum(axis=0)
 
 
+def _marginal_inverses(stack: RowStack, z: np.ndarray, w: np.ndarray):
+    """Every law's marginal inverses F_1^{-1}(z) and F_2^{-1}(w), from one Newton solve.
+
+    The solve runs on z and w as given, started at the targets: the
+    s-columns of all laws against z, then the t-columns against w.  Returns
+    z and w with a common number of axes, so a law axis in front lines up,
+    and the inverses i1 (G, *z.shape) and i2 (G, *w.shape).  Raises
+    :class:`NoConvergence` when an inversion does not settle.
+    """
+    _require_nonreal(z, "z")
+    _require_nonreal(w, "w")
+    n = len(stack.counts)
+    # law-major entries: the s-columns against z, then the t-columns against w
+    target = np.concatenate([x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)])
+    roots, ok = newton_f_inverse(
+        np.concatenate([stack.points[..., 0].repeat(z.size, 0), stack.points[..., 1].repeat(w.size, 0)]),
+        np.concatenate([stack.weights.repeat(z.size, 0), stack.weights.repeat(w.size, 0)]), target, target)
+    if not ok.all():
+        raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
+    nd = max(z.ndim, w.ndim)
+    z = z.reshape((1,) * (nd - z.ndim) + z.shape)
+    w = w.reshape((1,) * (nd - w.ndim) + w.shape)
+    return z, w, roots[: z.size * n].reshape(n, *z.shape), roots[z.size * n:].reshape(n, *w.shape)
+
+
+def _phis_from_inverses(stack: RowStack, z, w, i1, i2) -> np.ndarray:
+    """phi of each law of ``stack`` at (z, w), shape (G, *broadcast shape), from its marginal inverses.
+
+    Each law's phi is put together before any sum over the laws: a sum of
+    the z-parts and w-parts alone would round at their size, which can be
+    far above phi's where they cancel (point masses).
+    """
+    val = (i1 - z) / z + (i2 - w) / w
+    val += 1.0
+    val -= _inverse_pair_sum(*_pair_factors(stack, i1, i2, z, w))
+    return val
+
+
+def law_phis(stack: RowStack, z, w) -> np.ndarray:
+    """phi of each law of ``stack`` at (z, w), broadcast: shape (G, *broadcast shape).
+
+    The per-law kernel of :func:`bi_free_phi`: one Newton solve for the
+    marginals of all laws, and no sum over them, so callers that hold the
+    laws of several rows in one stack sum each row's slice themselves.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    return _phis_from_inverses(stack, *_marginal_inverses(stack, z, w))
+
+
 def bi_free_phi(mu, z, w):
     """Two-variable phi-transform at (z, w), broadcast against each other.
 
@@ -265,40 +325,28 @@ def bi_free_phi(mu, z, w):
 
     ``mu`` is a :class:`PlanarMeasure` or a :class:`RowStack`, whose phi is
     the count-weighted sum of its laws' phis, the phi of their bi-free
-    convolution.  All laws' marginal inversions, the s-columns at z and the
-    t-columns at w, are one Newton solve on z and w as given, started at
-    the targets.  The parts that depend on z only or w only are computed on
-    the axes, law by law; no broadcast (..., m) temporary is formed.  Raises
+    convolution.  All laws' marginal inversions are one Newton solve on z
+    and w as given (see :func:`law_phis`).  The parts that depend on z only
+    or w only are computed on the axes, law by law; no broadcast (..., m)
+    temporary is formed, and the rest goes in blocks of about
+    ``BLOCK_NODES`` entries along the first axis, so an outer grid never
+    holds per-law values at all its nodes at once.  Raises
     :class:`NoConvergence` when an inversion does not settle.
     """
     if not isinstance(mu, RowStack):
         mu = RowStack(mu.points[None], mu.weights[None], _ONE)
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    _require_nonreal(z, "z")
-    _require_nonreal(w, "w")
-    n = len(mu.counts)
-    # law-major entries: the s-columns against z, then the t-columns against w
-    target = np.concatenate([x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)])
-    roots, ok = newton_f_inverse(
-        np.concatenate([mu.points[..., 0].repeat(z.size, 0), mu.points[..., 1].repeat(w.size, 0)]),
-        np.concatenate([mu.weights.repeat(z.size, 0), mu.weights.repeat(w.size, 0)]), target, target)
-    if not ok.all():
-        raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
-    # a common number of axes, so the law axis in front lines up
-    nd = max(z.ndim, w.ndim)
-    z = z.reshape((1,) * (nd - z.ndim) + z.shape)
-    w = w.reshape((1,) * (nd - w.ndim) + w.shape)
-    i1 = roots[: z.size * n].reshape(n, *z.shape)
-    i2 = roots[z.size * n:].reshape(n, *w.shape)
-    # each law's phi is put together before the laws are summed: a sum over
-    # the laws of the z-parts and w-parts alone would round at their size,
-    # which can be far above phi's where they cancel (point masses)
-    val = (i1 - z) / z + (i2 - w) / w
-    val += 1.0
-    val -= _inverse_pair_sum(*_pair_factors(mu, i1, i2, z, w))
-    val = _law_sum(mu.counts, val)
-    return complex(val) if val.ndim == 0 else val
+    z, w, i1, i2 = _marginal_inverses(mu, np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    if not z.ndim:  # z and w have a common number of axes: one probe
+        return complex(_law_sum(mu.counts, _phis_from_inverses(mu, z, w, i1, i2)))
+    shape = np.broadcast_shapes(z.shape, w.shape)
+    val = np.empty(shape, dtype=complex)
+    rows = max(1, BLOCK_NODES // max(1, math.prod(shape[1:])))
+    for lo in range(0, shape[0], rows):
+        blk = slice(lo, lo + rows)
+        zb, i1b = (z[blk], i1[:, blk]) if len(z) > 1 else (z, i1)
+        wb, i2b = (w[blk], i2[:, blk]) if len(w) > 1 else (w, i2)
+        val[blk] = _law_sum(mu.counts, _phis_from_inverses(mu, zb, wb, i1b, i2b))
+    return val
 
 
 @dataclass(frozen=True)

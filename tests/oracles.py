@@ -6,7 +6,11 @@ radial Levy integrals through 30-digit ``mpmath`` quadrature, so they share
 no code path with the transforms they check.  ``integrate`` and ``dirac1d``
 are plain references that only the tests need, and the sigma-form loops
 (``sigma_form_loop``, ``verify_loop``, ``triplet_loop``) convert one atom at
-a time, as the library did before its array maps.
+a time, as the library did before its array maps.  The limit machinery's
+row-by-row references (``phi_row``, ``cf_row``, ``bl_values_row`` and the
+``*_rows`` runners and reports) work one row's stack at a time and rebuild
+the reported measures with ``AtomicMeasure2D.from_arrays``, as the library
+did before it took each array in one pass per width class.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
+import bifree.limits as lm
 from bifree.idlaw import SIGMA_FORM_TOL, CharTriplet, InconsistentSigmaForm, LevyMeasure, SigmaForm
 from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D
+from bifree.transforms import bi_free_phi
 
 
 def dirac1d(a: float) -> Measure1D:
@@ -476,3 +482,129 @@ def triplet_loop(sf):
     v1 = sf.gamma1 - sum(m * s * t * t / ((1.0 + s * s) * (1.0 + s * s + t * t)) for (s, t), m in tau_atoms)
     v2 = sf.gamma2 - sum(m * t * s * s / ((1.0 + t * t) * (1.0 + s * s + t * t)) for (s, t), m in tau_atoms)
     return CharTriplet((v1, v2), Matrix2(a, c, b), tau)
+
+
+# -- the limit machinery row by row -------------------------------------------
+
+
+def phi_row(stack, shift, z, w):
+    """One row's phi sum at the probes (z, w): one phi call over the laws of its stack."""
+    return shift[0] / z + shift[1] / w + bi_free_phi(stack, z, w)
+
+
+def cf_row(stack, shift, us):
+    """One row's CF product at the u-probes (U, 2): one exp over its laws, atoms and probes."""
+    law_cf = (stack.weights[..., None] * np.exp(1j * (stack.points @ us.T))).sum(axis=1)
+    return np.exp(1j * (us @ np.asarray(shift, dtype=float))) * np.prod(law_cf ** stack.counts[:, None], axis=0)
+
+
+def bl_values_row(acc):
+    """The bounded-Lipschitz family against one row's sigma_1n and sigma_2n, shape (2, 29)."""
+    s, t = acc.points[:, 0], acc.points[:, 1]
+    ss, tt = s * s, t * t
+    out = np.empty((2, 29))
+    rational = (1.0 / (1.0 + ss + tt), s / (1.0 + ss), t / (1.0 + tt), s * t / ((1.0 + ss) * (1.0 + tt)))
+    out[:, 25:] = [[f @ acc.sigma1 for f in rational], [f @ acc.sigma2 for f in rational]]
+    bump_s, bump_t = lm._bumps(s), lm._bumps(t)
+    weighted = np.empty_like(bump_s)
+    for row, sigma in zip(out, (acc.sigma1, acc.sigma2)):
+        row[:25] = (np.multiply(bump_s, sigma, out=weighted) @ bump_t.T).ravel()
+    return out
+
+
+def infinitesimality_rows(array):
+    """max_k mu_nk({||x|| >= INFINITESIMAL_EPS}), one row's stack at a time."""
+    out = []
+    for stack in array.stacks:
+        far = np.hypot(stack.points[..., 0], stack.points[..., 1]) >= lm.INFINITESIMAL_EPS
+        out.append(float(np.where(far, stack.weights, 0.0).sum(axis=-1).max()))
+    return out
+
+
+def bi_free_runner_rows(array, probes, reference):
+    """``run_bi_free_limit`` with one ``phi_row`` call per row."""
+    z, w = np.array(probes, dtype=complex).T
+    target = reference.bi_free_phi(z, w)
+    return [(len(row), float(np.abs(phi_row(stack, shift, z, w) - target).max()))
+            for row, stack, shift in zip(array.rows, array.stacks, array.shifts)]
+
+
+def classical_runner_rows(array, u_probes, reference):
+    """``run_classical_limit`` with one ``cf_row`` call per row."""
+    us = np.array(u_probes, dtype=float)
+    target = reference.classical_cf(us)
+    return [(len(row), float(np.abs(cf_row(stack, shift, us) - target).max()))
+            for row, stack, shift in zip(array.rows, array.stacks, array.shifts)]
+
+
+def conditions_I_II_rows(array):
+    """The I/II report with one ``bl_values_row`` and one lookup per row and column."""
+    accs = [rd.acc for rd in array.row_data]
+    last = accs[-1]
+    bl_steps = lm._bl_steps(np.array([bl_values_row(acc) for acc in accs]))
+    escaping = np.array([[acc.above(lm.TIGHT_RADIUS, col) for acc in accs] for col in (last.SIGMA1, last.SIGMA2)])
+    gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
+    return lm.ConditionReport(
+        passed=lm._settles(bl_steps) and lm._settles(escaping) and lm._settles(lm._gaps(gammas)),
+        sigma1=AtomicMeasure2D.from_arrays(last.points, last.sigma1),
+        sigma2=AtomicMeasure2D.from_arrays(last.points, last.sigma2),
+        gamma=lm.extrapolate_in_inverse_size(gammas, array.row_sizes()),
+        per_n={
+            "sigma1_bl_steps": bl_steps[0].tolist(),
+            "sigma2_bl_steps": bl_steps[1].tolist(),
+            "sigma_escaping_mass": escaping.tolist(),
+            "gamma_per_row": gammas,
+        },
+    )
+
+
+def conditions_III_IV_rows(array):
+    """The III/IV report with each row's own lookups, a lexsort per candidate row and ``from_arrays``."""
+    accs = [rd.acc for rd in array.row_data]
+    sizes = array.row_sizes()
+    all_norms = np.concatenate([acc.norms for acc in accs])
+    ladder = [lm._perturb_radius(e, all_norms) for e in lm.EPS_LADDER]
+    away = [np.searchsorted(acc.norms, ladder[-1], side="left") for acc in accs]
+    lo, hi = np.array([(e, math.inf) for e in ladder]
+                      + [(ladder[0], lm._perturb_radius(lm.TIGHT_RADIUS, all_norms))]).T
+    annuli = np.array([acc.between(lo, hi) for acc in accs]).T
+    candidates = []
+    for acc, k in zip(accs[-3:], away[-3:]):
+        pts = acc.points[k:]
+        candidates.append(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+    sites = lm._atom_sites(np.concatenate(candidates))
+    site_masses = np.empty((len(sites), len(accs)))
+    for masses, q in zip(site_masses, sites):
+        rad = 0.05 * (1.0 + math.hypot(q[0], q[1]))
+        masses[:] = [acc.tau[k:][np.linalg.norm(acc.points[k:] - q, axis=1) <= rad].sum() for acc, k in zip(accs, away)]
+    quad = np.array([acc.ball_quadratic(lm._DIRECTIONS, ladder) for acc in accs]).transpose(1, 2, 0)
+    q_hat = np.array([[lm.extrapolate_in_inverse_size(vals, sizes) for vals in by_rung] for by_rung in quad.tolist()])
+    ok = all(lm._settles(lm._gaps(x)) for x in (annuli, site_masses, quad, q_hat))
+    a, b, ab = q_hat[:, -1].tolist()
+    c = 0.5 * (ab - a - b)
+    if a >= 0.0 and b >= 0.0 and c * c > a * b:
+        if c * c - a * b < 1e-9 * max(1.0, a * b):
+            c = math.copysign(math.sqrt(a * b), c)
+        else:
+            ok = False
+    gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
+    gamma_hat = lm.extrapolate_in_inverse_size(gammas, sizes)
+    last, k_last = accs[-1], away[-1]
+    tau_hat = LevyMeasure(AtomicMeasure2D.from_arrays(last.points[k_last:], last.tau[k_last:])) if ok else None
+    v_rows, v = lm.limit_vector(array)
+    return lm.ConditionReport(
+        passed=ok,
+        gamma=gamma_hat,
+        tau_limit=tau_hat,
+        A=Matrix2(max(a, 0.0), c, max(b, 0.0)) if ok else None,
+        c=gamma_hat - float(last.beyond[k_last, last.GAMMA]) if ok else None,
+        v=v,
+        Q={lm._key(u): q for u, q in zip(lm._DIRECTIONS, q_hat[:, -1].tolist())},
+        per_n={
+            "eps_ladder": ladder,
+            "annulus_masses": annuli.tolist(),
+            "atom_sites": [{"site": q.tolist(), "masses": m} for q, m in zip(sites, site_masses.tolist())],
+            "Q_by_eps": {lm._key(u): by_eps for u, by_eps in zip(lm._DIRECTIONS, q_hat.tolist())},
+            "v_per_row": [list(x) for x in v_rows],
+        },
+    )

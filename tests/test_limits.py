@@ -30,6 +30,7 @@ from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D, PlanarMeasure, d
 from bifree.serialize import array_from_dict, array_to_dict
 from bifree.transforms import cauchy2d, invert_f
 
+import oracles
 from oracles import integrate, richardson_limit
 
 
@@ -312,8 +313,8 @@ class TestEmptyProbeSets:
         def evaluated(*args, **kwargs):
             raise AssertionError("a transform was evaluated")
 
-        monkeypatch.setattr(lm, "bi_free_phi", evaluated)
-        monkeypatch.setattr(lm, "_cf_row", evaluated)
+        monkeypatch.setattr(lm, "_phi_rows", evaluated)
+        monkeypatch.setattr(lm, "_cf_rows", evaluated)
         monkeypatch.setattr(lm, "limit_triplet", evaluated)
         for name in ("bi_free_phi", "classical_cf"):
             monkeypatch.setattr(lm.CharTriplet, name, evaluated)
@@ -399,19 +400,22 @@ class TestContentGrouping:
             assert check(back).to_jsonable() == check(arr).to_jsonable()
 
     def test_phi_once_per_row(self, monkeypatch):
+        # every row has one width, so all rows' laws take one Newton solve over all probes
         arr = json_copy(poisson_array())
+        assert len(arr.widths) == 1
         trip = limit_triplet(arr)
         calls = []
-        real = lm.bi_free_phi
+        real = tf.newton_f_inverse
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lm, "bi_free_phi", counting)
+        monkeypatch.setattr(tf, "newton_f_inverse", counting)
         run_bi_free_limit(arr, PROBES, reference=trip)
-        assert len(calls) == len(arr.rows)
-        assert all(np.shape(args[1]) == (len(PROBES),) for args in calls)
+        assert len(calls) == 1
+        laws = sum(map(len, arr.groups))
+        assert np.shape(calls[0][2]) == (2 * laws * len(PROBES),)
 
 
 grid_coords = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
@@ -489,16 +493,68 @@ STACK_PROBES = [(12j, 10j), (-9j, 14j), (3.0 + 12j, -2.0 - 11j)]
 @given(stacked_arrays())
 def test_stacked_phi_and_cf_match_expanded_rows(arr):
     us = np.array(U_PROBES)
-    for row, stack, shift in zip(arr.rows, arr.stacks, arr.shifts):
+    z, w = np.array(STACK_PROBES).T
+    phis, cfs = lm._phi_rows(arr, z, w), lm._cf_rows(arr, us)
+    for row, stack, shift, phi, cf in zip(arr.rows, arr.stacks, arr.shifts, phis, cfs):
         assert stack.weights.shape[1] == max(len(m) for m in row)
-        for z, w in STACK_PROBES:
-            refs = [phi_reference(m, z, w) for m in row]
-            want = shift[0] / z + shift[1] / w + sum(v for v, _ in refs)
-            scale = abs(shift[0] / z) + abs(shift[1] / w) + sum(s for _, s in refs)
-            got = lm._phi_row(stack, shift, z, w)
+        for (zp, wp), got in zip(STACK_PROBES, phi):
+            refs = [phi_reference(m, zp, wp) for m in row]
+            want = shift[0] / zp + shift[1] / wp + sum(v for v, _ in refs)
+            scale = abs(shift[0] / zp) + abs(shift[1] / wp) + sum(s for _, s in refs)
             assert abs(got - want) <= 1e-13 * scale
         want = np.exp(1j * (us @ np.array(shift))) * np.prod([[m.char_fun(u) for u in us] for m in row], axis=0)
-        np.testing.assert_allclose(lm._cf_row(stack, shift, us), want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(cf, want, rtol=1e-13, atol=0)
+
+
+RUNNER_REFERENCE = make_gaussian((0.25, -0.5), Matrix2(1.0, 0.3, 0.5))
+
+
+def assert_matches_the_row_references(arr):
+    """Runner tables, the diagnostic and both reports equal the row-by-row references of ``oracles``."""
+    trip = RUNNER_REFERENCE
+    assert run_bi_free_limit(arr, STACK_PROBES, reference=trip) == oracles.bi_free_runner_rows(arr, STACK_PROBES, trip)
+    assert run_classical_limit(arr, U_PROBES, reference=trip) == oracles.classical_runner_rows(arr, U_PROBES, trip)
+    assert lm.infinitesimality_diagnostic(arr) == oracles.infinitesimality_rows(arr)
+    if len(arr.rows) >= 3:  # the settling rule reads two gaps
+        assert lm._conditions_I_II(arr).to_jsonable() == oracles.conditions_I_II_rows(arr).to_jsonable()
+        assert lm._conditions_III_IV(arr).to_jsonable() == oracles.conditions_III_IV_rows(arr).to_jsonable()
+
+
+def assert_rows_are_slices_of_their_width(arr):
+    """Each row's stack is a read-only view into its width's stack, equal to the row stacked alone."""
+    assert sorted(r for cls in arr.widths for r in cls.rows) == list(range(len(arr.rows)))
+    for cls in arr.widths:
+        for r, lo, hi in cls.slices():
+            stack, alone = arr.stacks[r], row_stack(arr.groups[r])
+            for got, whole, want in zip(stack, cls.stack, alone):
+                assert np.shares_memory(got, whole) and not got.flags.writeable
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def mixed_width_array():
+    """One row of 2-atom laws and one of a 40-atom law: two width classes."""
+    pair = PlanarMeasure([((0.1, 0.0), 0.5), ((-0.1, 0.2), 0.5)])
+    wide = PlanarMeasure([((0.01 * k, -0.005 * k), 1.0 / 40) for k in range(40)])
+    return make_array([[pair], [wide, wide]], [(0.0, 0.0), (0.5, -0.25)])
+
+
+# one-atom laws at generic sites: a flat phase product would round otherwise than the per-law one
+@example(make_array([[dirac((0.3 * math.sin(k), 0.3 * math.cos(3 * k))) for k in range(n)] for n in (3, 6, 9)]))
+@example(mixed_width_array())
+@given(stacked_arrays())
+def test_one_pass_per_width_matches_the_rows_one_by_one(arr):
+    assert_rows_are_slices_of_their_width(arr)
+    assert all(not rd.acc.lex.flags.writeable for rd in arr.row_data)
+    assert_matches_the_row_references(arr)
+
+
+def test_mixed_widths_store_no_more_than_the_rows():
+    arr = mixed_width_array()
+    assert [cls.stack.weights.shape for cls in arr.widths] == [(1, 2), (1, 40)]
+    per_row = [row_stack(row_groups(row)) for row in arr.rows]
+    assert sum(cls.stack.weights.size for cls in arr.widths) <= sum(stack.weights.size for stack in per_row)
+    assert_rows_are_slices_of_their_width(arr)
+    assert_matches_the_row_references(arr)
 
 
 def expanded_atoms(row, L):
@@ -551,10 +607,11 @@ def bl_reference(points):
 
 @given(stacked_arrays())
 def test_separable_bl_family_matches_reference(arr):
-    for acc in (rd.acc for rd in arr.row_data):
+    accs = [rd.acc for rd in arr.row_data]
+    values = lm._bl_values(accs)
+    assert values.shape == (len(accs), 2, 29)
+    for acc, got in zip(accs, values):
         family = bl_reference(acc.points)
-        got = lm._bl_values(acc)
-        assert got.shape == (2, 29)
         # every test function has |f| <= 1, so each integral is within rounding of the sigma mass
         for row, sigma in zip(got, (acc.sigma1, acc.sigma2)):
             assert np.abs(row - family @ sigma).max() <= 1e-14 * sigma.sum()

@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import bifree.limits as lm
+import bifree.stable as stable
+import bifree.transforms as tf
 from bifree.freeconv import free_convolve_many
-from bifree.measure import Measure1D, PlanarMeasure, dirac
+from bifree.idlaw import make_gaussian
+from bifree.measure import Matrix2, Measure1D, PlanarMeasure, dirac, row_stack
 from bifree.transforms import (
     GridDensity,
     NoConvergence,
@@ -290,3 +297,96 @@ class TestTightnessProbe:
         m = PlanarMeasure([((1, -2), 0.3), ((0.5, 0.5), 0.7)])
         probes = self.probe(m, [10.0, 100.0])
         assert probes[1] < probes[0]
+
+
+grid_coords = st.sampled_from([-1.0, -0.4, 0.0, 0.3, 1.5])
+
+
+@st.composite
+def counted_stacks(draw):
+    """1-3 distinct laws of 1-4 atoms with counts 1-3, as one stack."""
+    laws = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = draw(st.lists(st.tuples(grid_coords, grid_coords), min_size=1, max_size=4, unique=True))
+        wts = draw(st.lists(st.floats(0.1, 1.0), min_size=len(pts), max_size=len(pts)))
+        laws.append(PlanarMeasure([(p, w / sum(wts)) for p, w in zip(pts, wts)]))
+    laws = list({(m.points.tobytes(), m.weights.tobytes()): m for m in laws}.values())
+    return row_stack(tuple((m, draw(st.integers(1, 3))) for m in laws)), max(cone_for(m).M for m in laws)
+
+
+def cone_points(draw, n):
+    """n points x + iy with |y| in [2, 12] and |x| <= 0.9 |y|, either half-plane."""
+    ys = [draw(st.floats(2.0, 12.0)) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(n)]
+    return np.array([draw(st.floats(-0.9, 0.9)) * abs(y) + 1j * y for y in ys])
+
+
+class TestBlockedGridPhi:
+    """An outer grid's phi goes in blocks of rows; every block size gives the pointwise values."""
+
+    @given(counted_stacks(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 20), st.booleans(), st.data())
+    def test_grid_matches_points(self, stack_and_height, rows, cols, block, flip, data):
+        stack, height = stack_and_height
+        z, w = (height * cone_points(data.draw, k) for k in (rows, cols))
+        zg, wg = (z[None, :], w[:, None]) if flip else (z[:, None], w[None, :])
+        with mock.patch.object(tf, "BLOCK_NODES", block):
+            grid = bi_free_phi(stack, zg, wg)
+        want = np.array([[bi_free_phi(stack, a, b) for b in np.ravel(wg)] for a in np.ravel(zg)])
+        np.testing.assert_allclose(grid, want.T if flip else want, rtol=1e-12, atol=1e-14)
+
+    def test_law_phis_sum_to_phi(self):
+        stack = row_stack(((TWO_ATOM, 2), (dirac((0.5, -1.0)), 1)))
+        z, w = np.array([10j, -9j + 2.0]), np.array([12j, 11j])
+        per_law = tf.law_phis(stack, z, w)
+        assert per_law.shape == (2, 2)
+        np.testing.assert_array_equal(2 * per_law[0] + per_law[1], bi_free_phi(stack, z, w))
+
+
+class TestProbeSets:
+    """A probe set is an array of pairs, shape (P, 2); nothing regroups other shapes."""
+
+    ARRAY = lm.make_array([[PlanarMeasure([((0.0, 0.0), 1 - 1 / n), ((1.0, 1.0), 1 / n)])] * n for n in (8, 32, 128)])
+    TRIPLET = make_gaussian((0.0, 0.0), Matrix2(1.0, 0.0, 1.0))
+    SPEC = stable.StableSpec(alpha=2.0, gaussian_a=Matrix2(1.0, 0.0, 1.0))
+    LAW = PlanarMeasure([((0.5, 0.5), 0.5), ((-0.5, -0.5), 0.5)])
+    # three complex numbers per entry would regroup into three pairs; a flat list into one
+    PROBES = ([(2j, 4j, 6j), (8j, 3j, 5j)], [2j, 4j], [[(2j, 4j), (4j, 2j)]])
+    U_PROBES = ([(0.4, 0.0, 0.2), (0.0, 0.4, 0.1)], [0.4, 0.0], [[(0.4, 0.0), (0.0, 0.4)]])
+
+    @pytest.mark.parametrize("probes", PROBES)
+    @pytest.mark.parametrize("entry", ["parser", "runner", "stability", "shift_fit", "doa"])
+    def test_malformed_probes_raise(self, entry, probes):
+        calls = {
+            "parser": lambda: tf._probe_pairs(probes, complex, "probes"),
+            "runner": lambda: lm.run_bi_free_limit(self.ARRAY, probes, reference=self.TRIPLET),
+            "stability": lambda: stable.check_stability(self.SPEC, 1.0, 2.0, probes=probes),
+            "shift_fit": lambda: stable.fit_point_mass_shift(probes, [0.1j] * 3),
+            "doa": lambda: stable.domain_of_attraction_run(self.LAW, self.SPEC, [8, 32, 128], probes=probes),
+        }
+        with pytest.raises(ValueError, match=r"probes must be pairs, shape \(P, 2\)"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("u_probes", U_PROBES)
+    @pytest.mark.parametrize("entry", ["parser", "runner", "cf_shift_fit", "doa"])
+    def test_malformed_u_probes_raise(self, entry, u_probes):
+        calls = {
+            "parser": lambda: tf._probe_pairs(u_probes, float, "u_probes"),
+            "runner": lambda: lm.run_classical_limit(self.ARRAY, u_probes, reference=self.TRIPLET),
+            "cf_shift_fit": lambda: stable.fit_cf_shift(u_probes, [1.0 + 0.0j] * 3),
+            "doa": lambda: stable.domain_of_attraction_run(self.LAW, self.SPEC, [8, 32, 128], u_probes=u_probes),
+        }
+        with pytest.raises(ValueError, match=r"u_probes must be pairs, shape \(P, 2\)"):
+            calls[entry]()
+
+    def test_ragged_probes_raise(self):
+        with pytest.raises(ValueError):
+            tf._probe_pairs([(2j, 4j), (8j,)], complex, "probes")
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))])
+    def test_empty_set_keeps_its_error(self, empty):
+        with pytest.raises(ValueError, match="probes is empty"):
+            tf._probe_pairs(empty, complex, "probes")
+
+    def test_pairs_pass_through(self):
+        pairs = tf._probe_pairs([(2j, 4j), (-3j, 1 + 5j)], complex, "probes")
+        assert pairs.shape == (2, 2) and pairs.dtype == complex
+        assert pairs.tolist() == [[2j, 4j], [-3j, 1 + 5j]]

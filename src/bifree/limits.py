@@ -29,15 +29,18 @@ convergence of the sigmas plus a mixed-moment limit (I/II), or vague
 convergence of tau_n away from the origin plus small-ball quadratic limits
 (III/IV).  Each check holds its row sequences as arrays whose last axis is
 the sequence, and one rule decides them all (``_settles``): a sequence
-settles when its last gap is at most max(1/2 x the gap before it, 1e-9).
-The sequences are the bounded-Lipschitz gaps, the gamma values and the
-sigma mass beyond TIGHT_RADIUS (a gap to 0) in I/II; the annulus masses,
-the masses near tracked atom sites, and Q per direction and rung, both per
-row and extrapolated in 1/k_n, in III/IV.  III/IV's candidate limit tau-hat
-is the last row's atoms at norm at least the smallest rung; it is built
-only for a passing report's ``tau_limit``.  These finite-n surrogates are
-heuristics and can be fooled by adversarial slowly-diverging arrays, so the
-per-row diagnostics are always reported alongside the verdict.
+settles when its last gap is at most max(the gap before x m[-1]/m[-2],
+ABS_PASS), m the gaps of s^RATE_MIN (its values, for a sequence that must
+go to 0), so any rate s^p with p >= RATE_MIN = 1/4 passes at any spacing.
+The scale s is 1/k_n for the row sequences: the bounded-Lipschitz gaps,
+the gamma values and the sigma mass beyond TIGHT_RADIUS (to 0) in I/II; the
+annulus masses, the masses near tracked atom sites and Q per direction and
+rung in III/IV.  Along the rungs, Q extrapolated in 1/k_n has s = eps.
+III/IV's candidate limit tau-hat is the last row's atoms at norm at least
+the smallest rung; it is built only for a passing report's ``tau_limit``.
+These finite-n surrogates are heuristics and can be fooled by adversarial
+slowly-diverging arrays, so the per-row diagnostics are always reported
+alongside the verdict.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical, 
 from .measure import Groups, RowStack, row_groups, row_stack  # the row type, shared with biconv
 from .transforms import _law_sum, _probe_pairs, law_phis
 
-RATIO_PASS = 0.5
+RATE_MIN = 0.25
 ABS_PASS = 1e-9
 INFINITESIMAL_EPS = 0.5
 INFINITESIMAL_TOL = 0.05
@@ -391,15 +394,21 @@ def _gaps(values) -> np.ndarray:
     return np.abs(np.diff(values, axis=-1))
 
 
-def _settles(gaps: np.ndarray) -> bool:
+def _settles(gaps: np.ndarray, sizes) -> bool:
     """Whether every sequence of gaps along the last axis settles.
 
-    A sequence settles when its last gap is at most max(RATIO_PASS times the
-    gap before it, ABS_PASS): the gaps at least halve, or already sit at the
-    noise floor.  A checked array has at least three rows, so every
-    sequence has two gaps.
+    ``sizes`` grow with the terms of the sequences, 1/s for their scale s:
+    k_n for rows, n for sample sizes, 1/eps for rungs.  The gaps are between
+    consecutive terms (one fewer than ``sizes``), or the terms themselves
+    for a sequence that must go to 0.  A sequence settles when its last gap
+    is at most max(the gap before x m[-1]/m[-2], ABS_PASS), m the same kind
+    of gaps of the model s^RATE_MIN: every rate s^p with p >= RATE_MIN
+    passes whatever the steps in s, and a flat or growing sequence fails.
     """
-    return bool(np.all(gaps[..., -1] <= np.maximum(RATIO_PASS * gaps[..., -2], ABS_PASS)))
+    m = [float(k) ** -RATE_MIN for k in sizes[-3:]]
+    if gaps.shape[-1] < len(sizes):
+        m = [a - b for a, b in zip(m[:-1], m[1:])]
+    return bool(np.all(gaps[..., -1] <= np.maximum(m[-1] / m[-2] * gaps[..., -2], ABS_PASS)))
 
 
 def _trailing_smooth_run(values: Sequence[float], sizes: Sequence[int]) -> int:
@@ -500,17 +509,17 @@ def check_condition_I_II(array: TriangularArray) -> ConditionReport:
 
 def _conditions_I_II(array: TriangularArray) -> ConditionReport:
     accs = [rd.acc for rd in array.row_data]
-    last = accs[-1]
+    last, sizes = accs[-1], array.row_sizes()
     bl_steps = _bl_steps(_bl_values(accs))
     # sigma_jn mass beyond TIGHT_RADIUS: tightness asks it to settle to 0, so it is its own gap
     tight = np.array([acc.beyond[np.searchsorted(acc.norms, TIGHT_RADIUS, side="right")] for acc in accs])
     escaping = tight[:, [last.SIGMA1, last.SIGMA2]].T
     gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
     return ConditionReport(
-        passed=_settles(bl_steps) and _settles(escaping) and _settles(_gaps(gammas)),
+        passed=all(_settles(x, sizes) for x in (bl_steps, escaping, _gaps(gammas))),
         sigma1=AtomicMeasure2D._from_merged(last.points[last.lex], last.sigma1[last.lex]),
         sigma2=AtomicMeasure2D._from_merged(last.points[last.lex], last.sigma2[last.lex]),
-        gamma=extrapolate_in_inverse_size(gammas, array.row_sizes()),
+        gamma=extrapolate_in_inverse_size(gammas, sizes),
         per_n={
             "sigma1_bl_steps": bl_steps[0].tolist(),
             "sigma2_bl_steps": bl_steps[1].tolist(),
@@ -587,7 +596,8 @@ def _conditions_III_IV(array: TriangularArray) -> ConditionReport:
     # ball sums at the rungs, then extrapolated in 1/k_n (direction, rung)
     quad = _quadratic(_DIRECTIONS, np.stack([acc.ball[i[:-1]] for acc, i in zip(accs, at)], axis=1))
     q_hat = np.array([[extrapolate_in_inverse_size(vals, sizes) for vals in by_rung] for by_rung in quad.tolist()])
-    ok = all(_settles(_gaps(x)) for x in (annuli, site_masses, quad, q_hat))
+    ok = all(_settles(_gaps(x), sizes) for x in (annuli, site_masses, quad))
+    ok = ok and _settles(_gaps(q_hat), 1 / np.array(ladder))  # along the rungs, sizes 1/eps
 
     a, b, ab = q_hat[:, -1].tolist()
     c = 0.5 * (ab - a - b)

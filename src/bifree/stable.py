@@ -17,11 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .idlaw import CharTriplet, LevyMeasure, RadialPart, make_gaussian
-from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2
-from .transforms import _probe_pairs, bi_free_phi
+from .limits import _settles
+from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, row_stack
+from .transforms import _probe_pairs, law_phis
 
 Probe = tuple[complex, complex]
-RESIDUAL_RATIO = 0.6
 
 
 @dataclass(frozen=True)
@@ -157,21 +157,6 @@ class ConvergenceReport:
         return {**asdict(self), "agree": self.agree}
 
 
-def residuals_converge(resids: Sequence[float]) -> bool:
-    """Heuristic: successive residuals must keep shrinking by RESIDUAL_RATIO at least.
-
-    Assumes the sample sizes grow by a fixed factor; an O(1/n) rate then
-    shows up as a stable ratio well below 1, while a non-matching target
-    leaves the residuals flat.
-    """
-    rs = list(resids)
-    if len(rs) < 2:
-        return False
-    floor = 1e-13
-    checks = [cur <= RESIDUAL_RATIO * prev + floor for prev, cur in zip(rs[:-1], rs[1:])]
-    return all(checks[-2:])
-
-
 def default_u_probes() -> list[Vec2]:
     return [(0.4, 0.0), (0.0, 0.4), (0.4, 0.4), (-0.3, 0.5), (0.8, 0.0), (0.0, 0.8), (0.6, -0.6), (1.0, 1.0)]
 
@@ -193,12 +178,16 @@ def domain_of_attraction_run(
     """Scaled n-fold convolutions of nu against the stable target.
 
     Per n, the bi-free side compares n * phi of the dilated law (plus a
-    fitted recentring) to the target phi; the classical side compares the
-    n-th CF power (plus a fitted phase) to the target CF.
+    fitted recentring) to the target phi, every n's phi from one Newton
+    solve; the classical side compares the n-th CF power (plus a fitted
+    phase) to the target CF.  Each side converges when its residuals go to
+    0 by ``limits._settles`` in s = 1/n, which reads at least two of them.
     """
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise ValueError(f"sample sizes must be at least 1: {ns}")
+    if len(ns) < 2:
+        raise ValueError(f"need at least two sample sizes: one residual shows no trend: {ns}")
     if any(n2 <= n1 for n1, n2 in zip(ns[:-1], ns[1:])):
         raise ValueError("sample sizes must increase")
     probes, zs, ws = _probe_points(probes)
@@ -208,12 +197,11 @@ def domain_of_attraction_run(
     trip = stable_triplet(spec)
     target_phi = trip.bi_free_phi(zs, ws)
     target_cf = trip.classical_cf(us)
+    dils = [nu.dilated(1.0 / float(n) ** (1.0 / spec.alpha)) for n in ns]
+    phis = law_phis(row_stack(tuple((dil, 1) for dil in dils)), zs, ws)
     bif, cls = [], []
-    for n in ns:
-        bn = float(n) ** (1.0 / spec.alpha)
-        dil = nu.dilated(1.0 / bn)
-        resid = n * bi_free_phi(dil, zs, ws) - target_phi
-        bif.append(fit_point_mass_shift(probes, resid)[1])
+    for n, dil, phi in zip(ns, dils, phis):
+        bif.append(fit_point_mass_shift(probes, n * phi - target_phi)[1])
         cf_n = dil.char_fun(us) ** n
         ratios = np.divide(target_cf, cf_n, out=np.ones_like(cf_n), where=cf_n != 0)
         shift = fit_cf_shift(us, ratios)
@@ -222,6 +210,6 @@ def domain_of_attraction_run(
         ns=ns,
         bifree_residuals=bif,
         classical_residuals=cls,
-        bifree_converged=residuals_converge(bif),
-        classical_converged=residuals_converge(cls),
+        bifree_converged=_settles(np.array(bif), ns),
+        classical_converged=_settles(np.array(cls), ns),
     )

@@ -544,11 +544,12 @@ def conditions_I_II_rows(array):
     bl_steps = lm._bl_steps(np.array([bl_values_row(acc) for acc in accs]))
     escaping = np.array([[acc.above(lm.TIGHT_RADIUS, col) for acc in accs] for col in (last.SIGMA1, last.SIGMA2)])
     gammas = [float(acc.beyond[0, acc.GAMMA]) for acc in accs]
+    sizes = array.row_sizes()
     return lm.ConditionReport(
-        passed=lm._settles(bl_steps) and lm._settles(escaping) and lm._settles(lm._gaps(gammas)),
+        passed=all(lm._settles(x, sizes) for x in (bl_steps, escaping, lm._gaps(gammas))),
         sigma1=AtomicMeasure2D.from_arrays(last.points, last.sigma1),
         sigma2=AtomicMeasure2D.from_arrays(last.points, last.sigma2),
-        gamma=lm.extrapolate_in_inverse_size(gammas, array.row_sizes()),
+        gamma=lm.extrapolate_in_inverse_size(gammas, sizes),
         per_n={
             "sigma1_bl_steps": bl_steps[0].tolist(),
             "sigma2_bl_steps": bl_steps[1].tolist(),
@@ -579,7 +580,8 @@ def conditions_III_IV_rows(array):
         masses[:] = [acc.tau[k:][np.linalg.norm(acc.points[k:] - q, axis=1) <= rad].sum() for acc, k in zip(accs, away)]
     quad = np.array([acc.ball_quadratic(lm._DIRECTIONS, ladder) for acc in accs]).transpose(1, 2, 0)
     q_hat = np.array([[lm.extrapolate_in_inverse_size(vals, sizes) for vals in by_rung] for by_rung in quad.tolist()])
-    ok = all(lm._settles(lm._gaps(x)) for x in (annuli, site_masses, quad, q_hat))
+    ok = (all(lm._settles(lm._gaps(x), sizes) for x in (annuli, site_masses, quad))
+          and lm._settles(lm._gaps(q_hat), 1 / np.array(ladder)))
     a, b, ab = q_hat[:, -1].tolist()
     c = 0.5 * (ab - a - b)
     if a >= 0.0 and b >= 0.0 and c * c > a * b:

@@ -603,6 +603,23 @@ class TestCliStable:
         assert "sample sizes must be at least 1" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_doa_one_size_exit_4(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 1], [1, 1]]})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "doa", write(tmp_path / "nu.json", TWO_ATOM_JSON), spec, "--ns", "8"]) == 4
+        assert "need at least two sample sizes" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_doa_skewed_law_at_doubling_sizes(self, tmp_path):
+        # a law with nonzero third moments: its residuals fall like n^{-1/2}, about 0.7 per doubling
+        nu = write(tmp_path / "nu.json", {"atoms": [
+            {"x": [2.0, 1.0], "w": 0.2}, {"x": [-0.5, 0.3], "w": 0.4}, {"x": [-0.5, -0.55], "w": 0.4}]})
+        spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1.0, 0.45], [0.45, 0.347]]})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "doa", nu, spec, "--ns", "16,32,64,128"]) == 0
+        rep = json.loads((out / "doa_report.json").read_text())
+        assert rep["bifree_converged"] is True and rep["classical_converged"] is True
+
     def test_doa(self, tmp_path):
         nu = write(tmp_path / "nu.json", TWO_ATOM_JSON)
         spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 1], [1, 1]]})

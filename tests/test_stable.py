@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import bifree.stable as stable
 from bifree.idlaw import RadialPart
+from bifree.limits import _settles
 from bifree.measure import Matrix2, PlanarMeasure, dirac
 from bifree.stable import (
     StableSpec,
@@ -14,7 +16,9 @@ from bifree.stable import (
     fit_point_mass_shift,
     stable_triplet,
 )
-from bifree.transforms import bi_free_phi
+from bifree.transforms import bi_free_phi, law_phis
+
+from test_limits import SKEWED, centred_laws
 
 I2 = Matrix2(1.0, 0.0, 1.0)
 ONES = Matrix2(1.0, 1.0, 1.0)
@@ -176,6 +180,29 @@ class TestDomainOfAttraction:
         # removes it entirely and the residual is the constant target phi gap
         assert all(r >= 0 for r in rep.bifree_residuals)
 
+    @pytest.mark.parametrize("ns", [[8], []])
+    def test_fewer_than_two_sizes_are_rejected(self, ns):
+        # one residual shows no trend, so it gives no verdict either way
+        nu = PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
+        with pytest.raises(ValueError, match="need at least two sample sizes"):
+            domain_of_attraction_run(nu, StableSpec(alpha=2.0, gaussian_a=ONES), ns)
+
+    def test_one_newton_solve_per_run(self, monkeypatch):
+        # every n's phi from one law_phis call, bit-equal to bi_free_phi of each dilated law
+        nu = PlanarMeasure([((0.3, -0.8), 0.25), ((-0.6, 0.2), 0.25), ((0.9, 0.5), 0.25), ((-0.4, -0.7), 0.25)])
+        spec, ns = StableSpec(alpha=1.5, theta=uniform_theta(8)), [8, 16, 32, 64]
+        calls = []
+        monkeypatch.setattr(stable, "law_phis", lambda *a: calls.append(a) or law_phis(*a))
+        rep = domain_of_attraction_run(nu, spec, ns)
+        assert len(calls) == 1
+        probes = default_probes()
+        zs, ws = np.array(probes).T
+        target = stable_triplet(spec).bi_free_phi(zs, ws)
+        assert rep.bifree_residuals == [
+            fit_point_mass_shift(probes, n * bi_free_phi(nu.dilated(1.0 / n ** (1.0 / 1.5)), zs, ws) - target)[1]
+            for n in ns
+        ]
+
     @pytest.mark.parametrize("ns", [[-8, 32], [0, 8], [-2, -1]])
     def test_sizes_below_one_are_rejected(self, ns):
         # n^(1/alpha) of a negative n is complex, and n = 0 divides by zero
@@ -215,14 +242,55 @@ class TestDomainOfAttraction:
             assert rep.agree
 
 
+def covariance(mu):
+    """The covariance matrix of a planar law."""
+    x = mu.points - mu.weights @ mu.points
+    (a, c), (_, b) = (mu.weights[:, None] * x).T @ x
+    return Matrix2(a, c, b)
+
+
+class TestRateAwareDomainOfAttraction:
+    """Residuals at the central-limit rate n^{-1/2} converge whether n doubles or quadruples."""
+
+    NS = ([16, 32, 64, 128], [8, 32, 128, 512])
+
+    @settings(max_examples=20)
+    @example(SKEWED)
+    @given(centred_laws())
+    def test_random_laws_converge_to_their_gaussian(self, mu):
+        spec = StableSpec(alpha=2.0, gaussian_a=covariance(mu))
+        for ns in self.NS:
+            rep = domain_of_attraction_run(mu, spec, ns)
+            assert rep.bifree_converged and rep.classical_converged, rep
+
+    @settings(max_examples=10)
+    @given(centred_laws())
+    def test_mismatched_targets_fail(self, mu):
+        cov = covariance(mu)
+        wrong_index = StableSpec(alpha=1.0, theta=uniform_theta(8))
+        wrong_covariance = StableSpec(alpha=2.0, gaussian_a=Matrix2(cov.a + 1.0, cov.c, cov.b + 1.0))
+        for spec in (wrong_index, wrong_covariance):
+            for ns in self.NS:
+                rep = domain_of_attraction_run(mu, spec, ns)
+                assert not rep.bifree_converged and not rep.classical_converged, rep
+
+
 class TestResidualsConverge:
+    """Residuals converge when they go to 0 by the condition checks' settling rule over the sample sizes."""
+
+    NS = [8, 16, 32]
+
     def test_residuals_at_the_floor_converge(self):
-        # a pair both below the 1e-13 floor passes, whatever its ratio
-        assert stable.residuals_converge([1e-14, 1e-14, 1e-14])
-        assert stable.residuals_converge([0.0, 0.0])
+        # a last residual at the 1e-9 floor passes, whatever the one before it
+        assert _settles(np.array([1e-14, 1e-14, 1e-14]), self.NS)
+        assert _settles(np.array([0.0, 0.0]), self.NS[:2])
 
     def test_flat_residuals_do_not(self):
-        assert not stable.residuals_converge([0.1, 0.1, 0.1])
+        assert not _settles(np.array([0.1, 0.1, 0.1]), self.NS)
+
+    def test_central_limit_rate_at_doubling_n_converges(self):
+        # n^{-1/2}, the Berry-Esseen rate, falls by 0.707 per doubling
+        assert _settles(0.3 / np.sqrt(self.NS), self.NS)
 
 
 class TestProbeCount:
@@ -250,7 +318,7 @@ class TestProbeCount:
             raise AssertionError("a transform was evaluated")
 
         monkeypatch.setattr(stable, "stable_triplet", evaluated)
-        monkeypatch.setattr(stable, "bi_free_phi", evaluated)
+        monkeypatch.setattr(stable, "law_phis", evaluated)
         with pytest.raises(ValueError, match="u_probes is empty"):
             domain_of_attraction_run(self.FOUR_ATOM, self.SPEC, [8, 32, 128, 512], u_probes=[])
 

@@ -29,9 +29,11 @@ convergence of the sigmas plus a mixed-moment limit (I/II), or vague
 convergence of tau_n away from the origin plus small-ball quadratic limits
 (III/IV).  Each check holds its row sequences as arrays whose last axis is
 the sequence, and one rule decides them all (``_settles``): a sequence
-settles when its last gap is at most max(the gap before x m[-1]/m[-2],
-ABS_PASS), m the gaps of s^RATE_MIN (its values, for a sequence that must
-go to 0), so any rate s^p with p >= RATE_MIN = 1/4 passes at any spacing.
+settles when its last gap is at most max(r x the gap before, ABS_PASS),
+r = (s[-1]/s[-2])^RATE_MIN over the scales s of its last two terms and
+RATE_MIN = 1/4.  As r < 1, a flat or growing sequence fails at any spacing;
+any rate s^p with p >= RATE_MIN passes at geometric spacing, and at any
+spacing for a sequence that must go to 0 (it is its own gap).
 The scale s is 1/k_n for the row sequences: the bounded-Lipschitz gaps,
 the gamma values and the sigma mass beyond TIGHT_RADIUS (to 0) in I/II; the
 annulus masses, the masses near tracked atom sites and Q per direction and
@@ -399,16 +401,15 @@ def _settles(gaps: np.ndarray, sizes) -> bool:
 
     ``sizes`` grow with the terms of the sequences, 1/s for their scale s:
     k_n for rows, n for sample sizes, 1/eps for rungs.  The gaps are between
-    consecutive terms (one fewer than ``sizes``), or the terms themselves
-    for a sequence that must go to 0.  A sequence settles when its last gap
-    is at most max(the gap before x m[-1]/m[-2], ABS_PASS), m the same kind
-    of gaps of the model s^RATE_MIN: every rate s^p with p >= RATE_MIN
-    passes whatever the steps in s, and a flat or growing sequence fails.
+    consecutive terms, or the terms themselves for a sequence that must go
+    to 0.  A sequence settles when its last gap is at most max(the gap
+    before x (k[-1]/k[-2])^-RATE_MIN, ABS_PASS), k the last two sizes.  The
+    allowed ratio is below 1 whatever the steps, so a flat or growing
+    sequence fails; any rate s^p with p >= RATE_MIN passes at geometric
+    steps in s, and at any steps for a sequence going to 0.
     """
-    m = [float(k) ** -RATE_MIN for k in sizes[-3:]]
-    if gaps.shape[-1] < len(sizes):
-        m = [a - b for a, b in zip(m[:-1], m[1:])]
-    return bool(np.all(gaps[..., -1] <= np.maximum(m[-1] / m[-2] * gaps[..., -2], ABS_PASS)))
+    ratio = (float(sizes[-1]) / float(sizes[-2])) ** -RATE_MIN
+    return bool(np.all(gaps[..., -1] <= np.maximum(ratio * gaps[..., -2], ABS_PASS)))
 
 
 def _trailing_smooth_run(values: Sequence[float], sizes: Sequence[int]) -> int:

@@ -169,25 +169,26 @@ settle_values = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1e-9, 2e
     st.lists(st.lists(settle_values, min_size=n, max_size=n), min_size=1, max_size=4),
     st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True).map(sorted))))
 def test_one_settling_rule_matches_the_per_sequence_loop(seqs_and_sizes):
-    # a sequence settles when its last gap is at most max(gap before x m[-1] / m[-2], 1e-9),
-    # m the gaps of k^(-1/4) over the row sizes k, or its values for gaps to 0
+    # a sequence settles when its last gap is at most max(gap before x (k[-1] / k[-2])^(-1/4), 1e-9),
+    # k the row sizes; a sequence going to 0 is its own gap
     seqs, sizes = seqs_and_sizes
-    m = [k**-0.25 for k in sizes]
+    r = (sizes[-1] / sizes[-2]) ** -0.25
 
     def settles(x):
-        return abs(x[-1] - x[-2]) <= max((m[-2] - m[-1]) / (m[-3] - m[-2]) * abs(x[-2] - x[-3]), 1e-9)
+        return abs(x[-1] - x[-2]) <= max(r * abs(x[-2] - x[-3]), 1e-9)
 
     def goes_to_zero(x):
-        return abs(x[-1]) <= max(m[-1] / m[-2] * abs(x[-2]), 1e-9)
+        return abs(x[-1]) <= max(r * abs(x[-2]), 1e-9)
 
     assert lm._settles(lm._gaps(np.array(seqs)), sizes) == all(settles(x) for x in seqs)
     assert lm._settles(lm._gaps(np.array(seqs)[None]), sizes) == all(settles(x) for x in seqs)
     assert lm._settles(np.abs(np.array(seqs)), sizes) == all(goes_to_zero(x) for x in seqs)
 
 
-# rows at x2 and x4 spacing
+# rows at x2 and x4 spacing, and at uneven steps whose last step is the longest
 ROWS_X2 = tuple(8 * 2**j for j in range(12))
 ROWS_X4 = tuple(16 * 4**j for j in range(6))
+ROWS_UNEVEN = ((100, 200, 1000), (8, 16, 4096))
 # a skewed law (nonzero third moments): its CLT rows converge at the rate n^{-1/2}
 SKEWED = PlanarMeasure([((2.0, 1.0), 0.2), ((-0.5, 0.3), 0.4), ((-0.5, -0.55), 0.4)])
 quarter_grid = st.integers(-8, 8).map(lambda k: k / 4)
@@ -236,7 +237,7 @@ class TestRateAwareVerdicts:
         steps = rep.per_n["sigma1_bl_steps"]
         assert steps[-1] / steps[-2] > 0.5  # the n^{-1/2} rate: not a halving
 
-    @pytest.mark.parametrize("rows", [ROWS_X2, ROWS_X4], ids=["x2", "x4"])
+    @pytest.mark.parametrize("rows", [ROWS_X2, ROWS_X4, *ROWS_UNEVEN], ids=["x2", "x4", "100-200-1000", "8-16-4096"])
     @pytest.mark.parametrize("control", [
         escape_array,
         lambda ns: escape_array(ns, math.sqrt),

@@ -288,6 +288,11 @@ class TestResidualsConverge:
     def test_flat_residuals_do_not(self):
         assert not _settles(np.array([0.1, 0.1, 0.1]), self.NS)
 
+    def test_a_late_dip_after_flat_residuals_converges(self):
+        # the rule reads the last two residuals only: flat ones that halve at the last n pass
+        assert _settles(np.array([0.1, 0.1, 0.1, 0.05]), self.NS + [64])
+        assert not _settles(np.array([0.1, 0.1, 0.1, 0.1]), self.NS + [64])
+
     def test_central_limit_rate_at_doubling_n_converges(self):
         # n^{-1/2}, the Berry-Esseen rate, falls by 0.707 per doubling
         assert _settles(0.3 / np.sqrt(self.NS), self.NS)

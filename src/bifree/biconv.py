@@ -9,7 +9,9 @@ all of them is one ``bi_free_phi`` call and one Newton solve.
 Recovery of the planar Cauchy transform solves the defining relation of the
 two-variable phi-transform, G = 1 / (z1 w2 D), at z1 = F_1(z), w2 = F_2(w),
 the reciprocal Cauchy transforms of the two marginal free convolutions
-(independent 1-d subordination solves).  With N the stack's total count,
+(the two 1-d subordination solves, run as one Newton loop whose per-axis
+results are bit for bit those of each marginal's own ``f_value``).  With N
+the stack's total count,
 
     D = 1 - N + sum_g c_g / (z1 w2 G_g)
           + sum_t [phi_t1(z1)/z1 + phi_t2(w2)/w2 - phi_t(z1, w2)],
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .freeconv import FreeConvRep, _grouped
+from .freeconv import FreeConvRep, _f_values, _grouped
 from .measure import PlanarMeasure, RowStack, Vec2, row_groups, row_stack
 from .transforms import (
     BLOCK_NODES,
@@ -133,23 +135,28 @@ class BiConvRep:
     def _axis_parts(self, Z, W):
         """z1 = F_1(Z), w2 = F_2(W), the parts of D on one axis each, and the pair factors.
 
-        Z and W take a common number of axes first.  One subordination solve
-        per axis gives F_j, each stack law's marginal inverse there and the
+        Z and W take a common number of axes first.  The subordination
+        solves of both axes run in one Newton loop (``freeconv._f_values``)
+        and give F_j, each stack law's marginal inverse there and the
         triplets' summed marginal phi, phi_Tj = sum_t (omega_t - F_j).  The
-        axis parts are phi_T1(z1)/z1 and phi_T2(w2)/w2 + 1 - N; the factors
-        are ``transforms._pair_factors`` at (z1, w2) and the laws' marginal
+        axis parts are phi_T1(z1)/z1 and phi_T2(w2)/w2 + 1 - N, or None for a
+        lone law, whose G reads neither; the factors are
+        ``transforms._pair_factors`` at (z1, w2) and the laws' marginal
         inverses there, or None without atomic terms.
         """
         nd = max(Z.ndim, W.ndim)
+        zetas = [zeta.reshape((1,) * (nd - zeta.ndim) + zeta.shape) for zeta in (Z, W)]
         solves = []
-        for (rep, slots), zeta in zip(self.marginals, (Z, W)):
-            f, aux = rep.f_value(zeta.reshape((1,) * (nd - zeta.ndim) + zeta.shape), return_aux=True)
+        for (rep, slots), (f, aux) in zip(self.marginals, _f_values([rep for rep, _ in self.marginals], zetas)):
             inverses = np.array([f + p if k is None else aux[k] for k, p in slots])
-            solves.append((f, inverses, sum(om - f for om in aux[len(rep.laws):]) / f))
+            solves.append((f, inverses, None if self.lone else sum(om - f for om in aux[len(rep.laws):]) / f))
         (z1, i1, u1), (w2, i2, u2) = solves
         if self.stack is None:
             return z1, w2, u1, u2 + 1.0, None
-        return z1, w2, u1, u2 + float(1 - self.stack.counts.sum()), _pair_factors(self.stack, i1, i2, z1, w2)
+        factors = _pair_factors(self.stack, i1, i2, z1, w2)
+        if self.lone:  # G is the pair sum alone
+            return z1, w2, None, None, factors
+        return z1, w2, u1, u2 + float(1 - self.stack.counts.sum()), factors
 
     def _g_from_parts(self, z1, w2, u1, u2, factors):
         """G = 1 / (z1 w2 D), D = u1 + u2 - sum_t phi_t(z1, w2) + sum_g c_g / (z1 w2 G_g).
@@ -178,15 +185,15 @@ class BiConvRep:
 
     def cauchy(self, Z, W):
         """G of the convolution at (Z, W), broadcast against each other: the
-        first output of :meth:`cauchy_with_marginals`."""
-        G = self.cauchy_with_marginals(Z, W)[0]
+        first output of :meth:`cauchy_with_marginals`, without the marginals."""
+        G = self._g_from_parts(*self._axis_parts(np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex)))
         return complex(G) if np.ndim(G) == 0 else G
 
     def cauchy_with_marginals(self, Z, W):
         """(G(Z, W), G_1(Z), G_2(W)): the planar and marginal Cauchy transforms.
 
-        All three come from one pair of marginal solves, which run on Z and
-        W as given; a lone law's solves are closed-form.
+        All three come from one pair of marginal solves, one Newton loop,
+        which run on Z and W as given; a lone law's solves are closed-form.
         """
         Z = np.asarray(Z, dtype=complex)
         W = np.asarray(W, dtype=complex)
@@ -196,11 +203,12 @@ class BiConvRep:
     def density(self, s_axis, t_axis, eps: float) -> GridDensity:
         """eps-smoothed joint density grid of the convolution, with its marginals.
 
-        One subordination solve per axis gives F_1 on s + i eps and F_2 on
-        t + i eps: the marginal densities (``axis_densities``, equal to
-        ``self.marginal(j).density`` on the axes) and the terms' marginal
-        inverses.  Rows go in blocks of about ``BLOCK_NODES`` nodes (2 x
-        BLOCK_NODES values for the two half-planes), each block's rows
+        The subordination solves of both axes, one Newton loop, give F_1
+        on s + i eps and F_2 on t + i eps: the marginal densities
+        (``axis_densities``, equal to ``self.marginal(j).density`` on the
+        axes) and the terms' marginal inverses.  Rows go in blocks of about
+        ``BLOCK_NODES`` nodes (2 x BLOCK_NODES values for the two
+        half-planes), each block's rows
         stacked on their conjugates, since G(z, conj w) =
         conj G(conj z, w): one :meth:`_g_from_parts` call gives G at
         t + i eps and, in real part, at t - i eps.  A lone law takes the
@@ -216,7 +224,7 @@ class BiConvRep:
         rows = max(1, BLOCK_NODES // max(len(t_axis), 1))
         for lo in range(0, len(s_axis), rows):
             blk = slice(lo, lo + rows)
-            zb, ub = (np.concatenate([x[blk], np.conj(x[blk])]) for x in (z1, u1))
+            zb, ub = (None if x is None else np.concatenate([x[blk], np.conj(x[blk])]) for x in (z1, u1))
             fb = None if factors is None else (
                 np.concatenate([factors[0][:, blk], np.conj(factors[0][:, blk])], axis=1), factors[1])
             # Re G at t - i eps minus Re G at t + i eps: the inversion

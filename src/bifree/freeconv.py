@@ -44,6 +44,15 @@ which the plain step never raises; elsewhere the plain step is taken
 (``transforms._damped_newton``).  Each unknown stops once
 |omega - T(omega)| <= 1e-13 (1 + |omega|).  Lower half-plane points are
 solved at their conjugates, since F commutes with conjugation.
+
+Convolutions solved together, such as the two marginals of a planar
+convolution (``_f_values``), share one Newton loop: their points side by
+side along the entry axis, their unknowns on the leading axis, where a
+system with fewer unknowns is padded with rows whose residual and step are
+0.  Such rows settle at once and move no reduction over the unknowns, so
+every point takes the iterates of a loop of its own, bit for bit; a system
+whose unknowns did not move keeps its last residual.  A convolution in
+closed form (omega = z) takes no loop.
 """
 
 from __future__ import annotations
@@ -80,6 +89,12 @@ def _h_and_deriv(points: np.ndarray, weights: np.ndarray, wp: np.ndarray, x: np.
     return -(inv @ wp).reshape(x.shape) / g, ((inv * inv) @ weights).reshape(x.shape) / (g * g) - 1.0
 
 
+def _h(points: np.ndarray, weights: np.ndarray, wp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """h of :func:`_h_and_deriv` alone, computed as it computes it."""
+    inv = 1.0 / (x[..., None] - points)
+    return -(inv @ wp).reshape(x.shape) / (inv @ weights).reshape(x.shape)
+
+
 def _system(stack: RowStack | None) -> tuple:
     """The distinct atomic laws of ``stack`` arranged for :func:`_subordinate`.
 
@@ -105,24 +120,22 @@ def _system(stack: RowStack | None) -> tuple:
     return unknown, counts[:k, None].astype(float), (np.arange(k) == 0)[:, None] * 1.0, last, order
 
 
-def _subordinate(z: np.ndarray, system: tuple, id_phi):
-    """F of the convolution at z in C+ (a flat array), with the omegas.
+def _residual(z: np.ndarray, system: tuple, id_phi):
+    """The residual of the subordination system at z, for ``_damped_newton``.
 
-    ``system`` holds the distinct atomic laws (see :func:`_system`) and
-    ``id_phi(x) -> (phi, phi')`` is the summed phi of the infinitely
-    divisible terms, or None.  Returns ``(F, omegas, converged)``;
-    ``omegas[j]`` is omega_j with F_j(omega_j) = F, shared by the copies of
-    law j, in the given order.
+    Returns ``(residual, lead)``, or None where the map is constant: with no
+    infinitely divisible term and at most one law, counted once, omega = z.
+    ``residual(x)`` gives x - T(x), its Newton step and (F, omega_e); x is
+    the unknown omegas, (lead, K) for a stack of ``lead`` laws, or (K,) for
+    one unknown (lead 0), which may be F itself.
     """
-    unknown, c, first, last, order = system
+    unknown, c, first, last, _ = system
     stacked = np.ndim(c) > 0
-    if id_phi is None and last is None and not stacked and c == 1:  # omega = z: F = z + h(z)
-        f = z if unknown is None else z + _h_and_deriv(*unknown, z)[0]
-        return f, [] if unknown is None else [z], np.ones(z.shape, bool)
+    if id_phi is None and last is None and not stacked and c == 1:
+        return None
     zero = np.zeros_like(z)
 
     def residual(x):
-        """x - T(x), its Newton step and (F, omega_e); x is the unknown omegas, or F itself."""
         h, hp = (zero, zero) if unknown is None else _h_and_deriv(*unknown, x)
         f = x[0] + h[0] if stacked else x + h
         d, s, v = 1.0 + hp, c * h, c * hp  # v = d omega_e / d omega without phi_ID
@@ -141,17 +154,72 @@ def _subordinate(z: np.ndarray, system: tuple, id_phi):
             step = -r / _nonzero(d - u)
         return r, step, (f, om_e)
 
+    return residual, len(c) if stacked else 0
+
+
+def _subordinate(problems: Sequence[tuple]) -> list:
+    """F of each convolution at its z in C+ (a flat array), with the omegas.
+
+    ``problems`` holds ``(z, system, id_phi)`` per convolution: its points,
+    its distinct atomic laws (see :func:`_system`) and ``id_phi(x) -> (phi,
+    phi')``, the summed phi of its infinitely divisible terms, or None.
+    Every system whose map is not constant is solved in one
+    ``_damped_newton`` loop, started at z + 2i: the systems' entries side
+    by side along the entry axis and their unknowns on a leading axis, a
+    system with fewer unknowns than the most padded with rows whose
+    residual and step are 0.  Those rows settle at once and change no
+    reduction over the unknowns, so each entry's iterates are those of a
+    loop of its own.  Returns ``(F, omegas, converged)`` per problem;
+    ``omegas[j]`` is omega_j with F_j(omega_j) = F, shared by the copies of
+    law j, in the given order.
+    """
+    out, looped = [], []
+    for z, system, id_phi in problems:
+        part = _residual(z, system, id_phi)
+        if part is None:  # F = z + h(z)
+            unknown = system[0]
+            out.append((z if unknown is None else z + _h(*unknown, z),
+                        [] if unknown is None else [z], np.ones(z.shape, bool)))
+        else:
+            looped.append((len(out), *part))
+            out.append(None)
+    if not looped:
+        return out
+    rows = max(lead for _, _, lead in looped)
+    if len(looped) == 1:
+        (k, residual, _), = looped
+        z, ats, cols = problems[k][0], [slice(None)], [slice(None)]
+    else:
+        # each system's entries, and where its unknowns sit in x
+        cols, ats, lo = [], [], 0
+        for k, _, lead in looped:
+            cols.append(slice(lo, lo + problems[k][0].size))
+            ats.append((slice(lead) if lead else 0, cols[-1]) if rows else cols[-1])
+            lo = cols[-1].stop
+        z = np.concatenate([problems[k][0] for k, _, _ in looped])
+        seen = [(None, None)] * len(looped)  # each system's last unknowns, as bytes, and their residual
+
+        def residual(x):
+            r, step, aux = np.zeros(x.shape, complex), np.zeros(x.shape, complex), []
+            for j, ((_, res, _), at) in enumerate(zip(looped, ats)):
+                key = x[at].tobytes()
+                if key != seen[j][0]:  # a system whose unknowns did not move keeps its residual
+                    seen[j] = key, res(x[at])
+                r[at], step[at], part = seen[j][1]
+                aux.append(part)
+            return r, step, aux
+
     start = z + 2j
-    if stacked:
-        start = np.broadcast_to(start, (len(c), *z.shape))
-    x, (f, om_e), ok = _damped_newton(
-        residual, start, z, tol=FIXED_POINT_TOL, maxiter=FIXED_POINT_MAXITER, fixed_point=True
-    )
-    solved = list(x) if stacked else [] if unknown is None else [x]
-    if last is not None:
-        solved.append(om_e)
-    omegas = [solved[k] for k in sorted(range(len(order)), key=order.__getitem__)]  # in the given order
-    return f, omegas, ok
+    x, aux, ok = _damped_newton(residual, np.broadcast_to(start, (rows, z.size)) if rows else start, z,
+                                tol=FIXED_POINT_TOL, maxiter=FIXED_POINT_MAXITER, fixed_point=True)
+    for (k, _, lead), at, col, (f, om_e) in zip(looped, ats, cols, [aux] if len(looped) == 1 else aux):
+        unknown, _, _, last, order = problems[k][1]
+        solved = list(x[at]) if lead else [] if unknown is None else [x[at]]
+        if last is not None:
+            solved.append(om_e)
+        omegas = [solved[j] for j in sorted(range(len(order)), key=order.__getitem__)]  # in the given order
+        out[k] = f, omegas, ok[col]
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,25 +286,7 @@ class FreeConvRep:
         for an infinitely divisible term.  Raises :class:`NoConvergence` when
         an entry does not settle.
         """
-        zeta = np.asarray(zeta, dtype=complex)
-        _require_nonreal(zeta, "zeta")
-        lower = zeta.imag < 0
-
-        def reflect(a):
-            """Conjugate the entries where zeta lies in the lower half-plane."""
-            return np.where(lower, np.conj(a), a) if lower.any() else a
-
-        z = reflect(zeta) - self.shift
-        f, omegas, ok = _subordinate(z.ravel(), self.system, self._id_phi())
-        if not ok.all():
-            raise NoConvergence(
-                f"subordination did not settle at {(~ok).sum()} of {ok.size} points"
-            )
-        out = reflect(f.reshape(z.shape))
-        if not return_aux:
-            return out
-        aux = [reflect(om.reshape(z.shape)) for om in omegas]
-        return out, aux + [out + t(out)[0] for t in self.ids]
+        return _f_values((self,), (zeta,), return_aux)[0]
 
     def cauchy(self, zeta):
         """G of the convolution: 1 / F(zeta)."""
@@ -249,6 +299,42 @@ class FreeConvRep:
         axis = np.asarray(axis, dtype=float)
         g = self.cauchy(axis + 1j * eps)
         return -np.asarray(g).imag / np.pi
+
+
+def _f_values(reps: Sequence[FreeConvRep], zetas: Sequence, return_aux: bool = True) -> list:
+    """``rep.f_value(zeta, return_aux)`` of each rep at its own zeta, from one
+    :func:`_subordinate` call, so one Newton loop for all of them.
+
+    Raises :class:`NoConvergence`, for the first rep in order, when an
+    entry does not settle.
+    """
+    problems, lowers = [], []
+    for rep, zeta in zip(reps, zetas):
+        zeta = np.asarray(zeta, dtype=complex)
+        _require_nonreal(zeta, "zeta")
+        lower = zeta.imag < 0
+        lower = lower if lower.any() else None  # None: no point to reflect
+        problems.append(((_reflect(lower, zeta) - rep.shift).ravel(), rep.system, rep._id_phi()))
+        lowers.append((lower, zeta.shape))
+    out = []
+    for rep, (lower, shape), (f, omegas, ok) in zip(reps, lowers, _subordinate(problems)):
+        if not ok.all():
+            raise NoConvergence(
+                f"subordination did not settle at {(~ok).sum()} of {ok.size} points"
+            )
+        f = _reflect(lower, f.reshape(shape))
+        if not return_aux:
+            out.append(f)
+            continue
+        aux = [_reflect(lower, om.reshape(shape)) for om in omegas]
+        out.append((f, aux + [f + t(f)[0] for t in rep.ids]))
+    return out
+
+
+def _reflect(lower: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    """a with its entries conjugated where ``lower`` holds (points in the lower
+    half-plane); a itself when ``lower`` is None."""
+    return a if lower is None else np.where(lower, np.conj(a), a)
 
 
 def free_convolve(nu1: Measure1D, nu2: Measure1D) -> FreeConvRep:

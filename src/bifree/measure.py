@@ -430,11 +430,16 @@ class AtomicMeasure2D:
 
     @classmethod
     def _from_merged(cls, points: np.ndarray, masses: np.ndarray) -> "AtomicMeasure2D":
-        """Atoms already merged and in canonical order; only zero masses are dropped."""
+        """Atoms already merged and in canonical order; only zero masses are dropped.
+
+        With no zero mass the arrays are kept as given, and frozen.
+        """
         keep = masses != 0.0
+        if not keep.all():
+            points, masses = np.compress(keep, points, axis=0), np.compress(keep, masses)
         out = object.__new__(cls)
-        out.points = _freeze(points[keep])
-        out.masses = _freeze(masses[keep])
+        out.points = _freeze(points)
+        out.masses = _freeze(masses)
         return out
 
     def __len__(self) -> int:

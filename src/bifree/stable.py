@@ -180,8 +180,9 @@ def domain_of_attraction_run(
     Per n, the bi-free side compares n * phi of the dilated law (plus a
     fitted recentring) to the target phi, every n's phi from one Newton
     solve; the classical side compares the n-th CF power (plus a fitted
-    phase) to the target CF.  Each side converges when its residuals go to
-    0 by ``limits._settles`` in s = 1/n, which reads at least two of them.
+    phase, fitted around the power's own mean phase) to the target CF.
+    Each side converges when its residuals go to 0 by ``limits._settles``
+    in s = 1/n, which reads at least two of them.
     """
     ns = list(ns)
     if any(n < 1 for n in ns):
@@ -204,7 +205,10 @@ def domain_of_attraction_run(
         bif.append(fit_point_mass_shift(probes, n * phi - target_phi)[1])
         cf_n = dil.char_fun(us) ** n
         ratios = np.divide(target_cf, cf_n, out=np.ones_like(cf_n), where=cf_n != 0)
-        shift = fit_cf_shift(us, ratios)
+        # the n-th power turns with the mean phase n <u, m> of the dilated law: the fit
+        # reads the ratios' angles with it removed, so they stay off the branch cut
+        mean = n * (dil.weights @ dil.points)
+        shift = np.subtract(fit_cf_shift(us, ratios * np.exp(1j * (us @ mean))), mean)
         cls.append(float(np.abs(cf_n * np.exp(1j * (us @ shift)) - target_cf).max()))
     return ConvergenceReport(
         ns=ns,

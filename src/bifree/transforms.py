@@ -113,11 +113,6 @@ def _f_and_deriv(points: np.ndarray, weights: np.ndarray, x: np.ndarray):
     return f, ((weighted * inv) @ ones) * (f * f)
 
 
-def _hyperbolic(x, h):
-    """Pseudo-hyperbolic distance |h| / |x - conj(x - h)| between x and x - h."""
-    return np.abs(h) / np.abs(2j * x.imag + np.conj(h))
-
-
 def _nonzero(d):
     """d with its entries of modulus <= 1e-300 set to 1, a divisor that keeps a Newton step finite."""
     return np.where(np.abs(d) > 1e-300, d, 1.0)
@@ -129,18 +124,18 @@ def _damped_newton(h_eval: Callable, x, target, tol: float = NEWTON_TOL,
 
     ``h_eval(x) -> (h, step, aux)`` evaluates the residual, the Newton step
     -J^{-1} h, which the caller forms from its own Jacobian, and per-entry
-    by-products ``aux`` (a sequence of arrays shaped like ``target``), which
-    are returned as evaluated at the final ``x``.  ``x`` is shaped like
-    ``target`` or has leading axes in front, the unknowns of each entry: an
-    entry is settled when all its unknowns are, fails when any does, and its
-    merit is the largest over them.  An entry stops once
-    |h| <= tol (1 + |target|).  Its step is halved, up to 60 times, while h
-    at the proposal is not finite or the proposal leaves the half-plane of
-    its target; an entry whose halvings run out, or whose start is not
-    finite, is given up.  Every entry takes its proposal: an entry outside
-    the active set took a zero step, so its proposal is its own point, and
-    one given up keeps its last rejected proposal, so callers read only the
-    entries of the converged mask.
+    by-products ``aux`` (any object; a sequence of arrays shaped like
+    ``target`` for most callers), which are returned as evaluated at the
+    final ``x``.  ``x`` is shaped like ``target`` or has leading axes in
+    front, the unknowns of each entry: an entry is settled when all its
+    unknowns are, fails when any does, and its merit is the largest over
+    them.  An entry stops once |h| <= tol (1 + |target|).  Its step is
+    halved, up to 60 times, while h at the proposal is not finite or the
+    proposal leaves the half-plane of its target; an entry whose halvings
+    run out, or whose start is not finite, is given up.  Every entry takes
+    its proposal: an entry outside the active set took a zero step, so its
+    proposal is its own point, and one given up keeps its last rejected
+    proposal, so callers read only the entries of the converged mask.
 
     With ``fixed_point`` the residual is h = x - T(x) for a holomorphic map T
     of the target's half-plane (a product of them, with unknown axes) into
@@ -149,42 +144,77 @@ def _damped_newton(h_eval: Callable, x, target, tol: float = NEWTON_TOL,
     distance |h| / |x - conj(T(x))| over the unknowns, which the plain step
     x <- T(x) = x - h never increases (Schwarz-Pick for the Kobayashi
     distance of the product); one that does not is replaced, before any
-    halving, by the plain step.  Returns ``(x, aux, converged mask)``.
+    halving, by the plain step.  An unknown whose residual and step are 0
+    at a point of the half-plane (a padding row) settles at once and moves
+    no merit.  Returns ``(x, aux, converged mask)``.
+
+    Passes per step: |h| is taken once per evaluation and shared by the
+    settle test and the merit; the plain mode's bound tol (1 + |target|) is
+    computed once per call, and that mode builds no fall-back arrays; the
+    active mask touches the step and the proposals only when some entry is
+    inactive.  The iterates are those of the loop that makes every pass
+    (``tests/oracles.py``, ``damped_newton_loop``).
     """
     x = np.array(x, dtype=complex)
     sign = np.sign(target.imag)
     if x.ndim > np.ndim(target):  # over the unknowns of each entry
         lead = tuple(range(x.ndim - np.ndim(target)))
-        every, some, largest = (functools.partial(f, axis=lead) for f in (np.all, np.any, np.max))
+        every, some, largest = (functools.partial(f.reduce, axis=lead)
+                                for f in (np.logical_and, np.logical_or, np.maximum))
     else:
         every = some = largest = lambda a: a
+    bound = None if fixed_point else tol * (1.0 + np.abs(target))
 
-    def settled(x, h):
-        return every(np.abs(h) <= tol * (1.0 + np.abs(x if fixed_point else target)))
+    def settled(x, size):
+        """Whether each entry has settled, from |h| at x."""
+        return every(size <= (tol * (1.0 + np.abs(x)) if fixed_point else bound))
+
+    def merit_of(x, h, size):
+        """The largest pseudo-hyperbolic distance |h| / |x - conj(x - h)| = |h| / |h - 2i Im x|."""
+        return largest(size / np.abs(h - 2j * x.imag))
 
     h, step, aux = h_eval(x)
-    done = settled(x, h)
+    size = np.abs(h)
+    done = settled(x, size)
     failed = some(~np.isfinite(h))
-    merit = largest(_hyperbolic(x, h)) if fixed_point else np.zeros(done.shape)
+    merit = merit_of(x, h, size) if fixed_point else None
     for _ in range(maxiter):
         act = ~(done | failed)
-        if not act.any():
+        active = np.count_nonzero(act)  # a count: cheaper than any() and all() on small arrays
+        if not active:
             break
-        step = np.where(act, step, 0.0)
-        newton = act & fixed_point
+        every_active = active == act.size
+        if not every_active:
+            step = np.where(act, step, 0.0)
+        newton = act  # the entries whose step is still Newton's
         for _ in range(60):
             prop = x + step
             ph, pstep, paux = h_eval(prop)
-            bad = act & some(~np.isfinite(ph) | (np.sign(prop.imag) != sign))
-            pmerit = largest(_hyperbolic(prop, ph)) if fixed_point else merit
+            bad = some(~np.isfinite(ph) | (np.sign(prop.imag) != sign))
+            if not every_active:
+                bad &= act
+            if not fixed_point:
+                if not np.count_nonzero(bad):
+                    break
+                step = np.where(bad, 0.5 * step, step)
+                continue
+            psize = np.abs(ph)
+            pmerit = merit_of(prop, ph, psize)
             fall_back = newton & (bad | (pmerit >= merit))
-            if not (bad | fall_back).any():
+            if not np.count_nonzero(bad | fall_back):
                 break
             step = np.where(fall_back, -h, np.where(bad, 0.5 * step, step))
-            newton &= ~fall_back
+            newton = newton & ~fall_back
         failed |= bad
-        x, h, step, merit, aux = prop, ph, pstep, pmerit, paux
-        done |= act & ~bad & settled(x, h)
+        x, h, step, aux = prop, ph, pstep, paux
+        if fixed_point:
+            size, merit = psize, pmerit
+        else:
+            size = np.abs(h)
+        now = settled(x, size) & ~bad
+        if not every_active:
+            now &= act
+        done |= now
     return x, aux, done
 
 
@@ -279,12 +309,18 @@ def _marginal_inverses(stack: RowStack, z: np.ndarray, w: np.ndarray):
     """
     _require_nonreal(z, "z")
     _require_nonreal(w, "w")
-    n = len(stack.counts)
+    n, k = len(stack.counts), z.size
     # law-major entries: the s-columns against z, then the t-columns against w
-    target = np.concatenate([x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)])
-    roots, ok = newton_f_inverse(
-        np.concatenate([stack.points[..., 0].repeat(z.size, 0), stack.points[..., 1].repeat(w.size, 0)]),
-        np.concatenate([stack.weights.repeat(z.size, 0), stack.weights.repeat(w.size, 0)]), target, target)
+    if k == w.size:  # one probe, or a list of them: (axis, law, probe) in one array
+        target = np.concatenate((z.ravel(), w.ravel())).reshape(2, k).repeat(n, 0).ravel()
+        weights = stack.weights.repeat(k, 0)
+        roots, ok = newton_f_inverse(stack.points.transpose(2, 0, 1).repeat(k, 1).reshape(2 * n * k, -1),
+                                     np.concatenate((weights, weights)), target, target)
+    else:
+        target = np.concatenate([x.reshape(1, -1).repeat(n, 0).ravel() for x in (z, w)])
+        roots, ok = newton_f_inverse(
+            np.concatenate([stack.points[..., 0].repeat(k, 0), stack.points[..., 1].repeat(w.size, 0)]),
+            np.concatenate([stack.weights.repeat(k, 0), stack.weights.repeat(w.size, 0)]), target, target)
     if not ok.all():
         raise NoConvergence(f"F inversion failed at {target[~ok][:3]}")
     nd = max(z.ndim, w.ndim)

@@ -11,10 +11,14 @@ row-by-row references (``phi_row``, ``cf_row``, ``bl_values_row`` and the
 ``*_rows`` runners and reports) work one row's stack at a time and rebuild
 the reported measures with ``AtomicMeasure2D.from_arrays``, as the library
 did before it took each array in one pass per width class.
+``damped_newton_loop`` is the damped-Newton loop as it was before its
+passes per step were cut (every mask applied, |h| taken twice per
+evaluation), the reference for the loop's iterates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from functools import lru_cache
 
@@ -610,3 +614,48 @@ def conditions_III_IV_rows(array):
             "v_per_row": [list(x) for x in v_rows],
         },
     )
+
+
+def damped_newton_loop(h_eval, x, target, tol: float, maxiter: int, fixed_point: bool = False):
+    """The reference damped-Newton loop: ``transforms._damped_newton``'s contract,
+    with the active mask applied to every step and every proposal, |h| taken
+    for the settle test and again for the merit, and the plain mode's settle
+    bound and fall-back arrays built at every step."""
+    x = np.array(x, dtype=complex)
+    sign = np.sign(target.imag)
+    if x.ndim > np.ndim(target):  # over the unknowns of each entry
+        lead = tuple(range(x.ndim - np.ndim(target)))
+        every, some, largest = (functools.partial(f, axis=lead) for f in (np.all, np.any, np.max))
+    else:
+        every = some = largest = lambda a: a
+
+    def settled(x, h):
+        return every(np.abs(h) <= tol * (1.0 + np.abs(x if fixed_point else target)))
+
+    def hyperbolic(x, h):
+        return np.abs(h) / np.abs(2j * x.imag + np.conj(h))
+
+    h, step, aux = h_eval(x)
+    done = settled(x, h)
+    failed = some(~np.isfinite(h))
+    merit = largest(hyperbolic(x, h)) if fixed_point else np.zeros(done.shape)
+    for _ in range(maxiter):
+        act = ~(done | failed)
+        if not act.any():
+            break
+        step = np.where(act, step, 0.0)
+        newton = act & fixed_point
+        for _ in range(60):
+            prop = x + step
+            ph, pstep, paux = h_eval(prop)
+            bad = act & some(~np.isfinite(ph) | (np.sign(prop.imag) != sign))
+            pmerit = largest(hyperbolic(prop, ph)) if fixed_point else merit
+            fall_back = newton & (bad | (pmerit >= merit))
+            if not (bad | fall_back).any():
+                break
+            step = np.where(fall_back, -h, np.where(bad, 0.5 * step, step))
+            newton &= ~fall_back
+        failed |= bad
+        x, h, step, merit, aux = prop, ph, pstep, pmerit, paux
+        done |= act & ~bad & settled(x, h)
+    return x, aux, done

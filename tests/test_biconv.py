@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bifree.biconv as bc
+import bifree.freeconv as fc
 import bifree.idlaw as idlaw
 import bifree.transforms as tf
 from bifree.biconv import bi_free_convolve
@@ -17,7 +18,7 @@ from bifree.freeconv import free_convolve_many
 from bifree.idlaw import CharTriplet, LevyMeasure, RadialPart, make_compound_poisson, make_gaussian
 from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D, PlanarMeasure, dirac
 from bifree.serialize import measure_from_dict, measure_to_dict, rep_from_dict
-from bifree.transforms import bi_free_phi, cone_for, inversion_values
+from bifree.transforms import NoConvergence, bi_free_phi, cone_for, inversion_values
 
 from oracles import richardson_limit, smoothed_atoms_2d
 
@@ -614,3 +615,111 @@ def test_non_finite_eps_is_rejected(entry, eps):
     }
     with pytest.raises(ValueError, match="eps must be finite and positive"):
         calls[entry]()
+
+
+@st.composite
+def pair_solve_reps(draw):
+    """Terms and shift of a rep whose two marginal systems differ.
+
+    1-4 atomic laws with counts 1-3.  A second law may share the first
+    one's s-coordinates and weights, so the two laws' s-marginals are
+    byte-equal and the s-axis has fewer unknowns than the t-axis; a law
+    may have a single s-coordinate, a point-mass marginal that goes into
+    the shift; a triplet may join.
+    """
+    first = draw(planar_laws())
+    laws = [first]
+    if draw(st.booleans()):  # the same s-marginal, other t-coordinates
+        ts = draw(st.lists(coords, min_size=len(first), max_size=len(first), unique=True))
+        laws.append(PlanarMeasure([((float(p[0]), t), float(w)) for p, t, w in
+                                   zip(first.points, ts, first.weights)]))
+    if draw(st.booleans()):  # a point-mass s-marginal
+        ts = draw(st.lists(coords, min_size=2, max_size=3, unique=True))
+        laws.append(PlanarMeasure([((draw(coords), t), 1.0 / len(ts)) for t in ts]))
+    laws += draw(st.lists(planar_laws(), max_size=4 - len(laws)))
+    terms = [m for m in laws for _ in range(draw(st.integers(1, 3)))]
+    terms += draw(st.sampled_from([[], [GAUSS], [POISSON]]))
+    return draw(st.permutations(terms)), (draw(nonzero), draw(nonzero))
+
+
+class TestPairSolve:
+    """Both axes' subordination solves run in one Newton loop, with each
+    axis's F and omegas bit for bit those of its own solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_solve_reps(), st.lists(off_axis, min_size=1, max_size=6), st.lists(off_axis, min_size=1, max_size=5))
+    def test_pair_equals_each_axis_solve(self, drawn, z, w):
+        terms, shift = drawn
+        rep = bi_free_convolve(terms, shift=shift)
+        zetas = (np.array(z)[:, None], np.array(w)[None, :])
+        reps = [rep.marginal(1), rep.marginal(2)]
+        try:
+            alone = [m.f_value(zeta, return_aux=True) for m, zeta in zip(reps, zetas)]
+        except NoConvergence:
+            with pytest.raises(NoConvergence):
+                fc._f_values(reps, zetas)
+            return
+        for (f, aux), (want, want_aux) in zip(fc._f_values(reps, zetas), alone):
+            assert f.tobytes() == want.tobytes() and f.shape == want.shape
+            assert len(aux) == len(want_aux)
+            for om, want_om in zip(aux, want_aux):
+                assert om.tobytes() == want_om.tobytes() and om.shape == want_om.shape
+
+    @pytest.mark.parametrize("items,loops", [
+        ([MU, GAUSS], 1), ([MU, PlanarMeasure([((0.5, -0.3), 0.5), ((-0.9, 0.7), 0.5)])], 1),
+        ([MU, MU], 1), ([MU], 0), ([MU, dirac((0.5, 0.2))], 0), ([dirac((0.5, 0.2))], 0),
+    ])
+    def test_one_loop_per_density(self, monkeypatch, items, loops):
+        # a rep that is not a lone law takes one Newton loop for both axes; a lone law none
+        calls = []
+        newton = fc._damped_newton
+        monkeypatch.setattr(fc, "_damped_newton", lambda *a, **k: calls.append(1) or newton(*a, **k))
+        rep = bi_free_convolve(items)
+        axis = np.linspace(-3.0, 3.0, 9)
+        rep.density(axis, axis, 0.1)
+        assert len(calls) == loops
+        calls.clear()
+        rep.cauchy_with_marginals(axis + 0.5j, axis - 0.5j)
+        assert len(calls) == loops
+
+    @pytest.mark.parametrize("laws", [
+        [[((1.1, 0.8), 0.5), ((-1.1, -0.8), 0.5)], [((0.7, -1.2), 0.5), ((-0.7, 1.2), 0.5)]],
+        # one unknown on the s-axis, two on the t-axis
+        [[((1.0, 0.5), 0.4), ((-1.0, -0.2), 0.6)], [((1.0, -0.7), 0.4), ((-1.0, 0.9), 0.6)],
+         [((0.3, 1.1), 0.5), ((-0.4, -1.2), 0.5)]],
+    ])
+    def test_each_axis_gets_the_evaluations_of_its_own_loop(self, monkeypatch, laws):
+        # the axes settle after different numbers of steps; the one that settles first is not evaluated again
+        counts = {}
+        residual = fc._residual
+
+        def counting(z, system, id_phi):
+            res, lead = residual(z, system, id_phi)
+
+            def counted(x):
+                counts[id(system)] = counts.get(id(system), 0) + 1
+                return res(x)
+
+            return counted, lead
+
+        monkeypatch.setattr(fc, "_residual", counting)
+        rep = bi_free_convolve([PlanarMeasure(atoms) for atoms in laws])
+        axis = np.linspace(-6.0, 6.0, 256)
+        for j in (1, 2):
+            rep.marginal(j).f_value(axis + 0.05j)
+        alone = dict(counts)
+        counts.clear()
+        rep.density(axis, axis, 0.05)
+        assert len(set(alone.values())) == 2 and counts == alone
+
+    def test_axes_with_different_unknown_counts(self):
+        # byte-equal s-marginals: one unknown on the s-axis, two on the t-axis
+        a = PlanarMeasure([((1.0, 0.5), 0.4), ((-1.0, -0.2), 0.6)])
+        b = PlanarMeasure([((1.0, -0.7), 0.4), ((-1.0, 0.9), 0.6)])
+        c = PlanarMeasure([((0.3, 1.1), 0.5), ((-0.4, -1.2), 0.5)])
+        rep = bi_free_convolve([a, b, c, GAUSS])
+        assert np.ndim(rep.marginal(1).system[1]) == 0 and len(rep.marginal(2).system[1]) == 2
+        s_axis, t_axis = np.linspace(-4.0, 4.0, 11), np.linspace(-3.0, 3.0, 7)
+        grid = rep.density(s_axis, t_axis, 0.1)
+        for axis, ax in ((1, s_axis), (2, t_axis)):
+            np.testing.assert_array_equal(grid.axis_densities[axis - 1], rep.marginal(axis).density(ax, 0.1))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bifree
+import bifree.freeconv as fc
 import bifree.measure as ms
 from bifree.cli import main
 from bifree.fullness import default_fullness_probes
@@ -28,7 +29,6 @@ from bifree.serialize import (
     write_table_csv,
 )
 from bifree.biconv import bi_free_convolve
-from bifree.freeconv import FreeConvRep
 from bifree.idlaw import make_compound_poisson
 from bifree.limits import make_array
 from bifree.measure import MERGE_TOL
@@ -373,11 +373,11 @@ class TestCliConvolve:
                         {"x": [-1.1, -1.0], "w": 0.4}]}
         files = [write(tmp_path / "m1.json", TWO_ATOM_JSON), write(tmp_path / "m2.json", m2)]
         calls = []
-        real = FreeConvRep.f_value
-        monkeypatch.setattr(FreeConvRep, "f_value", lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        newton = fc._damped_newton
+        monkeypatch.setattr(fc, "_damped_newton", lambda *a, **k: calls.append(1) or newton(*a, **k))
         out = tmp_path / "out"
         assert main(["--out", str(out), "--grid=-4:4:16,-3:3:12", "--epsilon", "0.1", "convolve", *files]) == 0
-        assert len(calls) == 2  # F_1 and F_2, once each
+        assert len(calls) == 1  # F_1 and F_2 in one Newton loop
         # the files equal those of the marginal reps' own solves, byte for byte
         rep = bi_free_convolve([measure_from_dict(TWO_ATOM_JSON), measure_from_dict(m2)])
         for axis, ax in ((1, np.linspace(-4, 4, 16)), (2, np.linspace(-3, 3, 12))):
@@ -389,15 +389,15 @@ class TestCliConvolve:
         [TWO_ATOM_JSON], [DIRAC_JSON], [TWO_ATOM_JSON, DIRAC_JSON],
     ])
     def test_single_law_marginals_come_from_the_density_solves(self, tmp_path, monkeypatch, laws):
-        # one law up to a shift: the grid and the marginals come from the same two solves
+        # one law up to a shift: the grid and the marginals come from the same closed-form solves
         files = [write(tmp_path / f"m{k}.json", law) for k, law in enumerate(laws)]
         calls = []
-        real = FreeConvRep.f_value
-        monkeypatch.setattr(FreeConvRep, "f_value", lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        newton = fc._damped_newton
+        monkeypatch.setattr(fc, "_damped_newton", lambda *a, **k: calls.append(1) or newton(*a, **k))
         out = tmp_path / "out"
         argv = ["--out", str(out), "--grid=-4:4:16,-3:3:12", "--epsilon", "0.1", "convolve", "--shift", "0.1,0.2"]
         assert main(argv + files) == 0
-        assert len(calls) == 2
+        assert calls == []  # omega = z on both axes: no Newton loop
         rep = bi_free_convolve([measure_from_dict(law) for law in laws], shift=(0.1, 0.2))
         for axis, ax in ((1, np.linspace(-4, 4, 16)), (2, np.linspace(-3, 3, 12))):
             want = tmp_path / f"want{axis}.csv"

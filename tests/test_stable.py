@@ -12,6 +12,7 @@ from bifree.stable import (
     StableSpec,
     check_stability,
     default_probes,
+    default_u_probes,
     domain_of_attraction_run,
     fit_point_mass_shift,
     stable_triplet,
@@ -273,6 +274,24 @@ class TestRateAwareDomainOfAttraction:
             for ns in self.NS:
                 rep = domain_of_attraction_run(mu, spec, ns)
                 assert not rep.bifree_converged and not rep.classical_converged, rep
+
+
+class TestMeanPhase:
+    """The classical recentring is fitted around the n-th power's own mean phase."""
+
+    MU = PlanarMeasure([((2.0, 1.0), 0.2), ((-0.5, 0.3), 0.4), ((-0.5, -0.55), 0.4)])  # mean (0, 0.1)
+    SPEC = StableSpec(alpha=2.0, gaussian_a=Matrix2(1.0, 0.45, 0.347))  # its covariance
+
+    def test_a_mean_phase_past_pi_does_not_wrap(self):
+        ns = [256, 512, 1024, 2048]
+        mean = self.MU.weights @ self.MU.points
+        # sqrt(n) <u, m> passes pi at the last two sizes for some default u
+        assert max(abs(u @ mean) for u in np.array(default_u_probes())) * math.sqrt(1024) > math.pi
+        rep = domain_of_attraction_run(self.MU, self.SPEC, ns)
+        assert rep.bifree_converged and rep.classical_converged and rep.agree, rep
+        # the residuals keep falling at the central-limit rate, where the wrapped fit jumped to order 1
+        assert max(rep.classical_residuals) <= 0.01
+        assert np.all(np.diff(rep.classical_residuals) < 0.0)
 
 
 class TestResidualsConverge:

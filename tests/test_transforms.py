@@ -2,8 +2,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import bifree.freeconv as fc
 import bifree.limits as lm
 import bifree.stable as stable
 import bifree.transforms as tf
@@ -24,7 +25,7 @@ from bifree.transforms import (
     stieltjes2d,
 )
 
-from oracles import dirac1d, smoothed_atoms_2d
+from oracles import damped_newton_loop, dirac1d, smoothed_atoms_2d
 
 B = Measure1D([(1.0, 0.5), (-1.0, 0.5)])
 TWO_ATOM = PlanarMeasure([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
@@ -119,6 +120,94 @@ class TestDampedNewtonUnknowns:
         start[1, 0] = np.nan
         _, _, ok = _damped_newton(self.h_eval, start, self.TARGET)
         assert ok.tolist() == [False, True, True]
+
+
+@st.composite
+def newton_problems(draw):
+    """A residual for ``_damped_newton``, its start and target, and its mode.
+
+    Plain mode inverts F of an atomic law (one unknown per entry) or solves
+    (x_0 = t, x_1^2 = t) (two); fixed-point mode solves a subordination
+    system of 2-4 laws (one or more unknowns per entry).  The Newton step
+    may be scaled, so that proposals overshoot (fall-backs) or leave the
+    half-plane (halvings); h may be made non-finite beyond a radius
+    (halvings, given-up entries); a start may be nan.
+    """
+    kind = draw(st.sampled_from(["inverse", "pair", "subordination", "subordination"]))
+    size = draw(st.integers(1, 6))
+    x = draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size))
+    y = draw(st.lists(st.floats(-2.0, 0.7), min_size=size, max_size=size))
+    sign = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+    target = np.array(x) + 1j * np.array(sign) * 10.0 ** np.array(y)
+    scale = draw(st.sampled_from([1.0, 1.0, 2.5, -1.0, 40.0]))
+    radius = draw(st.sampled_from([np.inf, np.inf, 4.0]))
+    if kind == "inverse":
+        law = draw(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.1, 1.0)), min_size=2, max_size=3,
+                            unique_by=lambda a: a[0]))
+        points, weights = np.array([p for p, _ in law]), np.array([w for _, w in law])
+        weights /= weights.sum()
+
+        def raw(x):
+            f, fp = tf._f_and_deriv(points, weights, x)
+            return f - target, -(f - target) / tf._nonzero(fp), ()
+
+        start, fixed = target.copy(), False
+    elif kind == "pair":
+
+        def raw(x):
+            h = np.stack([x[0] - target, x[1] * x[1] - target])
+            return h, -h / np.stack([np.ones_like(x[0]), 2.0 * x[1]]), ()
+
+        start, fixed = np.stack([target + 1.0, target + 0.5]), False
+    else:
+        laws = [Measure1D(list(zip(pts, [1.0 / len(pts)] * len(pts))))
+                for pts in draw(st.lists(st.lists(st.integers(-15, 15).map(lambda k: k / 10.0), min_size=2,
+                                                  max_size=3, unique=True),
+                                         min_size=1, max_size=3))]
+        rep = free_convolve_many(laws + [B])  # two or more terms: a system with unknowns
+        target = np.where(target.imag < 0, np.conj(target), target)
+        residual, lead = fc._residual(target, rep.system, None)
+        start = np.broadcast_to(target + 2j, (lead, size) if lead else (size,))
+        raw, fixed = residual, True
+    if draw(st.booleans()):
+        start = np.array(start)
+        start[..., draw(st.integers(0, size - 1))] = np.nan
+
+    def h_eval(x):
+        with np.errstate(all="ignore"):
+            h, step, aux = raw(x)
+            h = np.where(np.abs(x) > radius, np.nan, h)
+        return h, scale * step, aux
+
+    return h_eval, start, target, fixed
+
+
+class TestDampedNewtonReference:
+    """The loop's iterates are the reference loop's (``oracles.damped_newton_loop``), bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(newton_problems(), st.sampled_from([(1e-12, 100), (1e-13, 200), (1e-12, 3)]))
+    def test_same_roots_aux_and_mask(self, problem, limits):
+        h_eval, start, target, fixed = problem
+        tol, maxiter = limits
+        evals = {}
+        results = {}
+        for name, loop in (("new", _damped_newton), ("reference", damped_newton_loop)):
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return h_eval(x)
+
+            results[name] = loop(counted, start, target, tol=tol, maxiter=maxiter, fixed_point=fixed)
+            evals[name] = len(calls)
+        (x, aux, ok), (want_x, want_aux, want_ok) = results["new"], results["reference"]
+        assert evals["new"] == evals["reference"]
+        assert x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
+        assert ok.tolist() == want_ok.tolist()
+        assert len(aux) == len(want_aux)
+        for a, b in zip(aux, want_aux):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestFreePhi:

@@ -81,6 +81,8 @@ class BiConvRep:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.shift).all():
+            raise ValueError("shift must be finite")
         groups = row_groups([t for t in self.terms if isinstance(t, PlanarMeasure)])
         height = max((cone_for(m).M for m, _ in groups), default=1.0)
         object.__setattr__(self, "cone", TruncatedCone(1.0, height))

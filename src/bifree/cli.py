@@ -21,13 +21,8 @@ from . import limits as lm
 from . import serialize as io
 from . import stable as st
 from .biconv import bi_free_convolve
-from .idlaw import (
-    QuadratureError,
-    sigma_form_to_triplet,
-    triplet_to_sigma_form,
-)
-from .limits import ConditionsNotMet, NotInfinitesimal
-from .transforms import DegenerateDenominator, NoConvergence, _probe_pairs
+from .idlaw import sigma_form_to_triplet, triplet_to_sigma_form
+from .transforms import _probe_pairs
 
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
@@ -295,13 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     except io.SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (NoConvergence, DegenerateDenominator, QuadratureError, ArithmeticError) as e:
+    except ArithmeticError as e:  # NoConvergence, DegenerateDenominator, QuadratureError
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NotInfinitesimal, ConditionsNotMet) as e:
-        print(f"precondition violated: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as e:
+    except ValueError as e:  # NotInfinitesimal and ConditionsNotMet too
         print(f"precondition violated: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
 

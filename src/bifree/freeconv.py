@@ -243,6 +243,8 @@ class FreeConvRep:
     system: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.shift):
+            raise ValueError("shift must be finite")
         stack = row_stack(list(zip(self.laws, self.counts))) if self.laws else None
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "system", _system(stack))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .biconv import BiConvRep, bi_free_convolve
 from .idlaw import CharTriplet
+from .transforms import _probe_pairs
 
 NONFULL_THRESHOLD = 1e-8
 FULL_FLOOR = 1e-3
@@ -123,9 +124,9 @@ def fullness_by_g(obj, probes: Sequence[Probe] | None = None) -> LineReport:
     """
     if probes is None:
         probes = default_fullness_probes()
-    if len(probes) < 6:
+    z, w = _probe_pairs(probes, complex, "probes").T
+    if len(z) < 6:
         raise ValueError("need at least six probes")
-    z, w = np.array(probes, dtype=complex).T
     G, G1, G2 = _as_rep(obj).cauchy_with_marginals(z, w)
     return _classify(np.stack([z * G - G2, w * G - G1, G], axis=1), "cauchy")
 
@@ -138,9 +139,9 @@ def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
     rep = _as_rep(obj)
     if probes is None:
         probes = default_phi_probes(rep)
-    if len(probes) < 6:
+    z, w = _probe_pairs(probes, complex, "probes").T
+    if len(z) < 6:
         raise ValueError("need at least six probes")
-    z, w = np.array(probes, dtype=complex).T
     phi = rep.phi(z, w)
     p1 = rep.marginal(1).phi(z)
     p2 = rep.marginal(2).phi(w)

@@ -194,13 +194,15 @@ class LevyMeasure:
 
 @dataclass(frozen=True)
 class CharTriplet:
-    """Characteristic triplet (v, A, tau); A = [[a, c], [c, b]] must be psd."""
+    """Characteristic triplet (v, A, tau); v and A = [[a, c], [c, b]] must be finite, and A psd."""
 
     v: Vec2
     A: Matrix2
     tau: LevyMeasure
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (*self.v, self.A.a, self.A.c, self.A.b)):
+            raise ValueError("drift and matrix part must be finite")
         if not self.A.is_psd():
             raise ValueError("matrix part must be positive semi-definite")
 

@@ -1,19 +1,19 @@
 """Triangular-array limit machinery and the classical/bi-free transfer runner.
 
-An array is held as stacks, built once with it.  The distinct laws of all
-rows of one width (the atom count of a row's largest law) are one padded
+An array holds its laws once, as stacks built with it.  The distinct laws of
+all rows of one width (the atom count of a row's largest law) are one padded
 stack of points, weights and counts (``RowStack``), one per width class
-(``WidthClass``); each row's stack is a read-only slice of its width's, so
-no row's laws are copied and none is padded past its own row's width.  Every
-limit operation is one pass per array, or per width: the infinitesimality
-diagnostic reads the width stacks, the bi-free runner makes one Newton
-solve per width for the marginals of all its laws (``transforms.law_phis``),
-and the classical runner one phase product and one ``exp`` per width; each
-row's phi sum and CF product is then a reduction over its own slice.
+(``WidthClass``), in which each row holds a slice lo:hi; so no law is copied
+and none is padded past its own row's width.  Every limit operation is one
+pass per width: the infinitesimality diagnostic reads the class stacks, the
+bi-free runner makes one Newton solve per width for the marginals of all its
+laws (``transforms.law_phis``), and the classical runner one phase product
+and one ``exp`` per width; each row's phi sum and CF product is then a
+reduction over its own slice.
 
 What the condition checks read of each row (``RowData``) is built once
-too: the laws are centered by truncated means (``center_row``) and
-accumulated (``row_accumulators``) into the row measures tau_n, sigma_1n,
+too: each class's laws are centered once by truncated means (``center_row``)
+and each row's slice is accumulated (``row_accumulators``) into tau_n, sigma_1n,
 sigma_2n as flat arrays of merged atoms sorted by norm, with cumulative
 moment sums and the permutation back to canonical (lexicographic) order.
 So the small-ball quadratic sums of a row over the whole eps ladder and its
@@ -55,7 +55,7 @@ import numpy as np
 
 from .idlaw import CharTriplet, LevyMeasure
 from .measure import AtomicMeasure2D, Matrix2, PlanarMeasure, Vec2, _canonical, _freeze
-from .measure import Groups, RowStack, row_groups, row_stack  # the row type, shared with biconv
+from .measure import RowStack, row_groups, row_stack  # the row type, shared with biconv
 from .transforms import _law_sum, _probe_pairs, law_phis
 
 RATE_MIN = 0.25
@@ -92,44 +92,39 @@ class WidthClass(NamedTuple):
         return zip(self.rows, self.bounds[:-1], self.bounds[1:])
 
 
-def width_classes(groups: Sequence[Groups]) -> tuple[tuple[WidthClass, ...], tuple[RowStack, ...]]:
-    """The rows' laws stacked once per width, and each row's stack as a read-only slice of its width's.
+def width_classes(rows: Sequence[Sequence[PlanarMeasure]]) -> tuple[WidthClass, ...]:
+    """Each row's distinct laws (``row_groups``), stacked once per width.
 
     Every law of a width class has at most the class's width of atoms, so
     a row's slice is padded exactly as ``row_stack`` pads the row alone.
     Classes come in the order their widths first occur.
     """
+    groups = [row_groups(row) for row in rows]
     widths = [max(len(m) for m, _ in g) for g in groups]
-    classes, stacks = [], [None] * len(groups)
+    classes = []
     for width in dict.fromkeys(widths):
-        rows = tuple(r for r, x in enumerate(widths) if x == width)
-        stack = row_stack(tuple(law for r in rows for law in groups[r]))
-        cls = WidthClass(stack, rows, tuple(np.cumsum([0] + [len(groups[r]) for r in rows]).tolist()))
-        for r, lo, hi in cls.slices():
-            stacks[r] = RowStack(*(x[lo:hi] for x in stack))
-        classes.append(cls)
-    return tuple(classes), tuple(stacks)
+        members = tuple(r for r, x in enumerate(widths) if x == width)
+        bounds = tuple(np.cumsum([0] + [len(groups[r]) for r in members]).tolist())
+        classes.append(WidthClass(row_stack(tuple(law for r in members for law in groups[r])), members, bounds))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)
 class TriangularArray:
     """Rows of planar measures with per-row point-mass shifts.
 
-    ``rows`` is the expanded view; ``groups`` holds each row's distinct laws
-    with their counts (``row_groups``), ``widths`` the laws of all rows of
-    one width as one padded stack per width (``width_classes``), and
-    ``stacks`` each row's stack, a read-only slice of its width's: that is
-    what the machinery works on.  ``row_data`` holds what the condition
-    checks read of each row (``build_row_data``): a pure function of the
-    rows, shifts and L, built once here and read-only.
+    ``rows`` is the expanded view.  ``widths`` holds the array's laws once:
+    each row's distinct laws with their counts, as one padded stack per
+    width (``width_classes``); that is what the machinery works on.
+    ``row_data`` holds what the condition checks read of each row
+    (``build_row_data``): a pure function of the rows, shifts and L, built
+    once here and read-only.
     """
 
     rows: tuple[tuple[PlanarMeasure, ...], ...]
     shifts: tuple[Vec2, ...]
     L: float = 1.0
-    groups: tuple[Groups, ...] = field(init=False, repr=False, compare=False)
     widths: tuple[WidthClass, ...] = field(init=False, repr=False, compare=False)
-    stacks: tuple[RowStack, ...] = field(init=False, repr=False, compare=False)
     row_data: tuple[RowData, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,12 +139,8 @@ class TriangularArray:
             raise ValueError("centering radius must be positive")
         if not all(math.isfinite(x) for shift in self.shifts for x in shift):
             raise ValueError("row shifts must be finite")
-        groups = tuple(row_groups(r) for r in self.rows)
-        object.__setattr__(self, "groups", groups)
-        widths, stacks = width_classes(groups)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "stacks", stacks)
-        object.__setattr__(self, "row_data", build_row_data(stacks, self.shifts, self.L))
+        object.__setattr__(self, "widths", width_classes(self.rows))
+        object.__setattr__(self, "row_data", build_row_data(self.widths, self.shifts, self.L))
 
     def row_sizes(self) -> list[int]:
         return [len(r) for r in self.rows]
@@ -328,16 +319,23 @@ class RowData(NamedTuple):
     v: Vec2
 
 
-def build_row_data(stacks: Sequence[RowStack], shifts: Sequence[Vec2], L: float) -> tuple[RowData, ...]:
-    """The row data of every row: its laws centered by ``center_row``, then accumulated by ``row_accumulators``."""
-    out = []
-    for stack, shift in zip(stacks, shifts):
-        centered, centers = center_row(stack, L)
+def build_row_data(widths: Sequence[WidthClass], shifts: Sequence[Vec2], L: float) -> tuple[RowData, ...]:
+    """The row data of every row, built one width class at a time.
+
+    Each class stack is centered once by ``center_row`` and each law's
+    compensator term formed once; each row's slice lo:hi is then
+    accumulated by ``row_accumulators``, and its v_n sums its laws' terms.
+    """
+    out = [None] * len(shifts)
+    for cls in widths:
+        centered, centers = center_row(cls.stack, L)
         pts = centered.points
         nrm = 1.0 + pts[..., 0] ** 2 + pts[..., 1] ** 2
         terms = centers + (centered.weights[..., None] * pts / nrm[..., None]).sum(axis=1)
-        v1, v2 = np.asarray(shift, dtype=float) + centered.counts @ terms
-        out.append(RowData(row_accumulators(centered), (float(v1), float(v2))))
+        for r, lo, hi in cls.slices():
+            row = RowStack(*(x[lo:hi] for x in centered))
+            v1, v2 = np.asarray(shifts[r], dtype=float) + row.counts @ terms[lo:hi]
+            out[r] = RowData(row_accumulators(row), (float(v1), float(v2)))
     return tuple(out)
 
 

@@ -8,9 +8,10 @@ are plain references that only the tests need, and the sigma-form loops
 (``sigma_form_loop``, ``verify_loop``, ``triplet_loop``) convert one atom at
 a time, as the library did before its array maps.  The limit machinery's
 row-by-row references (``phi_row``, ``cf_row``, ``bl_values_row`` and the
-``*_rows`` runners and reports) work one row's stack at a time and rebuild
-the reported measures with ``AtomicMeasure2D.from_arrays``, as the library
-did before it took each array in one pass per width class.
+``*_rows`` runners and reports) work one row's stack at a time, each built
+from the row alone (``own_stacks``), and rebuild the reported measures with
+``AtomicMeasure2D.from_arrays``, as the library did before it took each
+array in one pass per width class.
 ``damped_newton_loop`` is the damped-Newton loop as it was before its
 passes per step were cut (every mask applied, |h| taken twice per
 evaluation), the reference for the loop's iterates.
@@ -28,7 +29,7 @@ from scipy.integrate import quad
 
 import bifree.limits as lm
 from bifree.idlaw import SIGMA_FORM_TOL, CharTriplet, InconsistentSigmaForm, LevyMeasure, SigmaForm
-from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D
+from bifree.measure import AtomicMeasure2D, Matrix2, Measure1D, row_groups, row_stack
 from bifree.transforms import bi_free_phi
 
 
@@ -134,14 +135,6 @@ def smoothed_arcsine(s: float, eps: float) -> float:
         limit=200,
     )
     return val
-
-
-def smoothed_atoms_1d(points, weights, axis: np.ndarray, eps: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    out = np.zeros_like(axis)
-    for p, w in zip(points, weights):
-        out += w * cauchy_kernel(axis - p, eps)
-    return out
 
 
 def smoothed_atoms_2d(atoms, s_axis: np.ndarray, t_axis: np.ndarray, eps: float) -> np.ndarray:
@@ -516,10 +509,15 @@ def bl_values_row(acc):
     return out
 
 
+def own_stacks(array):
+    """Each row's stack, built from the row alone."""
+    return [row_stack(row_groups(row)) for row in array.rows]
+
+
 def infinitesimality_rows(array):
     """max_k mu_nk({||x|| >= INFINITESIMAL_EPS}), one row's stack at a time."""
     out = []
-    for stack in array.stacks:
+    for stack in own_stacks(array):
         far = np.hypot(stack.points[..., 0], stack.points[..., 1]) >= lm.INFINITESIMAL_EPS
         out.append(float(np.where(far, stack.weights, 0.0).sum(axis=-1).max()))
     return out
@@ -530,7 +528,7 @@ def bi_free_runner_rows(array, probes, reference):
     z, w = np.array(probes, dtype=complex).T
     target = reference.bi_free_phi(z, w)
     return [(len(row), float(np.abs(phi_row(stack, shift, z, w) - target).max()))
-            for row, stack, shift in zip(array.rows, array.stacks, array.shifts)]
+            for row, stack, shift in zip(array.rows, own_stacks(array), array.shifts)]
 
 
 def classical_runner_rows(array, u_probes, reference):
@@ -538,7 +536,7 @@ def classical_runner_rows(array, u_probes, reference):
     us = np.array(u_probes, dtype=float)
     target = reference.classical_cf(us)
     return [(len(row), float(np.abs(cf_row(stack, shift, us) - target).max()))
-            for row, stack, shift in zip(array.rows, array.stacks, array.shifts)]
+            for row, stack, shift in zip(array.rows, own_stacks(array), array.shifts)]
 
 
 def conditions_I_II_rows(array):

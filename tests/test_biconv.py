@@ -57,6 +57,13 @@ class TestBiFreeConvolve:
         with pytest.raises(ValueError):
             bi_free_convolve([])
 
+    @pytest.mark.parametrize("items", [[MU], [MU, MU]])
+    @pytest.mark.parametrize("shift", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_shift_rejected(self, items, shift):
+        # a lone law would return nan from cauchy, and two laws fail to settle
+        with pytest.raises(ValueError, match="shift must be finite"):
+            bi_free_convolve(items, shift=shift)
+
     def test_phi_linearization(self):
         nu = PlanarMeasure([((0.5, -0.5), 0.4), ((-0.2, 0.8), 0.6)])
         rep = bi_free_convolve([MU, nu])

@@ -539,8 +539,8 @@ class TestCliLimit:
                             lambda a: diagnostics.append(1) or real_diagnostic(a))
         arr = write(tmp_path / "arr.json", self._poisson_array_payload())
         assert main(["--out", str(tmp_path / "out"), "limit", arr]) == 0
-        # once, with the array: each of its three rows centered, then accumulated
-        assert calls == ["build_row_data"] + ["center_row", "row_accumulators"] * 3
+        # once, with the array: its one width class centered, then each of its three rows accumulated
+        assert calls == ["build_row_data", "center_row"] + ["row_accumulators"] * 3
         assert len(diagnostics) == 1  # one infinitesimality check for both
 
     def test_bad_law_exit_2_names_its_position(self, tmp_path, capsys):

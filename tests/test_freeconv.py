@@ -91,6 +91,11 @@ class TestFreeConvolve:
         right = free_convolve_many([nu3, nu1, nu2]).phi(z)
         assert np.max(np.abs(left - right)) < 1e-12 * np.max(1 + np.abs(z))
 
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            free_convolve_many([B, B], shift=shift)
+
 
 class TestEvalG:
     def test_dirac_pair(self):

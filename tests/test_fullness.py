@@ -53,7 +53,7 @@ class TestByG:
         assert line_close(rep.line, (s, -s, s))
 
     def test_too_few_probes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least six probes"):
             fullness_by_g(dirac((0.0, 0.0)), probes=[(2j, 2j)])
 
     def test_nearly_collinear_atoms_are_indeterminate(self):
@@ -100,6 +100,18 @@ class TestOfTriplet:
         assert rep.is_full is False
         s = 1 / math.sqrt(2.0)
         assert line_close(rep.line, (s, -s, -s))
+
+    # |c| > |a - lambda_min|: the kernel vector comes from A's first row, on a line steeper than the diagonal
+    @pytest.mark.parametrize("A, support", [(Matrix2(1.0, 2.0, 4.0), (1.0, 2.0)),
+                                            (Matrix2(1.0, -3.0, 9.0), (1.0, -3.0))])
+    def test_singular_gaussian_on_a_steep_line(self, A, support):
+        v = (0.5, -0.25)
+        rep = fullness_of_triplet(make_gaussian(v, A))
+        assert rep.is_full is False and not rep.degenerate
+        alpha, beta, gamma = rep.line
+        assert alpha * alpha + beta * beta == pytest.approx(1.0, abs=1e-15) and alpha > 0.0
+        assert abs(alpha * v[0] + beta * v[1] + gamma) <= 1e-15
+        assert abs(alpha * support[0] + beta * support[1]) <= 1e-15 * math.hypot(*support)
 
     def test_poisson_nonfull(self):
         rep = fullness_of_triplet(make_compound_poisson(1.0, dirac((1.0, 1.0))))

@@ -191,6 +191,18 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_gaussian((0.0, 0.0), Matrix2(1.0, 2.0, 1.0))
 
+    @pytest.mark.parametrize("v, A", [
+        ((math.nan, 0.0), Matrix2(1.0, 0.0, 1.0)),
+        ((0.0, -math.inf), Matrix2(1.0, 0.0, 1.0)),
+        ((0.0, 0.0), Matrix2(math.inf, 0.0, 1.0)),  # psd, and its phi would be -inf + nan i
+        ((0.0, 0.0), Matrix2(math.nan, 0.0, 1.0)),
+        ((0.0, 0.0), Matrix2(1.0, math.nan, 1.0)),
+        ((0.0, 0.0), Matrix2(1.0, 0.0, math.inf)),
+    ])
+    def test_non_finite_drift_or_matrix_rejected(self, v, A):
+        with pytest.raises(ValueError, match="drift and matrix part must be finite"):
+            CharTriplet(v, A, LevyMeasure.zero())
+
     @pytest.mark.parametrize("ray", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)])
     def test_non_finite_ray_rejected(self, ray):
         with pytest.raises(ValueError, match="finite"):

@@ -488,7 +488,7 @@ class TestContentGrouping:
         monkeypatch.setattr(tf, "newton_f_inverse", counting)
         run_bi_free_limit(arr, PROBES, reference=trip)
         assert len(calls) == 1
-        laws = sum(map(len, arr.groups))
+        laws = len(arr.widths[0].stack.counts)
         assert np.shape(calls[0][2]) == (2 * laws * len(PROBES),)
 
 
@@ -517,10 +517,11 @@ def grouped_rows(draw):
 @given(grouped_rows())
 def test_groups_survive_json_round_trip(arr):
     back = json_copy(arr)
-    assert [[c for _, c in g] for g in back.groups] == [[c for _, c in g] for g in arr.groups]
-    for g_back, g in zip(back.groups, arr.groups):
+    groups, back_groups = [row_groups(row) for row in arr.rows], [row_groups(row) for row in back.rows]
+    assert [[c for _, c in g] for g in back_groups] == [[c for _, c in g] for g in groups]
+    for g_back, g in zip(back_groups, groups):
         assert all(mb.close_to(m) for (mb, _), (m, _) in zip(g_back, g))
-    assert sum(map(len, arr.groups)) < sum(map(len, arr.rows))
+    assert sum(map(len, groups)) < sum(map(len, arr.rows))
 
 
 stack_coords = st.sampled_from([-1.0, -0.3, 0.0, 0.25, 0.5, 2.0])
@@ -569,7 +570,8 @@ def test_stacked_phi_and_cf_match_expanded_rows(arr):
     us = np.array(U_PROBES)
     z, w = np.array(STACK_PROBES).T
     phis, cfs = lm._phi_rows(arr, z, w), lm._cf_rows(arr, us)
-    for row, stack, shift, phi, cf in zip(arr.rows, arr.stacks, arr.shifts, phis, cfs):
+    for row, shift, phi, cf in zip(arr.rows, arr.shifts, phis, cfs):
+        stack = stack_of(row)
         assert stack.weights.shape[1] == max(len(m) for m in row)
         for (zp, wp), got in zip(STACK_PROBES, phi):
             refs = [phi_reference(m, zp, wp) for m in row]
@@ -595,13 +597,13 @@ def assert_matches_the_row_references(arr):
 
 
 def assert_rows_are_slices_of_their_width(arr):
-    """Each row's stack is a read-only view into its width's stack, equal to the row stacked alone."""
+    """Each row's slice lo:hi of its width's read-only stack equals the row stacked alone."""
     assert sorted(r for cls in arr.widths for r in cls.rows) == list(range(len(arr.rows)))
     for cls in arr.widths:
+        assert not any(x.flags.writeable for x in cls.stack)
         for r, lo, hi in cls.slices():
-            stack, alone = arr.stacks[r], row_stack(arr.groups[r])
-            for got, whole, want in zip(stack, cls.stack, alone):
-                assert np.shares_memory(got, whole) and not got.flags.writeable
+            for whole, want in zip(cls.stack, stack_of(arr.rows[r])):
+                got = whole[lo:hi]
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -731,13 +733,13 @@ def tau_reference(row, L):
 
 
 class TestRowData:
-    """Row data is built once with the array, one row at a time."""
+    """Row data is built once with the array: one centring per width class, then each row accumulated."""
 
     @example(near_pair_array())
     @given(stacked_arrays())
     def test_equals_the_per_row_reference(self, arr):
-        assert len(arr.row_data) == len(arr.stacks)
-        for rd, row, stack, shift in zip(arr.row_data, arr.rows, arr.stacks, arr.shifts):
+        assert len(arr.row_data) == len(arr.rows)
+        for rd, row, shift in zip(arr.row_data, arr.rows, arr.shifts):
             acc = rd.acc
             pts, tau = tau_reference(row, arr.L)
             assert acc.points.shape == pts.shape and acc.tau.shape == tau.shape
@@ -747,7 +749,7 @@ class TestRowData:
             np.testing.assert_allclose(acc.norms, np.hypot(s, t), rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(acc.sigma1, tau * s * s / (1.0 + s * s), rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(acc.sigma2, tau * t * t / (1.0 + t * t), rtol=1e-12, atol=1e-15)
-            centered, centers = center_row(stack, arr.L)
+            centered, centers = center_row(stack_of(row), arr.L)
             assert rd.v == recentring_reference(centered, centers, shift)
 
     def test_near_atoms_are_merged(self, monkeypatch):
@@ -841,7 +843,7 @@ class TestMarginalConsistency:
         rep12 = check_condition_I_II(arr)
         trip = limit_triplet(arr)
         # gamma_1 from its defining per-row sum, taken on the last row
-        centered, centers = center_row(arr.stacks[-1], arr.L)
+        centered, centers = center_row(stack_of(arr.rows[-1]), arr.L)
         g1 = sum(
             count * (c[0] + integrate(law(centered, g), lambda s, t: s / (1.0 + s * s)).real)
             for g, (count, c) in enumerate(zip(centered.counts, centers))

@@ -66,6 +66,12 @@ class TestSpecAndTriplet:
             StableSpec(alpha=2.0, theta=((0.0, 1.0),), gaussian_a=I2)
         with pytest.raises(ValueError):
             StableSpec(alpha=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            StableSpec(alpha=1.0, theta=((0.0, 1.0),), v=(math.inf, 0.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            StableSpec(alpha=2.0, v=(0.0, math.nan), gaussian_a=I2)
+        with pytest.raises(ValueError, match="must be finite"):
+            StableSpec(alpha=2.0, gaussian_a=Matrix2(math.inf, 0.0, 1.0))
 
 
 class TestDilationCovariance:

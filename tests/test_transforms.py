@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bifree.freeconv as fc
+import bifree.fullness as fullness
 import bifree.limits as lm
 import bifree.stable as stable
 import bifree.transforms as tf
@@ -438,11 +439,14 @@ class TestProbeSets:
     SPEC = stable.StableSpec(alpha=2.0, gaussian_a=Matrix2(1.0, 0.0, 1.0))
     LAW = PlanarMeasure([((0.5, 0.5), 0.5), ((-0.5, -0.5), 0.5)])
     # three complex numbers per entry would regroup into three pairs; a flat list into one
-    PROBES = ([(2j, 4j, 6j), (8j, 3j, 5j)], [2j, 4j], [[(2j, 4j), (4j, 2j)]])
+    # six triples, twelve numbers, or a z list and a w list would pass a fit's six-probe minimum
+    PROBES = ([(2j, 4j, 6j), (8j, 3j, 5j)], [2j, 4j], [[(2j, 4j), (4j, 2j)]],
+              [(2j, 3j, 4j)] * 6, [2j, 3j] * 6, [[2j] * 6, [3j] * 6])
     U_PROBES = ([(0.4, 0.0, 0.2), (0.0, 0.4, 0.1)], [0.4, 0.0], [[(0.4, 0.0), (0.0, 0.4)]])
 
     @pytest.mark.parametrize("probes", PROBES)
-    @pytest.mark.parametrize("entry", ["parser", "runner", "stability", "shift_fit", "doa"])
+    @pytest.mark.parametrize("entry", ["parser", "runner", "stability", "shift_fit", "doa", "fullness_g",
+                                       "fullness_phi"])
     def test_malformed_probes_raise(self, entry, probes):
         calls = {
             "parser": lambda: tf._probe_pairs(probes, complex, "probes"),
@@ -450,6 +454,8 @@ class TestProbeSets:
             "stability": lambda: stable.check_stability(self.SPEC, 1.0, 2.0, probes=probes),
             "shift_fit": lambda: stable.fit_point_mass_shift(probes, [0.1j] * 3),
             "doa": lambda: stable.domain_of_attraction_run(self.LAW, self.SPEC, [8, 32, 128], probes=probes),
+            "fullness_g": lambda: fullness.fullness_by_g(self.LAW, probes=probes),
+            "fullness_phi": lambda: fullness.fullness_by_phi(self.LAW, probes=probes),
         }
         with pytest.raises(ValueError, match=r"probes must be pairs, shape \(P, 2\)"):
             calls[entry]()

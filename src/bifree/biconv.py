@@ -55,6 +55,7 @@ from .transforms import (
     _require_eps,
     bi_free_phi,
     cone_for,
+    inversion_values,
 )
 
 def _is_triplet(obj) -> bool:
@@ -229,10 +230,9 @@ class BiConvRep:
             zb, ub = (None if x is None else np.concatenate([x[blk], np.conj(x[blk])]) for x in (z1, u1))
             fb = None if factors is None else (
                 np.concatenate([factors[0][:, blk], np.conj(factors[0][:, blk])], axis=1), factors[1])
-            # Re G at t - i eps minus Re G at t + i eps: the inversion
+            # the real parts of G at t + i eps, then at t - i eps
             g = self._g_from_parts(zb, w2, ub, u2, fb).real
-            np.subtract(g[len(g) // 2:], g[: len(g) // 2], out=values[blk])
-            values[blk] /= 2.0 * np.pi**2
+            values[blk] = inversion_values(g[: len(g) // 2], g[len(g) // 2:])
         return GridDensity(s_axis, t_axis, values, eps, axis_densities)
 
 

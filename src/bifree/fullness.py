@@ -116,17 +116,21 @@ def _as_rep(obj) -> BiConvRep:
     return bi_free_convolve([obj])
 
 
+def _probe_zw(probes: Sequence[Probe] | None, default) -> tuple[np.ndarray, np.ndarray]:
+    """z and w of ``probes``, or of ``default()`` when None; at least six pairs."""
+    z, w = _probe_pairs(default() if probes is None else probes, complex, "probes").T
+    if len(z) < 6:
+        raise ValueError("need at least six probes")
+    return z, w
+
+
 def fullness_by_g(obj, probes: Sequence[Probe] | None = None) -> LineReport:
     """Line fit of (alpha z + beta w + gamma) G = beta G1 + alpha G2.
 
     ``obj`` is an atomic planar measure, a convolution representation or a
     triplet; a single measure is evaluated in closed form.
     """
-    if probes is None:
-        probes = default_fullness_probes()
-    z, w = _probe_pairs(probes, complex, "probes").T
-    if len(z) < 6:
-        raise ValueError("need at least six probes")
+    z, w = _probe_zw(probes, default_fullness_probes)
     G, G1, G2 = _as_rep(obj).cauchy_with_marginals(z, w)
     return _classify(np.stack([z * G - G2, w * G - G1, G], axis=1), "cauchy")
 
@@ -137,11 +141,7 @@ def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
     Default probes come from :func:`default_phi_probes`.
     """
     rep = _as_rep(obj)
-    if probes is None:
-        probes = default_phi_probes(rep)
-    z, w = _probe_pairs(probes, complex, "probes").T
-    if len(z) < 6:
-        raise ValueError("need at least six probes")
+    z, w = _probe_zw(probes, lambda: default_phi_probes(rep))
     phi = rep.phi(z, w)
     p1 = rep.marginal(1).phi(z)
     p2 = rep.marginal(2).phi(w)
@@ -152,42 +152,42 @@ def fullness_by_phi(obj, probes: Sequence[Probe] | None = None) -> LineReport:
 def fullness_of_triplet(t: CharTriplet) -> LineReport:
     """Structure test: non-full iff A singular and tau on a kernel line.
 
-    The reported line is <u,(s,t)> = <u,v> for the kernel direction u.
+    tau's directions are its atoms and its rays, read as arrays.  The
+    reported line is <u,(s,t)> = <u,v> for the kernel direction u.
     """
-    lo, hi = t.A.eigenvalues()
+    A = t.A
+    lo, hi = A.eigenvalues()
     scale = max(abs(hi), 1.0)
+    residual, degenerate = float(abs(lo) / scale), False
     if abs(lo) > TRIPLET_TOL * scale:
-        return LineReport(True, None, float(abs(lo) / scale), method="triplet")
+        return LineReport(True, None, residual, method="triplet")
 
-    directions, weights = t.tau.atoms.points.tolist(), t.tau.atoms.masses.tolist()
-    if t.tau.radial is not None:
-        directions += t.tau.radial.omega.tolist()
-        weights += t.tau.radial.mass.tolist()
+    rp = t.tau.radial
+    x1, x2 = np.concatenate([t.tau.atoms.points] + ([] if rp is None else [rp.omega])).T
+    m = np.concatenate([t.tau.atoms.masses] + ([] if rp is None else [rp.mass]))
 
-    if abs(hi) <= TRIPLET_TOL:
+    if abs(hi) <= TRIPLET_TOL and not len(m):
+        u, residual, degenerate = (1.0, 0.0), 0.0, True  # point mass; any line through v works
+    elif abs(hi) <= TRIPLET_TOL:
         # zero matrix: every direction is in the kernel; tau must sit on one
-        # line through the origin
-        if not directions:
-            u = (1.0, 0.0)  # point mass; any line through v works
-            line, _ = _normalize_line(np.array([u[0], u[1], -(u[0] * t.v[0] + u[1] * t.v[1])]))
-            return LineReport(False, line, 0.0, degenerate=True, method="triplet")
-        S = np.zeros((2, 2))
-        for (x1, x2), m in zip(directions, weights):
-            n2 = x1 * x1 + x2 * x2
-            S += m * np.array([[x1 * x1, x1 * x2], [x1 * x2, x2 * x2]]) / n2
-        evals, evecs = np.linalg.eigh(S)
-        residual = float(evals[0] / max(evals[1], 1e-300))
-        if residual > TRIPLET_TOL:
-            return LineReport(True, None, residual, method="triplet")
+        # line through the origin.  S = sum of m x x^T / |x|^2, added in order
+        outer = np.stack((x1 * x1, x1 * x2, x2 * x2), axis=1)
+        saa, sac, scc = (m[:, None] * outer / (x1 * x1 + x2 * x2)[:, None]).sum(axis=0, initial=0.0)
+        evals, evecs = np.linalg.eigh(np.array([[saa, sac], [sac, scc]]))
+        spread = float(evals[0] / max(evals[1], 1e-300))
+        if spread > TRIPLET_TOL:
+            return LineReport(True, None, spread, method="triplet")
         u = (float(evecs[0, 0]), float(evecs[1, 0]))
     else:
-        u = t.A.kernel_vector()
-        worst = 0.0
-        for (x1, x2), m in zip(directions, weights):
-            n = math.hypot(x1, x2)
-            worst = max(worst, abs(u[0] * x1 + u[1] * x2) / n)
+        # rank one: the kernel is perpendicular to a nonzero row of A - lo I;
+        # the row [c, b - lo] vanishes when A = [[a, 0], [0, 0]]
+        vec = (A.c, lo - A.a) if abs(A.c) > abs(A.a - lo) else (lo - A.b, A.c)
+        if vec == (0.0, 0.0):
+            vec = (A.c, lo - A.a)
+        n = math.hypot(*vec)
+        u = (vec[0] / n, vec[1] / n)
+        worst = float(np.max(np.abs(u[0] * x1 + u[1] * x2) / np.hypot(x1, x2), initial=0.0))
         if worst > TRIPLET_TOL:
-            return LineReport(True, None, float(worst), method="triplet")
-    gamma = -(u[0] * t.v[0] + u[1] * t.v[1])
-    line, _ = _normalize_line(np.array([u[0], u[1], gamma]))
-    return LineReport(False, line, float(abs(lo) / scale), degenerate=False, method="triplet")
+            return LineReport(True, None, worst, method="triplet")
+    line, _ = _normalize_line(np.array([u[0], u[1], -(u[0] * t.v[0] + u[1] * t.v[1])]))
+    return LineReport(False, line, residual, degenerate=degenerate, method="triplet")

@@ -333,9 +333,8 @@ class CharTriplet:
             base = _ray_drift(rp)
             if base is None:
                 return None
-            for w1, w2, mass in rp.directions():
-                u1 -= mass * w1 * base
-                u2 -= mass * w2 * base
+            u1 = _added_in_order(u1, -(rp.mass * rp.omega[:, 0] * base))
+            u2 = _added_in_order(u2, -(rp.mass * rp.omega[:, 1] * base))
         return (u1, u2)
 
     def scaled(self, f: float) -> "CharTriplet":

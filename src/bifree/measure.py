@@ -20,7 +20,6 @@ import numpy as np
 MERGE_TOL = 1e-12
 MASS_TOL = 1e-12
 PSD_TOL = 1e-12  # absolute slack of Matrix2.is_psd
-KERNEL_TOL = 1e-8  # eigenvalue ratio below which Matrix2.kernel_vector reports a kernel
 
 Vec2 = tuple[float, float]
 
@@ -48,27 +47,6 @@ class Matrix2:
         half = 0.5 * (self.a + self.b)
         disc = math.hypot(0.5 * (self.a - self.b), self.c)
         return half - disc, half + disc
-
-    def kernel_vector(self) -> Vec2 | None:
-        """Unit vector spanning the kernel, or None if nonsingular.
-
-        Returns (nan, nan) sentinel-free: the zero matrix reports (1.0, 0.0)
-        since every direction is in the kernel.
-        """
-        lo, hi = self.eigenvalues()
-        if abs(lo) > KERNEL_TOL * max(abs(hi), 1.0):
-            return None
-        if abs(hi) <= KERNEL_TOL:
-            return (1.0, 0.0)
-        # eigenvector for the small eigenvalue of [[a,c],[c,b]]
-        if abs(self.c) > abs(self.a - lo):
-            vec = (self.c, lo - self.a)
-        else:
-            vec = (lo - self.b, self.c)
-        n = math.hypot(*vec)
-        if n == 0.0:
-            return (1.0, 0.0)
-        return (vec[0] / n, vec[1] / n)
 
     def __add__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(self.a + other.a, self.c + other.c, self.b + other.b)

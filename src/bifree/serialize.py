@@ -29,13 +29,19 @@ class SchemaError(ValueError):
     """Input file violates a documented schema."""
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, and not a boolean, which Python counts as an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _need(obj: dict, key: str, kind=None):
     if not isinstance(obj, dict):
         raise SchemaError(f"expected an object with key {key!r}, got {obj!r}")
     if key not in obj:
         raise SchemaError(f"missing key {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # no kind asked for here is bool, so a boolean is always of the wrong type
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise SchemaError(f"key {key!r} has wrong type {type(val).__name__}")
     return val
 
@@ -48,7 +54,7 @@ def _number(obj: dict, key: str, default: float, where: str, inf_ok: bool = Fals
     val = obj.get(key)
     if val is None:
         return default
-    if not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise SchemaError(f"key {where!r} must be a number, got {val!r}")
     if not (math.isfinite(val) or (inf_ok and val == math.inf)):
         raise SchemaError(f"key {where!r} must be a finite number, got {val!r}")
@@ -77,9 +83,13 @@ def _rays(entries, key: str) -> tuple[tuple[float, float], ...]:
 def _matrix2(rows, key: str) -> Matrix2:
     """The symmetric matrix [[a, c], [c, b]] of JSON rows; errors name ``key``."""
     try:
-        (a, c), (c_low, b) = ([float(x) for x in r] for r in rows)
+        (a, c), (c_low, b) = rows
+        numbers = all(map(_is_number, (a, c, c_low, b)))
     except (TypeError, ValueError):
-        raise SchemaError(f"key {key!r} must be a 2x2 matrix of numbers, got {rows!r}") from None
+        numbers = False
+    if not numbers:
+        raise SchemaError(f"key {key!r} must be a 2x2 matrix of numbers, got {rows!r}")
+    a, c, c_low, b = float(a), float(c), float(c_low), float(b)
     if not all(map(math.isfinite, (a, c, c_low, b))):
         raise SchemaError(f"key {key!r} must hold finite numbers, got {rows!r}")
     if abs(c - c_low) > 1e-12:
@@ -90,15 +100,20 @@ def _matrix2(rows, key: str) -> Matrix2:
 def _pair(x) -> tuple[float, float]:
     if not (isinstance(x, (list, tuple)) and len(x) == 2):
         raise SchemaError(f"expected a 2-vector, got {x!r}")
-    try:
-        return float(x[0]), float(x[1])
-    except (TypeError, ValueError):
-        raise SchemaError(f"expected a 2-vector of numbers, got {x!r}") from None
+    a, b = x
+    if type(a) is float and type(b) is float:  # json's floats, with no call: this runs once per atom
+        return a, b
+    if not (_is_number(a) and _is_number(b)):
+        raise SchemaError(f"expected a 2-vector of numbers, got {x!r}")
+    return float(a), float(b)
 
 
 def _vec2(x, key: str) -> tuple[float, float]:
-    """A 2-vector of finite numbers; a non-finite entry's error names ``key``."""
-    v = _pair(x)
+    """A 2-vector of finite numbers; errors name ``key``."""
+    try:
+        v = _pair(x)
+    except SchemaError as e:
+        raise SchemaError(f"key {key!r}: {e}") from None
     if not all(map(math.isfinite, v)):
         raise SchemaError(f"key {key!r} must hold finite numbers, got {x!r}")
     return v

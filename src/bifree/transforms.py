@@ -422,9 +422,8 @@ class GridDensity:
 
 def inversion_values(g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
     """-Re[G(s+ie, t+ie) - G(s+ie, t-ie)] / (2 pi^2), the planar inversion."""
-    vals = np.real(g_plus) - np.real(g_minus)
-    vals *= -0.5
-    vals /= np.pi**2
+    vals = np.real(g_minus) - np.real(g_plus)
+    vals /= 2.0 * np.pi**2
     return vals
 
 

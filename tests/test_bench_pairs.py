@@ -1,5 +1,7 @@
 """tools/bench_pairs.py reads paired runs as the gain rule does: wins per pair,
-medians, and the gap against the base runs' interquartile range."""
+medians, and the gap against the base runs' interquartile range; and as the
+no-regression rule does: the change's median against the base median and a
+relative bound."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +45,23 @@ def test_a_gap_inside_the_base_spread_is_not_a_gain(capsys):
 def test_better_directions_read_the_benchmark_file():
     directions = bench_pairs.better_directions(str(Path(__file__).resolve().parents[1]))
     assert directions["wall_s"] == "lower" and directions["calib.speed"] == "higher"
+
+
+def test_bound_column_applies_the_no_regression_rule(capsys):
+    # the change's wall_s median is 10% worse: inside a 25% bound, outside a 5% one
+    base, change = [1.0, 1.0, 1.0], [1.1, 1.1, 1.1]
+    for bound, verdict in ((0.25, "yes"), (0.05, "no")):
+        bench_pairs.report("w", {"base": runs(base), "change": runs(change)},
+                           {"wall_s": "lower", "calib.speed": "higher"}, {"wall_s": bound, "calib.speed": bound})
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[3:]}
+        # 1/wall is about 9% lower, worse in its own direction
+        assert lines["wall_s"].split()[-3] == lines["calib.speed"].split()[-3] == verdict
+    bench_pairs.report("w", {"base": runs(base), "change": runs(change)}, {"wall_s": "lower"})
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.split()[0] == "wall_s")
+    assert line.split()[-3] == "-"
+
+
+def test_bounds_read_the_benchmark_file():
+    bounds = bench_pairs.relative_bounds(str(Path(__file__).resolve().parents[1]))
+    assert bounds["wall_s"] == 0.25 and bounds["peak_rss_mb"] == 0.05
+    assert "calib.speed" not in bounds

@@ -119,6 +119,7 @@ def with_bad_law(bad) -> dict:
     return {"rows": [{"measures": [GOOD] * 2}, {"measures": [GOOD, GOOD, bad, GOOD]}]}
 
 
+UNDERWEIGHT = {"atoms": [{"x": [0, 0], "w": 0.4}, {"x": [1, 1], "w": 0.5}]}
 BAD_MEASURES = [
     ({"atoms": [{"x": [0, 0], "w": 0.5}, [1, 1]]}, "atoms[1]: atom entries must be objects"),
     ({"atoms": [{"w": 1.0}]}, "atoms[0]: missing key 'x'"),
@@ -128,8 +129,12 @@ BAD_MEASURES = [
     ({"atoms": [{"x": [0, 0], "w": 0}]}, "atoms[0]: atom weight 0 must be positive"),
     ({"atoms": [{"x": [math.nan, 0], "w": 1.0}]}, "atom coordinates must be finite"),
     ({"atoms": [{"x": [0, 0], "w": math.nan}]}, "atom weights must be positive"),
-    ({"atoms": [{"x": [0, 0], "w": 0.4}, {"x": [1, 1], "w": 0.5}]}, "weights sum to 0.9, not 1"),
+    (UNDERWEIGHT, "weights sum to 0.9, not 1"),
     ({"atoms": []}, "measure needs at least one atom"),
+    # JSON booleans and numeric strings are not numbers
+    ({"atoms": [{"x": [True, 0], "w": 1.0}]}, "atoms[0]: expected a 2-vector of numbers, got [True, 0]"),
+    ({"atoms": [{"x": ["1", "0.5"], "w": 1.0}]}, "atoms[0]: expected a 2-vector of numbers, got ['1', '0.5']"),
+    ({"atoms": [{"x": [0, 0], "w": True}]}, "atoms[0]: key 'w' has wrong type bool"),
 ]
 
 
@@ -210,7 +215,7 @@ class TestArrayLoading:
 
     def test_earlier_invalid_law_reported_first(self):
         payload = with_bad_law({"atoms": [{"w": 1.0}]})
-        payload["rows"][1]["measures"][1] = BAD_MEASURES[-2][0]
+        payload["rows"][1]["measures"][1] = UNDERWEIGHT
         with pytest.raises(SchemaError, match=r"^rows\[1\]\.measures\[1\]: weights sum to 0\.9, not 1$"):
             array_from_dict(payload)
 
@@ -275,6 +280,16 @@ class TestMalformedInputs:
         ("stable-probes", [{"z": [1.0, 2.0], "w": [1.0, 0.0]}, {"z": [0.0, 4.0], "w": [0.0, 4.0]}], "probes entry 0"),
         ("config", {"epsilon": True}, "'epsilon'"),
         ("config", {"grid": False}, "'grid'"),
+        ("fullness", {"atoms": [{"x": [True, False], "w": 1.0}]}, "atoms[0]: expected a 2-vector of numbers"),
+        ("fullness", {"atoms": [{"x": ["1", "0.5"], "w": 1.0}]}, "atoms[0]: expected a 2-vector of numbers"),
+        ("stable", {**SQUARE_SPEC, "alpha": True}, "'alpha'"),
+        ("limit", {"L": True, "rows": [{"measures": [DIRAC_JSON]}]}, "'L'"),
+        ("limit", {"rows": [{"measures": [{"atoms": [{"x": [1.0, 1.0], "w": True}]}]}]}, "'w'"),
+        ("idlaw", {**ZERO_TRIPLET, "A": [["1", 0], [0, True]]}, "'A'"),
+        ("probes", [{"z": [False, 2], "w": [0.0, 5.0]}], "'z'"),
+        ("probes", [], "probes file must hold a nonempty list"),
+        ("fullness", {"terms": [{"law": DIRAC_JSON}]}, "'measure' or 'triplet'"),
+        ("config", [{"epsilon": 0.1}], "config file must hold an object"),
     ])
     def test_exit_2_names_the_key(self, tmp_path, capsys, command, payload, key):
         out = str(tmp_path / "out")
@@ -492,6 +507,28 @@ class TestCliIdlaw:
         payload = json.loads((out / "idlaw.json").read_text())
         assert payload["drift"] is not None
 
+    def test_cf_mode_of_a_gaussian(self, tmp_path):
+        v, A = (0.5, -0.25), [[1.0, 0.3], [0.3, 0.5]]
+        out = tmp_path / "out"
+        trip = write(tmp_path / "t.json", {"v": list(v), "A": A, "tau": {"atoms": []}})
+        assert main(["--out", str(out), "idlaw", trip, "--mode", "cf"]) == 0
+        rows = json.loads((out / "idlaw.json").read_text())["cf"]
+        assert len(rows) == 25
+        for row in rows:
+            u = np.array(row["u"])
+            want = np.exp(1j * (u @ v) - 0.5 * (u @ np.array(A) @ u))
+            assert complex(*row["value"]) == pytest.approx(want, abs=1e-14)
+
+    def test_cf_mode_matches_classical_cf(self, tmp_path):
+        payload = {"v": [0.1, 0.2], "A": [[0.5, 0.0], [0.0, 0.25]],
+                   "tau": {"atoms": [{"x": [1.0, -0.5], "m": 0.7}],
+                           "radial": {"alpha": 1.2, "theta": [{"angle": 0.4, "m": 0.25}]}}}
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "idlaw", write(tmp_path / "t.json", payload), "--mode", "cf"]) == 0
+        rows = json.loads((out / "idlaw.json").read_text())["cf"]
+        want = triplet_from_dict(payload).classical_cf([row["u"] for row in rows])
+        assert [complex(*row["value"]) for row in rows] == want.tolist()
+
     def test_quadrature_failure_exit_3_names_integral(self, tmp_path, capsys, monkeypatch):
         trip = write(tmp_path / "t.json", TRUNCATED_JSON)
         monkeypatch.setattr(bifree.idlaw, "QUAD_ERR_TOL", -1.0)  # every estimate fails
@@ -544,7 +581,7 @@ class TestCliLimit:
         assert len(diagnostics) == 1  # one infinitesimality check for both
 
     def test_bad_law_exit_2_names_its_position(self, tmp_path, capsys):
-        arr = write(tmp_path / "arr.json", with_bad_law(BAD_MEASURES[-2][0]))
+        arr = write(tmp_path / "arr.json", with_bad_law(UNDERWEIGHT))
         assert main(["--out", str(tmp_path / "o"), "limit", arr]) == 2
         assert "rows[1].measures[2]: weights sum to 0.9, not 1" in capsys.readouterr().err
 
@@ -608,6 +645,20 @@ class TestCliStable:
         out = tmp_path / "out"
         assert main(["--out", str(out), "doa", write(tmp_path / "nu.json", TWO_ATOM_JSON), spec, "--ns", "8"]) == 4
         assert "need at least two sample sizes" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_doa_sizes_not_integers_exit_2(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 1], [1, 1]]})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "doa", write(tmp_path / "nu.json", TWO_ATOM_JSON), spec, "--ns", "8,x"]) == 2
+        assert "bad --ns '8,x'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_doa_falling_sizes_exit_4(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.json", {"alpha": 2.0, "gaussian_A": [[1, 1], [1, 1]]})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "doa", write(tmp_path / "nu.json", TWO_ATOM_JSON), spec, "--ns", "32,8"]) == 4
+        assert "sample sizes must increase" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_doa_skewed_law_at_doubling_sizes(self, tmp_path):

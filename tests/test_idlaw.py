@@ -266,6 +266,20 @@ class TestDrift:
         t = CharTriplet((0.0, 0.0), Matrix2(0, 0, 0), LevyMeasure(AtomicMeasure2D(), rp))
         assert t.drift() is None
 
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.floats(-7.0, 7.0), st.floats(1e-3, 5.0)), min_size=1, max_size=6),
+           st.floats(0.05, 0.95), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    def test_radial_drift_is_the_loop_over_rays(self, rays, alpha, v):
+        t = CharTriplet(v, Matrix2(0, 0, 0), LevyMeasure(AtomicMeasure2D(), RadialPart(alpha, tuple(rays))))
+        u1, u2 = t.drift()
+        # the same subtractions, one ray at a time
+        w1, w2 = t.v
+        base = idlaw._ray_drift(t.tau.radial)
+        for o1, o2, mass in t.tau.radial.directions():
+            w1 -= mass * o1 * base
+            w2 -= mass * o2 * base
+        assert (u1, u2) == (w1, w2)
+
     def test_drift_form_reproduces_phi(self):
         # with drift u: phi = u1/z + u2/w + quadratic + integral[zw/((z-s)(w-t)) - 1]
         t = make_compound_poisson(1.3, PlanarMeasure([((1.0, 2.0), 1.0)]))

@@ -427,12 +427,6 @@ class TestMatrix2:
         assert Matrix2(1.0, 1.0, 1.0).is_psd()
         assert not Matrix2(1.0, 1.5, 1.0).is_psd()
 
-    def test_kernel_vector(self):
-        u = Matrix2(1.0, 1.0, 1.0).kernel_vector()
-        assert abs(u[0] + u[1]) < 1e-12  # direction (1, -1)/sqrt(2)
-        assert Matrix2(1.0, 0.0, 1.0).kernel_vector() is None
-        assert Matrix2(0.0, 0.0, 0.0).kernel_vector() == (1.0, 0.0)
-
     def test_quad_form(self):
         A = Matrix2(1.0, 1.0, 1.0)
         assert A.quad_form((1.0, 1.0)) == pytest.approx(4.0)

@@ -14,8 +14,11 @@ Per metric it prints the median and quartiles of each side, the ratio of
 the medians, how many pairs the change won (strictly better, in the
 direction that ``BENCHMARK.json`` of CHANGE gives, lower by default), and
 whether the gap between the medians exceeds the interquartile range of the
-base runs.  It also prints each run's failed and attempted operations.  Standard
-library only; it never imports the program.
+base runs.  Where ``BENCHMARK.json`` gives a metric a relative ``bound``, it
+also prints whether the change's median is worse than the base median by
+no more than that bound, the no-regression rule.  It also prints each run's
+failed and attempted operations.  Standard library only; it never imports
+the program.
 """
 
 from __future__ import annotations
@@ -28,14 +31,24 @@ import subprocess
 import sys
 
 
-def better_directions(checkout: str) -> dict[str, str]:
-    """metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+def benchmark_metrics(checkout: str) -> dict[str, dict]:
+    """metric name -> its entry in the checkout's BENCHMARK.json, empty without the file."""
     path = os.path.join(checkout, "BENCHMARK.json")
     if not os.path.exists(path):
         return {}
     with open(path) as fh:
         spec = json.load(fh)
-    return {m["name"]: m.get("better", "lower") for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+    return {m["name"]: m for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def better_directions(checkout: str) -> dict[str, str]:
+    """metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+    return {name: m.get("better", "lower") for name, m in benchmark_metrics(checkout).items()}
+
+
+def relative_bounds(checkout: str) -> dict[str, float]:
+    """metric name -> the relative worsening its BENCHMARK.json entry allows, for metrics with a bound."""
+    return {name: m["bound"] for name, m in benchmark_metrics(checkout).items() if "bound" in m}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -57,8 +70,10 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return q2, q1, q3
 
 
-def report(workload: str, runs: dict[str, list[dict]], better: dict[str, str]) -> None:
-    """The per-metric table of the paired runs."""
+def report(workload: str, runs: dict[str, list[dict]], better: dict[str, str],
+           bounds: dict[str, float] | None = None) -> None:
+    """The per-metric table of the paired runs; "-" in the bound column where a metric has none."""
+    bounds = bounds or {}
     base, change = runs["base"], runs["change"]
     print(f"{workload}: {len(base)} pairs")
     print("  failed/attempted operations  base " + " ".join(f"{r['failed']}/{r['attempted']}" for r in base)
@@ -67,7 +82,8 @@ def report(workload: str, runs: dict[str, list[dict]], better: dict[str, str]) -
         print("  WARNING: a run reported incorrect results")
     names = [n for n in base[0]["metrics"] if all(n in r["metrics"] for r in base + change)]
     width = max(len(n) for n in names)
-    print(f"  {'metric':{width}}  {'base median [q1, q3]':>35}  {'change median [q1, q3]':>35}  ratio  won   gap>IQR")
+    print(f"  {'metric':{width}}  {'base median [q1, q3]':>35}  {'change median [q1, q3]':>35}  ratio  "
+          "in bound  won   gap>IQR")
     for name in names:
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
@@ -76,8 +92,9 @@ def report(workload: str, runs: dict[str, list[dict]], better: dict[str, str]) -
         (bm, b1, b3), (cm, c1, c3) = spread(b), spread(c)
         ratio = cm / bm if bm else float("nan")
         gap = (bm - cm) if lower else (cm - bm)
+        in_bound = "-" if name not in bounds else "yes" if -gap <= bounds[name] * abs(bm) else "no"
         print(f"  {name:{width}}  {bm:12.6g} [{b1:9.4g}, {b3:9.4g}]  {cm:12.6g} [{c1:9.4g}, {c3:9.4g}]"
-              f"  {ratio:5.3f}  {won:2d}/{len(b)}  {'yes' if gap > b3 - b1 else 'no'}")
+              f"  {ratio:5.3f}  {in_bound:>8}  {won:2d}/{len(b)}  {'yes' if gap > b3 - b1 else 'no'}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(result)
             wall = result["metrics"].get("wall_s", {}).get("value", float("nan"))
             print(f"pair {k + 1}/{args.pairs} seed {seed} {side}: wall_s {wall:.6f}", file=sys.stderr, flush=True)
-    report(args.workload, runs, better_directions(sides["change"]))
+    report(args.workload, runs, better_directions(sides["change"]), relative_bounds(sides["change"]))
     return 0
 
 
